@@ -332,7 +332,7 @@ def _branch_solve(f: BivariatePolynomial, trunc: int) -> UnivariatePolynomial:
 
 def default_truncation(p: BivariatePolynomial) -> int:
     deg = p.total_degree()
-    if deg is -math.inf:
+    if deg == -math.inf:
         deg = 2
     return 2 * int(deg) + 16
 
@@ -414,7 +414,7 @@ def d_normal_form(p: BivariatePolynomial, trunc: Optional[int] = None) -> DNorma
     if trunc is None:
         trunc = default_truncation(p)
     deg = p.total_degree()
-    if deg is not -math.inf and trunc < deg:
+    if deg != -math.inf and trunc < deg:
         raise TruncationTooSmall(f"trunc={trunc} below the input degree {deg}")
 
     rank = rank_at_origin(p)

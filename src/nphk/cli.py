@@ -245,18 +245,27 @@ def _reference_decay(phi: BivariatePolynomial) -> Optional[Fraction]:
 
 def run_decay(cfg: RunConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
-    try:
+    try:  # ParseError is a ValueError too
         phi = parse_polynomial(cfg.phi_text)
-    except ParseError as exc:
+        amp = oscint.AmplitudeSpec(radius=cfg.radius)
+        grid = oscint.dyadic_grid(cfg.lmin, cfg.lmax)
+        if cfg.grid < 1:
+            raise ValueError(f"--grid must be at least 1, got {cfg.grid}")
+        if cfg.randol and cfg.m is None:
+            raise ValueError("--randol requires --m")
+    except ValueError as exc:
         _emit_error(cfg, str(exc), EXIT_PARSE, out)
         return EXIT_PARSE
-    amp = oscint.AmplitudeSpec(radius=cfg.radius)
-    grid = oscint.dyadic_grid(cfg.lmin, cfg.lmax)
+    if cfg.lmax > oscint.MAX_FEASIBLE_LAMBDA:
+        _emit_error(
+            cfg,
+            f"lambda={cfg.lmax:g} beyond the feasible range {oscint.MAX_FEASIBLE_LAMBDA:g}",
+            EXIT_NUMERIC,
+            out,
+        )
+        return EXIT_NUMERIC
 
     if cfg.randol:
-        if cfg.m is None:
-            _emit_error(cfg, "--randol requires --m", EXIT_PARSE, out)
-            return EXIT_PARSE
         try:
             scan = oscint.randol_lq_scan(
                 phi,
@@ -281,14 +290,6 @@ def run_decay(cfg: RunConfig, out=None) -> int:
             )
         return EXIT_OK
 
-    if cfg.lmax > oscint.MAX_FEASIBLE_LAMBDA:
-        _emit_error(
-            cfg,
-            f"lambda={cfg.lmax:g} beyond the feasible range {oscint.MAX_FEASIBLE_LAMBDA:g}",
-            EXIT_NUMERIC,
-            out,
-        )
-        return EXIT_NUMERIC
     if not oscint.check_amplitude_support(phi, amp):
         _emit_error(
             cfg,

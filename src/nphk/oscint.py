@@ -5,10 +5,13 @@ a compactly supported polynomial bump g, fits decay exponents on dyadic
 lambda grids, and probes the local L^q behavior of the weighted maximal
 function sup_lambda lambda^(1/2 + 1/(m+1)) |I(lambda, s)|.
 
-Quadrature is a tensor-product composite Gauss rule whose panel count scales
-with the phase's oscillation count (an oversampled nodes-per-cycle budget),
-validated by doubling the panel count and comparing.  No asymptotic
-(Filon-type) schemes: lambda stays at desk scale, the point is an
+Quadrature is a tensor-product composite Gauss rule whose panels are sized
+locally: along each axis, a monomialwise bound of |d phi / d axis| + |s| on
+each strip of the amplitude's support gives the local oscillation count, and
+the panel edges follow it so that no panel holds more than an oversampled
+nodes-per-cycle budget allows or is wider than a fixed share of the support.
+Every value is validated by bisecting every panel and comparing.  No
+asymptotic (Filon-type) schemes: lambda stays at desk scale, the point is an
 independent, error-controlled check of the predicted power laws, not speed.
 
 Offset grids for the maximal-function scans are cell-centered.  The caustic
@@ -32,14 +35,19 @@ from .classify import D_TYPE, UnsupportedKindError, classify_singularity
 from .polyring import INFINITE_ORDER, BivariatePolynomial
 
 GAUSS_ORDER = 10
-# Nodes per oscillation cycle.  Order-10 Gauss panels at 2.5 cycles per panel
-# integrate a pure tone with per-panel error below 1e-12, so 4 is already
-# deep in the convergent regime; every reported value is still validated by
-# doubling the panel count.
+# Nodes per oscillation cycle, so at most GAUSS_ORDER / 4 = 2.5 cycles per
+# panel.  Order-10 Gauss integrates a pure tone of 2.5 cycles per panel to
+# about 2.4e-7 of the panel width (1.4e-11 at 1.5 cycles); panels near the
+# stationary point are held narrower by the MIN_PANELS width share, and
+# every reported value is validated against the bisected panels.
 OVERSAMPLE_NODES_PER_CYCLE = 4
+# No panel is wider than 2R / MIN_PANELS.
 MIN_PANELS = 6
 REL_TOL = 1e-3
 MAX_FEASIBLE_LAMBDA = float(1 << 15)
+# Equal strips per axis on which the gradient bound is taken.  This sets how
+# closely the panel sizes follow the local frequency, not the accuracy budget.
+_STRIPS = 512
 
 DEFAULT_LAMBDA_GRID = tuple(float(2**j) for j in range(6, 15))
 DEFAULT_RADIUS = 0.25
@@ -68,8 +76,8 @@ class AmplitudeSpec:
     profile: str = "radial"
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("amplitude radius must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"amplitude radius must be positive and finite, got {self.radius}")
         if self.order < 2 or self.order % 2:
             raise ValueError("bump order must be an even integer >= 2")
         if self.profile not in ("radial", "product"):
@@ -118,25 +126,68 @@ def _float_terms(phi: BivariatePolynomial) -> List[Tuple[int, int, float]]:
     return [(a, b, float(c)) for (a, b), c in sorted(phi.terms.items())]
 
 
-def _gradient_bound(phi: BivariatePolynomial, radius: float, axis: int) -> float:
-    """Coefficientwise bound for |d phi / d axis| on the square [-R, R]^2."""
-    total = 0.0
-    for a, b, c in _float_terms(phi):
-        e = a if axis == 0 else b
-        if e:
-            total += abs(c) * e * radius ** (a + b - 1)
-    return total
+def _strip_cycles(
+    phi: BivariatePolynomial, amp: AmplitudeSpec, lam: float, s_a: float, axis: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Strip edges along ``axis`` and an upper bound on the phase cycles in each strip.
+
+    On each strip the bound is the monomialwise maximum of
+    |d phi / d axis| + |s_a| over the part of the amplitude's support the
+    strip covers: the strip's chord of the disc for the radial bump, the
+    full [-R, R] across for the product bump.
+    """
+    r = amp.radius
+    u = np.linspace(-r, r, _STRIPS + 1)
+    lo, hi = u[:-1], u[1:]
+    u_max = np.maximum(np.abs(lo), np.abs(hi))
+    if amp.profile == "radial":
+        u_min = np.where(lo * hi <= 0.0, 0.0, np.minimum(np.abs(lo), np.abs(hi)))
+        v_max = np.sqrt(np.clip(r * r - u_min * u_min, 0.0, None))
+    else:
+        v_max = np.full_like(u_max, r)
+    bound = np.full_like(u_max, abs(s_a))
+    for a, b, c in _float_terms(phi.partial(axis)):
+        e_u, e_v = (a, b) if axis == 0 else (b, a)
+        bound += abs(c) * u_max**e_u * v_max**e_v
+    return u, lam * bound * (hi - lo) / (2.0 * math.pi)
 
 
-def _panel_count(lam: float, grad_bound: float, radius: float, oversample: float) -> int:
-    cycles = lam * grad_bound * (2 * radius) / (2 * math.pi)
-    panels = int(math.ceil(oversample * cycles / GAUSS_ORDER)) + 2
-    return max(panels, MIN_PANELS)
+def _axis_edges(phi: BivariatePolynomial, amp: AmplitudeSpec, lam: float, s_a: float, axis: int) -> np.ndarray:
+    """Panel edges on [-R, R] carrying at most one unit of sizing cost each.
+
+    A panel's cost is cycles * OVERSAMPLE_NODES_PER_CYCLE / GAUSS_ORDER plus
+    width * MIN_PANELS / (2R): no panel holds more than GAUSS_ORDER /
+    OVERSAMPLE_NODES_PER_CYCLE cycles or is wider than 2R / MIN_PANELS.  The
+    cost is spread evenly over the fewest panels that keep every share <= 1.
+    """
+    u, cycles = _strip_cycles(phi, amp, lam, s_a, axis)
+    r = amp.radius
+    cost = cycles * OVERSAMPLE_NODES_PER_CYCLE / GAUSS_ORDER + np.diff(u) * MIN_PANELS / (2.0 * r)
+    cum = np.concatenate(([0.0], np.cumsum(cost)))
+    panels = int(math.ceil(cum[-1]))
+    edges = np.interp(cum[-1] * np.arange(panels + 1) / panels, cum, u)
+    edges[0], edges[-1] = -r, r
+    return edges
 
 
-def _gauss_axis(radius: float, panels: int) -> Tuple[np.ndarray, np.ndarray]:
+def _panels_for(phi: BivariatePolynomial, amp: AmplitudeSpec, lam: float, s_max: Tuple[float, float]) -> Tuple[np.ndarray, np.ndarray]:
+    """Coarse panel edges per axis for offsets with |s_i| <= |s_max[i]|."""
+    return (
+        _axis_edges(phi, amp, lam, s_max[0], 0),
+        _axis_edges(phi, amp, lam, s_max[1], 1),
+    )
+
+
+def _bisect(edges: np.ndarray) -> np.ndarray:
+    """The validation edges: every panel split at its midpoint."""
+    out = np.empty(2 * edges.size - 1)
+    out[0::2] = edges
+    out[1::2] = (edges[1:] + edges[:-1]) / 2.0
+    return out
+
+
+def _gauss_axis(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     gl_x, gl_w = np.polynomial.legendre.leggauss(GAUSS_ORDER)
-    edges = np.linspace(-radius, radius, panels + 1)
     half = (edges[1:] - edges[:-1]) / 2.0
     mid = (edges[1:] + edges[:-1]) / 2.0
     nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
@@ -182,15 +233,15 @@ def _osc_grids(
     amp: AmplitudeSpec,
     lam: float,
     grids: Sequence[Tuple[np.ndarray, np.ndarray]],
-    panels: Tuple[int, int],
+    edges: Tuple[np.ndarray, np.ndarray],
 ) -> List[np.ndarray]:
     """I(lambda, s) over several separable s-grids, sharing one integrand sweep.
 
     Each grid is (s1_values, s2_values) and yields the full matrix
     I[i, j] = I(lambda, (s1[i], s2[j])).
     """
-    x, wx = _gauss_axis(amp.radius, panels[0])
-    y, wy = _gauss_axis(amp.radius, panels[1])
+    x, wx = _gauss_axis(edges[0])
+    y, wy = _gauss_axis(edges[1])
     terms = _float_terms(phi)
 
     mats_a = [np.exp(1j * lam * np.outer(s1, x)) * wx[None, :] for s1, _ in grids]
@@ -219,15 +270,6 @@ def _osc_grids(
         for idx, (a, b) in enumerate(zip(mats_a, mats_b)):
             totals[idx] += a[:, lo:hi] @ (eh @ b.T)
     return totals
-
-
-def _panels_for(phi: BivariatePolynomial, amp: AmplitudeSpec, lam: float, s_max: Tuple[float, float], oversample: float) -> Tuple[int, int]:
-    gx = _gradient_bound(phi, amp.radius, 0) + abs(s_max[0])
-    gy = _gradient_bound(phi, amp.radius, 1) + abs(s_max[1])
-    return (
-        _panel_count(lam, gx, amp.radius, oversample),
-        _panel_count(lam, gy, amp.radius, oversample),
-    )
 
 
 def amplitude_mass(amp: AmplitudeSpec) -> float:
@@ -286,21 +328,24 @@ def check_amplitude_support(phi: BivariatePolynomial, amp: AmplitudeSpec, grid: 
     return not bool(stray.any())
 
 
+def _check_lambda(lam: float) -> None:
+    if not lam > 0:
+        raise ValueError(f"lambda must be positive, got {lam}")
+    if lam > MAX_FEASIBLE_LAMBDA:
+        raise ValueError(f"lambda={lam} beyond the feasible range {MAX_FEASIBLE_LAMBDA}")
+
+
 def _eval_with_error(
     phi: BivariatePolynomial,
     amp: AmplitudeSpec,
     lam: float,
     s: Tuple[float, float],
-    oversample: float = OVERSAMPLE_NODES_PER_CYCLE,
 ) -> Tuple[complex, float]:
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if lam > MAX_FEASIBLE_LAMBDA:
-        raise ValueError(f"lambda={lam} beyond the feasible range {MAX_FEASIBLE_LAMBDA}")
-    panels = _panels_for(phi, amp, lam, s, oversample)
+    _check_lambda(lam)
+    edges = _panels_for(phi, amp, lam, s)
     grid = [(np.array([s[0]]), np.array([s[1]]))]
-    coarse = _osc_grids(phi, amp, lam, grid, panels)[0][0, 0]
-    fine = _osc_grids(phi, amp, lam, grid, (2 * panels[0], 2 * panels[1]))[0][0, 0]
+    coarse = _osc_grids(phi, amp, lam, grid, edges)[0][0, 0]
+    fine = _osc_grids(phi, amp, lam, grid, (_bisect(edges[0]), _bisect(edges[1])))[0][0, 0]
     floor = 1e-9 * amplitude_mass(amp)
     if abs(fine) < floor:
         return fine, 0.0
@@ -325,6 +370,10 @@ def eval_oscillatory(
 
 def dyadic_grid(lmin: float, lmax: float) -> Tuple[float, ...]:
     """Powers of two from lmin through lmax inclusive."""
+    if not (math.isfinite(lmin) and math.isfinite(lmax)):
+        raise ValueError(f"lambda bounds must be finite, got [{lmin}, {lmax}]")
+    if not 0 < lmin <= lmax:
+        raise ValueError(f"lambda grid needs 0 < lmin <= lmax, got [{lmin}, {lmax}]")
     out = []
     lam = float(lmin)
     while lam <= lmax * (1 + 1e-12):
@@ -456,6 +505,9 @@ def randol_lq_scan(
     integrand sweep, and each lambda sweep is optionally validated by panel
     doubling on the coarse grid.
     """
+    lams = sorted(float(v) for v in lambda_grid)
+    for lam in lams:
+        _check_lambda(lam)
     _require_d_type(phi, m)
     if not check_amplitude_support(phi, amp):
         raise ValueError("phase has critical points separated from the origin inside the support")
@@ -467,11 +519,11 @@ def randol_lq_scan(
 
     m_coarse = np.zeros((coarse.size, coarse.size))
     m_fine = np.zeros((fine.size, fine.size))
-    for lam in sorted(float(v) for v in lambda_grid):
-        panels = _panels_for(phi, amp, lam, (half_width, half_width), OVERSAMPLE_NODES_PER_CYCLE)
-        mats = _osc_grids(phi, amp, lam, grids, panels)
+    for lam in lams:
+        edges = _panels_for(phi, amp, lam, (half_width, half_width))
+        mats = _osc_grids(phi, amp, lam, grids, edges)
         if validate:
-            doubled = _osc_grids(phi, amp, lam, grids[:1], (2 * panels[0], 2 * panels[1]))[0]
+            doubled = _osc_grids(phi, amp, lam, grids[:1], (_bisect(edges[0]), _bisect(edges[1])))[0]
             floor = 1e-9 * amplitude_mass(amp)
             big = np.abs(doubled) > floor
             if big.any():

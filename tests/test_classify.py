@@ -149,6 +149,16 @@ class TestClassify:
         kind = classify_singularity(parse_polynomial("y^3 + y*x^3"))
         assert kind.k1 == 3
 
+    def test_zero_phase(self):
+        # every jet vanishes, so the Newton distance and the height are infinite
+        zero = parse_polynomial("0")
+        kind = classify_singularity(zero)
+        assert kind.tag == UNSUPPORTED_HEIGHT_ABOVE_2
+        with pytest.raises(UnsupportedKindError):
+            height(kind)
+        with pytest.raises(NormalizationFailed):
+            d_normal_form(zero)
+
     def test_true_d_form_with_flat_branch(self):
         # a squared-y factor with a flat branch is still in range at rank zero
         kind = classify_singularity(parse_polynomial("x*y^2 + x^5"))

@@ -2,6 +2,8 @@ import json
 import re
 from fractions import Fraction
 
+import pytest
+
 from nphk import cli
 from nphk.corpus import CORPUS, CorpusRow, check_row, run_corpus
 
@@ -189,3 +191,39 @@ class TestDecayCommand:
     def test_infeasible_lambda(self, capsys):
         code = cli.main(["decay", "--phi", "x^2 + y^2", "--lmin", "64", "--lmax", str(1 << 17)])
         assert code == cli.EXIT_NUMERIC
+
+    def test_infeasible_lambda_randol(self, capsys):
+        code = cli.main(
+            ["decay", "--phi", "(y - x^2)^2", "--randol", "--m", "2", "--lmin", "65536", "--lmax", "65536"]
+        )
+        assert code == cli.EXIT_NUMERIC
+        assert "feasible" in json.loads(capsys.readouterr().out)["error"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--radius=-1"],
+            ["--radius", "nan"],
+            ["--grid", "0"],
+            ["--lmin", "0"],
+            ["--lmin=-64"],
+            ["--lmin", "nan"],
+            ["--lmax", "inf"],
+            ["--lmin", "1024", "--lmax", "64"],
+        ],
+        ids=[
+            "radius-negative",
+            "radius-nan",
+            "grid-zero",
+            "lmin-zero",
+            "lmin-negative",
+            "lmin-nan",
+            "lmax-inf",
+            "lmax-below-lmin",
+        ],
+    )
+    def test_bad_numeric_input_is_a_parse_error(self, capsys, args):
+        code = cli.main(["decay", "--phi", "x^2 + y^2", *args])
+        assert code == cli.EXIT_PARSE
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["exit_code"] == cli.EXIT_PARSE and payload["error"]

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from nphk.oscint import (
+    GAUSS_ORDER,
+    MIN_PANELS,
+    OVERSAMPLE_NODES_PER_CYCLE,
     AmplitudeSpec,
     amplitude_mass,
     check_amplitude_support,
@@ -14,6 +17,8 @@ from nphk.oscint import (
     randol_lq_scan,
     randol_maximal,
     _eval_with_error,
+    _panels_for,
+    _strip_cycles,
 )
 from nphk.polyring import parse_polynomial
 
@@ -24,8 +29,9 @@ class TestAmplitude:
         assert amplitude_mass(amp) == pytest.approx(math.pi * 0.0625 / 9, rel=1e-12)
 
     def test_invalid_specs(self):
-        with pytest.raises(ValueError):
-            AmplitudeSpec(radius=-1)
+        for radius in (-1, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="radius"):
+                AmplitudeSpec(radius=radius)
         with pytest.raises(ValueError):
             AmplitudeSpec(order=3)
         with pytest.raises(ValueError):
@@ -79,6 +85,10 @@ class TestEval:
         amp = AmplitudeSpec()
         with pytest.raises(ValueError, match="feasible"):
             eval_oscillatory(parse_polynomial("x^2 + y^2"), amp, float(1 << 16))
+        with pytest.raises(ValueError, match="feasible"):
+            randol_lq_scan(
+                parse_polynomial("(y - x^2)^2"), amp, 2, q_list=(2.0,), lambda_grid=[64.0, float(1 << 16)]
+            )
 
     @staticmethod
     def _simpson_1d(phase_coeffs, lam, radius=0.25, order=8, n=20001):
@@ -96,18 +106,74 @@ class TestEval:
     def test_separability_on_monomial_phase(self):
         # phase x^3 with a product bump factors into (oscillatory 1-D) x (bump mass)
         amp = AmplitudeSpec(radius=0.25, order=8, profile="product")
-        lam = 512.0
-        value = eval_oscillatory(parse_polynomial("x^3"), amp, lam)
-        expect = self._simpson_1d([(3, 1.0)], lam) * self._simpson_1d([], lam)
-        assert abs(value) == pytest.approx(abs(expect), rel=1e-3)
+        for lam in (512.0, 2048.0):
+            value = eval_oscillatory(parse_polynomial("x^3"), amp, lam)
+            expect = self._simpson_1d([(3, 1.0)], lam) * self._simpson_1d([], lam)
+            assert abs(value) == pytest.approx(abs(expect), rel=1e-3)
 
     def test_separability_on_split_quadratic(self):
         # exp(i lam (x^2 + y^2)) with a product bump is a product of 1-D integrals
         amp = AmplitudeSpec(radius=0.25, order=8, profile="product")
-        lam = 512.0
-        value = eval_oscillatory(parse_polynomial("x^2 + y^2"), amp, lam)
-        one_d = self._simpson_1d([(2, 1.0)], lam)
-        assert abs(value) == pytest.approx(abs(one_d) ** 2, rel=1e-3)
+        for lam in (512.0, 2048.0):
+            value = eval_oscillatory(parse_polynomial("x^2 + y^2"), amp, lam)
+            one_d = self._simpson_1d([(2, 1.0)], lam)
+            assert abs(value) == pytest.approx(abs(one_d) ** 2, rel=1e-3)
+
+
+# The decay_fit phases with their acceptance amplitudes, and the criterion-6 scan phase.
+SIZING_CASES = [
+    ("x^2 + y^2", AmplitudeSpec(radius=0.4, order=2), (0.0, 0.0)),
+    ("x^2*y + y^3", AmplitudeSpec(radius=0.6, order=2), (0.0, 0.0)),
+    ("(y - x^2)^2 + x^5", AmplitudeSpec(radius=0.4, order=2), (0.0, 0.0)),
+    ("x*y^2 + x^5", AmplitudeSpec(radius=0.6, order=2), (0.0, 0.0)),
+    ("(y - x^2)^2", AmplitudeSpec(), (0.25, 0.25)),
+]
+SIZING_IDS = [text for text, _, _ in SIZING_CASES]
+
+
+class TestPanelSizing:
+    @pytest.mark.parametrize("text,amp,s_max", SIZING_CASES, ids=SIZING_IDS)
+    @pytest.mark.parametrize("lam", [64.0, 4096.0, 16384.0])
+    def test_edges_respect_cycle_and_width_budgets(self, text, amp, s_max, lam):
+        phi = parse_polynomial(text)
+        r = amp.radius
+        for axis, edges in enumerate(_panels_for(phi, amp, lam, s_max)):
+            assert edges[0] == -r and edges[-1] == r
+            assert np.all(np.diff(edges) > 0)
+            u, cycles = _strip_cycles(phi, amp, lam, s_max[axis], axis)
+            cum = np.concatenate(([0.0], np.cumsum(cycles)))
+            panel_cycles = np.diff(np.interp(edges, u, cum))
+            assert panel_cycles.max() <= GAUSS_ORDER / OVERSAMPLE_NODES_PER_CYCLE * (1 + 1e-9)
+            assert np.diff(edges).max() <= 2 * r / MIN_PANELS * (1 + 1e-9)
+
+    @pytest.mark.parametrize("text,amp,s_max", SIZING_CASES, ids=SIZING_IDS)
+    def test_strip_bound_dominates_sampled_gradient(self, text, amp, s_max):
+        # the monomialwise strip bound must cover |d phi / d axis| + |s| on the support
+        phi = parse_polynomial(text)
+        r = amp.radius
+        lam = 1024.0
+        for axis in (0, 1):
+            u, cycles = _strip_cycles(phi, amp, lam, s_max[axis], axis)
+            bound = cycles * 2 * math.pi / (lam * np.diff(u))
+            grad = phi.partial(axis)
+            t = np.linspace(0.0, 1.0, 5)
+            along = (u[:-1, None] + np.diff(u)[:, None] * t[None, :]).ravel()
+            across = np.linspace(-r, r, 65)
+            pts = (along[:, None], across[None, :]) if axis == 0 else (across[None, :], along[:, None])
+            vals = np.zeros((along.size, across.size))
+            for (a, b), c in grad.terms.items():
+                vals += float(c) * pts[0] ** a * pts[1] ** b
+            inside = (pts[0] ** 2 + pts[1] ** 2 <= r * r) if amp.profile == "radial" else True
+            sampled = np.where(inside, np.abs(vals), 0.0).max(axis=1).reshape(-1, t.size).max(axis=1)
+            assert np.all(bound >= (sampled + abs(s_max[axis])) * (1 - 1e-12))
+
+    def test_coarse_node_total_at_4096(self):
+        # the four decay_fit phases; a single global gradient bound needed 25,532,500
+        total = 0
+        for text, amp, s_max in SIZING_CASES[:4]:
+            ex, ey = _panels_for(parse_polynomial(text), amp, 4096.0, s_max)
+            total += GAUSS_ORDER * (ex.size - 1) * GAUSS_ORDER * (ey.size - 1)
+        assert total <= 25_532_500 // 4
 
 
 class TestFitDecay:
