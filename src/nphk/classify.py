@@ -97,7 +97,7 @@ class SingularityKind:
 
     def label(self) -> str:
         if self.tag == D_TYPE:
-            if self.n is INFINITE_ORDER:
+            if self.n == INFINITE_ORDER:
                 return "Dinf"
             return f"D{self.n + 1}"
         return self.tag
@@ -310,7 +310,7 @@ def _branch_solve(f: BivariatePolynomial, trunc: int) -> UnivariatePolynomial:
             break
         pivot = substitute_y(fy, psi)
         s = pivot.order()
-        if s is INFINITE_ORDER or s > 1:
+        if s == INFINITE_ORDER or s > 1:
             raise NormalizationFailed("degenerate branch pivot; no unique tangent branch")
         if residual.order() < known + 1 + s:
             raise NormalizationFailed(
@@ -362,7 +362,7 @@ def _square_direction(q: BivariatePolynomial) -> Tuple[Fraction, Fraction]:
 
 def _resolve_order(jet: UnivariatePolynomial, exact_input: bool, what: str) -> OrderValue:
     order = univariate_order(jet)
-    if order is INFINITE_ORDER and not exact_input:
+    if order == INFINITE_ORDER and not exact_input:
         raise TruncationTooSmall(f"{what} unresolved >= trunc on a truncated input")
     return order
 
@@ -455,23 +455,23 @@ def d_normal_form(p: BivariatePolynomial, trunc: Optional[int] = None) -> DNorma
     m = _resolve_order(psi, p.is_exact, "m")
     n = _resolve_order(b0, p.is_exact, "n")
 
-    if rank == 1 and m is not INFINITE_ORDER and n is not INFINITE_ORDER and m > n - 1:
+    if rank == 1 and m != INFINITE_ORDER and n != INFINITE_ORDER and m > n - 1:
         # the constructed frame is the special one; generic shears see a
         # branch of order n-1, and at most one gamma can cancel it
         for gamma in (1, -1):
             cmap = nmap @ LinearMap2(1, gamma, 0, 1)
             cpsi, cb0 = _solve_branch_data(apply_linear(p, cmap), trunc)
             cm = _resolve_order(cpsi, p.is_exact, "m")
-            if cm is not INFINITE_ORDER and cm < m:
+            if cm != INFINITE_ORDER and cm < m:
                 nmap, pn, psi, b0 = cmap, apply_linear(p, cmap), cpsi, cb0
                 m = cm
                 n = _resolve_order(cb0, p.is_exact, "n")
 
-    if m is not INFINITE_ORDER and m > trunc - 2:
+    if m != INFINITE_ORDER and m > trunc - 2:
         raise TruncationTooSmall(f"m={m} too close to trunc={trunc}")
 
-    omega0 = psi.coefficient(m) if m is not INFINITE_ORDER else None
-    beta0 = b0.coefficient(n) if n is not INFINITE_ORDER else None
+    omega0 = psi.coefficient(m) if m != INFINITE_ORDER else None
+    beta0 = b0.coefficient(n) if n != INFINITE_ORDER else None
     return DNormalForm(m=m, omega0=omega0, n=n, beta0=beta0, psi=psi, b0=b0, normal_map=nmap)
 
 
@@ -527,7 +527,7 @@ def classify_singularity(
         return SingularityKind.marker(NONDEGENERATE_OR_RANK_POSITIVE)
     if rank == 1:
         nf = d_normal_form(p, trunc)
-        if nf.m is INFINITE_ORDER:
+        if nf.m == INFINITE_ORDER:
             return SingularityKind.marker(NONDEGENERATE_OR_RANK_POSITIVE)
         return SingularityKind.d_type(nf.m, nf.n)
 
@@ -560,13 +560,13 @@ def classify_singularity(
 
 
 def _d_height(n: OrderValue) -> Fraction:
-    if n is INFINITE_ORDER:
+    if n == INFINITE_ORDER:
         return Fraction(2)
     return Fraction(2 * n, n + 1)
 
 
 def _d_linear_height(m: OrderValue, n: OrderValue) -> Fraction:
-    lin = Fraction(2) if m is INFINITE_ORDER else Fraction(2 * m + 1, m + 1)
+    lin = Fraction(2) if m == INFINITE_ORDER else Fraction(2 * m + 1, m + 1)
     return min(_d_height(n), lin)
 
 

@@ -48,7 +48,7 @@ def rational_str(value) -> str:
 
 
 def order_str(value) -> str:
-    return "inf" if value is INFINITE_ORDER else str(value)
+    return "inf" if value == INFINITE_ORDER else str(value)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -256,14 +256,6 @@ def run_decay(cfg: RunConfig, out=None) -> int:
     except ValueError as exc:
         _emit_error(cfg, str(exc), EXIT_PARSE, out)
         return EXIT_PARSE
-    if cfg.lmax > oscint.MAX_FEASIBLE_LAMBDA:
-        _emit_error(
-            cfg,
-            f"lambda={cfg.lmax:g} beyond the feasible range {oscint.MAX_FEASIBLE_LAMBDA:g}",
-            EXIT_NUMERIC,
-            out,
-        )
-        return EXIT_NUMERIC
 
     if cfg.randol:
         try:
@@ -290,18 +282,15 @@ def run_decay(cfg: RunConfig, out=None) -> int:
             )
         return EXIT_OK
 
-    if not oscint.check_amplitude_support(phi, amp):
-        _emit_error(
-            cfg,
-            "phase has critical points separated from the origin inside the support",
-            EXIT_NUMERIC,
-            out,
-        )
+    try:  # feasible range, node budget and support, for every lambda before any quadrature
+        plan = oscint._sweep_edges(phi, amp, grid, (0.0, 0.0))
+    except ValueError as exc:
+        _emit_error(cfg, str(exc), EXIT_NUMERIC, out)
         return EXIT_NUMERIC
 
-    def one(lam: float):
+    def one(lam: float, edges):
         try:
-            value, err = oscint._eval_with_error(phi, amp, lam, (0.0, 0.0))
+            value, err = oscint._eval_on_edges(phi, amp, lam, (0.0, 0.0), edges)
             return (lam, value, err, None)
         except oscint.QuadratureNotConverged as exc:
             return (lam, None, None, str(exc))
@@ -311,9 +300,9 @@ def run_decay(cfg: RunConfig, out=None) -> int:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(one, grid))
+            results = list(pool.map(one, grid, plan))
     else:
-        results = [one(lam) for lam in grid]
+        results = [one(lam, edges) for lam, edges in zip(grid, plan)]
     failures = [f"lambda={lam:g}: {msg}" for lam, _, _, msg in results if msg]
     samples = [(lam, value, err) for lam, value, err, msg in results if msg is None]
     if len(samples) < 3:

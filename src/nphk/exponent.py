@@ -40,7 +40,7 @@ def _u_of_p(p: RationalLike) -> Fraction:
 
 def _recip(n) -> Fraction:
     """1/n with the infinite-order sentinel mapping to exactly zero."""
-    if n is INFINITE_ORDER:
+    if n == INFINITE_ORDER:
         return Fraction(0)
     return Fraction(1, n)
 
@@ -48,9 +48,9 @@ def _recip(n) -> Fraction:
 def _is_nla_d(kind: SingularityKind) -> bool:
     if kind.tag != D_TYPE:
         return False
-    if kind.m is INFINITE_ORDER:
+    if kind.m == INFINITE_ORDER:
         return False
-    if kind.n is INFINITE_ORDER:
+    if kind.n == INFINITE_ORDER:
         return True
     return 2 * kind.m + 1 < kind.n
 
@@ -236,7 +236,7 @@ def verify_nla_identity(m: int, n, grid: int = 96) -> bool:
     """
     if m < 2:
         raise ValueError(f"m={m} below 2")
-    if n is not INFINITE_ORDER and n <= 2 * m + 1:
+    if n != INFINITE_ORDER and n <= 2 * m + 1:
         raise ValueError(f"n={n} must exceed 2m+1={2 * m + 1}")
     kind = SingularityKind.d_type(m, n)
     profile = kp_profile(kind)
@@ -271,7 +271,7 @@ def knapp_exponent(kappa: Tuple[RationalLike, RationalLike], p: RationalLike, k:
 
 def knapp_exponent_nla(m: int, n, p: RationalLike, k: RationalLike) -> Fraction:
     """Growth rate of the branch-concentrated test sequence for D(m, n), 2m+1 < n."""
-    if n is not INFINITE_ORDER and n <= 2 * m + 1:
+    if n != INFINITE_ORDER and n <= 2 * m + 1:
         raise ValueError(f"n={n} must exceed 2m+1={2 * m + 1}")
     u = _u_of_p(p)
     return (

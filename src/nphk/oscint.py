@@ -10,6 +10,11 @@ locally: along each axis, a monomialwise bound of |d phi / d axis| + |s| on
 each strip of the amplitude's support gives the local oscillation count, and
 the panel edges follow it so that no panel holds more than an oversampled
 nodes-per-cycle budget allows or is wider than a fixed share of the support.
+A grid beyond a fixed node budget is refused before any node is built.  The
+integrand is evaluated one x panel at a time; for the radial bump each such
+block covers only the y nodes inside the disc at its row nearest x = 0, since
+the amplitude is exactly zero on every other node, so each value is the full
+tensor-product sum without its zero terms.
 Every value is validated by bisecting every panel and comparing.  No
 asymptotic (Filon-type) schemes: lambda stays at desk scale, the point is an
 independent, error-controlled check of the predicted power laws, not speed.
@@ -45,6 +50,10 @@ OVERSAMPLE_NODES_PER_CYCLE = 4
 MIN_PANELS = 6
 REL_TOL = 1e-3
 MAX_FEASIBLE_LAMBDA = float(1 << 15)
+# Coarse quadrature nodes one lambda may use.  The acceptance phases need at
+# most 9.3e7 at MAX_FEASIBLE_LAMBDA (x^2*y + y^3 with R = 0.6); a grid far
+# beyond that is a run of hours, not a desk-scale check.
+MAX_COARSE_NODES = 10**8
 # Equal strips per axis on which the gradient bound is taken.  This sets how
 # closely the panel sizes follow the local frequency, not the accuracy budget.
 _STRIPS = 512
@@ -152,30 +161,49 @@ def _strip_cycles(
     return u, lam * bound * (hi - lo) / (2.0 * math.pi)
 
 
-def _axis_edges(phi: BivariatePolynomial, amp: AmplitudeSpec, lam: float, s_a: float, axis: int) -> np.ndarray:
-    """Panel edges on [-R, R] carrying at most one unit of sizing cost each.
+def _axis_cost(phi: BivariatePolynomial, amp: AmplitudeSpec, lam: float, s_a: float, axis: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Strip edges along ``axis`` and the cumulative panel-sizing cost at each.
 
     A panel's cost is cycles * OVERSAMPLE_NODES_PER_CYCLE / GAUSS_ORDER plus
-    width * MIN_PANELS / (2R): no panel holds more than GAUSS_ORDER /
-    OVERSAMPLE_NODES_PER_CYCLE cycles or is wider than 2R / MIN_PANELS.  The
-    cost is spread evenly over the fewest panels that keep every share <= 1.
+    width * MIN_PANELS / (2R): a panel of cost at most 1 holds no more than
+    GAUSS_ORDER / OVERSAMPLE_NODES_PER_CYCLE cycles and is no wider than
+    2R / MIN_PANELS.
     """
-    u, cycles = _strip_cycles(phi, amp, lam, s_a, axis)
-    r = amp.radius
-    cost = cycles * OVERSAMPLE_NODES_PER_CYCLE / GAUSS_ORDER + np.diff(u) * MIN_PANELS / (2.0 * r)
-    cum = np.concatenate(([0.0], np.cumsum(cost)))
+    # A radius whose powers overflow gives a non-finite cost, which the node
+    # budget in _panels_for rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, cycles = _strip_cycles(phi, amp, lam, s_a, axis)
+        cost = cycles * OVERSAMPLE_NODES_PER_CYCLE / GAUSS_ORDER + np.diff(u) * MIN_PANELS / (2.0 * amp.radius)
+    return u, np.concatenate(([0.0], np.cumsum(cost)))
+
+
+def _axis_edges(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Panel edges on [u[0], u[-1]]: the cost spread evenly over the fewest
+    panels that keep every share <= 1."""
     panels = int(math.ceil(cum[-1]))
     edges = np.interp(cum[-1] * np.arange(panels + 1) / panels, cum, u)
-    edges[0], edges[-1] = -r, r
+    edges[0], edges[-1] = u[0], u[-1]
     return edges
 
 
 def _panels_for(phi: BivariatePolynomial, amp: AmplitudeSpec, lam: float, s_max: Tuple[float, float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Coarse panel edges per axis for offsets with |s_i| <= |s_max[i]|."""
-    return (
-        _axis_edges(phi, amp, lam, s_max[0], 0),
-        _axis_edges(phi, amp, lam, s_max[1], 1),
-    )
+    """Coarse panel edges per axis for offsets with |s_i| <= |s_max[i]|.
+
+    Raises ValueError for a lambda outside the feasible range, and before
+    any edge is placed when the coarse grid would need more than
+    MAX_COARSE_NODES nodes or its size is not finite.
+    """
+    _check_lambda(lam)
+    costs = [_axis_cost(phi, amp, lam, s_max[axis], axis) for axis in (0, 1)]
+    nodes = float(GAUSS_ORDER**2)
+    for _, cum in costs:
+        nodes *= float(np.ceil(cum[-1]))
+    if not nodes <= MAX_COARSE_NODES:
+        raise ValueError(
+            f"lambda={lam:g} with radius {amp.radius:g} needs {nodes:.3g} coarse quadrature nodes,"
+            f" more than the budget of {MAX_COARSE_NODES:.3g}"
+        )
+    return _axis_edges(*costs[0]), _axis_edges(*costs[1])
 
 
 def _bisect(edges: np.ndarray) -> np.ndarray:
@@ -217,7 +245,7 @@ def _power_cache(base: np.ndarray):
 
 
 def _phase_rows(terms, xc: np.ndarray, ypow, out: np.ndarray) -> np.ndarray:
-    """lam-free phase values on the chunk grid, accumulated into ``out``."""
+    """lam-free phase values on a block of rows, accumulated into ``out``."""
     xp = _power_cache(xc)
     out.fill(0.0)
     tmp = np.empty_like(out)
@@ -226,6 +254,21 @@ def _phase_rows(terms, xc: np.ndarray, ypow, out: np.ndarray) -> np.ndarray:
         tmp *= c
         out += tmp
     return out
+
+
+def _disc_columns(amp: AmplitudeSpec, xc: np.ndarray, y: np.ndarray) -> Tuple[int, int]:
+    """The y-node range [lo, hi) a block of rows ``xc`` needs.
+
+    For the radial bump every node with x^2 + y^2 >= R^2 has a zero
+    amplitude, so a block needs only the y nodes inside the disc's chord at
+    its row nearest x = 0.  The product bump needs every y node.
+    """
+    if amp.profile != "radial":
+        return 0, y.size
+    r = amp.radius
+    x_min = float(np.abs(xc).min())
+    w = math.sqrt(r * r - x_min * x_min)
+    return int(np.searchsorted(y, -w)), int(np.searchsorted(y, w, "right"))
 
 
 def _osc_grids(
@@ -238,7 +281,9 @@ def _osc_grids(
     """I(lambda, s) over several separable s-grids, sharing one integrand sweep.
 
     Each grid is (s1_values, s2_values) and yields the full matrix
-    I[i, j] = I(lambda, (s1[i], s2[j])).
+    I[i, j] = I(lambda, (s1[i], s2[j])).  The sweep takes one x panel
+    (GAUSS_ORDER rows) per block and evaluates the integrand only on the y
+    nodes ``_disc_columns`` gives that block.
     """
     x, wx = _gauss_axis(edges[0])
     y, wy = _gauss_axis(edges[1])
@@ -251,24 +296,24 @@ def _osc_grids(
         for a, b in zip(mats_a, mats_b)
     ]
 
-    chunk = max(16, (1 << 21) // max(1, y.size))
-    phase = np.empty((chunk, y.size))
-    e = np.empty((chunk, y.size), dtype=np.complex128)
+    phase = np.empty(GAUSS_ORDER * y.size)
+    e = np.empty(GAUSS_ORDER * y.size, dtype=np.complex128)
     ypow = _power_cache(y)
-    for lo in range(0, x.size, chunk):
-        hi = min(lo + chunk, x.size)
-        rows = hi - lo
-        xc = x[lo:hi]
-        p = _phase_rows(terms, xc, ypow, phase[:rows])
+    for row in range(0, x.size, GAUSS_ORDER):
+        block = slice(row, row + GAUSS_ORDER)
+        xc = x[block]
+        lo, hi = _disc_columns(amp, xc, y)
+        cols = hi - lo
+        p = _phase_rows(terms, xc, lambda b: ypow(b)[lo:hi], phase[: GAUSS_ORDER * cols].reshape(GAUSS_ORDER, cols))
         p *= lam
-        g = _bump_rows(amp, xc, y)
-        eh = e[:rows]
+        g = _bump_rows(amp, xc, y[lo:hi])
+        eh = e[: GAUSS_ORDER * cols].reshape(GAUSS_ORDER, cols)
         np.cos(p, out=eh.real)
         np.sin(p, out=eh.imag)
         eh.real *= g
         eh.imag *= g
-        for idx, (a, b) in enumerate(zip(mats_a, mats_b)):
-            totals[idx] += a[:, lo:hi] @ (eh @ b.T)
+        for total, a, b in zip(totals, mats_a, mats_b):
+            total += a[:, block] @ (eh @ b[:, lo:hi].T)
     return totals
 
 
@@ -335,14 +380,28 @@ def _check_lambda(lam: float) -> None:
         raise ValueError(f"lambda={lam} beyond the feasible range {MAX_FEASIBLE_LAMBDA}")
 
 
-def _eval_with_error(
+def _sweep_edges(
+    phi: BivariatePolynomial, amp: AmplitudeSpec, lams: Sequence[float], s_max: Tuple[float, float]
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Coarse edges for every lambda of a sweep, then the support check.
+
+    Every lambda is checked against the feasible range and the node budget
+    before any node grid is built, so an infeasible sweep fails at once.
+    """
+    edges = [_panels_for(phi, amp, lam, s_max) for lam in lams]
+    if not check_amplitude_support(phi, amp):
+        raise ValueError("phase has critical points separated from the origin inside the support")
+    return edges
+
+
+def _eval_on_edges(
     phi: BivariatePolynomial,
     amp: AmplitudeSpec,
     lam: float,
     s: Tuple[float, float],
+    edges: Tuple[np.ndarray, np.ndarray],
 ) -> Tuple[complex, float]:
-    _check_lambda(lam)
-    edges = _panels_for(phi, amp, lam, s)
+    """The bisected-panel value of I(lambda, s) and its relative doubling difference."""
     grid = [(np.array([s[0]]), np.array([s[1]]))]
     coarse = _osc_grids(phi, amp, lam, grid, edges)[0][0, 0]
     fine = _osc_grids(phi, amp, lam, grid, (_bisect(edges[0]), _bisect(edges[1])))[0][0, 0]
@@ -355,6 +414,15 @@ def _eval_with_error(
             f"doubling moved I(lambda={lam}, s={s}) by {rel:.2e} (> {REL_TOL})"
         )
     return fine, rel
+
+
+def _eval_with_error(
+    phi: BivariatePolynomial,
+    amp: AmplitudeSpec,
+    lam: float,
+    s: Tuple[float, float],
+) -> Tuple[complex, float]:
+    return _eval_on_edges(phi, amp, lam, s, _panels_for(phi, amp, lam, s))
 
 
 def eval_oscillatory(
@@ -429,18 +497,17 @@ def fit_decay(
     per-point quadrature error estimates.
     """
     lams = sorted(float(v) for v in lambda_grid)
-    if not check_amplitude_support(phi, amp):
-        raise ValueError("phase has critical points separated from the origin inside the support")
+    plan = _sweep_edges(phi, amp, lams, s)
     nworkers = resolve_workers(workers)
 
-    def one(lam: float):
-        return _eval_with_error(phi, amp, lam, s)
+    def one(lam: float, edges):
+        return _eval_on_edges(phi, amp, lam, s, edges)
 
     if nworkers > 1:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(one, lams))
+            results = list(pool.map(one, lams, plan))
     else:
-        results = [one(lam) for lam in lams]
+        results = [one(lam, edges) for lam, edges in zip(lams, plan)]
     return fit_decay_from_samples(
         lams, [v for v, _ in results], [e for _, e in results], with_log=with_log
     )
@@ -456,7 +523,7 @@ def _require_d_type(phi: BivariatePolynomial, m: int) -> None:
             f"phase classifies as {kind.tag} with m={kind.m}, not a D type with m={m}"
         )
     n = kind.n
-    if n is not INFINITE_ORDER and n <= 2 * m + 1:
+    if n != INFINITE_ORDER and n <= 2 * m + 1:
         raise UnsupportedKindError(f"maximal-function scaling needs 2m+1 < n, got n={n}")
 
 
@@ -505,12 +572,11 @@ def randol_lq_scan(
     integrand sweep, and each lambda sweep is optionally validated by panel
     doubling on the coarse grid.
     """
+    if cells < 1 or refine < 1:
+        raise ValueError(f"offset scans need cells >= 1 and refine >= 1, got cells={cells}, refine={refine}")
     lams = sorted(float(v) for v in lambda_grid)
-    for lam in lams:
-        _check_lambda(lam)
     _require_d_type(phi, m)
-    if not check_amplitude_support(phi, amp):
-        raise ValueError("phase has critical points separated from the origin inside the support")
+    plan = _sweep_edges(phi, amp, lams, (half_width, half_width))
     w = randol_weight(m)
     cells += cells % 2  # keep sample points off the axis caustic
     coarse = cell_centered_grid(half_width, cells)
@@ -519,8 +585,7 @@ def randol_lq_scan(
 
     m_coarse = np.zeros((coarse.size, coarse.size))
     m_fine = np.zeros((fine.size, fine.size))
-    for lam in lams:
-        edges = _panels_for(phi, amp, lam, (half_width, half_width))
+    for lam, edges in zip(lams, plan):
         mats = _osc_grids(phi, amp, lam, grids, edges)
         if validate:
             doubled = _osc_grids(phi, amp, lam, grids[:1], (_bisect(edges[0]), _bisect(edges[1])))[0]

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -198,6 +199,25 @@ class TestDecayCommand:
         )
         assert code == cli.EXIT_NUMERIC
         assert "feasible" in json.loads(capsys.readouterr().out)["error"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--phi", "x^2 + y^2", "--radius", "1e200", "--lmax", "256"],
+            ["--phi", "x^2 + y^2", "--radius", "4"],
+            ["--phi", "(y - x^2)^2", "--randol", "--m", "2", "--radius", "1e200", "--lmax", "256"],
+            ["--phi", "(y - x^2)^2", "--randol", "--m", "2", "--radius", "4"],
+        ],
+        ids=["radius-1e200", "radius-4", "randol-radius-1e200", "randol-radius-4"],
+    )
+    def test_node_budget_is_a_numeric_error(self, capsys, args):
+        start = time.perf_counter()
+        code = cli.main(["decay", *args])
+        assert time.perf_counter() - start < 1.0
+        assert code == cli.EXIT_NUMERIC
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["exit_code"] == cli.EXIT_NUMERIC
+        assert "coarse quadrature nodes" in payload["error"]
 
     @pytest.mark.parametrize(
         "args",

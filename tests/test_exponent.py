@@ -36,6 +36,13 @@ class TestKpPoint:
         for kind in (D25, D27, D2INF, E7, CASEC, SingularityKind.d4()):
             assert kp_point(kind, 2) == 0
 
+    def test_infinite_order_compared_by_value(self):
+        # any float infinity is the infinite order, not only the sentinel object
+        equal_inf = SingularityKind.d_type(2, float("inf"))
+        for p in (F(1), F(4, 3), F(5, 3), F(2)):
+            assert kp_point(equal_inf, p) == kp_point(D2INF, p)
+        assert kp_profile(equal_inf).segments == kp_profile(D2INF).segments
+
     def test_infinite_n_branch_comparison(self):
         # 1/p - 1/2 = 1/10 at p = 5/3
         assert kp_point(D2INF, F(5, 3)) == F(12, 25)

@@ -1,10 +1,13 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from nphk.oscint import (
     GAUSS_ORDER,
+    MAX_COARSE_NODES,
+    MAX_FEASIBLE_LAMBDA,
     MIN_PANELS,
     OVERSAMPLE_NODES_PER_CYCLE,
     AmplitudeSpec,
@@ -16,7 +19,11 @@ from nphk.oscint import (
     fit_decay,
     randol_lq_scan,
     randol_maximal,
+    _bump_rows,
+    _disc_columns,
     _eval_with_error,
+    _gauss_axis,
+    _osc_grids,
     _panels_for,
     _strip_cycles,
 )
@@ -175,6 +182,118 @@ class TestPanelSizing:
             total += GAUSS_ORDER * (ex.size - 1) * GAUSS_ORDER * (ey.size - 1)
         assert total <= 25_532_500 // 4
 
+    @pytest.mark.parametrize("text,amp,s_max", SIZING_CASES, ids=SIZING_IDS)
+    def test_acceptance_phases_fit_the_node_budget(self, text, amp, s_max):
+        ex, ey = _panels_for(parse_polynomial(text), amp, MAX_FEASIBLE_LAMBDA, s_max)
+        assert GAUSS_ORDER**2 * (ex.size - 1) * (ey.size - 1) <= MAX_COARSE_NODES
+
+
+def _dense_reference(phi, amp, lam, grids, edges):
+    """Every tensor node summed at once, with the bump written out independently."""
+    x, wx = _gauss_axis(edges[0])
+    y, wy = _gauss_axis(edges[1])
+    X, Y = np.meshgrid(x, y, indexing="ij")
+    phase = np.zeros_like(X)
+    for (a, b), c in phi.terms.items():
+        phase += float(c) * X**a * Y**b
+    r = amp.radius
+    if amp.profile == "radial":
+        bump = np.clip(1.0 - (X**2 + Y**2) / r**2, 0.0, None) ** amp.order
+    else:
+        bump = (np.clip(1.0 - (X / r) ** 2, 0.0, None) * np.clip(1.0 - (Y / r) ** 2, 0.0, None)) ** amp.order
+    f = wx[:, None] * wy[None, :] * bump * np.exp(1j * lam * phase)
+    return [np.exp(1j * lam * np.outer(s1, x)) @ f @ np.exp(1j * lam * np.outer(y, s2)) for s1, s2 in grids]
+
+
+def _one(s1, s2):
+    return [(np.array([s1]), np.array([s2]))]
+
+
+_SCAN_GRIDS = [(cell_centered_grid(0.25, 8),) * 2, (cell_centered_grid(0.25, 16),) * 2]
+# (phase, amplitude, lambda, offset grids, edges or None for _panels_for's)
+SWEEP_CASES = [
+    ("x^2*y + y^3", AmplitudeSpec(radius=0.6, order=2), 256.0, _one(0.03, -0.02), None),
+    ("x^2*y + y^3", AmplitudeSpec(radius=0.25, order=8, profile="product"), 256.0, _one(0.03, -0.02), None),
+    ("(y - x^2)^2", AmplitudeSpec(), 256.0, _SCAN_GRIDS, None),
+    # odd panel counts: the middle panel straddles x = 0 and y = 0
+    ("x^2 + y^2", AmplitudeSpec(radius=0.4, order=2), 64.0, _one(0.0, 0.0),
+     (np.linspace(-0.4, 0.4, 8), np.linspace(-0.4, 0.4, 6))),
+    ("x*y^2 + x^5", AmplitudeSpec(radius=0.6, order=2), 128.0, _SCAN_GRIDS,
+     (np.linspace(-0.6, 0.6, 10), np.linspace(-0.6, 0.6, 12))),
+]
+SWEEP_IDS = ["radial", "product", "scan-grids", "odd-panels", "odd-panels-scan-grids"]
+
+
+def _case_edges(case):
+    text, amp, lam, grids, edges = case
+    if edges is None:
+        s_max = (max(abs(g[0]).max() for g in grids), max(abs(g[1]).max() for g in grids))
+        edges = _panels_for(parse_polynomial(text), amp, lam, s_max)
+    return edges
+
+
+class TestBlockedSweep:
+    @pytest.mark.parametrize("case", SWEEP_CASES, ids=SWEEP_IDS)
+    def test_matches_dense_reference(self, case):
+        text, amp, lam, grids, _ = case
+        phi = parse_polynomial(text)
+        edges = _case_edges(case)
+        if edges[0].size % 2 == 0:
+            assert np.any((edges[0][:-1] < 0) & (edges[0][1:] > 0))
+        got = _osc_grids(phi, amp, lam, grids, edges)
+        want = _dense_reference(phi, amp, lam, grids, edges)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+
+    @pytest.mark.parametrize("case", SWEEP_CASES, ids=SWEEP_IDS)
+    def test_skipped_nodes_lie_outside_the_disc(self, case):
+        _, amp, _, _, _ = case
+        edges = _case_edges(case)
+        x, _ = _gauss_axis(edges[0])
+        y, _ = _gauss_axis(edges[1])
+        kept = 0
+        for row in range(0, x.size, GAUSS_ORDER):
+            xc = x[row : row + GAUSS_ORDER]
+            lo, hi = _disc_columns(amp, xc, y)
+            kept += GAUSS_ORDER * (hi - lo)
+            skipped = np.concatenate((y[:lo], y[hi:]))
+            assert np.all(xc[:, None] ** 2 + skipped[None, :] ** 2 >= amp.radius**2)
+            assert np.all(_bump_rows(amp, xc, skipped) == 0.0)
+        if amp.profile == "radial":
+            # the disc is pi/4 of the square; the clipped blocks keep little more
+            assert kept < 0.9 * x.size * y.size
+        else:
+            assert kept == x.size * y.size
+
+    def test_decay_fit_exponents_unchanged(self):
+        # gamma_hat of the four decay_fit phases from the full-square sweep
+        pinned = {
+            "x^2 + y^2": (0.4, 0.998337835540191),
+            "x^2*y + y^3": (0.6, 0.6346265381778426),
+            "(y - x^2)^2 + x^5": (0.4, 0.5751759804072993),
+            "x*y^2 + x^5": (0.6, 0.5629578493447316),
+        }
+        for text, (radius, gamma) in pinned.items():
+            fit = fit_decay(parse_polynomial(text), AmplitudeSpec(radius=radius, order=2), dyadic_grid(64, 4096))
+            assert fit.gamma_hat == pytest.approx(gamma, abs=1e-12)
+
+
+class TestNodeBudget:
+    @pytest.mark.parametrize("radius,lams", [(4.0, (64.0, 16384.0)), (1e200, (64.0, 256.0))], ids=["radius-4", "radius-1e200"])
+    def test_oversized_grids_refused_at_once(self, radius, lams):
+        amp = AmplitudeSpec(radius=radius)
+        calls = [
+            lambda: fit_decay(parse_polynomial("x^2 + y^2"), amp, lams),
+            lambda: eval_oscillatory(parse_polynomial("x^2 + y^2"), amp, lams[-1]),
+            lambda: randol_lq_scan(parse_polynomial("(y - x^2)^2"), amp, 2, q_list=(2.0,), lambda_grid=lams),
+        ]
+        for call in calls:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="coarse quadrature nodes"):
+                call()
+            assert time.perf_counter() - start < 1.0
+
 
 class TestFitDecay:
     def test_quadratic_phase_short_window(self):
@@ -237,6 +356,14 @@ class TestRandol:
             randol_maximal(parse_polynomial("(y - x^2)^2"), amp, 3, (0.0, 0.0), [64.0])
         with pytest.raises(ValueError):
             randol_maximal(parse_polynomial("x^2 + y^2"), amp, 2, (0.0, 0.0), [64.0])
+
+    @pytest.mark.parametrize("cells,refine", [(0, 2), (-4, 2), (8, 0)])
+    def test_lq_scan_rejects_empty_grids(self, cells, refine):
+        with pytest.raises(ValueError, match="cells >= 1 and refine >= 1"):
+            randol_lq_scan(
+                parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, q_list=(2.0,), cells=cells, refine=refine,
+                lambda_grid=[64.0],
+            )
 
     def test_lq_scan_smoke(self):
         amp = AmplitudeSpec()
