@@ -295,14 +295,7 @@ def run_decay(cfg: RunConfig, out=None) -> int:
         except oscint.QuadratureNotConverged as exc:
             return (lam, None, None, str(exc))
 
-    nworkers = oscint.resolve_workers(cfg.workers)
-    if nworkers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(one, grid, plan))
-    else:
-        results = [one(lam, edges) for lam, edges in zip(grid, plan)]
+    results = oscint.map_sweep(one, grid, plan, cfg.workers)
     failures = [f"lambda={lam:g}: {msg}" for lam, _, _, msg in results if msg]
     samples = [(lam, value, err) for lam, value, err, msg in results if msg is None]
     if len(samples) < 3:

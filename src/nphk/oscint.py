@@ -11,10 +11,16 @@ each strip of the amplitude's support gives the local oscillation count, and
 the panel edges follow it so that no panel holds more than an oversampled
 nodes-per-cycle budget allows or is wider than a fixed share of the support.
 A grid beyond a fixed node budget is refused before any node is built.  The
-integrand is evaluated one x panel at a time; for the radial bump each such
-block covers only the y nodes inside the disc at its row nearest x = 0, since
-the amplitude is exactly zero on every other node, so each value is the full
-tensor-product sum without its zero terms.
+integrand is evaluated in blocks of one panel's worth of x rows; for the
+radial bump each block covers only the y nodes inside the disc at its row
+nearest x = 0, since the amplitude is exactly zero on every other node, so
+each value is the full tensor-product sum without its zero terms.  Along
+every axis in which the phase is even (every exponent of that variable in
+``phi.terms`` is even) and whose nodes mirror exactly, only the nodes >= 0
+are swept and each -u column of the offset matrices is added into its +u
+column: both bumps are even, so the integrand's values at u and -u are the
+same floats.  Panel edges are made to mirror exactly, so this holds for
+every phase even in a variable.
 Every value is validated by bisecting every panel and comparing.  No
 asymptotic (Filon-type) schemes: lambda stays at desk scale, the point is an
 independent, error-controlled check of the predicted power laws, not speed.
@@ -27,12 +33,13 @@ the Riemann sums would measure the grid, not the function.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -183,7 +190,9 @@ def _axis_edges(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
     panels = int(math.ceil(cum[-1]))
     edges = np.interp(cum[-1] * np.arange(panels + 1) / panels, cum, u)
     edges[0], edges[-1] = u[0], u[-1]
-    return edges
+    # The cost is even in u up to rounding; make the edges mirror exactly so
+    # that _fold can pair every node u with -u.
+    return (edges - edges[::-1]) / 2.0
 
 
 def _panels_for(phi: BivariatePolynomial, amp: AmplitudeSpec, lam: float, s_max: Tuple[float, float]) -> Tuple[np.ndarray, np.ndarray]:
@@ -214,13 +223,39 @@ def _bisect(edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gauss_axis(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=1)
+def _gauss_rule() -> Tuple[np.ndarray, np.ndarray]:
+    """The order-GAUSS_ORDER Gauss-Legendre rule on [-1, 1], computed once.
+
+    leggauss returns exactly antisymmetric nodes and symmetric weights, so
+    mirrored edges give exactly mirrored nodes and equal weights.  It runs on
+    first use, not at import: it initializes LAPACK, about 2 MB of resident
+    memory that the exact layer never needs.
+    """
     gl_x, gl_w = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+    gl_x.flags.writeable = gl_w.flags.writeable = False
+    return gl_x, gl_w
+
+
+def _gauss_axis(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    gl_x, gl_w = _gauss_rule()
     half = (edges[1:] - edges[:-1]) / 2.0
     mid = (edges[1:] + edges[:-1]) / 2.0
     nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
     weights = (half[:, None] * gl_w[None, :]).ravel()
     return nodes, weights
+
+
+def _fold(nodes: np.ndarray, mats: List[np.ndarray], even: bool) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """The upper half of ``nodes`` and ``mats`` with each mirror column added in.
+
+    Applies only when the integrand is even along this axis and the nodes
+    mirror exactly; otherwise the axis is returned unchanged.
+    """
+    h = nodes.size // 2
+    if not (even and np.array_equal(nodes[h:], -nodes[:h][::-1])):
+        return nodes, mats
+    return nodes[h:], [m[:, h:] + m[:, :h][:, ::-1] for m in mats]
 
 
 def _bump_rows(amp: AmplitudeSpec, xc: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -281,9 +316,10 @@ def _osc_grids(
     """I(lambda, s) over several separable s-grids, sharing one integrand sweep.
 
     Each grid is (s1_values, s2_values) and yields the full matrix
-    I[i, j] = I(lambda, (s1[i], s2[j])).  The sweep takes one x panel
-    (GAUSS_ORDER rows) per block and evaluates the integrand only on the y
-    nodes ``_disc_columns`` gives that block.
+    I[i, j] = I(lambda, (s1[i], s2[j])).  Each axis in which the phase is
+    even is folded onto its nodes >= 0 (``_fold``).  The sweep takes
+    GAUSS_ORDER rows (one panel's worth) per block and evaluates the
+    integrand only on the y nodes ``_disc_columns`` gives that block.
     """
     x, wx = _gauss_axis(edges[0])
     y, wy = _gauss_axis(edges[1])
@@ -291,6 +327,8 @@ def _osc_grids(
 
     mats_a = [np.exp(1j * lam * np.outer(s1, x)) * wx[None, :] for s1, _ in grids]
     mats_b = [np.exp(1j * lam * np.outer(s2, y)) * wy[None, :] for _, s2 in grids]
+    x, mats_a = _fold(x, mats_a, all(a % 2 == 0 for a, _ in phi.terms))
+    y, mats_b = _fold(y, mats_b, all(b % 2 == 0 for _, b in phi.terms))
     totals = [
         np.zeros((a.shape[0], b.shape[0]), dtype=np.complex128)
         for a, b in zip(mats_a, mats_b)
@@ -304,10 +342,10 @@ def _osc_grids(
         xc = x[block]
         lo, hi = _disc_columns(amp, xc, y)
         cols = hi - lo
-        p = _phase_rows(terms, xc, lambda b: ypow(b)[lo:hi], phase[: GAUSS_ORDER * cols].reshape(GAUSS_ORDER, cols))
+        p = _phase_rows(terms, xc, lambda b: ypow(b)[lo:hi], phase[: xc.size * cols].reshape(xc.size, cols))
         p *= lam
         g = _bump_rows(amp, xc, y[lo:hi])
-        eh = e[: GAUSS_ORDER * cols].reshape(GAUSS_ORDER, cols)
+        eh = e[: xc.size * cols].reshape(xc.size, cols)
         np.cos(p, out=eh.real)
         np.sin(p, out=eh.imag)
         eh.real *= g
@@ -394,6 +432,39 @@ def _sweep_edges(
     return edges
 
 
+def map_sweep(
+    fn: Callable[[float, Tuple[np.ndarray, np.ndarray]], object],
+    lams: Sequence[float],
+    plan: Sequence[Tuple[np.ndarray, np.ndarray]],
+    workers: Optional[int] = None,
+) -> list:
+    """``fn(lam, edges)`` for every lambda of a sweep, in order.
+
+    Runs on a thread pool of ``resolve_workers(workers)`` threads when that
+    is more than one.
+    """
+    nworkers = resolve_workers(workers)
+    if nworkers > 1:
+        with ThreadPoolExecutor(max_workers=nworkers) as pool:
+            return list(pool.map(fn, lams, plan))
+    return [fn(lam, edges) for lam, edges in zip(lams, plan)]
+
+
+def _doubling_check(coarse: np.ndarray, fine: np.ndarray, amp: AmplitudeSpec, what: str) -> float:
+    """The largest |fine - coarse| / |fine| over the values with |fine| above
+    1e-9 of the amplitude's mass (0 when there are none).
+
+    Raises QuadratureNotConverged when it exceeds REL_TOL.
+    """
+    big = np.abs(fine) > 1e-9 * amplitude_mass(amp)
+    if not big.any():
+        return 0.0
+    rel = float((np.abs(fine - coarse)[big] / np.abs(fine)[big]).max())
+    if rel > REL_TOL:
+        raise QuadratureNotConverged(f"doubling moved {what} by {rel:.2e} (> {REL_TOL})")
+    return rel
+
+
 def _eval_on_edges(
     phi: BivariatePolynomial,
     amp: AmplitudeSpec,
@@ -403,17 +474,9 @@ def _eval_on_edges(
 ) -> Tuple[complex, float]:
     """The bisected-panel value of I(lambda, s) and its relative doubling difference."""
     grid = [(np.array([s[0]]), np.array([s[1]]))]
-    coarse = _osc_grids(phi, amp, lam, grid, edges)[0][0, 0]
-    fine = _osc_grids(phi, amp, lam, grid, (_bisect(edges[0]), _bisect(edges[1])))[0][0, 0]
-    floor = 1e-9 * amplitude_mass(amp)
-    if abs(fine) < floor:
-        return fine, 0.0
-    rel = abs(fine - coarse) / abs(fine)
-    if rel > REL_TOL:
-        raise QuadratureNotConverged(
-            f"doubling moved I(lambda={lam}, s={s}) by {rel:.2e} (> {REL_TOL})"
-        )
-    return fine, rel
+    coarse = _osc_grids(phi, amp, lam, grid, edges)[0]
+    fine = _osc_grids(phi, amp, lam, grid, (_bisect(edges[0]), _bisect(edges[1])))[0]
+    return fine[0, 0], _doubling_check(coarse, fine, amp, f"I(lambda={lam}, s={s})")
 
 
 def _eval_with_error(
@@ -498,16 +561,7 @@ def fit_decay(
     """
     lams = sorted(float(v) for v in lambda_grid)
     plan = _sweep_edges(phi, amp, lams, s)
-    nworkers = resolve_workers(workers)
-
-    def one(lam: float, edges):
-        return _eval_on_edges(phi, amp, lam, s, edges)
-
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(one, lams, plan))
-    else:
-        results = [one(lam, edges) for lam, edges in zip(lams, plan)]
+    results = map_sweep(lambda lam, edges: _eval_on_edges(phi, amp, lam, s, edges), lams, plan, workers)
     return fit_decay_from_samples(
         lams, [v for v, _ in results], [e for _, e in results], with_log=with_log
     )
@@ -589,16 +643,7 @@ def randol_lq_scan(
         mats = _osc_grids(phi, amp, lam, grids, edges)
         if validate:
             doubled = _osc_grids(phi, amp, lam, grids[:1], (_bisect(edges[0]), _bisect(edges[1])))[0]
-            floor = 1e-9 * amplitude_mass(amp)
-            big = np.abs(doubled) > floor
-            if big.any():
-                rel = float(
-                    (np.abs(mats[0] - doubled)[big] / np.abs(doubled)[big]).max()
-                )
-                if rel > REL_TOL:
-                    raise QuadratureNotConverged(
-                        f"doubling moved the scan at lambda={lam} by {rel:.2e}"
-                    )
+            _doubling_check(mats[0], doubled, amp, f"the scan at lambda={lam}")
         m_coarse = np.maximum(m_coarse, lam**w * np.abs(mats[0]))
         m_fine = np.maximum(m_fine, lam**w * np.abs(mats[1]))
 

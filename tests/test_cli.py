@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nphk import cli
+from nphk import cli, oscint
 from nphk.corpus import CORPUS, CorpusRow, check_row, run_corpus
 
 RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
@@ -144,6 +144,31 @@ class TestDecayCommand:
                 ["decay", "--phi", "x^2*y + y^3", "--lmin", "64", "--lmax", "256", "--csv", str(path)]
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_worker_threads_give_the_same_csv(self, capsys, tmp_path, monkeypatch):
+        args = ["decay", "--phi", "x^2*y + y^3", "--lmin", "64", "--lmax", "512", "--csv"]
+        serial, flag, env = tmp_path / "serial.csv", tmp_path / "flag.csv", tmp_path / "env.csv"
+        assert cli.main([*args, str(serial)]) == cli.EXIT_OK
+        assert cli.main([*args, str(flag), "--workers", "3"]) == cli.EXIT_OK
+        monkeypatch.setenv("NPHK_WORKERS", "2")
+        assert cli.main([*args, str(env)]) == cli.EXIT_OK
+        assert serial.read_bytes() == flag.read_bytes() == env.read_bytes()
+
+    @pytest.mark.parametrize("workers", [[], ["--workers", "2"]], ids=["serial", "threads"])
+    def test_unconverged_lambda_is_a_warning(self, capsys, monkeypatch, workers):
+        eval_on_edges = oscint._eval_on_edges
+
+        def flaky(phi, amp, lam, s, edges):
+            if lam == 128.0:
+                raise oscint.QuadratureNotConverged(f"doubling moved I(lambda={lam}, s={s}) by 1.00e+00 (> 0.001)")
+            return eval_on_edges(phi, amp, lam, s, edges)
+
+        monkeypatch.setattr(oscint, "_eval_on_edges", flaky)
+        code = cli.main(["decay", "--phi", "x^2 + y^2", "--lmin", "64", "--lmax", "512", *workers])
+        assert code == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "warning: lambda=128: doubling moved I(lambda=128.0" in out
+        assert "gamma_hat" in out
 
     def test_randol_smoke_with_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "scan.csv"

@@ -1,33 +1,43 @@
 import math
 import time
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nphk import oscint
 from nphk.oscint import (
+    DEFAULT_SCAN_HALF_WIDTH,
     GAUSS_ORDER,
     MAX_COARSE_NODES,
     MAX_FEASIBLE_LAMBDA,
     MIN_PANELS,
     OVERSAMPLE_NODES_PER_CYCLE,
     AmplitudeSpec,
+    QuadratureNotConverged,
     amplitude_mass,
     check_amplitude_support,
     cell_centered_grid,
     dyadic_grid,
     eval_oscillatory,
     fit_decay,
+    map_sweep,
     randol_lq_scan,
     randol_maximal,
+    _bisect,
     _bump_rows,
     _disc_columns,
+    _doubling_check,
     _eval_with_error,
     _gauss_axis,
     _osc_grids,
     _panels_for,
     _strip_cycles,
 )
-from nphk.polyring import parse_polynomial
+from nphk.polyring import BivariatePolynomial, parse_polynomial
 
 
 class TestAmplitude:
@@ -174,6 +184,23 @@ class TestPanelSizing:
             sampled = np.where(inside, np.abs(vals), 0.0).max(axis=1).reshape(-1, t.size).max(axis=1)
             assert np.all(bound >= (sampled + abs(s_max[axis])) * (1 - 1e-12))
 
+    @pytest.mark.parametrize("text,amp,s_max", SIZING_CASES, ids=SIZING_IDS)
+    @pytest.mark.parametrize("lam", [64.0, 4096.0, 16384.0])
+    def test_edges_mirror_exactly(self, text, amp, s_max, lam):
+        # _fold pairs u with -u only where the nodes mirror exactly
+        phi = parse_polynomial(text)
+        for offsets in ((0.0, 0.0), (DEFAULT_SCAN_HALF_WIDTH, DEFAULT_SCAN_HALF_WIDTH)):
+            for edges in _panels_for(phi, amp, lam, offsets):
+                assert np.array_equal(edges, -edges[::-1])
+
+    def test_mirrored_edges_give_mirrored_nodes_and_equal_weights(self):
+        coarse = _panels_for(parse_polynomial("x^2*y + y^3"), AmplitudeSpec(radius=0.6, order=2), 4096.0, (0.0, 0.0))[1]
+        # the last: an odd panel count, whose middle panel straddles 0
+        for edges in (coarse, _bisect(coarse), np.array([-0.4, -0.1, 0.1, 0.4])):
+            nodes, weights = _gauss_axis(edges)
+            assert np.array_equal(nodes, -nodes[::-1])
+            assert np.array_equal(weights, weights[::-1])
+
     def test_coarse_node_total_at_4096(self):
         # the four decay_fit phases; a single global gradient bound needed 25,532,500
         total = 0
@@ -209,19 +236,26 @@ def _one(s1, s2):
     return [(np.array([s1]), np.array([s2]))]
 
 
+def _mirrored(edges):
+    return (edges - edges[::-1]) / 2.0
+
+
 _SCAN_GRIDS = [(cell_centered_grid(0.25, 8),) * 2, (cell_centered_grid(0.25, 16),) * 2]
-# (phase, amplitude, lambda, offset grids, edges or None for _panels_for's)
+# (phase, amplitude, lambda, offset grids, edges or None for _panels_for's).
+# The phases are even in x, in x, in x, in both, in y and in neither.
 SWEEP_CASES = [
     ("x^2*y + y^3", AmplitudeSpec(radius=0.6, order=2), 256.0, _one(0.03, -0.02), None),
     ("x^2*y + y^3", AmplitudeSpec(radius=0.25, order=8, profile="product"), 256.0, _one(0.03, -0.02), None),
     ("(y - x^2)^2", AmplitudeSpec(), 256.0, _SCAN_GRIDS, None),
-    # odd panel counts: the middle panel straddles x = 0 and y = 0
+    # odd panel counts: the middle panel straddles x = 0 and y = 0, so a
+    # folded axis starts with half a panel
     ("x^2 + y^2", AmplitudeSpec(radius=0.4, order=2), 64.0, _one(0.0, 0.0),
-     (np.linspace(-0.4, 0.4, 8), np.linspace(-0.4, 0.4, 6))),
+     (_mirrored(np.linspace(-0.4, 0.4, 8)), _mirrored(np.linspace(-0.4, 0.4, 6)))),
     ("x*y^2 + x^5", AmplitudeSpec(radius=0.6, order=2), 128.0, _SCAN_GRIDS,
-     (np.linspace(-0.6, 0.6, 10), np.linspace(-0.6, 0.6, 12))),
+     (_mirrored(np.linspace(-0.6, 0.6, 10)), _mirrored(np.linspace(-0.6, 0.6, 12)))),
+    ("(y - x^2)^2 + x^5", AmplitudeSpec(radius=0.4, order=2), 256.0, _one(0.02, 0.01), None),
 ]
-SWEEP_IDS = ["radial", "product", "scan-grids", "odd-panels", "odd-panels-scan-grids"]
+SWEEP_IDS = ["radial", "product", "scan-grids", "odd-panels", "odd-panels-scan-grids", "no-parity"]
 
 
 def _case_edges(case):
@@ -266,6 +300,43 @@ class TestBlockedSweep:
         else:
             assert kept == x.size * y.size
 
+    def test_unmirrored_edges_sweep_the_full_axis(self):
+        phi = parse_polynomial("x^2 + y^2")
+        amp = AmplitudeSpec(radius=0.4, order=2)
+        edges = (np.array([-0.4, 0.1, 0.4]), np.array([-0.4, 0.1, 0.4]))
+        got = _osc_grids(phi, amp, 64.0, _one(0.01, 0.0), edges)[0]
+        want = _dense_reference(phi, amp, 64.0, _one(0.01, 0.0), edges)[0]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "text,edges,factor",
+        [
+            ("x^2 + y^2", None, 4),
+            ("x^2*y + y^3", None, 2),
+            ("x*y^2 + x^5", None, 2),
+            ("(y - x^2)^2", None, 2),
+            ("(y - x^2)^2 + x^5", None, 1),
+            ("x^2 + y^2", (np.array([-0.4, 0.1, 0.4]),) * 2, 1),
+        ],
+        ids=["even-both", "even-x", "even-y", "scan-phase", "no-parity", "unmirrored"],
+    )
+    def test_fold_divides_the_evaluated_nodes(self, monkeypatch, text, edges, factor):
+        # the product bump clips no columns, so every evaluated node is counted
+        phi = parse_polynomial(text)
+        amp = AmplitudeSpec(radius=0.4, order=2, profile="product")
+        edges = edges or _panels_for(phi, amp, 256.0, (0.0, 0.0))
+        evaluated = []
+        phase_rows = oscint._phase_rows
+
+        def spy(terms, xc, ypow, out):
+            evaluated.append(out.size)
+            return phase_rows(terms, xc, ypow, out)
+
+        monkeypatch.setattr(oscint, "_phase_rows", spy)
+        _osc_grids(phi, amp, 256.0, _one(0.0, 0.0), edges)
+        full = GAUSS_ORDER**2 * (edges[0].size - 1) * (edges[1].size - 1)
+        assert factor * sum(evaluated) == full
+
     def test_decay_fit_exponents_unchanged(self):
         # gamma_hat of the four decay_fit phases from the full-square sweep
         pinned = {
@@ -277,6 +348,41 @@ class TestBlockedSweep:
         for text, (radius, gamma) in pinned.items():
             fit = fit_decay(parse_polynomial(text), AmplitudeSpec(radius=radius, order=2), dyadic_grid(64, 4096))
             assert fit.gamma_hat == pytest.approx(gamma, abs=1e-12)
+
+
+@st.composite
+def _parity_phases(draw):
+    """Small random polynomials even in x, in y, in both, or in neither."""
+    even_x, even_y = draw(st.booleans()), draw(st.booleans())
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        a = draw(st.integers(0, 6))
+        b = draw(st.integers(0, 6 - a))
+        a -= a % 2 if even_x else 0
+        b -= b % 2 if even_y else 0
+        terms[(a, b)] = Fraction(draw(st.integers(1, 6)) * draw(st.sampled_from([-1, 1])), draw(st.integers(1, 4)))
+    return BivariatePolynomial(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    phi=_parity_phases(),
+    profile=st.sampled_from(["radial", "product"]),
+    lam=st.sampled_from([64.0, 256.0]),
+    s=st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)),
+)
+def test_folded_sweep_equals_unfolded(phi, profile, lam, s):
+    amp = AmplitudeSpec(radius=0.25, order=2, profile=profile)
+    edges = (_mirrored(np.linspace(-0.25, 0.25, 6)), _mirrored(np.linspace(-0.25, 0.25, 5)))
+    grids = _one(*s) + _SCAN_GRIDS[:1]
+    folded = _osc_grids(phi, amp, lam, grids, edges)
+    with mock.patch.object(oscint, "_fold", lambda nodes, mats, even: (nodes, mats)):
+        unfolded = _osc_grids(phi, amp, lam, grids, edges)
+    # Folding reorders the sum, which moves it by rounding on the scale of the
+    # sum of |terms|, the bump's mass, not of the value: some draws cancel to
+    # 1e-7 of the mass.
+    for f, u in zip(folded, unfolded):
+        np.testing.assert_allclose(f, u, rtol=1e-12, atol=1e-12 * amplitude_mass(amp))
 
 
 class TestNodeBudget:
@@ -293,6 +399,31 @@ class TestNodeBudget:
             with pytest.raises(ValueError, match="coarse quadrature nodes"):
                 call()
             assert time.perf_counter() - start < 1.0
+
+
+class TestSweepHelpers:
+    def test_doubling_check_above_the_floor(self):
+        amp = AmplitudeSpec()
+        floor = 1e-9 * amplitude_mass(amp)
+        fine = np.array([[1.0, 0.5 * floor]])
+        # the value below the floor does not count
+        assert _doubling_check(np.array([[1.0 + 5e-4, 0.0]]), fine, amp, "I") == pytest.approx(5e-4)
+        assert _doubling_check(np.zeros((1, 2)), np.full((1, 2), 0.5 * floor), amp, "I") == 0.0
+        with pytest.raises(QuadratureNotConverged, match=r"doubling moved the scan by 2\.00e-03"):
+            _doubling_check(np.array([[1.0 - 2e-3, 0.0]]), fine, amp, "the scan")
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_map_sweep_keeps_lambda_order(self, workers):
+        lams = [64.0, 128.0, 256.0, 512.0]
+        plan = [(np.array([lam]), np.array([-lam])) for lam in lams]
+        assert map_sweep(lambda lam, edges: (lam, edges[1][0]), lams, plan, workers) == [(v, -v) for v in lams]
+
+    def test_fit_on_threads_equals_serial(self, monkeypatch):
+        p = parse_polynomial("x*y^2 + x^5")
+        amp = AmplitudeSpec(radius=0.6, order=2)
+        serial = fit_decay(p, amp, dyadic_grid(64, 512), workers=1)
+        monkeypatch.setenv("NPHK_WORKERS", "2")
+        assert fit_decay(p, amp, dyadic_grid(64, 512)) == serial
 
 
 class TestFitDecay:
