@@ -13,9 +13,7 @@ from .polyring import (
     UnivariatePolynomial,
     apply_linear,
     apply_shear,
-    homogeneous_part,
     parse_polynomial,
-    univariate_order,
 )
 from .newton import (
     Face,
@@ -25,7 +23,6 @@ from .newton import (
     build_polygon,
     distance_under_linear,
     face_part,
-    newton_distance,
     taylor_support,
 )
 from .classify import (

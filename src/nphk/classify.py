@@ -42,10 +42,8 @@ from .polyring import (
     UnivariatePolynomial,
     apply_linear,
     apply_shear,
-    homogeneous_part,
     series_divide,
     substitute_y,
-    univariate_order,
 )
 
 OrderValue = Union[int, float]  # int, or INFINITE_ORDER
@@ -339,7 +337,7 @@ def default_truncation(p: BivariatePolynomial) -> int:
 
 def rank_at_origin(p: BivariatePolynomial) -> int:
     """Rank of the Hessian at the origin, read off the quadratic part."""
-    q = homogeneous_part(p, 2)
+    q = p.homogeneous_part(2)
     a = q.coefficient(2, 0)
     b = q.coefficient(1, 1)
     c = q.coefficient(0, 2)
@@ -361,7 +359,7 @@ def _square_direction(q: BivariatePolynomial) -> Tuple[Fraction, Fraction]:
 
 
 def _resolve_order(jet: UnivariatePolynomial, exact_input: bool, what: str) -> OrderValue:
-    order = univariate_order(jet)
+    order = jet.order()
     if order == INFINITE_ORDER and not exact_input:
         raise TruncationTooSmall(f"{what} unresolved >= trunc on a truncated input")
     return order
@@ -421,9 +419,9 @@ def d_normal_form(p: BivariatePolynomial, trunc: Optional[int] = None) -> DNorma
     if rank == 2:
         raise NormalizationFailed("Hessian has full rank; no squared branch")
     if rank == 1:
-        direction = _square_direction(homogeneous_part(p, 2))
+        direction = _square_direction(p.homogeneous_part(2))
     else:
-        p3 = homogeneous_part(p, 3)
+        p3 = p.homogeneous_part(3)
         if p3.is_zero() or circle_vanishing_order(p3) != 2:
             raise NormalizationFailed(
                 "cubic part has no real factor of multiplicity exactly two"
@@ -437,7 +435,7 @@ def d_normal_form(p: BivariatePolynomial, trunc: Optional[int] = None) -> DNorma
         # after the factor normalization the cubic part reads y^2*(alpha*x + beta*y);
         # the shear x -> x - (beta/alpha) y removes the y^3 component, which is
         # what makes the extracted branch orders linear-invariant
-        p3n = homogeneous_part(pn, 3)
+        p3n = pn.homogeneous_part(3)
         alpha = p3n.coefficient(1, 2)
         if p3n.coefficient(3, 0) != 0 or p3n.coefficient(2, 1) != 0 or alpha == 0:
             raise NormalizationFailed("cubic part did not normalize to the squared shape")
@@ -483,11 +481,11 @@ def _cubic_branch_orders(
     After the shear along the branch of d2/dy2 p = 0 the phase has no y^2
     slice; k0 and k1 are the orders of the pure-x and y-linear slices.
     """
-    p3 = homogeneous_part(p, 3)
+    p3 = p.homogeneous_part(3)
     direction = _repeated_linear_factor(p3, 3)
     nmap = _normalizing_map(direction)
     pn = apply_linear(p, nmap)
-    p3n = homogeneous_part(pn, 3)
+    p3n = pn.homogeneous_part(3)
     if (
         p3n.coefficient(0, 3) == 0
         or p3n.coefficient(1, 2) != 0
@@ -531,7 +529,7 @@ def classify_singularity(
             return SingularityKind.marker(NONDEGENERATE_OR_RANK_POSITIVE)
         return SingularityKind.d_type(nf.m, nf.n)
 
-    p3 = homogeneous_part(p, 3)
+    p3 = p.homogeneous_part(3)
     if not p3.is_zero():
         vanishing = circle_vanishing_order(p3)
         if vanishing == 1:
@@ -550,7 +548,7 @@ def classify_singularity(
             return SingularityKind(CASE_BIV, k0=k0, k1=k1)
         return SingularityKind.marker(UNSUPPORTED_HEIGHT_ABOVE_2)
 
-    p4 = homogeneous_part(p, 4)
+    p4 = p.homogeneous_part(4)
     if not p4.is_zero() and circle_vanishing_order(p4) <= 2:
         return SingularityKind.marker(CASE_C)
     return SingularityKind.marker(UNSUPPORTED_HEIGHT_ABOVE_2)
@@ -599,17 +597,21 @@ def linearly_adapted(kind: SingularityKind) -> bool:
 
 
 def adapted_polynomial(
-    p: BivariatePolynomial, trunc: Optional[int] = None
+    p: BivariatePolynomial,
+    trunc: Optional[int] = None,
+    kind: Optional[SingularityKind] = None,
 ) -> BivariatePolynomial:
     """The coordinate image of p the classifier builds on its way to the kind.
 
     D types: normalized and sheared along the squared branch.  D4 and CaseC:
     the input itself.  E/CaseBIV: normalized and sheared along the cubic
-    branch.  Marker kinds raise.
+    branch.  Marker kinds raise.  A caller that already holds the kind of p
+    at this truncation passes it to skip the classification.
     """
     if trunc is None:
         trunc = default_truncation(p)
-    kind = classify_singularity(p, trunc)
+    if kind is None:
+        kind = classify_singularity(p, trunc)
     if not kind.is_supported:
         raise UnsupportedKindError(f"no adapted form for kind {kind.tag}")
     if kind.tag in (D4, CASE_C):
@@ -634,7 +636,7 @@ def multiplicity_mfrak(
     h = height(kind)  # raises for unsupported kinds
     if h.denominator != 1:
         return 0
-    poly = build_polygon(taylor_support(adapted_polynomial(p)))
+    poly = build_polygon(taylor_support(adapted_polynomial(p, kind=kind)))
     face = poly.principal_face
     return int(face.kind == "vertex" and face.points[0] == (h, h))
 

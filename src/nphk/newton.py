@@ -179,11 +179,6 @@ def build_polygon(support) -> NewtonPolygon:
     return NewtonPolygon(tuple(verts), tuple(faces), d, principal)
 
 
-def newton_distance(poly: NewtonPolygon) -> Tuple[Fraction, Face]:
-    """The boundary coordinate d on the bisectrix and the face containing (d, d)."""
-    return poly.distance, poly.principal_face
-
-
 def face_part(p: BivariatePolynomial, face: Face) -> BivariatePolynomial:
     """Sum of the terms of p whose exponents lie on the given face of its polygon."""
     poly = build_polygon(taylor_support(p))

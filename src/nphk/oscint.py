@@ -269,11 +269,14 @@ def _bump_rows(amp: AmplitudeSpec, xc: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _power_cache(base: np.ndarray):
-    cache = {0: np.ones_like(base)}
+    # pw must not call itself: a self-referencing closure is a reference cycle,
+    # and the cycle would keep the cached node powers alive until the next
+    # cyclic collection instead of freeing them with the sweep.
+    cache = [np.ones_like(base)]
 
     def pw(k):
-        if k not in cache:
-            cache[k] = pw(k - 1) * base
+        while len(cache) <= k:
+            cache.append(cache[-1] * base)
         return cache[k]
 
     return pw

@@ -9,6 +9,12 @@ truncation of its inputs.  All symbolic work in this package (coordinate
 changes, branch solves, Newton-polygon geometry) happens here, exactly;
 floating point never enters.
 
+Products and series inverses run on Python integers: each operand is
+rewritten as integer numerators over the lcm of its denominators, the
+numerators are convolved, and each output coefficient is built once as a
+reduced ``Fraction``.  ``Fraction`` is still what every API takes and
+returns.
+
 The zero polynomial has order ``INFINITE_ORDER`` (a float infinity used only
 as a sentinel, never in arithmetic).
 """
@@ -18,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Tuple, Union
 
 INFINITE_ORDER = math.inf
 
@@ -38,6 +44,12 @@ def _frac(value: Coeff) -> Fraction:
     if isinstance(value, Fraction):
         return value
     return Fraction(value)
+
+
+def _integer_form(coeffs: Mapping) -> Tuple[dict, int]:
+    """Coefficients as integer numerators over the lcm of their denominators."""
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den
 
 
 def _min_trunc(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -71,6 +83,15 @@ class BivariatePolynomial:
         self._terms = cleaned
         self._trunc = trunc
         self._hash = None
+
+    @classmethod
+    def _clean(cls, terms: dict, trunc: Optional[int]) -> "BivariatePolynomial":
+        """Wrap terms that already hold int keys, nonzero Fractions and nothing above trunc."""
+        poly = object.__new__(cls)
+        poly._terms = terms
+        poly._trunc = trunc
+        poly._hash = None
+        return poly
 
     # -- construction helpers -------------------------------------------------
 
@@ -164,15 +185,18 @@ class BivariatePolynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         trunc = _min_trunc(self._trunc, other._trunc)
+        nums1, den1 = _integer_form(self._terms)
+        nums2, den2 = _integer_form(other._terms)
         out: dict = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
+        for (a1, b1), c1 in nums1.items():
+            for (a2, b2), c2 in nums2.items():
                 a, b = a1 + a2, b1 + b2
                 if trunc is not None and a + b > trunc:
                     continue
                 k = (a, b)
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return BivariatePolynomial(out, trunc)
+                out[k] = out.get(k, 0) + c1 * c2
+        den = den1 * den2
+        return BivariatePolynomial._clean({k: Fraction(c, den) for k, c in out.items() if c}, trunc)
 
     __rmul__ = __mul__
 
@@ -287,6 +311,15 @@ class UnivariatePolynomial:
         self._trunc = trunc
         self._hash = None
 
+    @classmethod
+    def _clean(cls, coeffs: dict, trunc: Optional[int]) -> "UnivariatePolynomial":
+        """Wrap coefficients that already hold int keys, nonzero Fractions and nothing above trunc."""
+        poly = object.__new__(cls)
+        poly._coeffs = coeffs
+        poly._trunc = trunc
+        poly._hash = None
+        return poly
+
     @staticmethod
     def zero(trunc: Optional[int] = None) -> "UnivariatePolynomial":
         return UnivariatePolynomial({}, trunc)
@@ -344,14 +377,17 @@ class UnivariatePolynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         trunc = _min_trunc(self._trunc, other._trunc)
+        nums1, den1 = _integer_form(self._coeffs)
+        nums2, den2 = _integer_form(other._coeffs)
         out: dict = {}
-        for d1, c1 in self._coeffs.items():
-            for d2, c2 in other._coeffs.items():
+        for d1, c1 in nums1.items():
+            for d2, c2 in nums2.items():
                 d = d1 + d2
                 if trunc is not None and d > trunc:
                     continue
-                out[d] = out.get(d, Fraction(0)) + c1 * c2
-        return UnivariatePolynomial(out, trunc)
+                out[d] = out.get(d, 0) + c1 * c2
+        den = den1 * den2
+        return UnivariatePolynomial._clean({d: Fraction(c, den) for d, c in out.items() if c}, trunc)
 
     __rmul__ = __mul__
 
@@ -432,12 +468,12 @@ def compose(p: BivariatePolynomial, sx: BivariatePolynomial, sy: BivariatePolyno
     """p(sx, sy) with powers cached; truncation follows the tightest input."""
     trunc = _min_trunc(p.trunc, _min_trunc(sx.trunc, sy.trunc))
     one = BivariatePolynomial.constant(1, trunc)
-    pow_x = {0: one}
-    pow_y = {0: one}
+    pow_x = [one]
+    pow_y = [one]
 
     def power(cache, base, k):
-        if k not in cache:
-            cache[k] = power(cache, base, k - 1) * base
+        while len(cache) <= k:
+            cache.append(cache[-1] * base)
         return cache[k]
 
     sxt = sx if trunc is None else sx.truncate(trunc)
@@ -473,30 +509,28 @@ def substitute_y(p: BivariatePolynomial, u: UnivariatePolynomial) -> UnivariateP
     return result
 
 
-def homogeneous_part(p: BivariatePolynomial, k: int) -> BivariatePolynomial:
-    """Sum of the terms of total degree exactly k."""
-    return p.homogeneous_part(k)
-
-
-def univariate_order(q: UnivariatePolynomial) -> Union[int, float]:
-    """Smallest degree carrying a nonzero coefficient; INFINITE_ORDER for zero."""
-    return q.order()
-
-
 def series_inverse(u: UnivariatePolynomial, trunc: int) -> UnivariatePolynomial:
-    """Multiplicative inverse of a unit jet (nonzero constant term), mod x^(trunc+1)."""
-    c0 = u.coefficient(0)
-    if c0 == 0:
+    """Multiplicative inverse of a unit jet (nonzero constant term), mod x^(trunc+1).
+
+    With u = U/den over integers and U0 = U[0], the scaled coefficients
+    w_d = U0^(d+1) * inv_d / den are integers: w_0 = 1 and
+    w_d = -sum_j U_j * U0^(j-1) * w_(d-j).
+    """
+    if u.coefficient(0) == 0:
         raise ValueError("series has no constant term, not invertible")
-    inv = {0: 1 / c0}
-    coeffs = u.coeffs
-    for d in range(1, trunc + 1):
-        acc = Fraction(0)
-        for j, cj in coeffs.items():
-            if 0 < j <= d:
-                acc += cj * inv.get(d - j, Fraction(0))
-        inv[d] = -acc / c0
-    return UnivariatePolynomial(inv, trunc)
+    nums, den = _integer_form(u._coeffs)
+    u0 = nums[0]
+    steps = [(j, uj * u0 ** (j - 1)) for j, uj in nums.items() if 0 < j <= trunc]
+    w: list = []
+    inv = {}
+    u0_pow = 1
+    for d in range(trunc + 1):
+        wd = -sum(step * w[d - j] for j, step in steps if j <= d) if d else 1
+        w.append(wd)
+        u0_pow *= u0
+        if wd:
+            inv[d] = Fraction(den * wd, u0_pow)
+    return UnivariatePolynomial._clean(inv, trunc)
 
 
 def series_divide(num: UnivariatePolynomial, den: UnivariatePolynomial, trunc: int) -> UnivariatePolynomial:

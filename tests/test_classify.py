@@ -1,7 +1,9 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from nphk import classify
 from nphk.classify import (
     CASE_BIV,
     CASE_C,
@@ -305,6 +307,18 @@ class TestMultiplicity:
         assert multiplicity_mfrak(parse_polynomial("x^2*y^2 + x^4*y^4")) == 1
         assert multiplicity_mfrak(parse_polynomial("x^4 + y^4")) == 0
         assert multiplicity_mfrak(parse_polynomial("(y - x^2)^2")) == 0
+
+    @pytest.mark.parametrize("text", ["(y - x^2)^2", "y^3 + x^6", "x^4 + y^4", "x^2*y^2 + x^4*y^4"])
+    def test_given_kind_is_not_classified_again(self, text):
+        p = parse_polynomial(text)
+        kind = classify_singularity(p)
+        expected = multiplicity_mfrak(p)
+        with mock.patch.object(classify, "classify_singularity", wraps=classify_singularity) as spy:
+            assert adapted_polynomial(p, kind=kind) == adapted_polynomial(p)
+            spy.reset_mock()
+            assert multiplicity_mfrak(p, kind) == expected
+            assert height_report(p, kind).multiplicity == expected
+        assert spy.call_count == 0
 
     def test_report(self):
         rep = height_report(parse_polynomial("(y - x^2)^2 + x^7"))

@@ -13,7 +13,6 @@ from nphk.newton import (
     build_polygon,
     distance_under_linear,
     face_part,
-    newton_distance,
     taylor_support,
 )
 from nphk.polyring import LinearMap2, parse_polynomial
@@ -86,22 +85,22 @@ class TestBuildPolygon:
 class TestNewtonDistance:
     def test_symmetric(self):
         poly = build_polygon({(2, 0), (0, 2)})
-        d, principal = newton_distance(poly)
+        d, principal = poly.distance, poly.principal_face
         assert d == 1 and principal.kind == EDGE
 
     def test_cubic_edge(self):
         poly = build_polygon({(2, 1), (0, 3)})
-        d, principal = newton_distance(poly)
+        d, principal = poly.distance, poly.principal_face
         assert d == F(3, 2) and principal.kind == EDGE
 
     def test_ray_intersection(self):
         poly = build_polygon({(0, 2)})
-        d, principal = newton_distance(poly)
+        d, principal = poly.distance, poly.principal_face
         assert d == 2 and principal.kind == RAY_HORIZONTAL
 
     def test_vertex_principal(self):
         poly = build_polygon({(2, 2), (4, 4)})
-        d, principal = newton_distance(poly)
+        d, principal = poly.distance, poly.principal_face
         assert d == 2 and principal.kind == VERTEX and principal.points[0] == (2, 2)
 
 

@@ -1,3 +1,4 @@
+import gc
 import math
 import time
 from fractions import Fraction
@@ -417,6 +418,16 @@ class TestSweepHelpers:
         lams = [64.0, 128.0, 256.0, 512.0]
         plan = [(np.array([lam]), np.array([-lam])) for lam in lams]
         assert map_sweep(lambda lam, edges: (lam, edges[1][0]), lams, plan, workers) == [(v, -v) for v in lams]
+
+    def test_sweep_leaves_no_reference_cycles(self):
+        # the cached node powers are freed with the sweep, not by the cyclic collector
+        gc.collect()
+        gc.disable()
+        try:
+            eval_oscillatory(parse_polynomial("x^2*y + y^3"), AmplitudeSpec(), 64.0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_fit_on_threads_equals_serial(self, monkeypatch):
         p = parse_polynomial("x*y^2 + x^5")

@@ -1,7 +1,10 @@
+import gc
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nphk.polyring import (
     INFINITE_ORDER,
@@ -11,12 +14,10 @@ from nphk.polyring import (
     UnivariatePolynomial,
     apply_linear,
     apply_shear,
-    homogeneous_part,
     parse_polynomial,
     series_divide,
     series_inverse,
     substitute_y,
-    univariate_order,
 )
 from conftest import rand_invertible_map, rand_poly, rand_univariate
 
@@ -99,16 +100,16 @@ class TestArithmetic:
             p = rand_poly(rng)
             total = BivariatePolynomial.zero()
             for k in range(int(p.total_degree()) + 1):
-                total = total + homogeneous_part(p, k)
+                total = total + p.homogeneous_part(k)
             assert total == p
 
     def test_homogeneous_examples(self):
         p = parse_polynomial("(y - x^2)^2 + x^7")
-        assert homogeneous_part(p, 3) == parse_polynomial("-2*x^2*y")
-        assert homogeneous_part(parse_polynomial("x^2*y + y^3 + x^5"), 3) == parse_polynomial(
+        assert p.homogeneous_part(3) == parse_polynomial("-2*x^2*y")
+        assert parse_polynomial("x^2*y + y^3 + x^5").homogeneous_part(3) == parse_polynomial(
             "x^2*y + y^3"
         )
-        assert homogeneous_part(p, 11).is_zero()
+        assert p.homogeneous_part(11).is_zero()
 
 
 class TestLinearMaps:
@@ -143,6 +144,16 @@ class TestLinearMaps:
             m1 = rand_invertible_map(rng)
             m2 = rand_invertible_map(rng)
             assert apply_linear(p, m1 @ m2) == apply_linear(apply_linear(p, m1), m2)
+
+    def test_compose_leaves_no_reference_cycles(self):
+        p = parse_polynomial("(y - x^2)^2 + x^5")
+        gc.collect()
+        gc.disable()
+        try:
+            apply_shear(apply_linear(p, LinearMap2(1, 2, 3, 4)), UnivariatePolynomial({2: F(1, 3)}))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_linear_distributes(self):
         rng = random.Random(6)
@@ -179,9 +190,9 @@ class TestShear:
 class TestUnivariate:
     def test_order_examples(self):
         q = UnivariatePolynomial({7: F(1), 8: F(1)})
-        assert univariate_order(q) == 7
-        assert univariate_order(UnivariatePolynomial.zero()) is INFINITE_ORDER
-        assert univariate_order(UnivariatePolynomial({0: F(3), 2: F(-1)})) == 0
+        assert q.order() == 7
+        assert UnivariatePolynomial.zero().order() is INFINITE_ORDER
+        assert UnivariatePolynomial({0: F(3), 2: F(-1)}).order() == 0
 
     def test_substitute_y(self):
         p = parse_polynomial("(y - x^2)^2 + x^7")
@@ -205,3 +216,137 @@ class TestUnivariate:
         den = UnivariatePolynomial({1: F(1)})
         with pytest.raises(ValueError):
             series_divide(num, den, 4)
+
+
+# -- properties of the integer product kernels ---------------------------------
+
+# Mixed and pairwise coprime denominators, so the common denominator of an
+# operand is a genuine lcm and the product needs reducing.
+_DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9, 12, 35)
+
+
+def _coefficients():
+    return st.builds(
+        Fraction,
+        st.integers(-40, 40).filter(bool),
+        st.sampled_from(_DENOMINATORS),
+    )
+
+
+def _bivariate_terms():
+    keys = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    return st.dictionaries(keys, _coefficients(), max_size=6)
+
+
+def _univariate_coeffs():
+    return st.dictionaries(st.integers(0, 8), _coefficients(), max_size=6)
+
+
+def _truncations():
+    return st.one_of(st.none(), st.integers(0, 8))
+
+
+def _min_trunc(t1, t2):
+    return t1 if t2 is None else t2 if t1 is None else min(t1, t2)
+
+
+def _reference_product(t1, t2, trunc, add, degree):
+    """Term-by-term Fraction convolution, one Fraction multiply and add per pair."""
+    out = {}
+    for k1, c1 in t1.items():
+        for k2, c2 in t2.items():
+            k = add(k1, k2)
+            if trunc is None or degree(k) <= trunc:
+                out[k] = out.get(k, Fraction(0)) + c1 * c2
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def _add_pairs(k1, k2):
+    return (k1[0] + k2[0], k1[1] + k2[1])
+
+
+def _cancelling_pairs(terms):
+    """(a + b, a - b), whose product a^2 - b^2 loses every cross term."""
+    return st.tuples(terms, terms).map(
+        lambda ab: (
+            {k: ab[0].get(k, 0) + ab[1].get(k, 0) for k in ab[0].keys() | ab[1].keys()},
+            {k: ab[0].get(k, 0) - ab[1].get(k, 0) for k in ab[0].keys() | ab[1].keys()},
+        )
+    )
+
+
+def _assert_clean(poly, items, trunc, degree):
+    assert all(c != 0 and type(c) is Fraction for _, c in items)
+    assert all(trunc is None or degree(k) <= trunc for k, _ in items)
+    assert poly.trunc == trunc
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pair=st.one_of(st.tuples(_bivariate_terms(), _bivariate_terms()), _cancelling_pairs(_bivariate_terms())),
+    t1=_truncations(),
+    t2=_truncations(),
+)
+@example(pair=({(1, 0): F(1), (0, 1): F(1)}, {(1, 0): F(1), (0, 1): F(-1)}), t1=None, t2=None)
+@example(pair=({(2, 0): F(1, 3)}, {(0, 2): F(5, 7)}), t1=3, t2=None)
+def test_bivariate_product_matches_fraction_convolution(pair, t1, t2):
+    p, q = BivariatePolynomial(pair[0], t1), BivariatePolynomial(pair[1], t2)
+    trunc = _min_trunc(t1, t2)
+    prod = p * q
+    assert prod.terms == _reference_product(p.terms, q.terms, trunc, _add_pairs, sum)
+    _assert_clean(prod, prod.terms.items(), trunc, sum)
+    assert all(type(a) is int and type(b) is int for a, b in prod.terms)
+    public = BivariatePolynomial(prod.terms, prod.trunc)
+    assert public == prod and hash(public) == hash(prod)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pair=st.one_of(st.tuples(_univariate_coeffs(), _univariate_coeffs()), _cancelling_pairs(_univariate_coeffs())),
+    t1=_truncations(),
+    t2=_truncations(),
+)
+@example(pair=({0: F(1), 1: F(1)}, {0: F(1), 1: F(-1), 2: F(1)}), t1=None, t2=None)
+def test_univariate_product_matches_fraction_convolution(pair, t1, t2):
+    p, q = UnivariatePolynomial(pair[0], t1), UnivariatePolynomial(pair[1], t2)
+    trunc = _min_trunc(t1, t2)
+    prod = p * q
+    assert prod.coeffs == _reference_product(p.coeffs, q.coeffs, trunc, int.__add__, int)
+    _assert_clean(prod, prod.coeffs.items(), trunc, int)
+    assert all(type(d) is int for d in prod.coeffs)
+    public = UnivariatePolynomial(prod.coeffs, prod.trunc)
+    assert public == prod and hash(public) == hash(prod)
+
+
+def _reference_inverse(u, trunc):
+    """The Fraction recursion inv_d = -sum_j u_j inv_(d-j) / u_0."""
+    coeffs = u.coeffs
+    inv = {0: 1 / coeffs[0]}
+    for d in range(1, trunc + 1):
+        inv[d] = -sum((cj * inv[d - j] for j, cj in coeffs.items() if 0 < j <= d), Fraction(0)) / coeffs[0]
+    return UnivariatePolynomial(inv, trunc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    c0=st.builds(Fraction, st.integers(-40, 40).filter(bool), st.sampled_from(_DENOMINATORS[1:])).filter(
+        lambda c: c.denominator > 1
+    ),
+    rest=st.dictionaries(st.integers(1, 8), _coefficients(), max_size=5),
+    t=st.integers(0, 10),
+)
+def test_series_inverse_of_non_integer_unit(c0, rest, t):
+    u = UnivariatePolynomial({0: c0, **rest})
+    inv = series_inverse(u, t)
+    assert inv * u == UnivariatePolynomial({0: F(1)}, trunc=t)
+    assert inv == _reference_inverse(u, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=_bivariate_terms())
+@example(terms={(2, 0): F(-1, 3), (0, 1): F(1)})
+@example(terms={(0, 0): F(-7, 2), (3, 1): F(5, 12)})
+@example(terms={})
+def test_parse_print_round_trip(terms):
+    p = BivariatePolynomial(terms)
+    assert parse_polynomial(p.to_string()) == p
