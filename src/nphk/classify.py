@@ -23,8 +23,12 @@ h = 2n/(n+1) and linear height min(h, (2m+1)/(m+1)); E6, E7, E8 carry 12/7,
 is linearly adapted exactly when the two heights agree (for D types:
 2m+1 >= n).
 
-All solves run on exact rational jets; the working truncation defaults to
-2*deg + 16.
+Real linear factors of the cubic and quartic parts are read off the
+dehomogenized form with the exact ``UnivariatePolynomial`` algebra of
+``polyring``: Yun's square-free decomposition gives the repeated (hence
+rational) factors, and a Sturm count decides whether a factor has a real
+root.  All solves run on exact rational jets; the working truncation
+defaults to 2*deg + 16.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .newton import build_polygon, taylor_support
 from .polyring import (
@@ -140,105 +144,20 @@ class HeightReport:
     linearly_adapted: bool
 
 
-# -- univariate real-root machinery (exact) -----------------------------------
+# -- real linear factors of binary forms --------------------------------------
 
 
-def _dense(u: List[Fraction]) -> List[Fraction]:
-    while u and u[-1] == 0:
-        u.pop()
-    return u
-
-
-def _deriv(u: List[Fraction]) -> List[Fraction]:
-    return _dense([u[i] * i for i in range(1, len(u))])
-
-
-def _divmod(a: List[Fraction], b: List[Fraction]) -> Tuple[List[Fraction], List[Fraction]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        coef = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        q[shift] = coef
-        for i, bc in enumerate(b):
-            a[shift + i] -= coef * bc
-        _dense(a)
-    return _dense(q), a
-
-
-def _gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    a, b = list(a), list(b)
-    while b:
-        _, r = _divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _squarefree_decomposition(u: List[Fraction]) -> List[Tuple[List[Fraction], int]]:
-    """Yun's algorithm: u = prod f_i^i with the f_i squarefree and coprime."""
-    out = []
-    g = _gcd(u, _deriv(u))
-    if len(g) <= 1:
-        return [(list(u), 1)]
-    w, _ = _divmod(u, g)
-    y, _ = _divmod(_deriv(u), g)
-    i = 1
-    while len(w) > 1:
-        z = _dense([yc - dc for yc, dc in _pad(y, _deriv(w))])
-        f = _gcd(w, z)
-        if len(f) > 1:
-            out.append((f, i))
-        w, _ = _divmod(w, f)
-        y, _ = _divmod(z, f)
-        i += 1
-    return out
-
-
-def _pad(a: List[Fraction], b: List[Fraction]):
-    n = max(len(a), len(b))
-    return zip(a + [Fraction(0)] * (n - len(a)), b + [Fraction(0)] * (n - len(b)))
-
-
-def _sign_variations(values: List[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-
-def _sturm_real_root_count(u: List[Fraction]) -> int:
-    """Number of distinct real roots of u over the whole line (Sturm)."""
-    u = _dense(list(u))
-    if len(u) <= 1:
-        return 0
-    seq = [u, _deriv(u)]
-    while len(seq[-1]) > 0:
-        _, r = _divmod(seq[-2], seq[-1])
-        if not r:
-            break
-        seq.append([-c for c in r])
-    at_minus = [p[-1] * (-1) ** ((len(p) - 1) % 2) for p in seq if p]
-    at_plus = [p[-1] for p in seq if p]
-    return _sign_variations(at_minus) - _sign_variations(at_plus)
-
-
-def _hom_profile(hom: BivariatePolynomial):
-    """Degree, multiplicities of the axis factors, and the dehomogenized core.
+def _hom_profile(hom: BivariatePolynomial) -> Tuple[int, int, UnivariatePolynomial]:
+    """Multiplicities of the axis factors, and the dehomogenized core.
 
     Writes hom = x^(d-jmax) * y^jmin * core(x, y) and returns the core as the
-    dense coefficient list of u(s) = core(1, s).
+    univariate polynomial u(s) = core(1, s).
     """
-    degree = hom.total_degree()
-    by_y = {}
-    for (a, b), c in hom.terms.items():
-        by_y[b] = c
+    by_y = {b: c for (_, b), c in hom.terms.items()}
     jmin = min(by_y)
     jmax = max(by_y)
-    u = [by_y.get(j, Fraction(0)) for j in range(jmin, jmax + 1)]
-    return degree, degree - jmax, jmin, _dense(u)
+    u = UnivariatePolynomial({j - jmin: c for j, c in by_y.items()})
+    return hom.total_degree() - jmax, jmin, u
 
 
 def circle_vanishing_order(hom: BivariatePolynomial) -> int:
@@ -253,29 +172,25 @@ def circle_vanishing_order(hom: BivariatePolynomial) -> int:
     degrees = {a + b for (a, b) in hom.terms}
     if len(degrees) != 1:
         raise ValueError("input is not homogeneous")
-    _, x_mult, y_mult, u = _hom_profile(hom)
+    x_mult, y_mult, u = _hom_profile(hom)
     best = max(x_mult, y_mult)
-    if len(u) > 1:
-        for factor, mult in _squarefree_decomposition(u):
-            if mult <= best or len(factor) <= 1:
-                continue
-            if _sturm_real_root_count(factor) > 0:
-                best = mult
+    for factor, mult in u.squarefree_decomposition():
+        if mult > best and factor.real_root_count() > 0:
+            best = mult
     return best
 
 
 def _repeated_linear_factor(hom: BivariatePolynomial, mult: int) -> Tuple[Fraction, Fraction]:
     """The real linear factor a*x + b*y of the given multiplicity (it is rational)."""
-    _, x_mult, y_mult, u = _hom_profile(hom)
+    x_mult, y_mult, u = _hom_profile(hom)
     if y_mult == mult:
         return (Fraction(0), Fraction(1))
     if x_mult == mult:
         return (Fraction(1), Fraction(0))
-    for factor, k in _squarefree_decomposition(u):
-        if k == mult and len(factor) == 2:
-            root = -factor[0] / factor[1]
-            # root s of u corresponds to the factor (y - s*x)
-            return (-root, Fraction(1))
+    for factor, k in u.squarefree_decomposition():
+        if k == mult and factor.degree() == 1:
+            # the monic factor s - r of u(s) is the line y - r*x
+            return (factor.coefficient(0), Fraction(1))
     raise NormalizationFailed(
         f"no rational linear factor of multiplicity {mult} in {hom.to_string()}"
     )

@@ -135,8 +135,8 @@ def build_report(phi_text: str, p_values: Sequence[Fraction]) -> Tuple[Dict, int
             {
                 "slope": rational_str(seg.slope),
                 "intercept": rational_str(seg.intercept),
-                "u_min": rational_str(seg.u_lo),
-                "u_max": rational_str(seg.u_hi),
+                "u_min": rational_str(seg.x_lo),
+                "u_max": rational_str(seg.x_hi),
             }
             for seg in profile.segments
         ]

@@ -120,21 +120,20 @@ def check_nla_sweep(m_range: Sequence[int] = range(2, 7), n_max: int = 24) -> Ch
 
 
 def check_knapp_threshold() -> CheckResult:
-    """The concentrated-sequence growth for D(2, 7) flips sign exactly at k_p(1)."""
+    """k_p(1) = 17/7 for D(2, 7), and its concentrated-sequence growth flips sign exactly there."""
     kind = cls.SingularityKind.d_type(2, 7)
     k_star = expo.kp_point(kind, 1)
-    at = expo.knapp_exponent_nla(2, 7, 1, k_star)
-    below = expo.knapp_exponent_nla(2, 7, 1, k_star - Fraction(1, 100))
-    above = expo.knapp_exponent_nla(2, 7, 1, k_star + Fraction(1, 100))
-    ok = at == 0 and below == Fraction(1, 100) and above == -Fraction(1, 100)
-    return CheckResult(
-        "knapp threshold D(2,7)",
-        ok,
-        f"g(k*)={at}, g(k*-1/100)={below}, g(k*+1/100)={above}",
-    )
+    problems = [] if k_star == Fraction(17, 7) else [f"k_p(1) = {k_star} != 17/7"]
+    for eps in (Fraction(0), Fraction(1, 100), Fraction(1, 10**6)):
+        below = expo.knapp_exponent_nla(2, 7, 1, k_star - eps)
+        above = expo.knapp_exponent_nla(2, 7, 1, k_star + eps)
+        if (below, above) != (eps, -eps):
+            problems.append(f"g(k*-{eps})={below}, g(k*+{eps})={above}")
+    return CheckResult("knapp threshold D(2,7)", not problems, "; ".join(problems))
 
 
-def _random_invertible_map(rng: random.Random) -> LinearMap2:
+def random_invertible_map(rng: random.Random) -> LinearMap2:
+    """Integer linear map with entries in [-3, 3] and nonzero determinant."""
     while True:
         vals = [rng.randint(-3, 3) for _ in range(4)]
         try:
@@ -151,12 +150,12 @@ def check_affine_invariance(rows: Sequence[CorpusRow], seed: int, per_row: int =
         phi = parse_polynomial(row.phase)
         base = cls.classify_singularity(phi)
         for _ in range(per_row):
-            m = _random_invertible_map(rng)
+            m = random_invertible_map(rng)
             kind = cls.classify_singularity(apply_linear(phi, m))
             if kind.tag != base.tag:
-                problems.append(f"{row.phase}: {kind.tag} != {base.tag}")
+                problems.append(f"{row.phase} under {m}: {kind.tag} != {base.tag}")
             elif base.tag == cls.D_TYPE and (kind.m, kind.n) != (base.m, base.n):
-                problems.append(f"{row.phase}: ({kind.m}, {kind.n}) != ({base.m}, {base.n})")
+                problems.append(f"{row.phase} under {m}: ({kind.m}, {kind.n}) != ({base.m}, {base.n})")
     return CheckResult(f"affine invariance (seed {seed})", not problems, "; ".join(problems))
 
 

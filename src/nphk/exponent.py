@@ -1,31 +1,31 @@
 """Exact sharp exponents k_p and the boundedness thresholds behind them.
 
-Everything here is linear in u = 1/p - 1/2, so profiles are piecewise-linear
-functions of u on [0, 1/2] with rational slopes and intercepts.  Linearly
-adapted classes have the single line (6 - 2/h) u.  D types with 2m+1 < n
-(n possibly infinite) take the maximum of two lines,
+Everything here is linear in u = 1/p - 1/2, so k_p is a piecewise-linear
+function of u on [0, 1/2] with rational joints.  One type,
+``PiecewiseLinear``, holds every such curve as its canonical joints: x
+strictly increasing, collinear joints dropped, so two curves on the same
+interval are equal exactly when their joints are.  ``kp_profile`` returns
+k_p as an ``ExponentProfile``, the same curve read at a given p.
+
+Linearly adapted classes have the single line (6 - 2/h) u.  D types with
+2m+1 < n (n possibly infinite) take the maximum of two lines,
 
     (5 - 1/(2m+1)) u      and      (6 - (2m+2)/n) u + (2m+1)/(2n) - 1/2,
 
 which cross at u = (2m+1)/(4m+4) regardless of n; infinite n sets the 1/n
 terms to zero exactly.  The same crossover point is where the interpolation
 envelope through the three boundedness anchors changes segment, and
-``verify_nla_identity`` checks that coincidence in exact rational arithmetic.
+``verify_nla_identity`` checks that the envelope and the profile agree at
+every joint of either, which for piecewise-linear functions is equality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
-from .classify import (
-    D_TYPE,
-    SingularityKind,
-    UnsupportedKindError,
-    height,
-    linear_height,
-)
+from .classify import D_TYPE, SingularityKind, UnsupportedKindError, height
 from .polyring import INFINITE_ORDER
 
 RationalLike = Union[int, Fraction]
@@ -43,6 +43,14 @@ def _recip(n) -> Fraction:
     if n == INFINITE_ORDER:
         return Fraction(0)
     return Fraction(1, n)
+
+
+def _check_nla_domain(m, n) -> None:
+    """D(m, n) off the linearly adapted range: integer m >= 2, integer n > 2m+1 or infinite."""
+    if not isinstance(m, int) or m < 2:
+        raise ValueError(f"m={m!r} must be an integer >= 2")
+    if n != INFINITE_ORDER and (not isinstance(n, int) or n <= 2 * m + 1):
+        raise ValueError(f"n={n!r} must be infinite or an integer above 2m+1={2 * m + 1}")
 
 
 def _is_nla_d(kind: SingularityKind) -> bool:
@@ -65,39 +73,61 @@ def _nla_lines(m: int, n) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fr
     return first, second
 
 
-@dataclass(frozen=True)
-class LinearPiece:
-    """One affine piece k(u) = slope*u + intercept, active on [u_lo, u_hi]."""
+class Segment(NamedTuple):
+    """One affine piece y = slope*x + intercept on [x_lo, x_hi]."""
 
     slope: Fraction
     intercept: Fraction
-    u_lo: Fraction
-    u_hi: Fraction
-
-    def value(self, u: Fraction) -> Fraction:
-        return self.slope * u + self.intercept
+    x_lo: Fraction
+    x_hi: Fraction
 
 
 @dataclass(frozen=True)
-class ExponentProfile:
-    """k_p as an exact piecewise-linear, convex function of u = 1/p - 1/2."""
+class PiecewiseLinear:
+    """Continuous piecewise-linear function through its (x, y) joints.
 
-    kind: SingularityKind
-    h: Fraction
-    h_lin: Fraction
-    segments: Tuple[LinearPiece, ...]
+    Needs at least two joints with x strictly increasing.  Values are coerced
+    to Fraction and joints collinear with their neighbours are dropped, so the
+    stored joints are canonical; ``segments`` holds one affine piece per pair
+    of consecutive joints.
+    """
 
-    def value_at_u(self, u: Fraction) -> Fraction:
-        u = Fraction(u)
-        if not (0 <= u <= Fraction(1, 2)):
-            raise ValueError(f"u={u} outside [0, 1/2]")
-        for seg in self.segments:
-            if seg.u_lo <= u <= seg.u_hi:
-                return seg.value(u)
-        raise RuntimeError("profile segments do not cover [0, 1/2]")
+    points: Tuple[Tuple[Fraction, Fraction], ...]
+    segments: Tuple[Segment, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        pts = [(Fraction(x), Fraction(y)) for x, y in self.points]
+        if len(pts) < 2:
+            raise ValueError(f"need at least two joints, got {len(pts)}")
+        joints = pts[:1]
+        segs: List[Segment] = []
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+            if x0 >= x1:
+                raise ValueError("joint x values must be strictly increasing")
+            slope = (y1 - y0) / (x1 - x0)
+            if segs and segs[-1].slope == slope:  # (x0, y0) is collinear: extend the piece
+                segs[-1] = segs[-1]._replace(x_hi=x1)
+                joints[-1] = (x1, y1)
+            else:
+                segs.append(Segment(slope, y0 - slope * x0, x0, x1))
+                joints.append((x1, y1))
+        object.__setattr__(self, "points", tuple(joints))
+        object.__setattr__(self, "segments", tuple(segs))
+
+    def value(self, x: RationalLike) -> Fraction:
+        x = Fraction(x)
+        segs = self.segments
+        if not (segs[0].x_lo <= x <= segs[-1].x_hi):
+            raise ValueError(f"x={x} outside [{segs[0].x_lo}, {segs[-1].x_hi}]")
+        seg = next(s for s in segs if x <= s.x_hi)
+        return seg.slope * x + seg.intercept
+
+
+class ExponentProfile(PiecewiseLinear):
+    """k_p as a convex piecewise-linear function of u = 1/p - 1/2 on [0, 1/2]."""
 
     def value_at_p(self, p: RationalLike) -> Fraction:
-        return self.value_at_u(_u_of_p(p))
+        return self.value(_u_of_p(p))
 
 
 @dataclass(frozen=True)
@@ -109,39 +139,22 @@ class BoundednessAnchor:
     source: str  # "Sugi1" | "Sugi2" | "trivial-L2"
 
 
-def kp_point(kind: SingularityKind, p: RationalLike) -> Fraction:
-    """Exact k_p for a supported class at a rational p in [1, 2]."""
-    u = _u_of_p(p)
-    if not kind.is_supported:
-        raise UnsupportedKindError(f"k_p undefined for kind {kind.tag}")
-    if _is_nla_d(kind):
-        (s1, c1), (s2, c2) = _nla_lines(kind.m, kind.n)
-        return max(s1 * u + c1, s2 * u + c2)
-    h = height(kind)
-    return (Fraction(6) - Fraction(2) / h) * u
-
-
 def kp_profile(kind: SingularityKind) -> ExponentProfile:
     """The full piecewise-linear profile of k_p over u in [0, 1/2]."""
     if not kind.is_supported:
         raise UnsupportedKindError(f"k_p undefined for kind {kind.tag}")
-    h = height(kind)
-    h_lin = linear_height(kind)
     half = Fraction(1, 2)
     if not _is_nla_d(kind):
-        slope = Fraction(6) - Fraction(2) / h
-        return ExponentProfile(kind, h, h_lin, (LinearPiece(slope, Fraction(0), Fraction(0), half),))
+        slope = Fraction(6) - Fraction(2) / height(kind)
+        return ExponentProfile(((0, 0), (half, slope * half)))
     (s1, c1), (s2, c2) = _nla_lines(kind.m, kind.n)
     u_star = (c1 - c2) / (s2 - s1)  # equals (2m+1)/(4m+4), independent of n
-    return ExponentProfile(
-        kind,
-        h,
-        h_lin,
-        (
-            LinearPiece(s1, c1, Fraction(0), u_star),
-            LinearPiece(s2, c2, u_star, half),
-        ),
-    )
+    return ExponentProfile(((0, c1), (u_star, s1 * u_star + c1), (half, s2 * half + c2)))
+
+
+def kp_point(kind: SingularityKind, p: RationalLike) -> Fraction:
+    """Exact k_p for a supported class at a rational p in [1, 2]."""
+    return kp_profile(kind).value_at_p(p)
 
 
 def sugimoto_q_threshold(nu: int, gamma: RationalLike, q: RationalLike) -> BoundednessAnchor:
@@ -164,32 +177,6 @@ def sugimoto_inf_threshold(nu: int, gamma: RationalLike, p: RationalLike) -> Fra
     gamma = Fraction(gamma)
     u = _u_of_p(p)
     return (2 * Fraction(nu) - 2 * gamma) * u
-
-
-@dataclass(frozen=True)
-class PiecewiseLinear:
-    """Piecewise-linear function through a list of (x, y) joints, x increasing."""
-
-    points: Tuple[Tuple[Fraction, Fraction], ...]
-
-    def value(self, x: RationalLike) -> Fraction:
-        x = Fraction(x)
-        pts = self.points
-        if not (pts[0][0] <= x <= pts[-1][0]):
-            raise ValueError(f"x={x} outside [{pts[0][0]}, {pts[-1][0]}]")
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x0 <= x <= x1:
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        return pts[-1][1]
-
-    @property
-    def segments(self) -> Tuple[Tuple[Fraction, Fraction, Fraction, Fraction], ...]:
-        """(slope, intercept, x_lo, x_hi) per piece."""
-        out = []
-        for (x0, y0), (x1, y1) in zip(self.points, self.points[1:]):
-            slope = (y1 - y0) / (x1 - x0)
-            out.append((slope, y0 - slope * x0, x0, x1))
-        return tuple(out)
 
 
 def interpolation_envelope(anchors: Sequence[BoundednessAnchor]) -> PiecewiseLinear:
@@ -226,35 +213,24 @@ def _nla_anchors(m: int, n) -> List[BoundednessAnchor]:
     return [a_trivial, b_randol, c_endpoint]
 
 
-def verify_nla_identity(m: int, n, grid: int = 96) -> bool:
+def verify_nla_identity(m: int, n) -> bool:
     """Exact check that the two-line k_p formula is the anchor interpolation envelope.
 
     For 2m+1 < n <= infinity, the envelope through (1/2, 0), the
-    q = 2m+2 anchor at 1/p = (4m+3)/(4m+4), and (1, 5/2 - 1/(2n)) must agree
-    with max of the two k_p lines at every rational grid point of [1/2, 1],
-    and the envelope breakpoint must sit exactly at the line crossover.
+    q = 2m+2 anchor at 1/p = (4m+3)/(4m+4), and (1, 5/2 - 1/(2n)), shifted
+    to u = 1/p - 1/2, must agree with the k_p profile at every joint of
+    either curve, and its one breakpoint must sit at the line crossover
+    u = (2m+1)/(4m+4).
     """
-    if m < 2:
-        raise ValueError(f"m={m} below 2")
-    if n != INFINITE_ORDER and n <= 2 * m + 1:
-        raise ValueError(f"n={n} must exceed 2m+1={2 * m + 1}")
-    kind = SingularityKind.d_type(m, n)
-    profile = kp_profile(kind)
-    env = interpolation_envelope(_nla_anchors(m, n))
-
-    # the breakpoint of the envelope must be the crossover of the two lines
-    if len(env.points) != 3:
+    _check_nla_domain(m, n)
+    profile = kp_profile(SingularityKind.d_type(m, n))
+    half = Fraction(1, 2)
+    env_in_inv_p = interpolation_envelope(_nla_anchors(m, n))
+    env = PiecewiseLinear(tuple((x - half, y) for x, y in env_in_inv_p.points))
+    if [x for x, _ in env.points] != [0, Fraction(2 * m + 1, 4 * m + 4), half]:
         return False
-    break_inv_p = env.points[1][0]
-    u_star = profile.segments[0].u_hi
-    if break_inv_p - Fraction(1, 2) != u_star:
-        return False
-
-    for j in range(grid + 1):
-        inv_p = Fraction(1, 2) + Fraction(j, 2 * grid)
-        if env.value(inv_p) != profile.value_at_u(inv_p - Fraction(1, 2)):
-            return False
-    return True
+    joints = {x for x, _ in env.points} | {x for x, _ in profile.points}
+    return all(env.value(u) == profile.value(u) for u in joints)
 
 
 def knapp_exponent(kappa: Tuple[RationalLike, RationalLike], p: RationalLike, k: RationalLike) -> Fraction:
@@ -270,13 +246,10 @@ def knapp_exponent(kappa: Tuple[RationalLike, RationalLike], p: RationalLike, k:
 
 
 def knapp_exponent_nla(m: int, n, p: RationalLike, k: RationalLike) -> Fraction:
-    """Growth rate of the branch-concentrated test sequence for D(m, n), 2m+1 < n."""
-    if n != INFINITE_ORDER and n <= 2 * m + 1:
-        raise ValueError(f"n={n} must exceed 2m+1={2 * m + 1}")
-    u = _u_of_p(p)
-    return (
-        (Fraction(6) - (2 * m + 2) * _recip(n)) * u
-        + Fraction(2 * m + 1, 2) * _recip(n)
-        - Fraction(1, 2)
-        - Fraction(k)
-    )
+    """Growth rate of the branch-concentrated test sequence for D(m, n), 2m+1 < n.
+
+    It is the second k_p line at u = 1/p - 1/2, less k.
+    """
+    _check_nla_domain(m, n)
+    _, (slope, intercept) = _nla_lines(m, n)
+    return slope * _u_of_p(p) + intercept - Fraction(k)

@@ -9,6 +9,11 @@ truncation of its inputs.  All symbolic work in this package (coordinate
 changes, branch solves, Newton-polygon geometry) happens here, exactly;
 floating point never enters.
 
+Exact univariate polynomials also carry the Euclidean algebra the
+classifier needs for real linear factors: derivative, division with
+remainder, monic gcd, Yun's square-free decomposition and the Sturm count of
+distinct real roots.
+
 Products and series inverses run on Python integers: each operand is
 rewritten as integer numerators over the lcm of its denominators, the
 numerators are convolved, and each output coefficient is built once as a
@@ -24,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Tuple, Union
+from typing import List, Mapping, Optional, Tuple, Union
 
 INFINITE_ORDER = math.inf
 
@@ -58,6 +63,10 @@ def _min_trunc(a: Optional[int], b: Optional[int]) -> Optional[int]:
     if b is None:
         return a
     return min(a, b)
+
+
+def _sign_changes(positive: List[bool]) -> int:
+    return sum(s != t for s, t in zip(positive, positive[1:]))
 
 
 class BivariatePolynomial:
@@ -403,6 +412,87 @@ class UnivariatePolynomial:
         for d, c in self._coeffs.items():
             total += c * x**d
         return total
+
+    # -- exact polynomial algebra ----------------------------------------------
+
+    def derivative(self) -> "UnivariatePolynomial":
+        """d/dx; a jet valid through degree N differentiates to one valid through N-1."""
+        trunc = None if self._trunc is None else self._trunc - 1
+        return UnivariatePolynomial._clean({d - 1: c * d for d, c in self._coeffs.items() if d}, trunc)
+
+    def monic(self) -> "UnivariatePolynomial":
+        """self divided by its leading coefficient; the zero polynomial stays zero."""
+        if not self._coeffs:
+            return self
+        return self.scale(1 / self._coeffs[max(self._coeffs)])
+
+    def __divmod__(self, other: "UnivariatePolynomial"):
+        """Euclidean division: self = q*other + r with deg r < deg other."""
+        if self._trunc is not None or other._trunc is not None:
+            raise ValueError("polynomial division needs exact polynomials")
+        if not other._coeffs:
+            raise ZeroDivisionError("polynomial division by zero")
+        deg = max(other._coeffs)
+        lead = other._coeffs[deg]
+        rem = dict(self._coeffs)
+        quo = {}
+        while rem and max(rem) >= deg:
+            top = max(rem)
+            coef = rem[top] / lead
+            shift = top - deg
+            quo[shift] = coef
+            for d, c in other._coeffs.items():
+                v = rem.get(d + shift, 0) - coef * c
+                if v:
+                    rem[d + shift] = v
+                else:
+                    rem.pop(d + shift, None)
+        return UnivariatePolynomial._clean(quo, None), UnivariatePolynomial._clean(rem, None)
+
+    def gcd(self, other: "UnivariatePolynomial") -> "UnivariatePolynomial":
+        """Monic greatest common divisor (Euclid); zero when both inputs are zero."""
+        a, b = self, other
+        while b._coeffs:
+            a, b = b, divmod(a, b)[1]
+        return a.monic()
+
+    def squarefree_decomposition(self) -> List[Tuple["UnivariatePolynomial", int]]:
+        """Yun's algorithm: self / lc(self) = prod f_i^i over the returned (f_i, i).
+
+        The f_i are monic, squarefree, pairwise coprime and nonconstant; a
+        constant input has the empty decomposition.
+        """
+        if not self._coeffs:
+            raise ValueError("square-free decomposition of the zero polynomial")
+        du = self.derivative()
+        g = self.gcd(du)
+        if g.degree() < 1:  # already squarefree
+            return [(self.monic(), 1)] if self.degree() > 0 else []
+        out = []
+        w = divmod(self, g)[0]
+        y = divmod(du, g)[0]
+        i = 1
+        while w.degree() > 0:
+            z = y - w.derivative()
+            f = w.gcd(z)
+            if f.degree() > 0:
+                out.append((f, i))
+            w = divmod(w, f)[0]
+            y = divmod(z, f)[0]
+            i += 1
+        return out
+
+    def real_root_count(self) -> int:
+        """Number of distinct real roots over the whole line (Sturm's theorem)."""
+        if not self._coeffs:
+            raise ValueError("the zero polynomial vanishes everywhere")
+        seq = [self, self.derivative()]
+        while seq[-1]._coeffs:
+            seq.append(-divmod(seq[-2], seq[-1])[1])
+        seq.pop()
+        at_plus = [p.coefficient(p.degree()) > 0 for p in seq]
+        at_minus = [pos == (p.degree() % 2 == 0) for pos, p in zip(at_plus, seq)]
+        return _sign_changes(at_minus) - _sign_changes(at_plus)
 
     def to_bivariate(self, axis: int = 0) -> BivariatePolynomial:
         if axis == 0:

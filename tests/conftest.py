@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from nphk.polyring import BivariatePolynomial, LinearMap2, UnivariatePolynomial
+from nphk.corpus import random_invertible_map as rand_invertible_map  # re-exported for the tests
+from nphk.polyring import BivariatePolynomial, UnivariatePolynomial
 
 
 def rand_coeff(rng: random.Random) -> Fraction:
@@ -51,15 +52,6 @@ def rand_support(rng: random.Random, max_points: int = 12, max_coord: int = 20):
         if a + b >= 2:
             pts.add((a, b))
     return frozenset(pts)
-
-
-def rand_invertible_map(rng: random.Random, bound: int = 3) -> LinearMap2:
-    while True:
-        vals = [rng.randint(-bound, bound) for _ in range(4)]
-        try:
-            return LinearMap2(*vals)
-        except ValueError:
-            continue
 
 
 @pytest.fixture

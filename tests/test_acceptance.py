@@ -7,11 +7,15 @@ else is exact rational arithmetic and finishes in seconds.
 
 import random
 import time
-from fractions import Fraction
 
-from nphk import classify as cls
-from nphk import exponent as expo
-from nphk.corpus import CORPUS, check_row, check_sandwich
+from nphk.corpus import (
+    CORPUS,
+    check_affine_invariance,
+    check_knapp_threshold,
+    check_nla_sweep,
+    check_row,
+    check_sandwich,
+)
 from nphk.newton import build_polygon
 from nphk.oscint import (
     DEFAULT_LAMBDA_GRID,
@@ -19,11 +23,9 @@ from nphk.oscint import (
     fit_decay,
     randol_lq_scan,
 )
-from nphk.polyring import INFINITE_ORDER, apply_linear, parse_polynomial
-from conftest import rand_invertible_map, rand_support
+from nphk.polyring import parse_polynomial
+from conftest import rand_support
 from test_newton import oracle_distance
-
-F = Fraction
 
 
 def _report(number, label, failures, elapsed, limit):
@@ -41,11 +43,8 @@ def test_criterion_1_classification_corpus():
 
 def test_criterion_2_interpolation_identity_sweep():
     start = time.time()
-    failures = []
-    for m in range(2, 7):
-        for n in list(range(2 * m + 2, 25)) + [INFINITE_ORDER]:
-            if not expo.verify_nla_identity(m, n):
-                failures.append((m, n))
+    result = check_nla_sweep()
+    failures = [] if result.ok else [result.line()]
     _report(2, "two-line interpolation identity", failures, time.time() - start, 1.0)
 
 
@@ -108,37 +107,15 @@ def test_criterion_6_randol_lq_probe():
 
 def test_criterion_7_knapp_threshold_coherence():
     start = time.time()
-    kind = cls.SingularityKind.d_type(2, 7)
-    k_star = expo.kp_point(kind, 1)
-    failures = []
-    if k_star != F(17, 7):
-        failures.append(f"k_p(1) = {k_star} != 17/7")
-    if expo.knapp_exponent_nla(2, 7, 1, k_star) != 0:
-        failures.append("growth exponent not zero at the threshold")
-    for eps in (F(1, 100), F(1, 10**6)):
-        if expo.knapp_exponent_nla(2, 7, 1, k_star - eps) != eps:
-            failures.append(f"below-threshold growth wrong at eps={eps}")
-        if expo.knapp_exponent_nla(2, 7, 1, k_star + eps) != -eps:
-            failures.append(f"above-threshold growth wrong at eps={eps}")
+    result = check_knapp_threshold()
+    failures = [] if result.ok else [result.line()]
     _report(7, "concentrated-sequence threshold at k_p", failures, time.time() - start, 5.0)
 
 
 def test_criterion_8_affine_invariance():
     start = time.time()
-    rng = random.Random(31337)
-    failures = []
-    for row in CORPUS:
-        phi = parse_polynomial(row.phase)
-        base = cls.classify_singularity(phi)
-        for _ in range(5):  # 5 maps per corpus row: 50 seeded applications
-            m = rand_invertible_map(rng)
-            kind = cls.classify_singularity(apply_linear(phi, m))
-            if kind.tag != base.tag:
-                failures.append(f"{row.phase} under {m}: {kind.tag} != {base.tag}")
-            elif base.tag == cls.D_TYPE and (kind.m, kind.n) != (base.m, base.n):
-                failures.append(
-                    f"{row.phase} under {m}: (m, n) = ({kind.m}, {kind.n}) != ({base.m}, {base.n})"
-                )
+    result = check_affine_invariance(CORPUS, seed=31337, per_row=5)  # 50 seeded applications
+    failures = [] if result.ok else [result.line()]
     _report(8, "affine invariance of the classification", failures, time.time() - start, 30.0)
 
 

@@ -33,6 +33,10 @@ class TestAnalyze:
         ]
         assert report["polygon"]["distance"] == "4/3"
         assert report["warnings"] == []
+        assert report["profile"] == [
+            {"slope": "24/5", "intercept": "0", "u_min": "0", "u_max": "5/12"},
+            {"slope": "36/7", "intercept": "-1/7", "u_min": "5/12", "u_max": "1/2"},
+        ]
 
     def test_e6_report(self, capsys):
         code, report = analyze_json(capsys, "--phi", "y^3 + x^4", "--p", "1")
@@ -40,6 +44,7 @@ class TestAnalyze:
         assert report["kind"] == "E6"
         assert report["h"] == "12/7"
         assert report["kp_table"] == [{"p": "1", "k": "29/12"}]
+        assert report["profile"] == [{"slope": "29/6", "intercept": "0", "u_min": "0", "u_max": "1/2"}]
 
     def test_rank_warning_keeps_polygon(self, capsys):
         code, report = analyze_json(capsys, "--phi", "x^2 + y^3")

@@ -1,10 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nphk import exponent as expo
 from nphk.classify import CASE_C, SingularityKind, UnsupportedKindError, NONDEGENERATE_OR_RANK_POSITIVE
 from nphk.exponent import (
     BoundednessAnchor,
+    PiecewiseLinear,
     interpolation_envelope,
     knapp_exponent,
     knapp_exponent_nla,
@@ -69,8 +73,8 @@ class TestKpProfile:
         first, second = profile.segments
         assert first.slope == F(24, 5) and first.intercept == 0
         assert second.slope == F(36, 7) and second.intercept == F(5, 14) - F(1, 2)
-        assert first.u_hi == F(5, 12)  # (2m+1)/(4m+4) at m=2
-        assert first.value(F(5, 12)) == second.value(F(5, 12))
+        assert first.x_hi == F(5, 12)  # (2m+1)/(4m+4) at m=2
+        assert first.slope * F(5, 12) + first.intercept == second.slope * F(5, 12) + second.intercept
 
     def test_single_segment_slopes(self):
         assert kp_profile(E7).segments[0].slope == F(44, 9)
@@ -87,6 +91,75 @@ class TestKpProfile:
             segs = kp_profile(kind).segments
             slopes = [s.slope for s in segs]
             assert slopes == sorted(slopes)
+
+
+# Heights of the single-line classes, and the two lines of a D(m, n) with
+# 2m+1 < n, written out independently of the module.
+_HEIGHTS = {"D4": F(3, 2), "E6": F(12, 7), "E7": F(9, 5), "E8": F(15, 8), "CaseBIV": F(2), "CaseC": F(2)}
+
+
+def _expected_kp(kind, u):
+    if kind.tag != "D":
+        return (6 - 2 / _HEIGHTS[kind.tag]) * u
+    m, n = kind.m, kind.n
+    inv_n = F(0) if n == INFINITE_ORDER else F(1, n)
+    if n != INFINITE_ORDER and n <= 2 * m + 1:
+        h = 2 / (1 + inv_n)  # 2n/(n+1)
+        return (6 - 2 / h) * u
+    return max((5 - F(1, 2 * m + 1)) * u, (6 - (2 * m + 2) * inv_n) * u + F(2 * m + 1, 2) * inv_n - F(1, 2))
+
+
+_SUPPORTED_KINDS = st.one_of(
+    st.sampled_from(sorted(_HEIGHTS)).map(SingularityKind),
+    st.builds(
+        SingularityKind.d_type,
+        st.integers(2, 6),
+        st.one_of(st.integers(3, 40), st.just(INFINITE_ORDER)),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=_SUPPORTED_KINDS, u=st.fractions(0, F(1, 2), max_denominator=1000))
+def test_profile_is_the_written_out_curve(kind, u):
+    profile = kp_profile(kind)
+    xs = [x for x, _ in profile.points]
+    slopes = [seg.slope for seg in profile.segments]
+    assert xs[0] == 0 and xs[-1] == F(1, 2)
+    assert profile.value(0) == 0
+    # convex and canonical: slopes strictly increase from joint to joint
+    assert all(a < b for a, b in zip(slopes, slopes[1:]))
+    assert PiecewiseLinear(profile.points).points == profile.points
+    for x in xs + [u]:
+        assert profile.value(x) == _expected_kp(kind, x)
+    assert profile.value_at_p(1 / (u + F(1, 2))) == _expected_kp(kind, u)
+    assert kp_point(kind, 1 / (u + F(1, 2))) == _expected_kp(kind, u)
+
+
+class TestPiecewiseLinear:
+    def test_coerces_and_drops_collinear_joints(self):
+        f = PiecewiseLinear(((0, 0), (1, 2), (2, 4), (F(5, 2), 5), (3, 5)))
+        assert f.points == ((0, 0), (F(5, 2), 5), (3, 5))
+        assert all(type(v) is Fraction for point in f.points for v in point)
+        assert f.value(1) == 2 and f.value(3) == 5
+
+    def test_segments(self):
+        seg = PiecewiseLinear(((0, 1), (2, 5), (3, 5))).segments
+        assert seg[0] == (2, 1, 0, 2) and seg[1].slope == 0 and seg[1].intercept == 5
+
+    def test_repeated_or_decreasing_x_rejected(self):
+        for points in (((0, 0), (0, 1), (1, 1)), ((1, 0), (0, 1))):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                PiecewiseLinear(points)
+
+    def test_fewer_than_two_joints_rejected(self):
+        for points in ((), ((0, 0),)):
+            with pytest.raises(ValueError, match="two joints"):
+                PiecewiseLinear(points)
+
+    def test_value_outside_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            PiecewiseLinear(((0, 0), (1, 1))).value(F(3, 2))
 
 
 class TestSugimotoThresholds:
@@ -160,6 +233,55 @@ class TestNlaIdentity:
         with pytest.raises(ValueError):
             verify_nla_identity(1, 9)
 
+    @pytest.mark.parametrize(
+        "m,n", [(0, 5), (1, 9), (2.5, 9), (F(5, 2), 9), (2, 5), (2, 9.0), (2, "9"), (3, 7)]
+    )
+    def test_one_domain_check_for_both(self, m, n):
+        with pytest.raises(ValueError):
+            verify_nla_identity(m, n)
+        with pytest.raises(ValueError):
+            knapp_exponent_nla(m, n, 1, 0)
+
+    def test_any_float_infinity_accepted(self):
+        assert verify_nla_identity(3, float("inf"))
+        assert knapp_exponent_nla(3, float("inf"), 1, 0) == knapp_exponent_nla(3, INFINITE_ORDER, 1, 0)
+
+    @pytest.mark.parametrize("m,n", [(2, 7), (3, INFINITE_ORDER)])
+    @pytest.mark.parametrize("anchor", [1, 2])
+    def test_moved_anchor_detected(self, monkeypatch, m, n, anchor):
+        original = expo._nla_anchors
+
+        def moved(m, n):
+            anchors = original(m, n)
+            a = anchors[anchor]
+            anchors[anchor] = BoundednessAnchor(a.inv_p, a.k + F(1, 1000), a.source)
+            return anchors
+
+        monkeypatch.setattr(expo, "_nla_anchors", moved)
+        assert not verify_nla_identity(m, n)
+
+    def test_breakpoint_pinned_to_closed_form(self, monkeypatch):
+        # lines and anchors of D(3, 9) agree with each other, but cross at
+        # 7/16 instead of the 5/12 that m = 2 requires
+        lines, anchors = expo._nla_lines, expo._nla_anchors
+        monkeypatch.setattr(expo, "_nla_lines", lambda m, n: lines(3, 9))
+        monkeypatch.setattr(expo, "_nla_anchors", lambda m, n: anchors(3, 9))
+        assert not verify_nla_identity(2, 9)
+        assert verify_nla_identity(3, 9)
+
+    @pytest.mark.parametrize("m,n", [(2, 7), (3, INFINITE_ORDER)])
+    @pytest.mark.parametrize("line,part", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_moved_line_detected(self, monkeypatch, m, n, line, part):
+        original = expo._nla_lines
+
+        def moved(m, n):
+            lines = [list(pair) for pair in original(m, n)]
+            lines[line][part] += F(1, 1000)
+            return tuple(tuple(pair) for pair in lines)
+
+        monkeypatch.setattr(expo, "_nla_lines", moved)
+        assert not verify_nla_identity(m, n)
+
 
 class TestKnapp:
     def test_bounded_side(self):
@@ -193,6 +315,8 @@ class TestKnapp:
     def test_nla_domain_guard(self):
         with pytest.raises(ValueError):
             knapp_exponent_nla(2, 5, 1, 0)
+        with pytest.raises(ValueError):
+            knapp_exponent_nla(0, 5, 1, 0)
 
 
 class TestSandwich:

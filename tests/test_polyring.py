@@ -350,3 +350,118 @@ def test_series_inverse_of_non_integer_unit(c0, rest, t):
 def test_parse_print_round_trip(terms):
     p = BivariatePolynomial(terms)
     assert parse_polynomial(p.to_string()) == p
+
+
+# -- exact univariate algebra: division, gcd, square-free parts, Sturm ----------
+
+X = UnivariatePolynomial({1: F(1)})
+ONE = UnivariatePolynomial({0: F(1)})
+
+
+def _lin(root):
+    return X - UnivariatePolynomial({0: F(root)})
+
+
+def _power(u, k):
+    out = ONE
+    for _ in range(k):
+        out = out * u
+    return out
+
+
+class TestUnivariateAlgebra:
+    def test_derivative(self):
+        u = UnivariatePolynomial({0: F(3), 1: F(2), 3: F(1, 2)})
+        assert u.derivative() == UnivariatePolynomial({0: F(2), 2: F(3, 2)})
+        assert UnivariatePolynomial({0: F(5)}).derivative().is_zero()
+        assert UnivariatePolynomial({1: F(1), 4: F(1)}, trunc=4).derivative().trunc == 3
+
+    def test_divmod(self):
+        q, r = divmod(_power(X, 3) - ONE, _lin(1))
+        assert q == _power(X, 2) + X + ONE and r.is_zero()
+        q, r = divmod(_power(X, 2) + ONE, UnivariatePolynomial({1: F(2)}))
+        assert q == UnivariatePolynomial({1: F(1, 2)}) and r == ONE
+
+    def test_divmod_rejects_zero_and_jets(self):
+        with pytest.raises(ZeroDivisionError):
+            divmod(X, UnivariatePolynomial.zero())
+        with pytest.raises(ValueError):
+            divmod(X.truncate(3), X)
+
+    def test_gcd_is_monic(self):
+        a = _power(_lin(1), 2) * _lin(-2) * 3
+        b = _lin(1) * _lin(3) * F(-1, 2)
+        assert a.gcd(b) == _lin(1)
+        assert a.gcd(UnivariatePolynomial.zero()) == a.monic()
+        assert a.gcd(ONE * 7) == ONE
+        assert UnivariatePolynomial.zero().gcd(UnivariatePolynomial.zero()).is_zero()
+
+    def test_squarefree_decomposition(self):
+        quad = _power(X, 2) + ONE
+        u = _power(_lin(1), 3) * _power(_lin(-2), 2) * quad * 3
+        assert u.squarefree_decomposition() == [(quad, 1), (_lin(-2), 2), (_lin(1), 3)]
+        assert (quad * 5).squarefree_decomposition() == [(quad, 1)]
+        assert (ONE * 4).squarefree_decomposition() == []
+        with pytest.raises(ValueError):
+            UnivariatePolynomial.zero().squarefree_decomposition()
+
+    def test_real_root_count(self):
+        quad = _power(X, 2) + ONE
+        assert (_lin(1) * _lin(-2) * quad).real_root_count() == 2
+        assert quad.real_root_count() == 0
+        assert _power(_lin(F(1, 3)), 3).real_root_count() == 1
+        assert (ONE * 5).real_root_count() == 0
+        with pytest.raises(ValueError):
+            UnivariatePolynomial.zero().real_root_count()
+
+
+def _nonzero_univariate():
+    return _univariate_coeffs().filter(bool).map(UnivariatePolynomial)
+
+
+@st.composite
+def _factored(draw):
+    """lc * prod (x - r)^k * prod q, with q monic quadratics without real roots."""
+    roots = draw(st.dictionaries(st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3))),
+                                 st.integers(1, 3), max_size=3))
+    quads = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 6)), max_size=2))
+    lc = draw(_coefficients())
+    u = ONE * lc
+    for r, k in roots.items():
+        u = u * _power(_lin(r), k)
+    for b, extra in quads:
+        # x^2 + b x + c with c = b^2/4 + extra/3 > b^2/4: no real root
+        u = u * UnivariatePolynomial({2: F(1), 1: F(b), 0: F(b * b, 4) + F(extra, 3)})
+    return u, roots
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_nonzero_univariate(), b=_nonzero_univariate())
+def test_divmod_and_gcd_properties(a, b):
+    q, r = divmod(a, b)
+    assert q * b + r == a
+    assert r.is_zero() or r.degree() < b.degree()
+    g = a.gcd(b)
+    assert g.coefficient(g.degree()) == 1
+    assert divmod(a, g)[1].is_zero() and divmod(b, g)[1].is_zero()
+    common = a * b
+    assert (a * common).gcd(b * common) == common.monic() * g
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_factored())
+def test_squarefree_and_root_count_of_known_factors(case):
+    u, roots = case
+    parts = u.squarefree_decomposition()
+    product = ONE
+    for f, i in parts:
+        assert f.degree() > 0 and f.coefficient(f.degree()) == 1
+        assert f.gcd(f.derivative()) == ONE
+        product = product * _power(f, i)
+    assert product == u.monic()
+    assert [i for _, i in parts] == sorted({i for _, i in parts})
+    for (f, _), (g, _) in zip(parts, parts[1:]):
+        assert f.gcd(g) == ONE
+    assert u.real_root_count() == len(roots)
+    for f, i in parts:
+        assert f.real_root_count() == sum(1 for k in roots.values() if k == i)
