@@ -165,14 +165,14 @@ class TestDecayCommand:
 
         def flaky(phi, amp, lam, s, edges):
             if lam == 128.0:
-                raise oscint.QuadratureNotConverged(f"doubling moved I(lambda={lam}, s={s}) by 1.00e+00 (> 0.001)")
+                raise oscint.QuadratureNotConverged(f"order 14 moved I(lambda={lam}, s={s}) by 1.00e+00 (> 0.001)")
             return eval_on_edges(phi, amp, lam, s, edges)
 
         monkeypatch.setattr(oscint, "_eval_on_edges", flaky)
         code = cli.main(["decay", "--phi", "x^2 + y^2", "--lmin", "64", "--lmax", "512", *workers])
         assert code == cli.EXIT_OK
         out = capsys.readouterr().out
-        assert "warning: lambda=128: doubling moved I(lambda=128.0" in out
+        assert "warning: lambda=128: order 14 moved I(lambda=128.0" in out
         assert "gamma_hat" in out
 
     def test_randol_smoke_with_csv(self, capsys, tmp_path):

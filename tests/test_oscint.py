@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from nphk import oscint
 from nphk.oscint import (
+    CHECK_ORDER,
     DEFAULT_SCAN_HALF_WIDTH,
     GAUSS_ORDER,
     MAX_COARSE_NODES,
@@ -28,12 +29,12 @@ from nphk.oscint import (
     map_sweep,
     randol_lq_scan,
     randol_maximal,
-    _bisect,
     _bump_rows,
     _disc_columns,
-    _doubling_check,
+    _eval_on_edges,
     _eval_with_error,
     _gauss_axis,
+    _order_check,
     _osc_grids,
     _panels_for,
     _strip_cycles,
@@ -45,6 +46,14 @@ class TestAmplitude:
     def test_radial_mass_closed_form(self):
         amp = AmplitudeSpec(radius=0.25, order=8)
         assert amplitude_mass(amp) == pytest.approx(math.pi * 0.0625 / 9, rel=1e-12)
+
+    @pytest.mark.parametrize("order", range(2, 41, 2))
+    def test_product_mass_closed_form_matches_gauss(self, order):
+        # 64 Gauss points integrate (1 - t^2)^order, of degree <= 80, exactly
+        amp = AmplitudeSpec(radius=0.3, order=order, profile="product")
+        gl_x, gl_w = np.polynomial.legendre.leggauss(64)
+        one_d = amp.radius * float(np.sum(gl_w * (1.0 - gl_x**2) ** order))
+        assert amplitude_mass(amp) == pytest.approx(one_d * one_d, rel=1e-12)
 
     def test_invalid_specs(self):
         for radius in (-1, 0.0, math.nan, math.inf):
@@ -197,10 +206,12 @@ class TestPanelSizing:
     def test_mirrored_edges_give_mirrored_nodes_and_equal_weights(self):
         coarse = _panels_for(parse_polynomial("x^2*y + y^3"), AmplitudeSpec(radius=0.6, order=2), 4096.0, (0.0, 0.0))[1]
         # the last: an odd panel count, whose middle panel straddles 0
-        for edges in (coarse, _bisect(coarse), np.array([-0.4, -0.1, 0.1, 0.4])):
-            nodes, weights = _gauss_axis(edges)
-            assert np.array_equal(nodes, -nodes[::-1])
-            assert np.array_equal(weights, weights[::-1])
+        for edges in (coarse, np.array([-0.4, -0.1, 0.1, 0.4])):
+            for order in (GAUSS_ORDER, CHECK_ORDER):
+                nodes, weights = _gauss_axis(edges, order)
+                assert nodes.size == order * (edges.size - 1)
+                assert np.array_equal(nodes, -nodes[::-1])
+                assert np.array_equal(weights, weights[::-1])
 
     def test_coarse_node_total_at_4096(self):
         # the four decay_fit phases; a single global gradient bound needed 25,532,500
@@ -216,10 +227,10 @@ class TestPanelSizing:
         assert GAUSS_ORDER**2 * (ex.size - 1) * (ey.size - 1) <= MAX_COARSE_NODES
 
 
-def _dense_reference(phi, amp, lam, grids, edges):
+def _dense_reference(phi, amp, lam, grids, edges, order=GAUSS_ORDER):
     """Every tensor node summed at once, with the bump written out independently."""
-    x, wx = _gauss_axis(edges[0])
-    y, wy = _gauss_axis(edges[1])
+    x, wx = _gauss_axis(edges[0], order)
+    y, wy = _gauss_axis(edges[1], order)
     X, Y = np.meshgrid(x, y, indexing="ij")
     phase = np.zeros_like(X)
     for (a, b), c in phi.terms.items():
@@ -231,6 +242,14 @@ def _dense_reference(phi, amp, lam, grids, edges):
         bump = (np.clip(1.0 - (X / r) ** 2, 0.0, None) * np.clip(1.0 - (Y / r) ** 2, 0.0, None)) ** amp.order
     f = wx[:, None] * wy[None, :] * bump * np.exp(1j * lam * phase)
     return [np.exp(1j * lam * np.outer(s1, x)) @ f @ np.exp(1j * lam * np.outer(y, s2)) for s1, s2 in grids]
+
+
+def _bisected(edges):
+    """Every panel split at its midpoint."""
+    out = np.empty(2 * edges.size - 1)
+    out[0::2] = edges
+    out[1::2] = (edges[1:] + edges[:-1]) / 2.0
+    return out
 
 
 def _one(s1, s2):
@@ -322,7 +341,8 @@ class TestBlockedSweep:
         ids=["even-both", "even-x", "even-y", "scan-phase", "no-parity", "unmirrored"],
     )
     def test_fold_divides_the_evaluated_nodes(self, monkeypatch, text, edges, factor):
-        # the product bump clips no columns, so every evaluated node is counted
+        # the product bump clips no columns, so every evaluated node is counted;
+        # the order-10 and order-14 sweeps both fold
         phi = parse_polynomial(text)
         amp = AmplitudeSpec(radius=0.4, order=2, profile="product")
         edges = edges or _panels_for(phi, amp, 256.0, (0.0, 0.0))
@@ -334,21 +354,25 @@ class TestBlockedSweep:
             return phase_rows(terms, xc, ypow, out)
 
         monkeypatch.setattr(oscint, "_phase_rows", spy)
-        _osc_grids(phi, amp, 256.0, _one(0.0, 0.0), edges)
-        full = GAUSS_ORDER**2 * (edges[0].size - 1) * (edges[1].size - 1)
-        assert factor * sum(evaluated) == full
+        for order in (GAUSS_ORDER, CHECK_ORDER):
+            evaluated.clear()
+            _osc_grids(phi, amp, 256.0, _one(0.0, 0.0), edges, order)
+            assert factor * sum(evaluated) == order**2 * (edges[0].size - 1) * (edges[1].size - 1)
 
     def test_decay_fit_exponents_unchanged(self):
-        # gamma_hat of the four decay_fit phases from the full-square sweep
+        # gamma_hat of the four decay_fit phases from the order-14 values, and
+        # from the order-10 values on bisected panels that the order-14 check
+        # replaced
         pinned = {
-            "x^2 + y^2": (0.4, 0.998337835540191),
-            "x^2*y + y^3": (0.6, 0.6346265381778426),
-            "(y - x^2)^2 + x^5": (0.4, 0.5751759804072993),
-            "x*y^2 + x^5": (0.6, 0.5629578493447316),
+            "x^2 + y^2": (0.4, 0.9983377593785373, 0.998337835540191),
+            "x^2*y + y^3": (0.6, 0.6346265381761979, 0.6346265381778426),
+            "(y - x^2)^2 + x^5": (0.4, 0.5751759934124229, 0.5751759804072993),
+            "x*y^2 + x^5": (0.6, 0.5629578198653379, 0.5629578493447316),
         }
-        for text, (radius, gamma) in pinned.items():
+        for text, (radius, gamma, bisected_gamma) in pinned.items():
             fit = fit_decay(parse_polynomial(text), AmplitudeSpec(radius=radius, order=2), dyadic_grid(64, 4096))
             assert fit.gamma_hat == pytest.approx(gamma, abs=1e-12)
+            assert fit.gamma_hat == pytest.approx(bisected_gamma, abs=1e-6)
 
 
 @st.composite
@@ -403,15 +427,15 @@ class TestNodeBudget:
 
 
 class TestSweepHelpers:
-    def test_doubling_check_above_the_floor(self):
+    def test_order_check_above_the_floor(self):
         amp = AmplitudeSpec()
         floor = 1e-9 * amplitude_mass(amp)
         fine = np.array([[1.0, 0.5 * floor]])
         # the value below the floor does not count
-        assert _doubling_check(np.array([[1.0 + 5e-4, 0.0]]), fine, amp, "I") == pytest.approx(5e-4)
-        assert _doubling_check(np.zeros((1, 2)), np.full((1, 2), 0.5 * floor), amp, "I") == 0.0
-        with pytest.raises(QuadratureNotConverged, match=r"doubling moved the scan by 2\.00e-03"):
-            _doubling_check(np.array([[1.0 - 2e-3, 0.0]]), fine, amp, "the scan")
+        assert _order_check(np.array([[1.0 + 5e-4, 0.0]]), fine, amp, "I") == pytest.approx(5e-4)
+        assert _order_check(np.zeros((1, 2)), np.full((1, 2), 0.5 * floor), amp, "I") == 0.0
+        with pytest.raises(QuadratureNotConverged, match=r"order 14 moved the scan by 2\.00e-03"):
+            _order_check(np.array([[1.0 - 2e-3, 0.0]]), fine, amp, "the scan")
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_map_sweep_keeps_lambda_order(self, workers):
@@ -435,6 +459,66 @@ class TestSweepHelpers:
         serial = fit_decay(p, amp, dyadic_grid(64, 512), workers=1)
         monkeypatch.setenv("NPHK_WORKERS", "2")
         assert fit_decay(p, amp, dyadic_grid(64, 512)) == serial
+
+
+class TestOrderCheck:
+    @pytest.mark.parametrize("text,amp,s_max", SIZING_CASES[:4], ids=SIZING_IDS[:4])
+    @pytest.mark.parametrize("lam", [64.0, 128.0, 256.0, 512.0])
+    def test_value_matches_a_finer_reference(self, text, amp, s_max, lam):
+        # order 20 on twice-bisected panels, summed densely a few x panels at a time
+        phi = parse_polynomial(text)
+        edges = _panels_for(phi, amp, lam, s_max)
+        value, err = _eval_on_edges(phi, amp, lam, s_max, edges)
+        ex, ey = (_bisected(_bisected(e)) for e in edges)
+        want = sum(
+            _dense_reference(phi, amp, lam, _one(*s_max), (ex[i : i + 17], ey), order=20)[0][0, 0]
+            for i in range(0, ex.size - 1, 16)
+        )
+        assert abs(value - want) <= 1e-6 * abs(want)
+        assert err < 1e-3
+
+    def test_both_rules_stay_cached(self):
+        phi = parse_polynomial("x^2 + y^2")
+        amp = AmplitudeSpec(radius=0.4, order=2)
+        eval_oscillatory(phi, amp, 64.0)
+        misses = oscint._gauss_rule.cache_info().misses
+        eval_oscillatory(phi, amp, 64.0)
+        assert oscint._gauss_rule.cache_info().misses == misses
+
+    def test_check_trips_on_underresolved_panels(self, monkeypatch):
+        # one node per cycle leaves 10 cycles on an order-10 panel
+        monkeypatch.setattr(oscint, "OVERSAMPLE_NODES_PER_CYCLE", 1)
+        with pytest.raises(QuadratureNotConverged, match=r"order 14 moved I\(lambda=4096\.0"):
+            eval_oscillatory(parse_polynomial("x^2*y + y^3"), AmplitudeSpec(radius=0.6, order=2), 4096.0)
+        with pytest.raises(QuadratureNotConverged, match="order 14 moved the scan at lambda=1024.0"):
+            randol_lq_scan(
+                parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, q_list=(2.0,), cells=8,
+                lambda_grid=[1024.0], validate=True,
+            )
+
+    def test_scan_check_leaves_the_values_alone(self):
+        args = (parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2)
+        kwargs = dict(q_list=(2.0, 8.0), cells=8, lambda_grid=dyadic_grid(64, 1024))
+        checked = randol_lq_scan(*args, validate=True, **kwargs)
+        unchecked = randol_lq_scan(*args, validate=False, **kwargs)
+        assert checked.M_values == unchecked.M_values
+        assert checked.q_report == unchecked.q_report
+
+    def test_scan_check_sweep_is_folded(self, monkeypatch):
+        # the scan phase is even in x only; both offset grids share the value sweep
+        phi = parse_polynomial("(y - x^2)^2")
+        amp = AmplitudeSpec(radius=0.2, order=2, profile="product")
+        evaluated = []
+        phase_rows = oscint._phase_rows
+
+        def spy(terms, xc, ypow, out):
+            evaluated.append(out.size)
+            return phase_rows(terms, xc, ypow, out)
+
+        monkeypatch.setattr(oscint, "_phase_rows", spy)
+        randol_lq_scan(phi, amp, 2, q_list=(2.0,), cells=8, lambda_grid=[256.0])
+        ex, ey = _panels_for(phi, amp, 256.0, (DEFAULT_SCAN_HALF_WIDTH, DEFAULT_SCAN_HALF_WIDTH))
+        assert 2 * sum(evaluated) == (GAUSS_ORDER**2 + CHECK_ORDER**2) * (ex.size - 1) * (ey.size - 1)
 
 
 class TestFitDecay:
