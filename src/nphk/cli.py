@@ -253,6 +253,7 @@ def run_decay(cfg: RunConfig, out=None) -> int:
             raise ValueError(f"--grid must be at least 1, got {cfg.grid}")
         if cfg.randol and cfg.m is None:
             raise ValueError("--randol requires --m")
+        workers = oscint.resolve_workers(cfg.workers)
     except ValueError as exc:
         _emit_error(cfg, str(exc), EXIT_PARSE, out)
         return EXIT_PARSE
@@ -295,7 +296,7 @@ def run_decay(cfg: RunConfig, out=None) -> int:
         except oscint.QuadratureNotConverged as exc:
             return (lam, None, None, str(exc))
 
-    results = oscint.map_sweep(one, grid, plan, cfg.workers)
+    results = oscint.map_sweep(one, grid, plan, workers)
     failures = [f"lambda={lam:g}: {msg}" for lam, _, _, msg in results if msg]
     samples = [(lam, value, err) for lam, value, err, msg in results if msg is None]
     if len(samples) < 3:

@@ -134,15 +134,22 @@ class RandolScan:
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("NPHK_WORKERS")
-    if env:
+    """``workers``, else ``NPHK_WORKERS``, else 1.
+
+    Raises ValueError for a count below 1 or an ``NPHK_WORKERS`` that is not
+    an integer.
+    """
+    if workers is None:
+        env = os.environ.get("NPHK_WORKERS")
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
-            pass
-    return 1
+            raise ValueError(f"NPHK_WORKERS must be an integer, got {env!r}") from None
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
+    return int(workers)
 
 
 # -- quadrature engine ---------------------------------------------------------
@@ -375,12 +382,23 @@ def amplitude_mass(amp: AmplitudeSpec) -> float:
     return one_d * one_d
 
 
+def _cell_sign_change(g: np.ndarray) -> np.ndarray:
+    """Per grid cell, whether the values at its four corners include 0 or both signs."""
+    corners = (g[:-1, :-1], g[1:, :-1], g[:-1, 1:], g[1:, 1:])
+    return (np.minimum.reduce(corners) <= 0) & (np.maximum.reduce(corners) >= 0)
+
+
 def check_amplitude_support(phi: BivariatePolynomial, amp: AmplitudeSpec, grid: int = 49) -> bool:
     """Grid check that the phase has no critical points separated from the origin.
 
     Critical sets through the origin (curves of degenerate phases) are
     accepted; a low-gradient island disconnected from the origin's component
     is not, since it would contribute its own stationary-phase terms.
+
+    The component grows through nodes of small gradient and through the
+    corners of every grid cell on which both partials take both signs (or
+    vanish at a corner), so a critical curve stays connected where the
+    small-gradient band along it is thinner than the grid step.
     """
     r = amp.radius
     xs = np.linspace(-r, r, grid)
@@ -393,6 +411,10 @@ def check_amplitude_support(phi: BivariatePolynomial, amp: AmplitudeSpec, grid: 
     mag = np.hypot(g1, g2)
     scale = max(float(mag.max()), 1e-30)
     mask = mag < 1e-2 * scale
+    cells = _cell_sign_change(g1) & _cell_sign_change(g2)
+    for di in (0, 1):
+        for dj in (0, 1):
+            mask[di : grid - 1 + di, dj : grid - 1 + dj] |= cells
     if amp.profile == "radial":
         inside = xs[:, None] ** 2 + xs[None, :] ** 2 <= (0.98 * r) ** 2
     else:

@@ -14,11 +14,12 @@ classifier needs for real linear factors: derivative, division with
 remainder, monic gcd, Yun's square-free decomposition and the Sturm count of
 distinct real roots.
 
-Products and series inverses run on Python integers: each operand is
-rewritten as integer numerators over the lcm of its denominators, the
-numerators are convolved, and each output coefficient is built once as a
-reduced ``Fraction``.  ``Fraction`` is still what every API takes and
-returns.
+Products, compositions (``compose``, behind linear maps and shears),
+substitutions (``substitute_y``) and series inverses run on Python integers:
+each operand is rewritten as integer numerators over the lcm of its
+denominators, the numerators are convolved by one integer kernel per
+polynomial type, and each output coefficient is built once as a reduced
+``Fraction``.  ``Fraction`` is still what every API takes and returns.
 
 The zero polynomial has order ``INFINITE_ORDER`` (a float infinity used only
 as a sentinel, never in arithmetic).
@@ -55,6 +56,47 @@ def _integer_form(coeffs: Mapping) -> Tuple[dict, int]:
     """Coefficients as integer numerators over the lcm of their denominators."""
     den = math.lcm(*(c.denominator for c in coeffs.values()))
     return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den
+
+
+def _convolve_xy(nums1: Mapping, nums2: Mapping, trunc: Optional[int]) -> dict:
+    """Integer product of two bivariate numerator maps, without the terms above trunc.
+
+    Sums that cancel stay in the result as 0.
+    """
+    out: dict = {}
+    for (a1, b1), c1 in nums1.items():
+        for (a2, b2), c2 in nums2.items():
+            a, b = a1 + a2, b1 + b2
+            if trunc is not None and a + b > trunc:
+                continue
+            k = (a, b)
+            out[k] = out.get(k, 0) + c1 * c2
+    return out
+
+
+def _convolve_x(nums1: Mapping, nums2: Mapping, trunc: Optional[int]) -> dict:
+    """Integer product of two univariate numerator maps, without the degrees above trunc.
+
+    Sums that cancel stay in the result as 0.
+    """
+    out: dict = {}
+    for d1, c1 in nums1.items():
+        for d2, c2 in nums2.items():
+            d = d1 + d2
+            if trunc is not None and d > trunc:
+                continue
+            out[d] = out.get(d, 0) + c1 * c2
+    return out
+
+
+def _fractions(nums: Mapping, den: int) -> dict:
+    """The nonzero integer numerators over den, each reduced once."""
+    return {k: Fraction(c, den) for k, c in nums.items() if c}
+
+
+def _kept(terms: Mapping, trunc: Optional[int], degree) -> dict:
+    """The nonzero terms of degree at most trunc."""
+    return {k: c for k, c in terms.items() if c and (trunc is None or degree(k) <= trunc)}
 
 
 def _min_trunc(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -178,17 +220,19 @@ class BivariatePolynomial:
     def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         out = dict(self._terms)
         for k, c in other._terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return BivariatePolynomial(out, _min_trunc(self._trunc, other._trunc))
+            out[k] = out.get(k, 0) + c
+        trunc = _min_trunc(self._trunc, other._trunc)
+        return BivariatePolynomial._clean(_kept(out, trunc, sum), trunc)
 
     def __sub__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         out = dict(self._terms)
         for k, c in other._terms.items():
-            out[k] = out.get(k, Fraction(0)) - c
-        return BivariatePolynomial(out, _min_trunc(self._trunc, other._trunc))
+            out[k] = out.get(k, 0) - c
+        trunc = _min_trunc(self._trunc, other._trunc)
+        return BivariatePolynomial._clean(_kept(out, trunc, sum), trunc)
 
     def __neg__(self) -> "BivariatePolynomial":
-        return BivariatePolynomial({k: -c for k, c in self._terms.items()}, self._trunc)
+        return BivariatePolynomial._clean({k: -c for k, c in self._terms.items()}, self._trunc)
 
     def __mul__(self, other) -> "BivariatePolynomial":
         if isinstance(other, (int, Fraction)):
@@ -196,22 +240,13 @@ class BivariatePolynomial:
         trunc = _min_trunc(self._trunc, other._trunc)
         nums1, den1 = _integer_form(self._terms)
         nums2, den2 = _integer_form(other._terms)
-        out: dict = {}
-        for (a1, b1), c1 in nums1.items():
-            for (a2, b2), c2 in nums2.items():
-                a, b = a1 + a2, b1 + b2
-                if trunc is not None and a + b > trunc:
-                    continue
-                k = (a, b)
-                out[k] = out.get(k, 0) + c1 * c2
-        den = den1 * den2
-        return BivariatePolynomial._clean({k: Fraction(c, den) for k, c in out.items() if c}, trunc)
+        return BivariatePolynomial._clean(_fractions(_convolve_xy(nums1, nums2, trunc), den1 * den2), trunc)
 
     __rmul__ = __mul__
 
     def scale(self, c: Coeff) -> "BivariatePolynomial":
         cf = _frac(c)
-        return BivariatePolynomial({k: cf * v for k, v in self._terms.items()}, self._trunc)
+        return BivariatePolynomial._clean({k: cf * v for k, v in self._terms.items()} if cf else {}, self._trunc)
 
     def __pow__(self, k: int) -> "BivariatePolynomial":
         if k < 0:
@@ -370,17 +405,19 @@ class UnivariatePolynomial:
     def __add__(self, other):
         out = dict(self._coeffs)
         for d, c in other._coeffs.items():
-            out[d] = out.get(d, Fraction(0)) + c
-        return UnivariatePolynomial(out, _min_trunc(self._trunc, other._trunc))
+            out[d] = out.get(d, 0) + c
+        trunc = _min_trunc(self._trunc, other._trunc)
+        return UnivariatePolynomial._clean(_kept(out, trunc, int), trunc)
 
     def __sub__(self, other):
         out = dict(self._coeffs)
         for d, c in other._coeffs.items():
-            out[d] = out.get(d, Fraction(0)) - c
-        return UnivariatePolynomial(out, _min_trunc(self._trunc, other._trunc))
+            out[d] = out.get(d, 0) - c
+        trunc = _min_trunc(self._trunc, other._trunc)
+        return UnivariatePolynomial._clean(_kept(out, trunc, int), trunc)
 
     def __neg__(self):
-        return UnivariatePolynomial({d: -c for d, c in self._coeffs.items()}, self._trunc)
+        return UnivariatePolynomial._clean({d: -c for d, c in self._coeffs.items()}, self._trunc)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -388,21 +425,13 @@ class UnivariatePolynomial:
         trunc = _min_trunc(self._trunc, other._trunc)
         nums1, den1 = _integer_form(self._coeffs)
         nums2, den2 = _integer_form(other._coeffs)
-        out: dict = {}
-        for d1, c1 in nums1.items():
-            for d2, c2 in nums2.items():
-                d = d1 + d2
-                if trunc is not None and d > trunc:
-                    continue
-                out[d] = out.get(d, 0) + c1 * c2
-        den = den1 * den2
-        return UnivariatePolynomial._clean({d: Fraction(c, den) for d, c in out.items() if c}, trunc)
+        return UnivariatePolynomial._clean(_fractions(_convolve_x(nums1, nums2, trunc), den1 * den2), trunc)
 
     __rmul__ = __mul__
 
     def scale(self, c: Coeff):
         cf = _frac(c)
-        return UnivariatePolynomial({d: cf * v for d, v in self._coeffs.items()}, self._trunc)
+        return UnivariatePolynomial._clean({d: cf * v for d, v in self._coeffs.items()} if cf else {}, self._trunc)
 
     def truncate(self, n: int) -> "UnivariatePolynomial":
         return UnivariatePolynomial(self._coeffs, n if self._trunc is None else min(self._trunc, n))
@@ -555,23 +584,40 @@ class LinearMap2:
 
 
 def compose(p: BivariatePolynomial, sx: BivariatePolynomial, sy: BivariatePolynomial) -> BivariatePolynomial:
-    """p(sx, sy) with powers cached; truncation follows the tightest input."""
+    """p(sx, sy); truncation follows the tightest input.
+
+    With p = P/E, sx = SX/Dx and sy = SY/Dy over integers, and A, B the
+    largest exponents of x and y in p,
+
+        p(sx, sy) = sum_b (sum_a P_ab Dx^(A-a) SX^a) Dy^(B-b) SY^b / (E Dx^A Dy^B),
+
+    so the sum runs on integers, with the powers of SX and SY cached, and each
+    output coefficient is reduced once.
+    """
     trunc = _min_trunc(p.trunc, _min_trunc(sx.trunc, sy.trunc))
-    one = BivariatePolynomial.constant(1, trunc)
-    pow_x = [one]
-    pow_y = [one]
-
-    def power(cache, base, k):
-        while len(cache) <= k:
-            cache.append(cache[-1] * base)
-        return cache[k]
-
-    sxt = sx if trunc is None else sx.truncate(trunc)
-    syt = sy if trunc is None else sy.truncate(trunc)
-    total = BivariatePolynomial.zero(trunc)
-    for (a, b), c in sorted(p.terms.items()):
-        total = total + (power(pow_x, sxt, a) * power(pow_y, syt, b)).scale(c)
-    return total
+    nums, den = _integer_form(p._terms)
+    sxn, dx = _integer_form(sx._terms)
+    syn, dy = _integer_form(sy._terms)
+    big_a = max((a for a, _ in nums), default=0)
+    big_b = max((b for _, b in nums), default=0)
+    pow_x = [{(0, 0): 1}]
+    pow_y = [{(0, 0): 1}]
+    by_b: dict = {}
+    for (a, b), c in nums.items():
+        while len(pow_x) <= a:
+            pow_x.append(_convolve_xy(pow_x[-1], sxn, trunc))
+        c *= dx ** (big_a - a)
+        inner = by_b.setdefault(b, {})
+        for k, v in pow_x[a].items():
+            inner[k] = inner.get(k, 0) + c * v
+    total: dict = {}
+    for b, inner in by_b.items():
+        while len(pow_y) <= b:
+            pow_y.append(_convolve_xy(pow_y[-1], syn, trunc))
+        scale = dy ** (big_b - b)
+        for k, v in _convolve_xy(inner, pow_y[b], trunc).items():
+            total[k] = total.get(k, 0) + scale * v
+    return BivariatePolynomial._clean(_fractions(total, den * dx**big_a * dy**big_b), trunc)
 
 
 def apply_linear(p: BivariatePolynomial, m: LinearMap2) -> BivariatePolynomial:
@@ -589,14 +635,27 @@ def apply_shear(p: BivariatePolynomial, psi: UnivariatePolynomial) -> BivariateP
 
 
 def substitute_y(p: BivariatePolynomial, u: UnivariatePolynomial) -> UnivariatePolynomial:
-    """p(x, u(x)) as a univariate polynomial, by Horner in y."""
+    """p(x, u(x)) as a univariate polynomial, by Horner in y.
+
+    With p = P/E and u = U/D over integers and B the y-degree of p, Horner's
+    R <- R*U + P_b D^(B-b) runs on integers, truncated at every step, and
+    p(x, u) = R / (E D^B) reduces each output coefficient once.
+    """
     trunc = _min_trunc(p.trunc, u.trunc)
-    ut = u if trunc is None else u.truncate(trunc)
-    result = UnivariatePolynomial.zero(trunc)
-    for b in range(p.degree_in_y(), -1, -1):
-        slice_b = p.y_slice(b)
-        result = result * ut + UnivariatePolynomial(slice_b.coeffs, trunc)
-    return result
+    nums, den = _integer_form(p._terms)
+    un, d = _integer_form(u._coeffs)
+    big_b = max((b for _, b in nums), default=0)
+    slices: dict = {}
+    for (a, b), c in nums.items():
+        if trunc is None or a <= trunc:
+            slices.setdefault(b, {})[a] = c
+    acc: dict = {}
+    for b in range(big_b, -1, -1):
+        acc = _convolve_x(acc, un, trunc)
+        scale = d ** (big_b - b)
+        for a, c in slices.get(b, {}).items():
+            acc[a] = acc.get(a, 0) + scale * c
+    return UnivariatePolynomial._clean(_fractions(acc, den * d**big_b), trunc)
 
 
 def series_inverse(u: UnivariatePolynomial, trunc: int) -> UnivariatePolynomial:

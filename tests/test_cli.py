@@ -260,6 +260,8 @@ class TestDecayCommand:
             ["--lmin", "nan"],
             ["--lmax", "inf"],
             ["--lmin", "1024", "--lmax", "64"],
+            ["--workers", "0"],
+            ["--workers=-2"],
         ],
         ids=[
             "radius-negative",
@@ -270,6 +272,8 @@ class TestDecayCommand:
             "lmin-nan",
             "lmax-inf",
             "lmax-below-lmin",
+            "workers-zero",
+            "workers-negative",
         ],
     )
     def test_bad_numeric_input_is_a_parse_error(self, capsys, args):
@@ -277,3 +281,10 @@ class TestDecayCommand:
         assert code == cli.EXIT_PARSE
         payload = json.loads(capsys.readouterr().out)
         assert payload["exit_code"] == cli.EXIT_PARSE and payload["error"]
+
+    def test_non_integer_worker_variable_is_a_parse_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("NPHK_WORKERS", "abc")
+        code = cli.main(["decay", "--phi", "x^2 + y^2", "--lmin", "64", "--lmax", "256"])
+        assert code == cli.EXIT_PARSE
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["exit_code"] == cli.EXIT_PARSE and "NPHK_WORKERS" in payload["error"]

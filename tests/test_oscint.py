@@ -29,6 +29,7 @@ from nphk.oscint import (
     map_sweep,
     randol_lq_scan,
     randol_maximal,
+    resolve_workers,
     _bump_rows,
     _disc_columns,
     _eval_on_edges,
@@ -73,6 +74,19 @@ class TestAmplitude:
         # gradient vanishes at (1/6, 0), inside the quarter-radius disc
         amp = AmplitudeSpec(radius=0.25)
         assert not check_amplitude_support(parse_polynomial("x^2 + y^2 - 4*x^3"), amp)
+
+    @pytest.mark.parametrize("profile", ["radial", "product"])
+    def test_support_check_follows_a_critical_curve_through_grid_nodes(self, profile):
+        # at R = 0.25 and 0.3 a grid node lies exactly on the parabola, away
+        # from the nodes of small gradient around it
+        curve = parse_polynomial("(y - x^2)^2")
+        for order in (2, 8):
+            for step in range(7):
+                amp = AmplitudeSpec(radius=0.1 + 0.05 * step, order=order, profile=profile)
+                assert check_amplitude_support(curve, amp), amp
+        # critical points at (0, +-1/5), apart from the one at the origin
+        stray = parse_polynomial("x^2 + y^4 - 2/25*y^2")
+        assert not check_amplitude_support(stray, AmplitudeSpec(radius=0.4, profile=profile))
 
 
 class TestEval:
@@ -452,6 +466,17 @@ class TestSweepHelpers:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_bad_worker_counts_raise(self, monkeypatch):
+        for workers in (0, -2):
+            with pytest.raises(ValueError, match="at least 1"):
+                resolve_workers(workers)
+        monkeypatch.setenv("NPHK_WORKERS", "abc")
+        with pytest.raises(ValueError, match="NPHK_WORKERS"):
+            resolve_workers()
+        assert resolve_workers(3) == 3
+        monkeypatch.setenv("NPHK_WORKERS", "2")
+        assert resolve_workers() == 2
 
     def test_fit_on_threads_equals_serial(self, monkeypatch):
         p = parse_polynomial("x*y^2 + x^5")

@@ -14,6 +14,7 @@ from nphk.polyring import (
     UnivariatePolynomial,
     apply_linear,
     apply_shear,
+    compose,
     parse_polynomial,
     series_divide,
     series_inverse,
@@ -155,6 +156,16 @@ class TestLinearMaps:
         finally:
             gc.enable()
 
+    def test_substitute_y_leaves_no_reference_cycles(self):
+        p = parse_polynomial("(y - x^2)^2 + 1/3*x^5*y")
+        gc.collect()
+        gc.disable()
+        try:
+            substitute_y(p.truncate(12), UnivariatePolynomial({2: F(1, 3), 5: F(-2, 7)}))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_linear_distributes(self):
         rng = random.Random(6)
         for _ in range(15):
@@ -222,7 +233,7 @@ class TestUnivariate:
 
 # Mixed and pairwise coprime denominators, so the common denominator of an
 # operand is a genuine lcm and the product needs reducing.
-_DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9, 12, 35)
+_DENOMINATORS = (*range(1, 13), 35)
 
 
 def _coefficients():
@@ -316,6 +327,117 @@ def test_univariate_product_matches_fraction_convolution(pair, t1, t2):
     assert all(type(d) is int for d in prod.coeffs)
     public = UnivariatePolynomial(prod.coeffs, prod.trunc)
     assert public == prod and hash(public) == hash(prod)
+
+
+def _reference_compose(p, sx, sy):
+    """p(sx, sy) term by term: each power a repeated Fraction product, each term added in Fractions."""
+    trunc = _min_trunc(p.trunc, _min_trunc(sx.trunc, sy.trunc))
+    total = {}
+    for (a, b), c in p.terms.items():
+        term = {(0, 0): Fraction(1)}
+        for factor in [sx.terms] * a + [sy.terms] * b:
+            term = _reference_product(term, factor, trunc, _add_pairs, sum)
+        for k, v in term.items():
+            total[k] = total.get(k, Fraction(0)) + c * v
+    return {k: v for k, v in total.items() if v != 0 and (trunc is None or sum(k) <= trunc)}
+
+
+def _reference_substitute(p, u):
+    """p(x, u(x)) term by term, with u^b a repeated Fraction product."""
+    trunc = _min_trunc(p.trunc, u.trunc)
+    total = {}
+    for (a, b), c in p.terms.items():
+        term = {a: c}
+        for _ in range(b):
+            term = _reference_product(term, u.coeffs, trunc, int.__add__, int)
+        for d, v in term.items():
+            total[d] = total.get(d, Fraction(0)) + v
+    return {d: v for d, v in total.items() if v != 0 and (trunc is None or d <= trunc)}
+
+
+def _small_bivariate_terms(max_exponent):
+    keys = st.tuples(st.integers(0, max_exponent), st.integers(0, max_exponent))
+    return st.dictionaries(keys, _coefficients(), max_size=4)
+
+
+def _small_univariate_coeffs():
+    return st.dictionaries(st.integers(0, 4), _coefficients(), max_size=4)
+
+
+@st.composite
+def _branch_case(draw):
+    """(y - psi(x))^k * r + s and psi, each with its own truncation, so that
+    y -> y + psi and y = psi cancel the first part."""
+    coeffs = draw(_small_univariate_coeffs())
+    k = draw(st.integers(1, 3))
+    r = BivariatePolynomial(draw(_small_bivariate_terms(2)))
+    s = BivariatePolynomial(draw(_small_bivariate_terms(3)))
+    p = (BivariatePolynomial.var_y() - UnivariatePolynomial(coeffs).to_bivariate(0)) ** k * r + s
+    trunc = draw(_truncations())
+    return (p if trunc is None else p.truncate(trunc)), UnivariatePolynomial(coeffs, draw(_truncations()))
+
+
+def _assert_public_equal(result, cls, items):
+    public = cls(items, result.trunc)
+    assert public == result and hash(public) == hash(result)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    terms=st.tuples(_small_bivariate_terms(4), _small_bivariate_terms(3), _small_bivariate_terms(3)),
+    truncs=st.tuples(_truncations(), _truncations(), _truncations()),
+)
+@example(terms=({(2, 1): F(1, 3), (0, 3): F(5, 12)}, {}, {(0, 1): F(1)}), truncs=(None, None, None))
+@example(terms=({(3, 0): F(2, 35)}, {(1, 0): F(1, 6), (0, 1): F(-1, 4)}, {}), truncs=(None, 4, None))
+@example(terms=({(0, 0): F(7, 2), (1, 1): F(1)}, {(0, 0): F(1, 3)}, {(1, 0): F(1, 5)}), truncs=(0, None, None))
+def test_compose_matches_term_by_term_fractions(terms, truncs):
+    p, sx, sy = (BivariatePolynomial(t, trunc) for t, trunc in zip(terms, truncs))
+    trunc = _min_trunc(truncs[0], _min_trunc(truncs[1], truncs[2]))
+    out = compose(p, sx, sy)
+    assert out.terms == _reference_compose(p, sx, sy)
+    _assert_clean(out, out.terms.items(), trunc, sum)
+    assert all(type(a) is int and type(b) is int for a, b in out.terms)
+    _assert_public_equal(out, BivariatePolynomial, out.terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_branch_case())
+def test_shear_along_a_branch_cancels_like_fractions(case):
+    p, psi = case
+    sheared = apply_shear(p, psi)
+    sx = BivariatePolynomial({(1, 0): F(1)}, psi.trunc)
+    sy = BivariatePolynomial({(0, 1): F(1)}, psi.trunc) + psi.to_bivariate(0)
+    assert sheared.terms == _reference_compose(p, sx, sy)
+    _assert_clean(sheared, sheared.terms.items(), _min_trunc(p.trunc, psi.trunc), sum)
+    _assert_public_equal(sheared, BivariatePolynomial, sheared.terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    terms=st.tuples(_small_bivariate_terms(5), _small_univariate_coeffs()),
+    truncs=st.tuples(_truncations(), _truncations()),
+)
+@example(terms=({(1, 2): F(1, 3), (4, 0): F(-5, 12)}, {}), truncs=(None, None))
+@example(terms=({(0, 3): F(1, 35)}, {1: F(1, 6), 2: F(1, 10)}), truncs=(None, 3))
+@example(terms=({}, {0: F(1, 11)}), truncs=(2, None))
+def test_substitute_y_matches_term_by_term_fractions(terms, truncs):
+    p, u = BivariatePolynomial(terms[0], truncs[0]), UnivariatePolynomial(terms[1], truncs[1])
+    trunc = _min_trunc(*truncs)
+    out = substitute_y(p, u)
+    assert out.coeffs == _reference_substitute(p, u)
+    _assert_clean(out, out.coeffs.items(), trunc, int)
+    assert all(type(d) is int for d in out.coeffs)
+    _assert_public_equal(out, UnivariatePolynomial, out.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_branch_case())
+def test_substitute_y_on_a_branch_cancels_like_fractions(case):
+    p, psi = case
+    out = substitute_y(p, psi)
+    assert out.coeffs == _reference_substitute(p, psi)
+    _assert_clean(out, out.coeffs.items(), _min_trunc(p.trunc, psi.trunc), int)
+    _assert_public_equal(out, UnivariatePolynomial, out.coeffs)
 
 
 def _reference_inverse(u, trunc):
