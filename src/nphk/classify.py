@@ -211,17 +211,40 @@ def _branch_solve(f: BivariatePolynomial, trunc: int) -> UnivariatePolynomial:
     """The power-series branch psi with f(x, psi(x)) = 0, psi = O(x^2).
 
     Newton iteration on jets; the y-derivative of f along the branch may
-    vanish to order one (degenerate pivot), which slows the doubling by one
-    order per step but stays exact.
+    vanish to order one (degenerate pivot, s = 1), which slows the doubling
+    by one order per step but stays exact.
+
+    Each step works at the precision it needs (Brent and Kung, J. ACM 25,
+    1978).  A step that starts with ``known`` correct orders truncates f and
+    psi to total degree w = min(trunc, 2*known + 1) before it substitutes:
+    a term x^a y^b with a + b > w only reaches x^(w+1) and beyond, because
+    psi = O(x^2).  The pivot f_y(x, psi) enters the correction only through
+    about w - known orders, so it is substituted at max(2, w - known), which
+    still reads a pivot order of 0, 1 or more correctly.  The correction is
+    rebuilt at ``trunc`` so that psi keeps its truncation.  A residual that
+    vanishes at working precision is confirmed once at full precision, which
+    stops a polynomial branch at once; the loop stops only on a full
+    residual of order above ``trunc``.
+
+    So psi satisfies the same final check as under full-precision steps, and
+    every coefficient that check pins, those through degree T - s with T the
+    precision of f(x, psi), is the same.  The coefficients above T - s are
+    not pinned by any residual and depend on the path the iteration took;
+    the branch orders, leading coefficients and remainder orders the
+    classifier reads do not depend on them.
     """
     fy = f.partial(1)
     psi = UnivariatePolynomial.zero(trunc)
     known = 1
     for _ in range(trunc + 2):
-        residual = substitute_y(f, psi)
+        w = min(trunc, 2 * known + 1)
+        residual = substitute_y(f.truncate(w), psi.truncate(w))
+        if residual.is_zero() and w < trunc:
+            residual = substitute_y(f, psi)
         if residual.order() > trunc:
             break
-        pivot = substitute_y(fy, psi)
+        v = max(2, w - known)
+        pivot = substitute_y(fy.truncate(v), psi.truncate(v))
         s = pivot.order()
         if s == INFINITE_ORDER or s > 1:
             raise NormalizationFailed("degenerate branch pivot; no unique tangent branch")
@@ -229,13 +252,9 @@ def _branch_solve(f: BivariatePolynomial, trunc: int) -> UnivariatePolynomial:
             raise NormalizationFailed(
                 "no power-series branch through the origin with zero slope"
             )
-        correction = series_divide(residual, pivot, trunc)
-        psi = (psi - correction).truncate(trunc)
+        correction = series_divide(residual, pivot, w)
+        psi = psi - UnivariatePolynomial(correction.coeffs, trunc)
         known = min(trunc, 2 * known + 1 - s)
-        if known >= trunc:
-            residual = substitute_y(f, psi)
-            if residual.order() > trunc:
-                break
     else:
         raise TruncationTooSmall("branch solve did not stabilize inside the truncation")
     if psi.coefficient(0) != 0 or psi.coefficient(1) != 0:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +36,8 @@ EXIT_PARSE = 2
 EXIT_OUT_OF_SCOPE = 3
 EXIT_NUMERIC = 4
 
+_RATIONAL_TEXT = re.compile(r"[+-]?(\d+(/\d+)?|\d*\.\d+)")
+
 WARN_RANK = "rank >= 1: out of scope"
 WARN_HEIGHT = "h > 2: unsupported"
 
@@ -52,7 +55,19 @@ def order_str(value) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    """An integer, a num/den ratio or a plain decimal, as an exact Fraction.
+
+    Exponent notation is refused (``1e999999999`` would build a
+    billion-digit integer), and so is a zero denominator; both raise
+    ValueError, which the CLI reports as a parse error.
+    """
+    token = text.strip()
+    if not _RATIONAL_TEXT.fullmatch(token):
+        raise ValueError(f"not a rational number: {text!r}")
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 @dataclass
@@ -267,6 +282,7 @@ def run_decay(cfg: RunConfig, out=None) -> int:
                 q_list=cfg.q_values or (2.0,),
                 cells=cfg.grid,
                 lambda_grid=grid,
+                workers=workers,
             )
         except cls.UnsupportedKindError as exc:
             _emit_error(cfg, str(exc), EXIT_OUT_OF_SCOPE, out)
@@ -386,7 +402,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.radius = args.radius
         cfg.randol = args.randol
         cfg.m = args.m
-        cfg.q_values = tuple(float(Fraction(tok)) for tok in args.q.split(",") if tok.strip())
+        cfg.q_values = tuple(float(parse_rational(tok)) for tok in args.q.split(",") if tok.strip())
         cfg.csv_path = args.csv_path
         cfg.workers = args.workers
     else:

@@ -654,6 +654,7 @@ def randol_lq_scan(
     lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
     refine: int = 2,
     validate: bool = True,
+    workers: Optional[int] = None,
 ) -> RandolScan:
     """Empirical L^q Riemann sums of the maximal function at two grid refinements.
 
@@ -662,7 +663,9 @@ def randol_lq_scan(
     integrand sweep under the order-GAUSS_ORDER rule, which gives the
     reported values.  With ``validate`` each lambda's coarse-grid matrix is
     also checked against an order-CHECK_ORDER sweep on the same panels; the
-    check does not change any reported value.
+    check does not change any reported value.  The per-lambda sweeps run
+    through ``map_sweep`` on ``workers`` threads and are folded into the
+    maxima in lambda order, so the values do not depend on ``workers``.
     """
     if cells < 1 or refine < 1:
         raise ValueError(f"offset scans need cells >= 1 and refine >= 1, got cells={cells}, refine={refine}")
@@ -675,15 +678,18 @@ def randol_lq_scan(
     fine = cell_centered_grid(half_width, refine * cells)
     grids = [(coarse, coarse), (fine, fine)]
 
-    m_coarse = np.zeros((coarse.size, coarse.size))
-    m_fine = np.zeros((fine.size, fine.size))
-    for lam, edges in zip(lams, plan):
+    def one(lam: float, edges: Tuple[np.ndarray, np.ndarray]) -> List[np.ndarray]:
         mats = _osc_grids(phi, amp, lam, grids, edges)
         if validate:
             checked = _osc_grids(phi, amp, lam, grids[:1], edges, CHECK_ORDER)[0]
             _order_check(mats[0], checked, amp, f"the scan at lambda={lam}")
-        m_coarse = np.maximum(m_coarse, lam**w * np.abs(mats[0]))
-        m_fine = np.maximum(m_fine, lam**w * np.abs(mats[1]))
+        return [lam**w * np.abs(mat) for mat in mats]
+
+    m_coarse = np.zeros((coarse.size, coarse.size))
+    m_fine = np.zeros((fine.size, fine.size))
+    for weighted_coarse, weighted_fine in map_sweep(one, lams, plan, workers):
+        m_coarse = np.maximum(m_coarse, weighted_coarse)
+        m_fine = np.maximum(m_fine, weighted_fine)
 
     area_c = (2.0 * half_width / coarse.size) ** 2
     area_f = (2.0 * half_width / fine.size) ** 2

@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nphk import classify
 from nphk.classify import (
@@ -28,12 +31,17 @@ from nphk.classify import (
     multiplicity_mfrak,
     rank_at_origin,
 )
+from nphk.corpus import CORPUS
 from nphk.newton import build_polygon, taylor_support
 from nphk.polyring import (
     INFINITE_ORDER,
     BivariatePolynomial,
+    UnivariatePolynomial,
     apply_linear,
+    apply_shear,
     parse_polynomial,
+    series_divide,
+    substitute_y,
 )
 from conftest import rand_critical_poly, rand_invertible_map
 
@@ -324,3 +332,146 @@ class TestMultiplicity:
         rep = height_report(parse_polynomial("(y - x^2)^2 + x^7"))
         assert rep.h == F(7, 4) and rep.h_lin == F(5, 3)
         assert not rep.linearly_adapted and rep.multiplicity == 0
+
+
+# -- the branch solve at doubling working precision --------------------------------
+
+
+def _reference_branch_solve(f, trunc):
+    """The branch solve with every Newton step at the full truncation (the oracle)."""
+    fy = f.partial(1)
+    psi = UnivariatePolynomial.zero(trunc)
+    known = 1
+    for _ in range(trunc + 2):
+        residual = substitute_y(f, psi)
+        if residual.order() > trunc:
+            break
+        pivot = substitute_y(fy, psi)
+        s = pivot.order()
+        if s == INFINITE_ORDER or s > 1:
+            raise NormalizationFailed("degenerate branch pivot; no unique tangent branch")
+        if residual.order() < known + 1 + s:
+            raise NormalizationFailed(
+                "no power-series branch through the origin with zero slope"
+            )
+        correction = series_divide(residual, pivot, trunc)
+        psi = (psi - correction).truncate(trunc)
+        known = min(trunc, 2 * known + 1 - s)
+        if known >= trunc:
+            residual = substitute_y(f, psi)
+            if residual.order() > trunc:
+                break
+    else:
+        raise TruncationTooSmall("branch solve did not stabilize inside the truncation")
+    if psi.coefficient(0) != 0 or psi.coefficient(1) != 0:
+        raise NormalizationFailed("branch is not tangent to the x-axis")
+    return psi
+
+
+def _pinned_degree(f, trunc):
+    """Highest degree of psi the final residual check pins: T - s, with T the
+    precision of f(x, psi) and s the order of the pivot f_y(x, psi)."""
+    precision = trunc if f.trunc is None else min(f.trunc, trunc)
+    return precision - (0 if f.coefficient(0, 1) else 1)
+
+
+def _assert_same_branch(f, trunc, exact=False):
+    """Both solvers raise the same error, or agree on every pinned coefficient
+    (on all of psi with ``exact``) and leave no residual through ``trunc``."""
+    try:
+        expected = _reference_branch_solve(f, trunc)
+    except (NormalizationFailed, TruncationTooSmall) as exc:
+        with pytest.raises(type(exc)) as caught:
+            classify._branch_solve(f, trunc)
+        assert str(caught.value) == str(exc)
+        return None
+    psi = classify._branch_solve(f, trunc)
+    assert psi.trunc == expected.trunc == trunc
+    assert substitute_y(f, psi).order() > trunc
+    pinned = _pinned_degree(f, trunc)
+    assert psi.truncate(pinned) == expected.truncate(pinned)
+    if exact:
+        assert psi == expected
+    return psi
+
+
+_COEFFS = st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+
+
+@st.composite
+def _jets_with_branch(draw):
+    """f = (q(x)*y - p(x)) * u(x, y), whose branch through the origin is p/q.
+
+    u(0, 0) != 0 gives a pivot of order 0; u = c*x + y*(...) + ... gives a
+    pivot of order 1.  q = 1 makes the branch a polynomial.
+    """
+    s = draw(st.integers(0, 1))
+    p = draw(st.dictionaries(st.integers(2, 6), _COEFFS, min_size=1, max_size=3))
+    q = {0: draw(_COEFFS)}
+    if draw(st.booleans()):
+        q.update(draw(st.dictionaries(st.integers(1, 4), _COEFFS, max_size=2)))
+    units = {(0, 0): draw(_COEFFS)} if s == 0 else {(1, 0): draw(_COEFFS)}
+    extra = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, 4), st.integers(0, 3)).filter(lambda ab: ab[0] + ab[1] > s),
+            _COEFFS,
+            max_size=4,
+        )
+    )
+    units.update(extra)
+    line = BivariatePolynomial.var_y() * UnivariatePolynomial(q).to_bivariate(0)
+    f = (line - UnivariatePolynomial(p).to_bivariate(0)) * BivariatePolynomial(units)
+    trunc = draw(st.integers(4, 40))
+    offset = draw(st.sampled_from([None, 0, 1, 2]))
+    f = f if offset is None else f.truncate(trunc - offset)
+    return f, trunc, UnivariatePolynomial(p), UnivariatePolynomial(q)
+
+
+class TestBranchSolve:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_jets_with_branch())
+    def test_matches_full_precision_newton(self, case):
+        f, trunc, p, q = case
+        psi = _assert_same_branch(f, trunc)
+        # the pinned coefficients are those of the branch p/q itself
+        pinned = _pinned_degree(f, trunc)
+        assert psi.truncate(pinned) == series_divide(p, q, pinned)
+
+    @staticmethod
+    def _branch_inputs(p):
+        """The jets the classifier solves for p: f_y of the normalized phase
+        (D rows), or f_yy after the triple-direction normalization (E rows)."""
+        trunc = classify.default_truncation(p)
+        kind = classify_singularity(p, trunc)
+        if kind.tag == D_TYPE:
+            nmap = d_normal_form(p, trunc).normal_map
+            return [(apply_linear(p, nmap).truncate(trunc).partial(1), trunc)]
+        if kind.tag in (E6, E7, E8, CASE_BIV):
+            nmap = classify._cubic_branch_orders(p, trunc)[3]
+            return [(apply_linear(p, nmap).truncate(trunc).partial(1).partial(1), trunc)]
+        return []
+
+    @pytest.mark.parametrize("row", CORPUS, ids=[row.kind_label for row in CORPUS])
+    def test_corpus_rows_and_images(self, row):
+        rng = random.Random(f"branch {row.phase}")
+        p = parse_polynomial(row.phase)
+        for f, trunc in self._branch_inputs(p):
+            _assert_same_branch(f, trunc, exact=True)
+        c = rng.choice([-3, -2, -1, 1, 2, 3])
+        k = rng.choice([2, 3])
+        images = [apply_linear(p, rand_invertible_map(rng)), apply_shear(p, UnivariatePolynomial({k: c}))]
+        for image in images:
+            for f, trunc in self._branch_inputs(image):
+                _assert_same_branch(f, trunc)
+
+    def test_degenerate_pivot(self):
+        # f_y = 2*x^2 along the branch: pivot of order two
+        _assert_same_branch(parse_polynomial("x^2*y - x^5 + y^3"), 12)
+        with pytest.raises(NormalizationFailed, match="degenerate branch pivot"):
+            classify._branch_solve(parse_polynomial("x^2*y - x^5 + y^3"), 12)
+
+    def test_no_zero_slope_branch(self):
+        # y = x/2 is the only branch: slope one half
+        _assert_same_branch(parse_polynomial("2*y - x + y^2"), 12)
+        with pytest.raises(NormalizationFailed, match="zero slope"):
+            classify._branch_solve(parse_polynomial("2*y - x + y^2"), 12)

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import re
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nphk import cli, oscint
 from nphk.corpus import CORPUS, CorpusRow, check_row, run_corpus
@@ -203,6 +207,20 @@ class TestDecayCommand:
         assert len(lines) == 65
         assert "q=2" in capsys.readouterr().out
 
+    def test_randol_runs_its_sweep_on_the_worker_threads(self, capsys, monkeypatch):
+        seen = []
+        map_sweep = oscint.map_sweep
+
+        def spy(fn, lams, plan, workers=None):
+            seen.append(workers)
+            return map_sweep(fn, lams, plan, workers)
+
+        monkeypatch.setattr(oscint, "map_sweep", spy)
+        args = ["--phi", "(y - x^2)^2", "--randol", "--m", "2", "--grid", "8", "--lmin", "64", "--lmax", "256"]
+        assert cli.main(["decay", *args, "--workers", "2"]) == cli.EXIT_OK
+        assert seen == [2]
+        assert "q=2" in capsys.readouterr().out
+
     def test_randol_requires_m(self, capsys):
         code = cli.main(["decay", "--phi", "(y - x^2)^2", "--randol"])
         assert code == cli.EXIT_PARSE
@@ -288,3 +306,56 @@ class TestDecayCommand:
         assert code == cli.EXIT_PARSE
         payload = json.loads(capsys.readouterr().out)
         assert payload["exit_code"] == cli.EXIT_PARSE and "NPHK_WORKERS" in payload["error"]
+
+
+# -- every analyze input ends in a documented exit code ------------------------------
+
+_LEAVES = st.one_of(
+    st.sampled_from(["x", "y", "0", "1", "2", "3/2", "-1/3"]),
+    st.builds("{}^{}".format, st.sampled_from(["x", "y"]), st.integers(0, 12)),
+)
+
+
+def _join(parts, ops):
+    return "".join(part + op for part, op in zip(parts, ops)) + parts[-1]
+
+
+_SUMS = st.lists(_LEAVES, min_size=1, max_size=3).flatmap(
+    lambda parts: st.builds(
+        _join, st.just(parts), st.lists(st.sampled_from([" + ", " - ", "*", " "]), min_size=len(parts) - 1, max_size=len(parts) - 1)
+    )
+)
+_FACTORS = st.one_of(
+    _LEAVES,
+    st.builds("({})^{}".format, _SUMS, st.integers(0, 12)),
+    st.sampled_from([f"({row.phase})" for row in CORPUS]),
+)
+_PHASES = st.lists(_FACTORS, min_size=1, max_size=4).flatmap(
+    lambda parts: st.builds(
+        _join, st.just(parts), st.lists(st.sampled_from([" + ", " - ", "*"]), min_size=len(parts) - 1, max_size=len(parts) - 1)
+    )
+)
+# malformed text from the same alphabet; the space keeps every integer at most 12
+_SOUP = st.lists(
+    st.sampled_from(["x", "y", "z", "+", "-", "*", "^", "/", "(", ")", ".", "0", "2", "12", "1/2", "1.5", "^12", ""]),
+    max_size=12,
+).map(" ".join)
+_P_TOKENS = st.sampled_from(
+    ["1", "2", "4/3", "3/2", "6/5", "0", "3", "-1", "1/0", "0/0", "abc", "", " ", "1.5", "1e3", "nan", "inf", "2/3/4", "x"]
+)
+_P_LISTS = st.one_of(
+    st.lists(st.sampled_from(["1", "4/3", "3/2", "2"]), max_size=3),
+    st.lists(_P_TOKENS, max_size=4),
+).map(",".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(_PHASES, _SOUP), ps=_P_LISTS)
+def test_analyze_ends_in_a_documented_exit_code(text, ps):
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            code = cli.main(["analyze", "--phi", text, "--p", ps])
+        except SystemExit as exc:  # argparse rejects the argument list itself
+            code = exc.code
+    assert code in {cli.EXIT_OK, cli.EXIT_MISMATCH, cli.EXIT_PARSE, cli.EXIT_OUT_OF_SCOPE, cli.EXIT_NUMERIC}

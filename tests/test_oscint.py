@@ -616,6 +616,14 @@ class TestRandol:
                 lambda_grid=[64.0],
             )
 
+    def test_lq_scan_threads_give_the_same_values(self):
+        # the criterion-6 scan: threaded sweeps fold into the same maxima in lambda order
+        args = (parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2)
+        serial = randol_lq_scan(*args, q_list=(2.0, 8.0), workers=1)
+        threaded = randol_lq_scan(*args, q_list=(2.0, 8.0), workers=2)
+        assert threaded.M_values == serial.M_values
+        assert threaded.q_report == serial.q_report
+
     def test_lq_scan_smoke(self):
         amp = AmplitudeSpec()
         scan = randol_lq_scan(
