@@ -55,6 +55,7 @@ from .exponent import (
 )
 from .oscint import (
     AmplitudeSpec,
+    BudgetExceeded,
     DecayFit,
     QuadratureNotConverged,
     RandolScan,

@@ -10,7 +10,8 @@ Commands:
 
 All symbolic values serialize as exact "num/den" strings.  Exit codes:
 0 success, 1 corpus mismatch, 2 parse error, 3 exponent data requested for an
-out-of-range class, 4 numeric non-convergence.
+out-of-range class, 4 numeric non-convergence, a lambda outside the feasible
+range, or a quadrature or offset grid beyond its budget (``oscint.BudgetExceeded``).
 """
 
 from __future__ import annotations
@@ -68,6 +69,14 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(token)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def parse_exponent(text: str) -> float:
+    """A ``parse_rational`` value as a float; ValueError beyond the float range."""
+    try:
+        return float(parse_rational(text))
+    except OverflowError:
+        raise ValueError(f"{text!r} is beyond the float range") from None
 
 
 @dataclass
@@ -318,9 +327,13 @@ def run_decay(cfg: RunConfig, out=None) -> int:
     if len(samples) < 3:
         _emit_error(cfg, "fewer than three lambda points converged", EXIT_NUMERIC, out)
         return EXIT_NUMERIC
-    fit = oscint.fit_decay_from_samples(
-        [s_[0] for s_ in samples], [s_[1] for s_ in samples], [s_[2] for s_ in samples]
-    )
+    try:  # an |I| that underflowed
+        fit = oscint.fit_decay_from_samples(
+            [s_[0] for s_ in samples], [s_[1] for s_ in samples], [s_[2] for s_ in samples]
+        )
+    except oscint.QuadratureNotConverged as exc:
+        _emit_error(cfg, str(exc), EXIT_NUMERIC, out)
+        return EXIT_NUMERIC
     if cfg.csv_path:
         oscint.write_fit_csv(cfg.csv_path, fit)
     for line in failures:
@@ -402,7 +415,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.radius = args.radius
         cfg.randol = args.randol
         cfg.m = args.m
-        cfg.q_values = tuple(float(parse_rational(tok)) for tok in args.q.split(",") if tok.strip())
+        cfg.q_values = tuple(parse_exponent(tok) for tok in args.q.split(",") if tok.strip())
         cfg.csv_path = args.csv_path
         cfg.workers = args.workers
     else:

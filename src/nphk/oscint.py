@@ -10,7 +10,8 @@ locally: along each axis, a monomialwise bound of |d phi / d axis| + |s| on
 each strip of the amplitude's support gives the local oscillation count, and
 the panel edges follow it so that no panel holds more than an oversampled
 nodes-per-cycle budget allows or is wider than a fixed share of the support.
-A grid beyond a fixed node budget is refused before any node is built.  The
+A grid beyond a fixed node budget, or an offset scan beyond a fixed point
+budget, is refused before any of it is built (BudgetExceeded).  The
 integrand is evaluated in blocks of one panel's worth of x rows; for the
 radial bump each block covers only the y nodes inside the disc at its row
 nearest x = 0, since the amplitude is exactly zero on every other node, so
@@ -21,6 +22,24 @@ are swept and each -u column of the offset matrices is added into its +u
 column: both bumps are even, so the integrand's values at u and -u are the
 same floats.  Panel edges are made to mirror exactly, so this holds for
 every phase even in a variable.
+
+Each block is one fused pass over buffers allocated once per sweep.  The
+phase is one matrix product, the rows' powers in the distinct x-exponents
+times a per-sweep table Q[a, j] = lambda * sum_b c_ab y_j^b; the constant term
+is left out of it and applied as the exact global factor exp(i lambda c),
+reduced mod 2 pi in rational arithmetic, so it costs no accuracy at any size.
+The radial bump comes from 1-D tables and repeated squaring; the product bump
+is separable and rides on the Gauss weights.  cos and sin come from a
+table-driven kernel (``_sincos``): a three-part Cody-Waite reduction modulo
+2 pi / 1024, whose parts are split from a 75-digit pi, then Taylor
+polynomials on |r| <= pi/1024 combined with a 1024-entry table.  On the
+exact range |theta| <= SINCOS_RANGE (about 1.6e6) every value is within about
+2e-16 of cos and sin of the double theta; beyond it, decided from a bound
+taken once per sweep, np.cos and np.sin run instead.  The kernel and the
+sweep are checked against ``_dense_reference`` in the tests, which sums every
+node at once with np.exp and the bump written out and shares only the Gauss
+nodes with them; it stays the independent check of the whole fused pass.
+
 Every value is checked by a second Gauss-Legendre rule of order CHECK_ORDER
 on the same panels: the reported value is the order-CHECK_ORDER one, and its
 error is the relative difference between the two orders.  That error is a
@@ -39,12 +58,15 @@ the Riemann sums would measure the grid, not the function.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import os
+import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,6 +93,11 @@ MAX_FEASIBLE_LAMBDA = float(1 << 15)
 # most 9.3e7 at MAX_FEASIBLE_LAMBDA (x^2*y + y^3 with R = 0.6); a grid far
 # beyond that is a run of hours, not a desk-scale check.
 MAX_COARSE_NODES = 10**8
+# Offset points one maximal-function scan may hold on its finer grid.  The
+# largest scan criterion 6 or a test runs has 64^2 (32 cells refined twice);
+# 256^2 leaves a sixteenfold margin and keeps the fine totals and maxima near
+# 1.5 MB, where --grid 20000 would ask for 38 GB.
+MAX_SCAN_POINTS = 256**2
 # Equal strips per axis on which the gradient bound is taken.  This sets how
 # closely the panel sizes follow the local frequency, not the accuracy budget.
 _STRIPS = 512
@@ -86,6 +113,11 @@ DEFAULT_SCAN_CELLS = 32
 
 class QuadratureNotConverged(RuntimeError):
     """The order-GAUSS_ORDER and order-CHECK_ORDER values differ by more than REL_TOL."""
+
+
+class BudgetExceeded(ValueError):
+    """A quadrature grid beyond MAX_COARSE_NODES or an offset scan beyond
+    MAX_SCAN_POINTS, refused before any of it is built."""
 
 
 @dataclass(frozen=True)
@@ -156,7 +188,14 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 
 
 def _float_terms(phi: BivariatePolynomial) -> List[Tuple[int, int, float]]:
-    return [(a, b, float(c)) for (a, b), c in sorted(phi.terms.items())]
+    """The non-constant terms of ``phi`` as floats.
+
+    Raises ValueError for a coefficient beyond the float range.
+    """
+    try:
+        return [(a, b, float(c)) for (a, b), c in sorted(phi.terms.items()) if a or b]
+    except OverflowError:
+        raise ValueError("a phase coefficient is beyond the float range") from None
 
 
 def _strip_cycles(
@@ -215,9 +254,11 @@ def _axis_edges(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
 def _panels_for(phi: BivariatePolynomial, amp: AmplitudeSpec, lam: float, s_max: Tuple[float, float]) -> Tuple[np.ndarray, np.ndarray]:
     """Coarse panel edges per axis for offsets with |s_i| <= |s_max[i]|.
 
-    Raises ValueError for a lambda outside the feasible range, and before
-    any edge is placed when the coarse grid would need more than
-    MAX_COARSE_NODES nodes or its size is not finite.
+    Raises ValueError for a lambda outside the feasible range,
+    BudgetExceeded before any edge is placed when the coarse grid would need
+    more than MAX_COARSE_NODES nodes or its size is not finite, and
+    ValueError when the bump's mass is not a normal positive float (a radius
+    whose square overflows or underflows).
     """
     _check_lambda(lam)
     costs = [_axis_cost(phi, amp, lam, s_max[axis], axis) for axis in (0, 1)]
@@ -225,10 +266,13 @@ def _panels_for(phi: BivariatePolynomial, amp: AmplitudeSpec, lam: float, s_max:
     for _, cum in costs:
         nodes *= float(np.ceil(cum[-1]))
     if not nodes <= MAX_COARSE_NODES:
-        raise ValueError(
+        raise BudgetExceeded(
             f"lambda={lam:g} with radius {amp.radius:g} needs {nodes:.3g} coarse quadrature nodes,"
             f" more than the budget of {MAX_COARSE_NODES:.3g}"
         )
+    mass = amplitude_mass(amp)
+    if not sys.float_info.min <= mass < math.inf:
+        raise ValueError(f"radius {amp.radius:g} gives the bump a mass of {mass:g}, outside the float range")
     return _axis_edges(*costs[0]), _axis_edges(*costs[1])
 
 
@@ -267,14 +311,35 @@ def _fold(nodes: np.ndarray, mats: List[np.ndarray], even: bool) -> Tuple[np.nda
     return nodes[h:], [m[:, h:] + m[:, :h][:, ::-1] for m in mats]
 
 
-def _bump_rows(amp: AmplitudeSpec, xc: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = amp.radius
-    if amp.profile == "radial":
-        t = 1.0 - (xc[:, None] ** 2 + y[None, :] ** 2) / (r * r)
-        return np.where(t > 0.0, t, 0.0) ** amp.order
-    tx = np.clip(1.0 - (xc / r) ** 2, 0.0, None) ** amp.order
-    ty = np.clip(1.0 - (y / r) ** 2, 0.0, None) ** amp.order
-    return tx[:, None] * ty[None, :]
+def _bump_axis(amp: AmplitudeSpec, u: np.ndarray) -> np.ndarray:
+    """The product bump's factor (1 - (u/R)^2)^order along one axis."""
+    return np.clip(1.0 - (u / amp.radius) ** 2, 0.0, None) ** amp.order
+
+
+def _power(t: np.ndarray, n: int, scratch: np.ndarray) -> np.ndarray:
+    """t**n for an integer n >= 1 by repeated squaring, in place in ``t`` and
+    ``scratch``; returns the one of the two that holds it."""
+    while n % 2 == 0:
+        np.multiply(t, t, out=t)
+        n //= 2
+    if n == 1:
+        return t
+    np.copyto(scratch, t)
+    n >>= 1
+    while n:
+        np.multiply(t, t, out=t)
+        if n & 1:
+            scratch *= t
+        n >>= 1
+    return scratch
+
+
+def _radial_bump(ux: np.ndarray, vy: np.ndarray, order: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """(1 - (x^2 + y^2)/R^2)^order clipped at 0 on a block, from the tables
+    ux = 1 - x^2/R^2 of its rows and vy = y^2/R^2 of its columns."""
+    np.subtract(ux[:, None], vy[None, :], out=out)
+    np.maximum(out, 0.0, out=out)
+    return _power(out, order, scratch)
 
 
 def _power_cache(base: np.ndarray):
@@ -291,16 +356,141 @@ def _power_cache(base: np.ndarray):
     return pw
 
 
-def _phase_rows(terms, xc: np.ndarray, ypow, out: np.ndarray) -> np.ndarray:
-    """lam-free phase values on a block of rows, accumulated into ``out``."""
-    xp = _power_cache(xc)
-    out.fill(0.0)
-    tmp = np.empty_like(out)
-    for a, b, c in terms:
-        np.multiply(xp(a)[:, None], ypow(b)[None, :], out=tmp)
-        tmp *= c
-        out += tmp
-    return out
+# -- trig kernel ---------------------------------------------------------------
+#
+# cos and sin by table lookup after a Cody-Waite reduction (Cody and Waite,
+# Software Manual for the Elementary Functions, 1980; Tang, ACM TOMS 15, 1989):
+# theta = k*STEP + r with STEP = 2*pi/_TRIG_STEPS, k = rint(theta/STEP) and
+# |r| <= STEP/2, then cos(theta) = C_k cos r - S_k sin r and
+# sin(theta) = S_k cos r + C_k sin r with C_k, S_k from a table and cos r, sin r
+# from their Taylor polynomials to r^4 and r^5 (truncation below 1.2e-18).
+
+_TRIG_STEPS = 1024
+_PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494459230781640628")
+
+
+def _step_parts() -> Tuple[float, float, float]:
+    """2*pi/_TRIG_STEPS as c1 + c2 + c3, split from the 75-digit value of pi.
+
+    c1 and c2 carry 24 significant bits, so k*c1 and k*c2 are exact for
+    |k| < 2^29; c3 is the rounded rest, and the three sum to the step
+    within 1e-32.
+    """
+    rest = 2 * _PI / _TRIG_STEPS
+    parts = []
+    for bits in (24, 24, 53):
+        mant, exp = math.frexp(float(rest))
+        part = math.ldexp(round(math.ldexp(mant, bits)), exp - bits)
+        parts.append(part)
+        rest -= Fraction(part)
+    return tuple(parts)
+
+
+_STEP1, _STEP2, _STEP3 = _step_parts()
+_STEPS_PER_RADIAN = float(_TRIG_STEPS / (2 * _PI))
+# |theta| up to which |k| stays below 2^28, half the exact range of k*c1.
+SINCOS_RANGE = 2.0**28 * _STEP1
+# Entries of the offset matrices one _sincos call takes.
+_OFFSET_CHUNK = 1 << 16
+
+
+@functools.lru_cache(maxsize=1)
+def _trig_table() -> Tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2*pi*j/_TRIG_STEPS for every j, built on first use.
+
+    Only the first octant is evaluated: each argument is the double nearest
+    the exact one, and the first-order term in its rounding error is added
+    back, so every entry is within about an ulp.  The rest follows by exact
+    symmetry, so cos(-theta) and -sin(-theta) come out as the same floats as
+    cos(theta) and sin(theta), and the entries at multiples of pi/2 are exact.
+    """
+    quarter = _TRIG_STEPS // 4
+    exact = [j * 2 * _PI / _TRIG_STEPS for j in range(quarter // 2 + 1)]
+    arg = np.array([float(a) for a in exact])
+    err = np.array([float(a - Fraction(f)) for a, f in zip(exact, arg)])
+    q = np.empty(quarter + 1)  # cos on the first quadrant
+    q[: quarter // 2 + 1] = np.cos(arg) - err * np.sin(arg)
+    q[quarter // 2 :][::-1] = np.sin(arg) + err * np.cos(arg)
+    cos_t = np.concatenate((q, -q[quarter - 1 :: -1], -q[1:], q[quarter - 1 : 0 : -1])) + 0.0
+    sin_t = np.roll(cos_t, quarter)
+    cos_t.flags.writeable = sin_t.flags.writeable = False
+    return cos_t, sin_t
+
+
+def _sincos(
+    theta: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray, scratch: Sequence[np.ndarray], bound: float
+) -> None:
+    """cos(theta) into ``cos_out`` and sin(theta) into ``sin_out``.
+
+    ``bound`` bounds |theta|.  Up to SINCOS_RANGE the table kernel runs, and
+    each value is within about 2e-16 of the exact one for the double theta;
+    beyond it (or for a bound that is not finite) np.cos and np.sin do.
+    ``theta`` and the three ``scratch`` arrays of its shape are overwritten.
+    """
+    if not bound <= SINCOS_RANGE:
+        np.cos(theta, out=cos_out)
+        np.sin(theta, out=sin_out)
+        return
+    cos_t, sin_t = _trig_table()
+    k, r, t = scratch
+    np.multiply(theta, _STEPS_PER_RADIAN, out=k)
+    np.rint(k, out=k)
+    np.multiply(k, _STEP1, out=r)
+    np.subtract(theta, r, out=r)  # exact: k*c1 is exact and close to theta
+    for part in (_STEP2, _STEP3):
+        np.multiply(k, part, out=theta)
+        r -= theta
+    idx = t.view(np.int64)
+    np.copyto(idx, k, casting="unsafe")
+    np.bitwise_and(idx, _TRIG_STEPS - 1, out=idx)
+    np.take(cos_t, idx, out=cos_out, mode="clip")
+    np.take(sin_t, idx, out=sin_out, mode="clip")
+    r2 = theta
+    np.multiply(r, r, out=r2)
+    sin_r = k
+    np.multiply(r2, 1.0 / 120.0, out=sin_r)
+    sin_r -= 1.0 / 6.0
+    sin_r *= r2
+    sin_r *= r
+    sin_r += r
+    cos_r1 = t  # cos r - 1
+    np.multiply(r2, 1.0 / 24.0, out=cos_r1)
+    cos_r1 -= 0.5
+    cos_r1 *= r2
+    np.multiply(cos_out, sin_r, out=r)
+    sin_r *= sin_out
+    np.multiply(sin_out, cos_r1, out=r2)
+    r2 += r
+    sin_out += r2
+    cos_r1 *= cos_out
+    cos_r1 -= sin_r
+    cos_out += cos_r1
+
+
+def _offsets(lam: float, s: np.ndarray, u: np.ndarray, w: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) -> None:
+    """cos and sin of lam*s[i]*u[j], times w[j], into cos_out[i, j] and sin_out[i, j].
+
+    The rows go through ``_sincos`` a few at a time, so its scratch holds
+    about _OFFSET_CHUNK entries however many offsets there are.
+    """
+    bound = lam * float(np.abs(s).max(initial=0.0)) * float(np.abs(u).max(initial=0.0))
+    rows = max(1, _OFFSET_CHUNK // u.size)
+    work = np.empty((4, min(rows, s.size), u.size))
+    for i in range(0, s.size, rows):
+        part = s[i : i + rows]
+        theta, *scratch = work[:, : part.size]
+        np.multiply.outer(part, u, out=theta)
+        theta *= lam
+        _sincos(theta, cos_out[i : i + rows], sin_out[i : i + rows], scratch, bound)
+    cos_out *= w
+    sin_out *= w
+
+
+def _phase_rows(exps: np.ndarray, xc: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """lam times the phase without its constant on a block of rows, into ``out``:
+    the rows' powers in the distinct x-exponents ``exps`` times the matching
+    columns ``q`` of the sweep's table Q[a, j] = lam * sum_b c_ab y_j^b."""
+    return np.matmul(xc[:, None] ** exps, q, out=out)
 
 
 def _disc_columns(amp: AmplitudeSpec, xc: np.ndarray, y: np.ndarray) -> Tuple[int, int]:
@@ -318,6 +508,12 @@ def _disc_columns(amp: AmplitudeSpec, xc: np.ndarray, y: np.ndarray) -> Tuple[in
     return int(np.searchsorted(y, -w)), int(np.searchsorted(y, w, "right"))
 
 
+def _global_phase(phi: BivariatePolynomial, lam: float) -> complex:
+    """exp(i*lam*c) for the constant term c of the phase, reduced exactly mod 2*pi."""
+    turn = Fraction(lam) * phi.terms.get((0, 0), 0) % (2 * _PI)
+    return cmath.exp(1j * float(turn))
+
+
 def _osc_grids(
     phi: BivariatePolynomial,
     amp: AmplitudeSpec,
@@ -333,39 +529,70 @@ def _osc_grids(
     every panel.  Each axis in which the phase is even is folded onto its
     nodes >= 0 (``_fold``).  The sweep takes ``order`` rows (one panel's
     worth) per block and evaluates the integrand only on the y nodes
-    ``_disc_columns`` gives that block.
+    ``_disc_columns`` gives that block, in buffers allocated once per sweep.
+    The product bump rides on the weights; the constant term of the phase is
+    the factor ``_global_phase`` outside the sum.
     """
     x, wx = _gauss_axis(edges[0], order)
     y, wy = _gauss_axis(edges[1], order)
-    terms = _float_terms(phi)
+    radial = amp.profile == "radial"
+    if not radial:
+        wx = wx * _bump_axis(amp, x)
+        wy = wy * _bump_axis(amp, y)
 
-    mats_a = [np.exp(1j * lam * np.outer(s1, x)) * wx[None, :] for s1, _ in grids]
-    mats_b = [np.exp(1j * lam * np.outer(s2, y)) * wy[None, :] for _, s2 in grids]
+    mats_a = [np.empty((s1.size, x.size), dtype=np.complex128) for s1, _ in grids]
+    for (s1, _), mat in zip(grids, mats_a):
+        _offsets(lam, s1, x, wx, mat.real, mat.imag)
+    # the cos rows of every grid, then their sin rows
+    nb = [s2.size for _, s2 in grids]
+    starts = np.cumsum([0] + nb[:-1])
+    n_b = sum(nb)
+    mat_b = np.empty((2, n_b, y.size))
+    for (_, s2), start in zip(grids, starts):
+        _offsets(lam, s2, y, wy, mat_b[0, start : start + s2.size], mat_b[1, start : start + s2.size])
+    mat_b = mat_b.reshape(2 * n_b, y.size)
     x, mats_a = _fold(x, mats_a, all(a % 2 == 0 for a, _ in phi.terms))
-    y, mats_b = _fold(y, mats_b, all(b % 2 == 0 for _, b in phi.terms))
-    totals = [
-        np.zeros((a.shape[0], b.shape[0]), dtype=np.complex128)
-        for a, b in zip(mats_a, mats_b)
-    ]
+    y, (mat_b,) = _fold(y, [mat_b], all(b % 2 == 0 for _, b in phi.terms))
+    totals = [np.zeros((a.shape[0], n), dtype=np.complex128) for a, n in zip(mats_a, nb)]
 
-    phase = np.empty(order * y.size)
-    e = np.empty(order * y.size, dtype=np.complex128)
+    terms = _float_terms(phi)
+    exps = sorted({a for a, _, _ in terms})
+    q = np.zeros((len(exps), y.size))
     ypow = _power_cache(y)
+    for a, b, c in terms:
+        q[exps.index(a)] += (lam * c) * ypow(b)
+    exps = np.array(exps, dtype=float)
+    theta_max = float(np.max(float(np.abs(x).max()) ** exps @ np.abs(q), initial=0.0))
+    if radial:
+        r2 = amp.radius * amp.radius
+        ux = 1.0 - x * x / r2
+        vy = y * y / r2
+
+    # g cos(theta) and g sin(theta) of a block, then theta and three scratch arrays
+    pair = np.empty(2 * order * y.size)
+    work = np.empty((4, order * y.size))
     for row in range(0, x.size, order):
         block = slice(row, row + order)
         xc = x[block]
         lo, hi = _disc_columns(amp, xc, y)
-        cols = hi - lo
-        p = _phase_rows(terms, xc, lambda b: ypow(b)[lo:hi], phase[: xc.size * cols].reshape(xc.size, cols))
-        p *= lam
-        g = _bump_rows(amp, xc, y[lo:hi])
-        eh = e[: xc.size * cols].reshape(xc.size, cols)
-        np.cos(p, out=eh.real)
-        np.sin(p, out=eh.imag)
-        eh.real *= g
-        eh.imag *= g
-        for total, a, b in zip(totals, mats_a, mats_b):
-            total += a[:, block] @ (eh @ b[:, lo:hi].T)
+        n, size = xc.size, xc.size * (hi - lo)
+        e = pair[: 2 * size].reshape(2, n, hi - lo)
+        theta, *scratch = (w[:size].reshape(n, hi - lo) for w in work)
+        _phase_rows(exps, xc, q[:, lo:hi], theta)
+        _sincos(theta, e[0], e[1], scratch, theta_max)
+        if radial:
+            e *= _radial_bump(ux[block], vy[lo:hi], amp.order, theta, scratch[0])
+        # p = [g cos; g sin] @ [B cos; B sin]^T, so the block's sums over its
+        # columns against B = B cos + i B sin are these two combinations
+        p = e.reshape(2 * n, hi - lo) @ mat_b[:, lo:hi].T
+        m = np.empty((n, n_b), dtype=np.complex128)
+        np.subtract(p[:n, :n_b], p[n:, n_b:], out=m.real)
+        np.add(p[:n, n_b:], p[n:, :n_b], out=m.imag)
+        for total, a, start, count in zip(totals, mats_a, starts, nb):
+            total += a[:, block] @ m[:, start : start + count]
+    turn = _global_phase(phi, lam)
+    for total in totals:
+        total *= turn
     return totals
 
 
@@ -377,7 +604,7 @@ def amplitude_mass(amp: AmplitudeSpec) -> float:
     """
     n = amp.order
     if amp.profile == "radial":
-        return math.pi * amp.radius**2 / (n + 1)
+        return math.pi * (amp.radius * amp.radius) / (n + 1)
     one_d = amp.radius * (2 ** (2 * n + 1) * math.factorial(n) ** 2 / math.factorial(2 * n + 1))
     return one_d * one_d
 
@@ -628,14 +855,17 @@ def randol_maximal(
     s: Tuple[float, float],
     lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
 ) -> float:
-    """Grid approximation (a lower bound) of sup_lambda lambda^(1/2+1/(m+1)) |I(lambda, s)|."""
+    """Grid approximation (a lower bound) of sup_lambda lambda^(1/2+1/(m+1)) |I(lambda, s)|.
+
+    Every lambda passes ``_sweep_edges`` before any quadrature runs, and the
+    sweep runs through ``map_sweep``.
+    """
     _require_d_type(phi, m)
+    lams = sorted(float(v) for v in lambda_grid)
+    plan = _sweep_edges(phi, amp, lams, s)
+    values = map_sweep(lambda lam, edges: _eval_on_edges(phi, amp, lam, s, edges)[0], lams, plan)
     w = randol_weight(m)
-    best = 0.0
-    for lam in sorted(float(v) for v in lambda_grid):
-        value, _ = _eval_with_error(phi, amp, lam, s)
-        best = max(best, lam**w * abs(value))
-    return best
+    return max((lam**w * abs(v) for lam, v in zip(lams, values)), default=0.0)
 
 
 def cell_centered_grid(half_width: float, cells: int) -> np.ndarray:
@@ -666,14 +896,21 @@ def randol_lq_scan(
     check does not change any reported value.  The per-lambda sweeps run
     through ``map_sweep`` on ``workers`` threads and are folded into the
     maxima in lambda order, so the values do not depend on ``workers``.
+    A finer grid of more than MAX_SCAN_POINTS offsets raises BudgetExceeded
+    before anything is built.
     """
     if cells < 1 or refine < 1:
         raise ValueError(f"offset scans need cells >= 1 and refine >= 1, got cells={cells}, refine={refine}")
+    cells += cells % 2  # keep sample points off the axis caustic
+    if (refine * cells) ** 2 > MAX_SCAN_POINTS:
+        raise BudgetExceeded(
+            f"a scan of {cells} cells refined {refine} times has {(refine * cells) ** 2} offset points,"
+            f" more than the budget of {MAX_SCAN_POINTS}"
+        )
     lams = sorted(float(v) for v in lambda_grid)
     _require_d_type(phi, m)
     plan = _sweep_edges(phi, amp, lams, (half_width, half_width))
     w = randol_weight(m)
-    cells += cells % 2  # keep sample points off the axis caustic
     coarse = cell_centered_grid(half_width, cells)
     fine = cell_centered_grid(half_width, refine * cells)
     grids = [(coarse, coarse), (fine, fine)]

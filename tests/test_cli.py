@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from nphk import cli, oscint
@@ -358,4 +358,69 @@ def test_analyze_ends_in_a_documented_exit_code(text, ps):
             code = cli.main(["analyze", "--phi", text, "--p", ps])
         except SystemExit as exc:  # argparse rejects the argument list itself
             code = exc.code
+    assert code in {cli.EXIT_OK, cli.EXIT_MISMATCH, cli.EXIT_PARSE, cli.EXIT_OUT_OF_SCOPE, cli.EXIT_NUMERIC}
+
+
+# -- every decay input ends in a documented exit code --------------------------------
+
+# Small phases: every feasible one costs little at lambda <= 256 and radius <= 1.
+_SMALL_LEAVES = st.one_of(
+    st.sampled_from(["x", "y", "0", "1", "2", "3/2", "-1/3", "1000000"]),
+    st.builds("{}^{}".format, st.sampled_from(["x", "y"]), st.integers(0, 6)),
+)
+_SMALL_SUMS = st.lists(_SMALL_LEAVES, min_size=1, max_size=3).flatmap(
+    lambda parts: st.builds(
+        _join, st.just(parts), st.lists(st.sampled_from([" + ", " - ", "*"]), min_size=len(parts) - 1, max_size=len(parts) - 1)
+    )
+)
+_DECAY_PHASES = st.one_of(
+    st.sampled_from(
+        [
+            "x^2 + y^2", "x^2*y + y^3", "(y - x^2)^2", "(y - x^2)^2 + x^5", "x*y^2 + x^5", "x^2 + y^2 - 4*x^3",
+            "1000000 + x^2 + y^2", "10^400 + x^2 + y^2", "10^400*x^2 + y^2", "10^-400*x^2 + y^2", "x +", "", "z",
+        ]
+    ),
+    st.builds("({})^{}".format, _SMALL_SUMS, st.integers(1, 3)),
+    _SMALL_SUMS,
+)
+# Per option: values that run, then values to spoil it with.  Every window
+# that runs holds at most nine lambdas up to 256.
+_DECAY_OPTIONS = {
+    "window": (
+        [("64", "256"), ("16", "128"), ("1", "16"), ("0.5", "4"), ("128", "256"), ("64", "64")],
+        [
+            ("256", "64"), ("nan", "256"), ("64", "nan"), ("inf", "inf"), ("-inf", "256"), ("64", "inf"), ("0", "256"),
+            ("-64", "256"), ("64", "-1"), ("64", "65536"), ("64", "1e300"), ("1e-300", "1e-299"), ("x", "256"),
+        ],
+    ),
+    "radius": (["0.25", "0.1", "0.4", "0.6", "1"], ["0", "-1", "nan", "inf", "1e-300", "1e-160", "1e-8", "1e200", "r"]),
+    "grid": (["2", "8", "31", "32"], ["0", "-2", "129", "20000", "1000000000", "1" + "0" * 30, "g"]),
+    "m": ([None, "1", "2", "3"], ["0", "-1", "-2", "6", "m"]),
+    "q": (["", "2", "2,8", "1/2"], ["0", "-2", "1000", "1e3", "1/0", "nan", "q", "1" * 400]),
+}
+
+
+@st.composite
+def _decay_args(draw):
+    """A decay argument list: some options spoiled, the others drawn from values that run."""
+    spoiled = draw(st.sets(st.sampled_from(sorted(_DECAY_OPTIONS)), max_size=2))
+    picked = {name: draw(st.sampled_from(bad if name in spoiled else good)) for name, (good, bad) in _DECAY_OPTIONS.items()}
+    (lmin, lmax), m = picked["window"], picked["m"]
+    args = ["decay", "--phi", draw(_DECAY_PHASES), f"--lmin={lmin}", f"--lmax={lmax}"]
+    args += [f"--radius={picked['radius']}", f"--grid={picked['grid']}", f"--q={picked['q']}"]
+    if draw(st.booleans()):
+        args.append("--randol")
+    return args + ([] if m is None else [f"--m={m}"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(args=_decay_args())
+def test_decay_ends_in_a_documented_exit_code(args):
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:  # argparse rejects the argument list itself
+            code = exc.code
+    event(f"exit code {code}")
     assert code in {cli.EXIT_OK, cli.EXIT_MISMATCH, cli.EXIT_PARSE, cli.EXIT_OUT_OF_SCOPE, cli.EXIT_NUMERIC}

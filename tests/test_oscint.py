@@ -1,6 +1,9 @@
+import decimal
 import gc
 import math
 import time
+import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -16,9 +19,12 @@ from nphk.oscint import (
     GAUSS_ORDER,
     MAX_COARSE_NODES,
     MAX_FEASIBLE_LAMBDA,
+    MAX_SCAN_POINTS,
     MIN_PANELS,
     OVERSAMPLE_NODES_PER_CYCLE,
+    SINCOS_RANGE,
     AmplitudeSpec,
+    BudgetExceeded,
     QuadratureNotConverged,
     amplitude_mass,
     check_amplitude_support,
@@ -30,7 +36,6 @@ from nphk.oscint import (
     randol_lq_scan,
     randol_maximal,
     resolve_workers,
-    _bump_rows,
     _disc_columns,
     _eval_on_edges,
     _eval_with_error,
@@ -38,6 +43,9 @@ from nphk.oscint import (
     _order_check,
     _osc_grids,
     _panels_for,
+    _power,
+    _radial_bump,
+    _sincos,
     _strip_cycles,
 )
 from nphk.polyring import BivariatePolynomial, parse_polynomial
@@ -288,8 +296,17 @@ SWEEP_CASES = [
     ("x*y^2 + x^5", AmplitudeSpec(radius=0.6, order=2), 128.0, _SCAN_GRIDS,
      (_mirrored(np.linspace(-0.6, 0.6, 10)), _mirrored(np.linspace(-0.6, 0.6, 12)))),
     ("(y - x^2)^2 + x^5", AmplitudeSpec(radius=0.4, order=2), 256.0, _one(0.02, 0.01), None),
+    # the CLI's order-8 radial bump, an order that is not a power of two, a
+    # product bump of order 2, and a constant term
+    ("x^2*y + y^3", AmplitudeSpec(radius=0.25, order=8), 256.0, _one(0.03, -0.02), None),
+    ("x*y^2 + x^5", AmplitudeSpec(radius=0.3, order=6), 256.0, _one(0.01, 0.02), None),
+    ("(y - x^2)^2 + x^5", AmplitudeSpec(radius=0.4, order=2, profile="product"), 256.0, _one(0.02, 0.01), None),
+    ("7/3 + x^2 - 2*y^2", AmplitudeSpec(radius=0.4, order=2), 256.0, _one(0.01, 0.0), None),
 ]
-SWEEP_IDS = ["radial", "product", "scan-grids", "odd-panels", "odd-panels-scan-grids", "no-parity"]
+SWEEP_IDS = [
+    "radial", "product", "scan-grids", "odd-panels", "odd-panels-scan-grids", "no-parity",
+    "radial-order-8", "radial-order-6", "product-order-2", "constant-term",
+]
 
 
 def _case_edges(case):
@@ -327,7 +344,11 @@ class TestBlockedSweep:
             kept += GAUSS_ORDER * (hi - lo)
             skipped = np.concatenate((y[:lo], y[hi:]))
             assert np.all(xc[:, None] ** 2 + skipped[None, :] ** 2 >= amp.radius**2)
-            assert np.all(_bump_rows(amp, xc, skipped) == 0.0)
+            # the sweep's own bump, from its tables, is exactly zero there too
+            r2 = amp.radius * amp.radius
+            shape = (xc.size, skipped.size)
+            bump = _radial_bump(1.0 - xc * xc / r2, skipped * skipped / r2, amp.order, np.empty(shape), np.empty(shape))
+            assert np.all(bump == 0.0)
         if amp.profile == "radial":
             # the disc is pi/4 of the square; the clipped blocks keep little more
             assert kept < 0.9 * x.size * y.size
@@ -424,6 +445,122 @@ def test_folded_sweep_equals_unfolded(phi, profile, lam, s):
         np.testing.assert_allclose(f, u, rtol=1e-12, atol=1e-12 * amplitude_mass(amp))
 
 
+def _machin_pi(digits: int = 60) -> Fraction:
+    """pi within 10^-digits from Machin's formula in integer arithmetic."""
+    scale = 10 ** (digits + 10)
+
+    def arctan_inv(n):
+        total, power, k = 0, scale // n, 0
+        while power:
+            total += (-1) ** k * (power // (2 * k + 1))
+            power //= n * n
+            k += 1
+        return total
+
+    return Fraction(16 * arctan_inv(5) - 4 * arctan_inv(239), scale)
+
+
+_STEP = 2 * math.pi / 1024
+_KS = st.integers(-(2**27), 2**27)
+_THETAS = st.one_of(
+    st.floats(-SINCOS_RANGE, SINCOS_RANGE),
+    st.sampled_from([0.0, -0.0]),
+    _KS.map(lambda k: k * _STEP),
+    _KS.map(lambda k: (k + 0.5) * _STEP),
+    # theta * 1024 / (2 pi) lands on k + 1/2 exactly for many k: ties of rint
+    _KS.map(lambda k: (k + 0.5) / oscint._STEPS_PER_RADIAN),
+)
+
+
+def _run_sincos(theta, bound=None):
+    cos_out, sin_out = np.empty_like(theta), np.empty_like(theta)
+    bound = float(np.abs(theta).max()) if bound is None else bound
+    _sincos(theta.copy(), cos_out, sin_out, [np.empty_like(theta) for _ in range(3)], bound)
+    return cos_out, sin_out
+
+
+class TestTrigKernel:
+    def test_step_parts_sum_to_the_step(self):
+        parts = (oscint._STEP1, oscint._STEP2, oscint._STEP3)
+        assert abs(sum(Fraction(p) for p in parts) - 2 * _machin_pi() / 1024) < Fraction(1, 10**30)
+        # k * c1 and k * c2 are exact for |k| < 2^29: 24 significant bits each
+        for part in parts[:2]:
+            mant, _ = math.frexp(part)
+            assert math.ldexp(mant, 24).is_integer()
+
+    def test_table_entries_are_within_an_ulp(self):
+        # the first octant, which the rest mirrors, against Taylor series in
+        # 50-digit decimals; without the rounding correction j = 41 is 1.29 ulp off
+        cos_t, sin_t = oscint._trig_table()
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            pi = _machin_pi()
+            pi = Decimal(pi.numerator) / Decimal(pi.denominator)
+            for j in range(129):
+                x = 2 * pi * j / 1024
+                term, exact = Decimal(1), [Decimal(0), Decimal(0)]
+                for n in range(40):
+                    exact[n % 2] += term if n % 4 < 2 else -term
+                    term = term * x / (n + 1)
+                for got, want in zip((cos_t[j], sin_t[j]), exact):
+                    assert abs(Decimal(float(got)) - want) <= Decimal(float(np.spacing(abs(float(want)))))
+
+    @settings(max_examples=200, deadline=None)
+    @given(thetas=st.lists(_THETAS, min_size=1, max_size=64))
+    def test_matches_libm_in_the_exact_range(self, thetas):
+        theta = np.array(thetas)
+        cos_t, sin_t = _run_sincos(theta)
+        tol = np.spacing(np.abs(theta)) + 4e-16
+        assert np.all(np.abs(cos_t - np.cos(theta)) <= tol)
+        assert np.all(np.abs(sin_t - np.sin(theta)) <= tol)
+        # the table mirrors exactly, so -theta gives the same floats
+        cos_m, sin_m = _run_sincos(-theta)
+        assert np.array_equal(cos_m, cos_t) and np.array_equal(sin_m, -sin_t)
+
+    def test_rint_ties_occur_and_agree(self):
+        theta = (np.arange(-500, 500) + 0.5) / oscint._STEPS_PER_RADIAN
+        ties = theta[theta * oscint._STEPS_PER_RADIAN % 1.0 == 0.5]
+        assert ties.size > 100
+        cos_t, sin_t = _run_sincos(ties)
+        np.testing.assert_allclose(cos_t, np.cos(ties), rtol=0, atol=5e-16)
+        np.testing.assert_allclose(sin_t, np.sin(ties), rtol=0, atol=5e-16)
+
+    def test_beyond_the_range_is_libm_exactly(self):
+        big = np.concatenate((np.geomspace(SINCOS_RANGE * 1.001, 1e15, 40), -np.geomspace(SINCOS_RANGE * 1.001, 1e300, 40)))
+        cos_t, sin_t = _run_sincos(big)
+        assert np.array_equal(cos_t, np.cos(big)) and np.array_equal(sin_t, np.sin(big))
+        # so does a bound that is not finite, whatever the values
+        small = np.linspace(-3.0, 3.0, 41)
+        for bound in (math.inf, math.nan):
+            cos_t, sin_t = _run_sincos(small, bound)
+            assert np.array_equal(cos_t, np.cos(small)) and np.array_equal(sin_t, np.sin(small))
+
+    def test_sweep_through_the_fallback_matches_dense_reference(self, monkeypatch):
+        monkeypatch.setattr(oscint, "SINCOS_RANGE", 0.0)
+        case = SWEEP_CASES[2]
+        text, amp, lam, grids, _ = case
+        got = _osc_grids(parse_polynomial(text), amp, lam, grids, _case_edges(case))
+        want = _dense_reference(parse_polynomial(text), amp, lam, grids, _case_edges(case))
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+
+    @pytest.mark.parametrize("const", ["1000000", "1000000/3"])
+    def test_a_constant_term_is_an_exact_global_phase(self, const):
+        amp = AmplitudeSpec()
+        for lam in (64.0, 256.0, 1024.0):
+            shifted = eval_oscillatory(parse_polynomial(f"{const} + x^2 + y^2"), amp, lam)
+            plain = eval_oscillatory(parse_polynomial("x^2 + y^2"), amp, lam)
+            assert abs(shifted) == pytest.approx(abs(plain), rel=1e-12)
+            turn = Fraction(lam) * Fraction(const) % (2 * _machin_pi())
+            assert shifted == pytest.approx(plain * complex(math.cos(turn), math.sin(turn)), rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_power_by_squaring(self, n):
+        t = np.linspace(0.0, 1.0, 33)
+        got = _power(t.copy(), n, np.empty_like(t))
+        np.testing.assert_allclose(got, t**n, rtol=4 * n * 2**-53, atol=0)
+
+
 class TestNodeBudget:
     @pytest.mark.parametrize("radius,lams", [(4.0, (64.0, 16384.0)), (1e200, (64.0, 256.0))], ids=["radius-4", "radius-1e200"])
     def test_oversized_grids_refused_at_once(self, radius, lams):
@@ -438,6 +575,32 @@ class TestNodeBudget:
             with pytest.raises(ValueError, match="coarse quadrature nodes"):
                 call()
             assert time.perf_counter() - start < 1.0
+
+
+class TestScanBudget:
+    def test_huge_scan_refused_before_anything_is_built(self):
+        # --grid 20000 would ask for 40000^2 complex totals (25.6 GB)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="offset points"):
+                randol_lq_scan(parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, q_list=(2.0,), cells=20000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_budget_boundary(self):
+        # 128 cells refined twice fill the budget exactly; 129 rounds up to 130
+        args = (parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2)
+        kwargs = dict(q_list=(2.0,), lambda_grid=[64.0], validate=False)
+        assert (2 * 128) ** 2 == MAX_SCAN_POINTS
+        assert len(randol_lq_scan(*args, cells=128, **kwargs).M_values) == 128**2
+        with pytest.raises(BudgetExceeded, match="130 cells"):
+            randol_lq_scan(*args, cells=129, **kwargs)
+
+    def test_node_budget_is_the_same_error(self):
+        with pytest.raises(BudgetExceeded, match="coarse quadrature nodes"):
+            eval_oscillatory(parse_polynomial("x^2 + y^2"), AmplitudeSpec(radius=4.0), 16384.0)
 
 
 class TestSweepHelpers:
@@ -600,6 +763,20 @@ class TestRandol:
         near = randol_maximal(p, amp, 2, (0.0, 0.0), dyadic_grid(64, 512))
         far = randol_maximal(p, amp, 2, (1.0, 1.0), dyadic_grid(64, 512))
         assert far < 1e-2 * near
+
+    def test_infeasible_last_lambda_fails_before_any_node(self, monkeypatch):
+        built = []
+        gauss_axis = oscint._gauss_axis
+        monkeypatch.setattr(oscint, "_gauss_axis", lambda *args: built.append(args) or gauss_axis(*args))
+        with pytest.raises(ValueError, match="feasible"):
+            randol_maximal(parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, (0.0, 0.0), [64.0, 128.0, float(1 << 16)])
+        assert built == []
+
+    def test_maximal_on_threads_equals_serial(self, monkeypatch):
+        args = (parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, (0.01, -0.02), dyadic_grid(64, 512))
+        serial = randol_maximal(*args)
+        monkeypatch.setenv("NPHK_WORKERS", "2")
+        assert randol_maximal(*args) == serial
 
     def test_wrong_classification_rejected(self):
         amp = AmplitudeSpec()
