@@ -27,7 +27,8 @@ Each block is one fused pass over buffers allocated once per sweep.  The
 phase is one matrix product, the rows' powers in the distinct x-exponents
 times a per-sweep table Q[a, j] = lambda * sum_b c_ab y_j^b; the constant term
 is left out of it and applied as the exact global factor exp(i lambda c),
-reduced mod 2 pi in rational arithmetic, so it costs no accuracy at any size.
+reduced mod 2 pi in rational arithmetic against a pi taken to 64 bits beyond
+|lambda c|, so it costs no accuracy at any size.
 The radial bump comes from 1-D tables and repeated squaring; the product bump
 is separable and rides on the Gauss weights.  cos and sin come from a
 table-driven kernel (``_sincos``): a three-part Cody-Waite reduction modulo
@@ -188,12 +189,12 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 
 
 def _float_terms(phi: BivariatePolynomial) -> List[Tuple[int, int, float]]:
-    """The non-constant terms of ``phi`` as floats.
+    """The terms of ``phi`` as floats.
 
     Raises ValueError for a coefficient beyond the float range.
     """
     try:
-        return [(a, b, float(c)) for (a, b), c in sorted(phi.terms.items()) if a or b]
+        return [(a, b, float(c)) for (a, b), c in sorted(phi.terms.items())]
     except OverflowError:
         raise ValueError("a phase coefficient is beyond the float range") from None
 
@@ -508,10 +509,35 @@ def _disc_columns(amp: AmplitudeSpec, xc: np.ndarray, y: np.ndarray) -> Tuple[in
     return int(np.searchsorted(y, -w)), int(np.searchsorted(y, w, "right"))
 
 
+def _pi_within(bits: int) -> Fraction:
+    """pi within 2^-bits: the 75-digit _PI up to 245 bits, beyond it Gauss's
+    formula pi = 48 atan(1/18) + 32 atan(1/57) - 20 atan(1/239) in integer
+    arithmetic, whose truncations stay in its bits.bit_length() + 16 guard bits."""
+    if bits <= 245:
+        return _PI
+    one = 1 << (bits + bits.bit_length() + 16)
+
+    def atan_inv(n: int) -> int:
+        total, power, k = 0, one // n, 0
+        while power:
+            total += -(power // (2 * k + 1)) if k % 2 else power // (2 * k + 1)
+            power //= n * n
+            k += 1
+        return total
+
+    return Fraction(48 * atan_inv(18) + 32 * atan_inv(57) - 20 * atan_inv(239), one)
+
+
 def _global_phase(phi: BivariatePolynomial, lam: float) -> complex:
-    """exp(i*lam*c) for the constant term c of the phase, reduced exactly mod 2*pi."""
-    turn = Fraction(lam) * phi.terms.get((0, 0), 0) % (2 * _PI)
-    return cmath.exp(1j * float(turn))
+    """exp(i*lam*c) for the constant term c of the phase, reduced exactly mod 2*pi.
+
+    The reduction takes about |lam*c| / pi multiples of pi, so pi is taken
+    to 64 bits beyond |lam*c|: the reduced angle is then within 2^-63 at
+    any size of c.
+    """
+    turn = Fraction(lam) * phi.terms.get((0, 0), 0)
+    bits = max(abs(turn.numerator).bit_length() - turn.denominator.bit_length(), 0) + 64
+    return cmath.exp(1j * float(turn % (2 * _pi_within(bits))))
 
 
 def _osc_grids(
@@ -555,7 +581,7 @@ def _osc_grids(
     y, (mat_b,) = _fold(y, [mat_b], all(b % 2 == 0 for _, b in phi.terms))
     totals = [np.zeros((a.shape[0], n), dtype=np.complex128) for a, n in zip(mats_a, nb)]
 
-    terms = _float_terms(phi)
+    terms = _float_terms(phi - BivariatePolynomial.constant(phi.terms.get((0, 0), 0)))
     exps = sorted({a for a, _, _ in terms})
     q = np.zeros((len(exps), y.size))
     ypow = _power_cache(y)

@@ -96,6 +96,10 @@ class TestAmplitude:
         stray = parse_polynomial("x^2 + y^4 - 2/25*y^2")
         assert not check_amplitude_support(stray, AmplitudeSpec(radius=0.4, profile=profile))
 
+    def test_support_check_sees_a_linear_term(self):
+        # the gradient (2x - 1/4, 2y) vanishes only at (1/8, 0), away from the origin
+        assert not check_amplitude_support(parse_polynomial("x^2 - 1/4*x + y^2"), AmplitudeSpec(radius=0.25))
+
 
 class TestEval:
     def test_zero_phase_integrates_the_bump(self):
@@ -176,6 +180,8 @@ SIZING_CASES = [
     ("(y - x^2)^2 + x^5", AmplitudeSpec(radius=0.4, order=2), (0.0, 0.0)),
     ("x*y^2 + x^5", AmplitudeSpec(radius=0.6, order=2), (0.0, 0.0)),
     ("(y - x^2)^2", AmplitudeSpec(), (0.25, 0.25)),
+    # a linear term: the partial's constant counts toward the cycles
+    ("1/8*x + x^2 + y^2", AmplitudeSpec(radius=0.4, order=2), (0.0, 0.0)),
 ]
 SIZING_IDS = [text for text, _, _ in SIZING_CASES]
 
@@ -302,10 +308,11 @@ SWEEP_CASES = [
     ("x*y^2 + x^5", AmplitudeSpec(radius=0.3, order=6), 256.0, _one(0.01, 0.02), None),
     ("(y - x^2)^2 + x^5", AmplitudeSpec(radius=0.4, order=2, profile="product"), 256.0, _one(0.02, 0.01), None),
     ("7/3 + x^2 - 2*y^2", AmplitudeSpec(radius=0.4, order=2), 256.0, _one(0.01, 0.0), None),
+    ("1/8*x + x^2 + y^2", AmplitudeSpec(radius=0.4, order=2), 256.0, _one(0.01, 0.02), None),
 ]
 SWEEP_IDS = [
     "radial", "product", "scan-grids", "odd-panels", "odd-panels-scan-grids", "no-parity",
-    "radial-order-8", "radial-order-6", "product-order-2", "constant-term",
+    "radial-order-8", "radial-order-6", "product-order-2", "constant-term", "linear-term",
 ]
 
 
@@ -544,15 +551,22 @@ class TestTrigKernel:
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
 
-    @pytest.mark.parametrize("const", ["1000000", "1000000/3"])
+    @pytest.mark.parametrize("const", ["1000000", "1000000/3", "-10^100", "10^400 + 1/7"])
     def test_a_constant_term_is_an_exact_global_phase(self, const):
+        # beyond about 10^57 the reduction needs more than the 75-digit pi
         amp = AmplitudeSpec()
+        pi = _machin_pi(450)
+        c = parse_polynomial(const).terms[(0, 0)]
         for lam in (64.0, 256.0, 1024.0):
             shifted = eval_oscillatory(parse_polynomial(f"{const} + x^2 + y^2"), amp, lam)
             plain = eval_oscillatory(parse_polynomial("x^2 + y^2"), amp, lam)
             assert abs(shifted) == pytest.approx(abs(plain), rel=1e-12)
-            turn = Fraction(lam) * Fraction(const) % (2 * _machin_pi())
+            turn = Fraction(lam) * c % (2 * pi)
             assert shifted == pytest.approx(plain * complex(math.cos(turn), math.sin(turn)), rel=1e-12)
+
+    @pytest.mark.parametrize("bits", [64, 245, 246, 1400, 1500])
+    def test_pi_to_any_precision(self, bits):
+        assert abs(oscint._pi_within(bits) - _machin_pi(480)) < Fraction(1, 2**bits)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_power_by_squaring(self, n):
