@@ -526,10 +526,6 @@ def linear_height(kind: SingularityKind) -> Fraction:
     return height(kind)
 
 
-def linearly_adapted(kind: SingularityKind) -> bool:
-    return linear_height(kind) == height(kind)
-
-
 def adapted_polynomial(
     p: BivariatePolynomial,
     trunc: Optional[int] = None,

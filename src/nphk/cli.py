@@ -144,13 +144,12 @@ def build_report(phi_text: str, p_values: Sequence[Fraction]) -> Tuple[Dict, int
 
     status = EXIT_OK
     if kind.is_supported:
-        h = cls.height(kind)
-        h_lin = cls.linear_height(kind)
-        profile = expo.kp_profile(kind)
-        report["h"] = rational_str(h)
-        report["h_lin"] = rational_str(h_lin)
-        report["linearly_adapted"] = h == h_lin
-        report["multiplicity"] = cls.multiplicity_mfrak(phi, kind)
+        heights = cls.height_report(phi, kind)
+        profile = expo.kp_profile(heights.h, heights.h_lin)
+        report["h"] = rational_str(heights.h)
+        report["h_lin"] = rational_str(heights.h_lin)
+        report["linearly_adapted"] = heights.linearly_adapted
+        report["multiplicity"] = heights.multiplicity
         report["kp_table"] = [
             {"p": rational_str(p), "k": rational_str(profile.value_at_p(p))}
             for p in p_values
@@ -255,7 +254,11 @@ def _emit_error(cfg: RunConfig, message: str, code: int, out) -> None:
 
 
 def _reference_decay(phi: BivariatePolynomial) -> Optional[Fraction]:
-    """1/h for the fitted phase: classified height, or 1 for a full-rank Hessian."""
+    """1/h for the fitted phase: classified height, or 1 for a full-rank Hessian.
+
+    The constant term only multiplies I by a unit factor, so it is dropped first.
+    """
+    phi = phi - BivariatePolynomial.constant(phi.coefficient(0, 0))
     try:
         kind = cls.classify_singularity(phi)
     except (ValueError, ArithmeticError):

@@ -83,7 +83,7 @@ def check_row(row: CorpusRow) -> CheckResult:
         la = h == h_lin
         if la != row.linearly_adapted:
             problems.append(f"LA: expected {row.linearly_adapted}, got {la}")
-        kp1 = expo.kp_point(kind, 1)
+        kp1 = expo.kp_point(h, h_lin, 1)
         if kp1 != row.kp_at_1:
             problems.append(f"k_p(1): expected {row.kp_at_1}, got {kp1}")
     else:
@@ -102,7 +102,7 @@ def check_sandwich(row: CorpusRow) -> CheckResult:
         u = Fraction(1) / p - Fraction(1, 2)
         lower = (Fraction(6) - Fraction(2) / h_lin) * u
         upper = (Fraction(6) - Fraction(2) / h) * u
-        kp = expo.kp_point(kind, p)
+        kp = expo.kp_point(h, h_lin, p)
         if not (lower <= kp <= upper):
             problems.append(f"p={p}: {lower} <= {kp} <= {upper} fails")
         if row.linearly_adapted and not (lower == kp == upper):
@@ -114,7 +114,8 @@ def check_nla_sweep(m_range: Sequence[int] = range(2, 7), n_max: int = 24) -> Ch
     problems = []
     for m in m_range:
         for n in list(range(2 * m + 2, n_max + 1)) + [INFINITE_ORDER]:
-            if not expo.verify_nla_identity(m, n):
+            kind = cls.SingularityKind.d_type(m, n)
+            if not expo.verify_nla_identity(cls.height(kind), cls.linear_height(kind)):
                 problems.append(f"(m={m}, n={n})")
     return CheckResult("interpolation identity sweep", not problems, "; ".join(problems))
 
@@ -122,11 +123,12 @@ def check_nla_sweep(m_range: Sequence[int] = range(2, 7), n_max: int = 24) -> Ch
 def check_knapp_threshold() -> CheckResult:
     """k_p(1) = 17/7 for D(2, 7), and its concentrated-sequence growth flips sign exactly there."""
     kind = cls.SingularityKind.d_type(2, 7)
-    k_star = expo.kp_point(kind, 1)
+    h, h_lin = cls.height(kind), cls.linear_height(kind)  # 7/4, 5/3
+    k_star = expo.kp_point(h, h_lin, 1)
     problems = [] if k_star == Fraction(17, 7) else [f"k_p(1) = {k_star} != 17/7"]
     for eps in (Fraction(0), Fraction(1, 100), Fraction(1, 10**6)):
-        below = expo.knapp_exponent_nla(2, 7, 1, k_star - eps)
-        above = expo.knapp_exponent_nla(2, 7, 1, k_star + eps)
+        below = expo.knapp_exponent_nla(h, h_lin, 1, k_star - eps)
+        above = expo.knapp_exponent_nla(h, h_lin, 1, k_star + eps)
         if (below, above) != (eps, -eps):
             problems.append(f"g(k*-{eps})={below}, g(k*+{eps})={above}")
     return CheckResult("knapp threshold D(2,7)", not problems, "; ".join(problems))

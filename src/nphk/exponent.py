@@ -7,16 +7,28 @@ strictly increasing, collinear joints dropped, so two curves on the same
 interval are equal exactly when their joints are.  ``kp_profile`` returns
 k_p as an ``ExponentProfile``, the same curve read at a given p.
 
-Linearly adapted classes have the single line (6 - 2/h) u.  D types with
-2m+1 < n (n possibly infinite) take the maximum of two lines,
+k_p depends on the class only through two Newton distances, the height h
+and the linear height h_lin, with 1 <= h_lin <= h <= 2.  With
+r = (2 - h)/((2 - h_lin) h),
 
-    (5 - 1/(2m+1)) u      and      (6 - (2m+2)/n) u + (2m+1)/(2n) - 1/2,
+    k_p(u) = max((6 - 2/h_lin) u,  (6 - 2r) u + h_lin r/2 - 1/2).
 
-which cross at u = (2m+1)/(4m+4) regardless of n; infinite n sets the 1/n
-terms to zero exactly.  The same crossover point is where the interpolation
-envelope through the three boundedness anchors changes segment, and
-``verify_nla_identity`` checks that the envelope and the profile agree at
-every joint of either, which for piecewise-linear functions is equality.
+When h_lin = h the profile is the single line (6 - 2/h) u.  Otherwise the
+two lines cross at u = h_lin/4, and that is also where the interpolation
+envelope through the three boundedness anchors changes segment:
+
+    (1/2, 0),   the Randol anchor at q = 2/(2 - h_lin) with
+    gamma = 5/2 - h_lin,   and the endpoint (1, 3 - 1/h)
+
+in 1/p.  ``verify_nla_identity`` checks that the envelope and the profile
+agree at every joint of either, which for piecewise-linear functions is
+equality.
+
+Remark: a D(m, n) class has h = 2n/(n+1) (2 for infinite n) and
+h_lin = min(h, (2m+1)/(m+1)), so h_lin < h exactly when 2m+1 < n.  Put in,
+the two lines read (5 - 1/(2m+1)) u and (6 - (2m+2)/n) u + (2m+1)/(2n) - 1/2,
+they cross at (2m+1)/(4m+4), and the anchors sit at q = 2m+2 with
+gamma = 1/2 + 1/(m+1) and at (1, 5/2 - 1/(2n)).
 """
 
 from __future__ import annotations
@@ -24,9 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple, Union
-
-from .classify import D_TYPE, SingularityKind, UnsupportedKindError, height
-from .polyring import INFINITE_ORDER
 
 RationalLike = Union[int, Fraction]
 
@@ -38,39 +47,26 @@ def _u_of_p(p: RationalLike) -> Fraction:
     return Fraction(1) / p - Fraction(1, 2)
 
 
-def _recip(n) -> Fraction:
-    """1/n with the infinite-order sentinel mapping to exactly zero."""
-    if n == INFINITE_ORDER:
-        return Fraction(0)
-    return Fraction(1, n)
+def _distances(h, h_lin, nla: bool = False) -> Tuple[Fraction, Fraction]:
+    """(h, h_lin) as Fractions, refused unless exact with 1 <= h_lin <= h <= 2.
+
+    ``nla`` also refuses h_lin == h, where there is no second line.
+    """
+    for name, value in (("h", h), ("h_lin", h_lin)):
+        if not isinstance(value, (int, Fraction)):
+            raise ValueError(f"{name}={value!r} must be an int or a Fraction")
+    h, h_lin = Fraction(h), Fraction(h_lin)
+    if not (1 <= h_lin <= h <= 2):
+        raise ValueError(f"(h, h_lin) = ({h}, {h_lin}) outside 1 <= h_lin <= h <= 2")
+    if nla and h_lin == h:
+        raise ValueError(f"h_lin = h = {h}: linearly adapted, there is no second line")
+    return h, h_lin
 
 
-def _check_nla_domain(m, n) -> None:
-    """D(m, n) off the linearly adapted range: integer m >= 2, integer n > 2m+1 or infinite."""
-    if not isinstance(m, int) or m < 2:
-        raise ValueError(f"m={m!r} must be an integer >= 2")
-    if n != INFINITE_ORDER and (not isinstance(n, int) or n <= 2 * m + 1):
-        raise ValueError(f"n={n!r} must be infinite or an integer above 2m+1={2 * m + 1}")
-
-
-def _is_nla_d(kind: SingularityKind) -> bool:
-    if kind.tag != D_TYPE:
-        return False
-    if kind.m == INFINITE_ORDER:
-        return False
-    if kind.n == INFINITE_ORDER:
-        return True
-    return 2 * kind.m + 1 < kind.n
-
-
-def _nla_lines(m: int, n) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]:
-    """(slope, intercept) pairs of the two competing lines in u."""
-    first = (Fraction(5) - Fraction(1, 2 * m + 1), Fraction(0))
-    second = (
-        Fraction(6) - (2 * m + 2) * _recip(n),
-        Fraction(2 * m + 1, 2) * _recip(n) - Fraction(1, 2),
-    )
-    return first, second
+def _lines(h: Fraction, h_lin: Fraction) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]:
+    """(slope, intercept) pairs of the two competing lines in u, for h_lin < h."""
+    r = (2 - h) / ((2 - h_lin) * h)
+    return (6 - 2 / h_lin, Fraction(0)), (6 - 2 * r, h_lin * r / 2 - Fraction(1, 2))
 
 
 class Segment(NamedTuple):
@@ -139,22 +135,20 @@ class BoundednessAnchor:
     source: str  # "Sugi1" | "Sugi2" | "trivial-L2"
 
 
-def kp_profile(kind: SingularityKind) -> ExponentProfile:
+def kp_profile(h: RationalLike, h_lin: RationalLike) -> ExponentProfile:
     """The full piecewise-linear profile of k_p over u in [0, 1/2]."""
-    if not kind.is_supported:
-        raise UnsupportedKindError(f"k_p undefined for kind {kind.tag}")
+    h, h_lin = _distances(h, h_lin)
     half = Fraction(1, 2)
-    if not _is_nla_d(kind):
-        slope = Fraction(6) - Fraction(2) / height(kind)
-        return ExponentProfile(((0, 0), (half, slope * half)))
-    (s1, c1), (s2, c2) = _nla_lines(kind.m, kind.n)
-    u_star = (c1 - c2) / (s2 - s1)  # equals (2m+1)/(4m+4), independent of n
+    if h_lin == h:
+        return ExponentProfile(((0, 0), (half, (6 - 2 / h) * half)))
+    (s1, c1), (s2, c2) = _lines(h, h_lin)
+    u_star = (c1 - c2) / (s2 - s1)  # equals h_lin/4
     return ExponentProfile(((0, c1), (u_star, s1 * u_star + c1), (half, s2 * half + c2)))
 
 
-def kp_point(kind: SingularityKind, p: RationalLike) -> Fraction:
-    """Exact k_p for a supported class at a rational p in [1, 2]."""
-    return kp_profile(kind).value_at_p(p)
+def kp_point(h: RationalLike, h_lin: RationalLike, p: RationalLike) -> Fraction:
+    """Exact k_p for the distances (h, h_lin) at a rational p in [1, 2]."""
+    return kp_profile(h, h_lin).value_at_p(p)
 
 
 def sugimoto_q_threshold(nu: int, gamma: RationalLike, q: RationalLike) -> BoundednessAnchor:
@@ -204,30 +198,29 @@ def interpolation_envelope(anchors: Sequence[BoundednessAnchor]) -> PiecewiseLin
     return PiecewiseLinear(tuple(hull))
 
 
-def _nla_anchors(m: int, n) -> List[BoundednessAnchor]:
-    """The three anchors the interpolation uses for a D(m, n) with 2m+1 < n."""
-    a_trivial = BoundednessAnchor(Fraction(1, 2), Fraction(0), "trivial-L2")
-    gamma = Fraction(1, 2) + Fraction(1, m + 1)
-    b_randol = sugimoto_q_threshold(3, gamma, 2 * m + 2)
-    c_endpoint = BoundednessAnchor(Fraction(1), Fraction(5, 2) - Fraction(1, 2) * _recip(n), "Sugi1")
-    return [a_trivial, b_randol, c_endpoint]
+def _anchors(h: Fraction, h_lin: Fraction) -> List[BoundednessAnchor]:
+    """The three anchors the interpolation uses when h_lin < h."""
+    return [
+        BoundednessAnchor(Fraction(1, 2), Fraction(0), "trivial-L2"),
+        sugimoto_q_threshold(3, Fraction(5, 2) - h_lin, 2 / (2 - h_lin)),
+        BoundednessAnchor(Fraction(1), 3 - 1 / h, "Sugi1"),
+    ]
 
 
-def verify_nla_identity(m: int, n) -> bool:
+def verify_nla_identity(h: RationalLike, h_lin: RationalLike) -> bool:
     """Exact check that the two-line k_p formula is the anchor interpolation envelope.
 
-    For 2m+1 < n <= infinity, the envelope through (1/2, 0), the
-    q = 2m+2 anchor at 1/p = (4m+3)/(4m+4), and (1, 5/2 - 1/(2n)), shifted
-    to u = 1/p - 1/2, must agree with the k_p profile at every joint of
-    either curve, and its one breakpoint must sit at the line crossover
-    u = (2m+1)/(4m+4).
+    For h_lin < h, the envelope through (1/2, 0), the q = 2/(2 - h_lin)
+    anchor and (1, 3 - 1/h), shifted to u = 1/p - 1/2, must agree with the
+    k_p profile at every joint of either curve, and its one breakpoint must
+    sit at the line crossover u = h_lin/4.
     """
-    _check_nla_domain(m, n)
-    profile = kp_profile(SingularityKind.d_type(m, n))
+    h, h_lin = _distances(h, h_lin, nla=True)
+    profile = kp_profile(h, h_lin)
     half = Fraction(1, 2)
-    env_in_inv_p = interpolation_envelope(_nla_anchors(m, n))
+    env_in_inv_p = interpolation_envelope(_anchors(h, h_lin))
     env = PiecewiseLinear(tuple((x - half, y) for x, y in env_in_inv_p.points))
-    if [x for x, _ in env.points] != [0, Fraction(2 * m + 1, 4 * m + 4), half]:
+    if [x for x, _ in env.points] != [0, h_lin / 4, half]:
         return False
     joints = {x for x, _ in env.points} | {x for x, _ in profile.points}
     return all(env.value(u) == profile.value(u) for u in joints)
@@ -245,11 +238,11 @@ def knapp_exponent(kappa: Tuple[RationalLike, RationalLike], p: RationalLike, k:
     return 2 * (Fraction(3) - k1 - k2) * u - Fraction(k)
 
 
-def knapp_exponent_nla(m: int, n, p: RationalLike, k: RationalLike) -> Fraction:
-    """Growth rate of the branch-concentrated test sequence for D(m, n), 2m+1 < n.
+def knapp_exponent_nla(h: RationalLike, h_lin: RationalLike, p: RationalLike, k: RationalLike) -> Fraction:
+    """Growth rate of the branch-concentrated test sequence for h_lin < h.
 
     It is the second k_p line at u = 1/p - 1/2, less k.
     """
-    _check_nla_domain(m, n)
-    _, (slope, intercept) = _nla_lines(m, n)
+    h, h_lin = _distances(h, h_lin, nla=True)
+    _, (slope, intercept) = _lines(h, h_lin)
     return slope * _u_of_p(p) + intercept - Fraction(k)

@@ -146,6 +146,12 @@ class TestDecayCommand:
         out = capsys.readouterr().out
         assert "gamma_hat" in out and "1/h" in out
 
+    def test_constant_term_keeps_the_reference_rate(self, capsys):
+        # the constant only multiplies I by a unit factor, so 1/h is that of x^2 + y^2
+        code = cli.main(["decay", "--phi", "1000000 + x^2 + y^2", "--lmin", "64", "--lmax", "256"])
+        assert code == cli.EXIT_OK
+        assert "vs 1/h = 1 (1.0000)" in capsys.readouterr().out
+
     def test_csv_determinism(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:

@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nphk import exponent as expo
-from nphk.classify import CASE_C, SingularityKind, UnsupportedKindError, NONDEGENERATE_OR_RANK_POSITIVE
+from nphk.classify import (
+    CASE_C,
+    NONDEGENERATE_OR_RANK_POSITIVE,
+    SingularityKind,
+    UnsupportedKindError,
+    height,
+    linear_height,
+)
 from nphk.exponent import (
     BoundednessAnchor,
     PiecewiseLinear,
@@ -29,66 +36,106 @@ E7 = SingularityKind("E7", k1=3)
 CASEC = SingularityKind.marker(CASE_C)
 
 
+def _dist(kind):
+    """The two Newton distances (h, h_lin) the classifier attaches to a kind."""
+    return height(kind), linear_height(kind)
+
+
+def _d(m, n):
+    return _dist(SingularityKind.d_type(m, n))
+
+
+# (h, h_lin) pairs every function of the module refuses, and the linearly
+# adapted pairs that only the two-line functions refuse
+BAD_DISTANCES = [
+    pytest.param(1.8, F(5, 3), id="float-h"),
+    pytest.param(F(9, 5), 5 / 3, id="float-h_lin"),
+    pytest.param("9/5", F(5, 3), id="string-h"),
+    pytest.param(INFINITE_ORDER, F(5, 3), id="infinite-h"),
+    pytest.param(F(5, 3), F(7, 4), id="h_lin-above-h"),
+    pytest.param(F(9, 4), F(5, 3), id="h-above-2"),
+    pytest.param(F(7, 4), F(1, 2), id="h_lin-below-1"),
+]
+ADAPTED = [
+    pytest.param(F(5, 3), F(5, 3), id="adapted-5/3"),
+    pytest.param(F(7, 4), F(7, 4), id="adapted-7/4"),
+    pytest.param(2, 2, id="adapted-2"),
+]
+
+
 class TestKpPoint:
     def test_adapted_evaluation(self):
-        assert kp_point(D25, 1) == F(12, 5)
+        assert kp_point(*_dist(D25), 1) == F(12, 5)
 
     def test_two_line_maximum(self):
-        assert kp_point(D27, 1) == F(17, 7)
+        assert kp_point(*_dist(D27), 1) == F(17, 7)
 
     def test_zero_at_p_two(self):
         for kind in (D25, D27, D2INF, E7, CASEC, SingularityKind.d4()):
-            assert kp_point(kind, 2) == 0
+            assert kp_point(*_dist(kind), 2) == 0
 
     def test_infinite_order_compared_by_value(self):
         # any float infinity is the infinite order, not only the sentinel object
-        equal_inf = SingularityKind.d_type(2, float("inf"))
+        equal_inf = _dist(SingularityKind.d_type(2, float("inf")))
         for p in (F(1), F(4, 3), F(5, 3), F(2)):
-            assert kp_point(equal_inf, p) == kp_point(D2INF, p)
-        assert kp_profile(equal_inf).segments == kp_profile(D2INF).segments
+            assert kp_point(*equal_inf, p) == kp_point(*_dist(D2INF), p)
+        assert kp_profile(*equal_inf).segments == kp_profile(*_dist(D2INF)).segments
 
     def test_infinite_n_branch_comparison(self):
         # 1/p - 1/2 = 1/10 at p = 5/3
-        assert kp_point(D2INF, F(5, 3)) == F(12, 25)
+        assert kp_point(*_dist(D2INF), F(5, 3)) == F(12, 25)
 
     def test_unsupported_kind(self):
         with pytest.raises(UnsupportedKindError):
-            kp_point(SingularityKind.marker(NONDEGENERATE_OR_RANK_POSITIVE), 1)
+            height(SingularityKind.marker(NONDEGENERATE_OR_RANK_POSITIVE))
 
     def test_out_of_range_p(self):
         with pytest.raises(ValueError):
-            kp_point(D25, F(5, 2))
+            kp_point(*_dist(D25), F(5, 2))
 
     def test_nonincreasing_in_p(self):
         grid = [F(1) + F(j, 40) for j in range(41)]
         for kind in (D25, D27, D2INF, E7, CASEC):
-            values = [kp_point(kind, p) for p in grid]
+            values = [kp_point(*_dist(kind), p) for p in grid]
             assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 class TestKpProfile:
     def test_two_segments_with_crossover(self):
-        profile = kp_profile(D27)
+        profile = kp_profile(*_dist(D27))
         assert len(profile.segments) == 2
         first, second = profile.segments
         assert first.slope == F(24, 5) and first.intercept == 0
         assert second.slope == F(36, 7) and second.intercept == F(5, 14) - F(1, 2)
-        assert first.x_hi == F(5, 12)  # (2m+1)/(4m+4) at m=2
+        assert first.x_hi == F(5, 12)  # h_lin/4 = (2m+1)/(4m+4) at m=2
         assert first.slope * F(5, 12) + first.intercept == second.slope * F(5, 12) + second.intercept
 
     def test_single_segment_slopes(self):
-        assert kp_profile(E7).segments[0].slope == F(44, 9)
-        assert kp_profile(CASEC).segments[0].slope == 5
+        assert kp_profile(*_dist(E7)).segments[0].slope == F(44, 9)
+        assert kp_profile(*_dist(CASEC)).segments[0].slope == 5
 
     def test_profile_matches_pointwise(self):
-        profile = kp_profile(D27)
+        profile = kp_profile(*_dist(D27))
         for j in range(11):
             p = F(1) + F(j, 10)
-            assert profile.value_at_p(p) == kp_point(D27, p)
+            assert profile.value_at_p(p) == kp_point(*_dist(D27), p)
+
+    @pytest.mark.parametrize("h,h_lin", BAD_DISTANCES)
+    def test_bad_distances_refused(self, h, h_lin):
+        with pytest.raises(ValueError):
+            kp_profile(h, h_lin)
+        with pytest.raises(ValueError):
+            kp_point(h, h_lin, 1)
+
+    def test_range_ends_accepted(self):
+        assert kp_profile(1, 1).points == ((0, 0), (F(1, 2), 2))
+        assert kp_profile(2, 2).points == ((0, 0), (F(1, 2), F(5, 2)))
+        assert kp_profile(2, 1).points == ((0, 0), (F(1, 4), 1), (F(1, 2), F(5, 2)))
+        assert verify_nla_identity(2, 1)
 
     def test_convexity(self):
         for kind in (D27, D2INF, SingularityKind.d_type(3, 9)):
-            segs = kp_profile(kind).segments
+            segs = kp_profile(*_dist(kind)).segments
             slopes = [s.slope for s in segs]
             assert slopes == sorted(slopes)
 
@@ -113,8 +160,8 @@ _SUPPORTED_KINDS = st.one_of(
     st.sampled_from(sorted(_HEIGHTS)).map(SingularityKind),
     st.builds(
         SingularityKind.d_type,
-        st.integers(2, 6),
-        st.one_of(st.integers(3, 40), st.just(INFINITE_ORDER)),
+        st.integers(2, 8),
+        st.one_of(st.integers(3, 39), st.just(INFINITE_ORDER)),
     ),
 )
 
@@ -122,7 +169,7 @@ _SUPPORTED_KINDS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(kind=_SUPPORTED_KINDS, u=st.fractions(0, F(1, 2), max_denominator=1000))
 def test_profile_is_the_written_out_curve(kind, u):
-    profile = kp_profile(kind)
+    profile = kp_profile(*_dist(kind))
     xs = [x for x, _ in profile.points]
     slopes = [seg.slope for seg in profile.segments]
     assert xs[0] == 0 and xs[-1] == F(1, 2)
@@ -133,7 +180,7 @@ def test_profile_is_the_written_out_curve(kind, u):
     for x in xs + [u]:
         assert profile.value(x) == _expected_kp(kind, x)
     assert profile.value_at_p(1 / (u + F(1, 2))) == _expected_kp(kind, u)
-    assert kp_point(kind, 1 / (u + F(1, 2))) == _expected_kp(kind, u)
+    assert kp_point(*_dist(kind), 1 / (u + F(1, 2))) == _expected_kp(kind, u)
 
 
 class TestPiecewiseLinear:
@@ -225,62 +272,61 @@ class TestEnvelope:
 class TestNlaIdentity:
     @pytest.mark.parametrize("m,n", [(2, 7), (3, 9), (2, INFINITE_ORDER), (4, 24)])
     def test_identity_holds(self, m, n):
-        assert verify_nla_identity(m, n)
+        assert verify_nla_identity(*_d(m, n))
 
     def test_domain_guard(self):
-        with pytest.raises(ValueError):
-            verify_nla_identity(2, 5)
-        with pytest.raises(ValueError):
-            verify_nla_identity(1, 9)
+        with pytest.raises(ValueError, match="no second line"):
+            verify_nla_identity(*_d(2, 5))  # linearly adapted: h = h_lin = 5/3
+        with pytest.raises(ValueError, match="outside"):
+            verify_nla_identity(F(9, 5), F(3, 4))
 
-    @pytest.mark.parametrize(
-        "m,n", [(0, 5), (1, 9), (2.5, 9), (F(5, 2), 9), (2, 5), (2, 9.0), (2, "9"), (3, 7)]
-    )
-    def test_one_domain_check_for_both(self, m, n):
+    @pytest.mark.parametrize("h,h_lin", BAD_DISTANCES + ADAPTED)
+    def test_one_domain_check_for_both(self, h, h_lin):
         with pytest.raises(ValueError):
-            verify_nla_identity(m, n)
+            verify_nla_identity(h, h_lin)
         with pytest.raises(ValueError):
-            knapp_exponent_nla(m, n, 1, 0)
+            knapp_exponent_nla(h, h_lin, 1, 0)
 
     def test_any_float_infinity_accepted(self):
-        assert verify_nla_identity(3, float("inf"))
-        assert knapp_exponent_nla(3, float("inf"), 1, 0) == knapp_exponent_nla(3, INFINITE_ORDER, 1, 0)
+        assert _d(3, float("inf")) == _d(3, INFINITE_ORDER) == (2, F(7, 4))
+        assert verify_nla_identity(*_d(3, float("inf")))
+        assert knapp_exponent_nla(*_d(3, float("inf")), 1, 0) == knapp_exponent_nla(2, F(7, 4), 1, 0)
 
     @pytest.mark.parametrize("m,n", [(2, 7), (3, INFINITE_ORDER)])
     @pytest.mark.parametrize("anchor", [1, 2])
     def test_moved_anchor_detected(self, monkeypatch, m, n, anchor):
-        original = expo._nla_anchors
+        original = expo._anchors
 
-        def moved(m, n):
-            anchors = original(m, n)
+        def moved(h, h_lin):
+            anchors = original(h, h_lin)
             a = anchors[anchor]
             anchors[anchor] = BoundednessAnchor(a.inv_p, a.k + F(1, 1000), a.source)
             return anchors
 
-        monkeypatch.setattr(expo, "_nla_anchors", moved)
-        assert not verify_nla_identity(m, n)
+        monkeypatch.setattr(expo, "_anchors", moved)
+        assert not verify_nla_identity(*_d(m, n))
 
     def test_breakpoint_pinned_to_closed_form(self, monkeypatch):
         # lines and anchors of D(3, 9) agree with each other, but cross at
-        # 7/16 instead of the 5/12 that m = 2 requires
-        lines, anchors = expo._nla_lines, expo._nla_anchors
-        monkeypatch.setattr(expo, "_nla_lines", lambda m, n: lines(3, 9))
-        monkeypatch.setattr(expo, "_nla_anchors", lambda m, n: anchors(3, 9))
-        assert not verify_nla_identity(2, 9)
-        assert verify_nla_identity(3, 9)
+        # 7/16 instead of the h_lin/4 = 5/12 that D(2, 9) requires
+        lines, anchors = expo._lines, expo._anchors
+        monkeypatch.setattr(expo, "_lines", lambda h, h_lin: lines(*_d(3, 9)))
+        monkeypatch.setattr(expo, "_anchors", lambda h, h_lin: anchors(*_d(3, 9)))
+        assert not verify_nla_identity(*_d(2, 9))
+        assert verify_nla_identity(*_d(3, 9))
 
     @pytest.mark.parametrize("m,n", [(2, 7), (3, INFINITE_ORDER)])
     @pytest.mark.parametrize("line,part", [(0, 0), (0, 1), (1, 0), (1, 1)])
     def test_moved_line_detected(self, monkeypatch, m, n, line, part):
-        original = expo._nla_lines
+        original = expo._lines
 
-        def moved(m, n):
-            lines = [list(pair) for pair in original(m, n)]
+        def moved(h, h_lin):
+            lines = [list(pair) for pair in original(h, h_lin)]
             lines[line][part] += F(1, 1000)
             return tuple(tuple(pair) for pair in lines)
 
-        monkeypatch.setattr(expo, "_nla_lines", moved)
-        assert not verify_nla_identity(m, n)
+        monkeypatch.setattr(expo, "_lines", moved)
+        assert not verify_nla_identity(*_d(m, n))
 
 
 class TestKnapp:
@@ -298,25 +344,24 @@ class TestKnapp:
             knapp_exponent((F(-1, 3), F(1, 3)), 1, 0)
 
     def test_nla_threshold_exactness(self):
-        assert knapp_exponent_nla(2, 7, 1, F(17, 7)) == 0
-        assert knapp_exponent_nla(2, 7, 1, F(17, 7) - F(1, 100)) == F(1, 100)
+        assert knapp_exponent_nla(*_d(2, 7), 1, F(17, 7)) == 0
+        assert knapp_exponent_nla(*_d(2, 7), 1, F(17, 7) - F(1, 100)) == F(1, 100)
 
     def test_nla_at_p_two_negative(self):
         for n in (7, 9, 15):
-            assert knapp_exponent_nla(2, n, 2, 0) < 0
+            assert knapp_exponent_nla(*_d(2, n), 2, 0) < 0
 
     def test_nla_never_positive_at_kp(self):
         for n in (7, 9, INFINITE_ORDER):
-            kind = SingularityKind.d_type(2, n)
             for j in range(11):
                 p = F(1) + F(j, 10)
-                assert knapp_exponent_nla(2, n, p, kp_point(kind, p)) <= 0
+                assert knapp_exponent_nla(*_d(2, n), p, kp_point(*_d(2, n), p)) <= 0
 
     def test_nla_domain_guard(self):
-        with pytest.raises(ValueError):
-            knapp_exponent_nla(2, 5, 1, 0)
-        with pytest.raises(ValueError):
-            knapp_exponent_nla(0, 5, 1, 0)
+        with pytest.raises(ValueError, match="no second line"):
+            knapp_exponent_nla(*_d(2, 5), 1, 0)  # linearly adapted: h = h_lin = 5/3
+        with pytest.raises(ValueError, match="outside"):
+            knapp_exponent_nla(F(5, 2), F(5, 3), 1, 0)
 
 
 class TestSandwich:
@@ -326,15 +371,13 @@ class TestSandwich:
         ids=lambda k: k.label(),
     )
     def test_height_bounds(self, kind):
-        from nphk.classify import height, linear_height
-
-        h, h_lin = height(kind), linear_height(kind)
+        h, h_lin = _dist(kind)
         for j in range(9):
             p = F(1) + F(j, 8)
             u = F(1) / p - F(1, 2)
             lower = (F(6) - F(2) / h_lin) * u
             upper = (F(6) - F(2) / h) * u
-            k = kp_point(kind, p)
+            k = kp_point(h, h_lin, p)
             assert lower <= k <= upper
             assert sugimoto_inf_threshold(3, F(1) / h, p) == upper
             if h == h_lin:
