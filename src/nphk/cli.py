@@ -12,6 +12,9 @@ All symbolic values serialize as exact "num/den" strings.  Exit codes:
 0 success, 1 corpus mismatch, 2 parse error, 3 exponent data requested for an
 out-of-range class, 4 numeric non-convergence, a lambda outside the feasible
 range, or a quadrature or offset grid beyond its budget (``oscint.BudgetExceeded``).
+``decay`` runs ``oscint.fit_decay``: a lambda whose order check fails is left
+out of the fit and printed as a warning; a grid of fewer than three lambdas
+(refused before any quadrature) or fewer than three converged ones exits 4.
 """
 
 from __future__ import annotations
@@ -20,16 +23,15 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import classify as cls
 from . import corpus as corpus_mod
 from . import exponent as expo
 from . import newton
 from . import oscint
-from .polyring import INFINITE_ORDER, BivariatePolynomial, ParseError, parse_polynomial
+from .polyring import INFINITE_ORDER, BivariatePolynomial, parse_polynomial
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -77,28 +79,6 @@ def parse_exponent(text: str) -> float:
         return float(parse_rational(text))
     except OverflowError:
         raise ValueError(f"{text!r} is beyond the float range") from None
-
-
-@dataclass
-class RunConfig:
-    """Parsed command settings for one run."""
-
-    command: str
-    phi_text: str = ""
-    p_values: Tuple[Fraction, ...] = ()
-    lmin: float = 64.0
-    lmax: float = 16384.0
-    grid: int = oscint.DEFAULT_SCAN_CELLS
-    radius: float = oscint.DEFAULT_RADIUS
-    randol: bool = False
-    m: Optional[int] = None
-    q_values: Tuple[float, ...] = ()
-    json_path: Optional[str] = None
-    csv_path: Optional[str] = None
-    svg_path: Optional[str] = None
-    tag_filter: Optional[str] = None
-    seed: int = 0
-    workers: Optional[int] = None
 
 
 # -- analyze -----------------------------------------------------------------------
@@ -171,10 +151,12 @@ def build_report(phi_text: str, p_values: Sequence[Fraction]) -> Tuple[Dict, int
     return report, status
 
 
-def polygon_svg(poly: newton.NewtonPolygon) -> str:
-    """Small standalone SVG: region boundary, bisectrix, and the (d, d) marker."""
-    verts = [(float(a), float(b)) for a, b in poly.vertices]
-    span = max(4.0, max(max(a, b) for a, b in verts) + 2.0, float(poly.distance) + 2.0)
+def polygon_svg(polygon: Dict) -> str:
+    """Small standalone SVG of a report's polygon record: region boundary,
+    bisectrix, and the (d, d) marker."""
+    verts = [(float(a), float(b)) for a, b in polygon["vertices"]]
+    d = float(Fraction(polygon["distance"]))
+    span = max(4.0, max(max(a, b) for a, b in verts) + 2.0, d + 2.0)
     scale = 360.0 / span
 
     def sx(t):
@@ -207,45 +189,39 @@ def polygon_svg(poly: newton.NewtonPolygon) -> str:
         lines.append(
             f'<text x="{sx(a) + 6}" y="{sy(b) - 6}" font-size="11">({a:g},{b:g})</text>'
         )
-    d = float(poly.distance)
     lines.append(f'<circle cx="{sx(d)}" cy="{sy(d)}" r="4" fill="none" stroke="#d94a4a" stroke-width="2"/>')
     lines.append(f'<text x="{sx(d) + 6}" y="{sy(d) + 12}" font-size="11" fill="#d94a4a">d={d:g}</text>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-def run_analyze(cfg: RunConfig, out=None) -> int:
+def run_analyze(args: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
-        report, status = build_report(cfg.phi_text, cfg.p_values)
+        report, status = build_report(args.phi, args.p)
     except (cls.NormalizationFailed, cls.TruncationTooSmall) as exc:
-        _emit_error(cfg, str(exc), EXIT_NUMERIC, out)
+        _emit_error(args.json_path, str(exc), EXIT_NUMERIC, out)
         return EXIT_NUMERIC
-    except (ParseError, newton.NotCriticalAtOrigin) as exc:
-        _emit_error(cfg, str(exc), EXIT_PARSE, out)
-        return EXIT_PARSE
-    except ValueError as exc:  # empty support and similar degenerate inputs
-        _emit_error(cfg, str(exc), EXIT_PARSE, out)
+    except ValueError as exc:  # parse errors, a phase not critical at 0, empty support
+        _emit_error(args.json_path, str(exc), EXIT_PARSE, out)
         return EXIT_PARSE
 
     text = json.dumps(report, indent=2, sort_keys=False)
-    if cfg.json_path:
-        with open(cfg.json_path, "w", encoding="utf-8") as fh:
+    if args.json_path:
+        with open(args.json_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text, file=out)
-    if cfg.svg_path:
-        phi = parse_polynomial(cfg.phi_text)
-        poly = newton.build_polygon(newton.taylor_support(phi))
-        with open(cfg.svg_path, "w", encoding="utf-8") as fh:
-            fh.write(polygon_svg(poly))
+    if args.svg_path:
+        with open(args.svg_path, "w", encoding="utf-8") as fh:
+            fh.write(polygon_svg(report["polygon"]))
     return status
 
 
-def _emit_error(cfg: RunConfig, message: str, code: int, out) -> None:
+def _emit_error(json_path: Optional[str], message: str, code: int, out) -> None:
     record = {"error": message, "exit_code": code}
     text = json.dumps(record, indent=2)
-    if cfg.json_path:
-        with open(cfg.json_path, "w", encoding="utf-8") as fh:
+    if json_path:
+        with open(json_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text, file=out)
 
@@ -270,77 +246,46 @@ def _reference_decay(phi: BivariatePolynomial) -> Optional[Fraction]:
     return None
 
 
-def run_decay(cfg: RunConfig, out=None) -> int:
+def run_decay(args: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:  # ParseError is a ValueError too
-        phi = parse_polynomial(cfg.phi_text)
-        amp = oscint.AmplitudeSpec(radius=cfg.radius)
-        grid = oscint.dyadic_grid(cfg.lmin, cfg.lmax)
-        if cfg.grid < 1:
-            raise ValueError(f"--grid must be at least 1, got {cfg.grid}")
-        if cfg.randol and cfg.m is None:
+        phi = parse_polynomial(args.phi)
+        amp = oscint.AmplitudeSpec(radius=args.radius)
+        grid = oscint.dyadic_grid(args.lmin, args.lmax)
+        if args.grid < 1:
+            raise ValueError(f"--grid must be at least 1, got {args.grid}")
+        if args.randol and args.m is None:
             raise ValueError("--randol requires --m")
-        workers = oscint.resolve_workers(cfg.workers)
+        workers = oscint.resolve_workers(args.workers)
     except ValueError as exc:
-        _emit_error(cfg, str(exc), EXIT_PARSE, out)
+        _emit_error(None, str(exc), EXIT_PARSE, out)
         return EXIT_PARSE
 
-    if cfg.randol:
-        try:
+    try:  # every lambda is planned (range, node budget, support) before any quadrature
+        if args.randol:
             scan = oscint.randol_lq_scan(
-                phi,
-                amp,
-                cfg.m,
-                q_list=cfg.q_values or (2.0,),
-                cells=cfg.grid,
-                lambda_grid=grid,
-                workers=workers,
+                phi, amp, args.m, q_list=args.q or (2.0,), cells=args.grid, lambda_grid=grid, workers=workers
             )
-        except cls.UnsupportedKindError as exc:
-            _emit_error(cfg, str(exc), EXIT_OUT_OF_SCOPE, out)
-            return EXIT_OUT_OF_SCOPE
-        except (ValueError, oscint.QuadratureNotConverged) as exc:
-            _emit_error(cfg, str(exc), EXIT_NUMERIC, out)
-            return EXIT_NUMERIC
-        if cfg.csv_path:
-            oscint.write_scan_csv(cfg.csv_path, scan)
+        else:
+            fit = oscint.fit_decay(phi, amp, grid, workers=workers)
+    except cls.UnsupportedKindError as exc:
+        _emit_error(None, str(exc), EXIT_OUT_OF_SCOPE, out)
+        return EXIT_OUT_OF_SCOPE
+    except (ValueError, oscint.QuadratureNotConverged) as exc:
+        _emit_error(None, str(exc), EXIT_NUMERIC, out)
+        return EXIT_NUMERIC
+
+    if args.randol:
+        if args.csv_path:
+            oscint.write_scan_csv(args.csv_path, scan)
         for q, (coarse, fine, ratio) in sorted(scan.q_report.items()):
-            print(
-                f"q={q:g}: L^q sum coarse={coarse:.6g} fine={fine:.6g} ratio={ratio:.4f}",
-                file=out,
-            )
+            print(f"q={q:g}: L^q sum coarse={coarse:.6g} fine={fine:.6g} ratio={ratio:.4f}", file=out)
         return EXIT_OK
 
-    try:  # feasible range, node budget and support, for every lambda before any quadrature
-        plan = oscint._sweep_edges(phi, amp, grid, (0.0, 0.0))
-    except ValueError as exc:
-        _emit_error(cfg, str(exc), EXIT_NUMERIC, out)
-        return EXIT_NUMERIC
-
-    def one(lam: float, edges):
-        try:
-            value, err = oscint._eval_on_edges(phi, amp, lam, (0.0, 0.0), edges)
-            return (lam, value, err, None)
-        except oscint.QuadratureNotConverged as exc:
-            return (lam, None, None, str(exc))
-
-    results = oscint.map_sweep(one, grid, plan, workers)
-    failures = [f"lambda={lam:g}: {msg}" for lam, _, _, msg in results if msg]
-    samples = [(lam, value, err) for lam, value, err, msg in results if msg is None]
-    if len(samples) < 3:
-        _emit_error(cfg, "fewer than three lambda points converged", EXIT_NUMERIC, out)
-        return EXIT_NUMERIC
-    try:  # an |I| that underflowed
-        fit = oscint.fit_decay_from_samples(
-            [s_[0] for s_ in samples], [s_[1] for s_ in samples], [s_[2] for s_ in samples]
-        )
-    except oscint.QuadratureNotConverged as exc:
-        _emit_error(cfg, str(exc), EXIT_NUMERIC, out)
-        return EXIT_NUMERIC
-    if cfg.csv_path:
-        oscint.write_fit_csv(cfg.csv_path, fit)
-    for line in failures:
-        print(f"warning: {line}", file=out)
+    if args.csv_path:
+        oscint.write_fit_csv(args.csv_path, fit)
+    for lam, message in fit.skipped:
+        print(f"warning: lambda={lam:g}: {message}", file=out)
     ref = _reference_decay(phi)
     if ref is None:
         print(f"gamma_hat = {fit.gamma_hat:.4f} (no classified reference rate)", file=out)
@@ -358,10 +303,10 @@ def run_decay(cfg: RunConfig, out=None) -> int:
 # -- corpus ---------------------------------------------------------------------
 
 
-def run_corpus_command(cfg: RunConfig, out=None) -> int:
+def run_corpus_command(args: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
     results = corpus_mod.run_corpus(
-        tag_filter=cfg.tag_filter, report=lambda line: print(line, file=out), seed=cfg.seed
+        tag_filter=args.tag_filter, report=lambda line: print(line, file=out), seed=args.seed
     )
     failures = [r for r in results if not r.ok]
     print(f"{len(results) - len(failures)}/{len(results)} checks passed", file=out)
@@ -403,42 +348,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if args.command == "analyze":
-        cfg.phi_text = args.phi
-        cfg.p_values = tuple(parse_rational(tok) for tok in args.p.split(",") if tok.strip())
-        cfg.json_path = args.json_path
-        cfg.svg_path = args.svg_path
-    elif args.command == "decay":
-        cfg.phi_text = args.phi
-        cfg.lmin = args.lmin
-        cfg.lmax = args.lmax
-        cfg.grid = args.grid
-        cfg.radius = args.radius
-        cfg.randol = args.randol
-        cfg.m = args.m
-        cfg.q_values = tuple(parse_exponent(tok) for tok in args.q.split(",") if tok.strip())
-        cfg.csv_path = args.csv_path
-        cfg.workers = args.workers
-    else:
-        cfg.tag_filter = args.tag_filter
-        cfg.seed = args.seed
-    return cfg
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        if args.command == "analyze":
+            args.p = tuple(parse_rational(tok) for tok in args.p.split(",") if tok.strip())
+        elif args.command == "decay":
+            args.q = tuple(parse_exponent(tok) for tok in args.q.split(",") if tok.strip())
     except ValueError as exc:
         print(json.dumps({"error": str(exc), "exit_code": EXIT_PARSE}), file=sys.stdout)
         return EXIT_PARSE
-    if cfg.command == "analyze":
-        return run_analyze(cfg)
-    if cfg.command == "decay":
-        return run_decay(cfg)
-    return run_corpus_command(cfg)
+    run = {"analyze": run_analyze, "decay": run_decay, "corpus": run_corpus_command}[args.command]
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -66,7 +66,7 @@ import os
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -137,7 +137,7 @@ class AmplitudeSpec:
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"amplitude radius must be positive and finite, got {self.radius}")
-        if self.order < 2 or self.order % 2:
+        if type(self.order) is not int or self.order < 2 or self.order % 2:
             raise ValueError("bump order must be an even integer >= 2")
         if self.profile not in ("radial", "product"):
             raise ValueError(f"unknown amplitude profile {self.profile!r}")
@@ -145,7 +145,11 @@ class AmplitudeSpec:
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Sampled values of I(lambda, s) and the fitted decay exponent."""
+    """Sampled values of I(lambda, s) and the fitted decay exponent.
+
+    ``skipped`` holds the (lambda, message) pairs that ``fit_decay`` left out
+    of the fit because their order-CHECK_ORDER check failed.
+    """
 
     lambdas: Tuple[float, ...]
     values: Tuple[complex, ...]
@@ -154,6 +158,7 @@ class DecayFit:
     log_correction: bool
     residual: float
     quadrature_error_bound: Tuple[float, ...]
+    skipped: Tuple[Tuple[float, str], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -767,15 +772,6 @@ def _eval_on_edges(
     return fine[0, 0], _order_check(coarse, fine, amp, f"I(lambda={lam}, s={s})")
 
 
-def _eval_with_error(
-    phi: BivariatePolynomial,
-    amp: AmplitudeSpec,
-    lam: float,
-    s: Tuple[float, float],
-) -> Tuple[complex, float]:
-    return _eval_on_edges(phi, amp, lam, s, _panels_for(phi, amp, lam, s))
-
-
 def eval_oscillatory(
     phi: BivariatePolynomial,
     amp: AmplitudeSpec,
@@ -784,7 +780,7 @@ def eval_oscillatory(
 ) -> complex:
     """Quadrature value of I(lambda, s) under the order-CHECK_ORDER rule,
     checked against the order-GAUSS_ORDER rule on the same panels."""
-    value, _ = _eval_with_error(phi, amp, lam, s)
+    value, _ = _eval_on_edges(phi, amp, lam, s, _panels_for(phi, amp, lam, s))
     return value
 
 
@@ -846,14 +842,30 @@ def fit_decay(
 
     Fits log|I| against log(lambda) (optionally with a log log lambda
     regressor) and reports gamma_hat with the RMS fit residual and the
-    per-point quadrature error estimates.
+    per-point quadrature error estimates.  Every lambda is planned before any
+    quadrature runs; a grid of fewer than three lambdas then raises
+    ValueError.  A lambda whose order-CHECK_ORDER check fails is left out of
+    the fit and recorded in ``skipped``; fewer than three converged lambdas
+    raise QuadratureNotConverged.
     """
     lams = sorted(float(v) for v in lambda_grid)
     plan = _sweep_edges(phi, amp, lams, s)
-    results = map_sweep(lambda lam, edges: _eval_on_edges(phi, amp, lam, s, edges), lams, plan, workers)
-    return fit_decay_from_samples(
-        lams, [v for v, _ in results], [e for _, e in results], with_log=with_log
-    )
+    if len(lams) < 3:
+        raise ValueError(f"a decay fit needs at least three lambda points, got {len(lams)}")
+
+    def one(lam: float, edges: Tuple[np.ndarray, np.ndarray]) -> tuple:
+        # (lambda, value, error), or (lambda, message) for a failed check
+        try:
+            return (lam, *_eval_on_edges(phi, amp, lam, s, edges))
+        except QuadratureNotConverged as exc:
+            return (lam, str(exc))
+
+    results = map_sweep(one, lams, plan, workers)
+    samples = [r for r in results if len(r) == 3]
+    if len(samples) < 3:
+        raise QuadratureNotConverged("fewer than three lambda points converged")
+    fit = fit_decay_from_samples(*zip(*samples), with_log=with_log)
+    return replace(fit, skipped=tuple(r for r in results if len(r) == 2))
 
 
 # -- maximal-function scans -----------------------------------------------------

@@ -77,6 +77,7 @@ def test_criterion_5_decay_fits():
     failures = []
     for text, amp, target, tol in rows:
         fit = fit_decay(parse_polynomial(text), amp, DEFAULT_LAMBDA_GRID, s=(0.0, 0.0))
+        assert fit.skipped == ()
         gap = abs(fit.gamma_hat - target)
         print(f"    decay {text}: gamma_hat={fit.gamma_hat:.4f} target={target:.4f} gap={gap:.4f}")
         if gap > tol:
@@ -127,5 +128,6 @@ def test_supplementary_faithful_branch_rate():
         AmplitudeSpec(radius=0.6, order=2),
         [float(2**j) for j in range(6, 14)],
     )
+    assert fit.skipped == ()
     print(f"    faithful branch phase: gamma_hat={fit.gamma_hat:.4f} (predicted 0.6)")
     assert abs(fit.gamma_hat - 0.6) < 0.05

@@ -185,6 +185,15 @@ class TestDecayCommand:
         assert "warning: lambda=128: order 14 moved I(lambda=128.0" in out
         assert "gamma_hat" in out
 
+    def test_two_lambdas_exit_before_any_quadrature(self, capsys, monkeypatch):
+        def quadrature(*args):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(oscint, "_eval_on_edges", quadrature)
+        code = cli.main(["decay", "--phi", "x^2 + y^2", "--lmin", "64", "--lmax", "128"])
+        assert code == cli.EXIT_NUMERIC
+        assert "at least three lambda points, got 2" in json.loads(capsys.readouterr().out)["error"]
+
     def test_randol_smoke_with_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "scan.csv"
         code = cli.main(

@@ -38,7 +38,6 @@ from nphk.oscint import (
     resolve_workers,
     _disc_columns,
     _eval_on_edges,
-    _eval_with_error,
     _gauss_axis,
     _order_check,
     _osc_grids,
@@ -72,6 +71,12 @@ class TestAmplitude:
             AmplitudeSpec(order=3)
         with pytest.raises(ValueError):
             AmplitudeSpec(profile="gaussian")
+
+    @pytest.mark.parametrize("order,profile", [(6.0, "radial"), (2.0, "product")])
+    def test_float_order_refused(self, order, profile):
+        # _power (radial) and math.factorial (product) need an int order
+        with pytest.raises(ValueError, match="even integer"):
+            AmplitudeSpec(order=order, profile=profile)
 
     def test_support_check_accepts_degenerate_curve(self):
         amp = AmplitudeSpec(radius=0.25)
@@ -131,7 +136,8 @@ class TestEval:
 
     def test_reported_error_within_tolerance(self):
         amp = AmplitudeSpec()
-        _, err = _eval_with_error(parse_polynomial("x^2 + y^2"), amp, 1024.0, (0.0, 0.0))
+        phi, s = parse_polynomial("x^2 + y^2"), (0.0, 0.0)
+        _, err = _eval_on_edges(phi, amp, 1024.0, s, _panels_for(phi, amp, 1024.0, s))
         assert err < 1e-3
 
     def test_feasibility_guard(self):
@@ -413,6 +419,7 @@ class TestBlockedSweep:
         }
         for text, (radius, gamma, bisected_gamma) in pinned.items():
             fit = fit_decay(parse_polynomial(text), AmplitudeSpec(radius=radius, order=2), dyadic_grid(64, 4096))
+            assert fit.skipped == ()
             assert fit.gamma_hat == pytest.approx(gamma, abs=1e-12)
             assert fit.gamma_hat == pytest.approx(bisected_gamma, abs=1e-6)
 
@@ -727,6 +734,7 @@ class TestFitDecay:
     def test_quadratic_phase_short_window(self):
         amp = AmplitudeSpec(radius=0.4, order=2)
         fit = fit_decay(parse_polynomial("x^2 + y^2"), amp, dyadic_grid(256, 4096))
+        assert fit.skipped == ()
         assert fit.gamma_hat == pytest.approx(1.0, abs=0.07)
         assert not fit.log_correction
         assert max(fit.quadrature_error_bound) < 1e-3
@@ -741,12 +749,48 @@ class TestFitDecay:
         p = parse_polynomial("x^2 + y^2")
         short = fit_decay(p, amp, dyadic_grid(256, 2048))
         longer = fit_decay(p, amp, dyadic_grid(256, 8192))
+        assert short.skipped == longer.skipped == ()
         assert longer.residual <= 2 * short.residual + 1e-3
 
     def test_log_regressor_flag(self):
         amp = AmplitudeSpec(radius=0.4, order=2)
         fit = fit_decay(parse_polynomial("x^2 + y^2"), amp, dyadic_grid(256, 2048), with_log=True)
+        assert fit.skipped == ()
         assert fit.log_correction
+
+    @staticmethod
+    def _fail_at(monkeypatch, failing):
+        eval_on_edges = oscint._eval_on_edges
+
+        def flaky(phi, amp, lam, s, edges):
+            if lam in failing:
+                raise QuadratureNotConverged(f"order 14 moved I(lambda={lam}, s={s}) by 1.00e+00 (> 0.001)")
+            return eval_on_edges(phi, amp, lam, s, edges)
+
+        monkeypatch.setattr(oscint, "_eval_on_edges", flaky)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_lambda_is_skipped(self, monkeypatch, workers):
+        p, amp, lams = parse_polynomial("x^2 + y^2"), AmplitudeSpec(radius=0.4, order=2), dyadic_grid(64, 512)
+        full = fit_decay(p, amp, lams)
+        self._fail_at(monkeypatch, {128.0})
+        fit = fit_decay(p, amp, lams, workers=workers)
+        assert fit.lambdas == (64.0, 256.0, 512.0)
+        assert fit.values == tuple(v for lam, v in zip(full.lambdas, full.values) if lam != 128.0)
+        assert fit.skipped == ((128.0, "order 14 moved I(lambda=128.0, s=(0.0, 0.0)) by 1.00e+00 (> 0.001)"),)
+
+    def test_all_but_two_failed_is_not_converged(self, monkeypatch):
+        self._fail_at(monkeypatch, {256.0, 512.0})
+        with pytest.raises(QuadratureNotConverged, match="fewer than three lambda points converged"):
+            fit_decay(parse_polynomial("x^2 + y^2"), AmplitudeSpec(), dyadic_grid(64, 512))
+
+    def test_two_lambdas_refused_before_any_node(self, monkeypatch):
+        built = []
+        gauss_axis = oscint._gauss_axis
+        monkeypatch.setattr(oscint, "_gauss_axis", lambda *args: built.append(args) or gauss_axis(*args))
+        with pytest.raises(ValueError, match="at least three lambda points, got 2"):
+            fit_decay(parse_polynomial("x^2 + y^2"), AmplitudeSpec(), [64.0, 128.0])
+        assert built == []
 
 
 class TestRandol:
