@@ -21,14 +21,17 @@ Heights attached to each class are exact rationals: D(m, n) has
 h = 2n/(n+1) and linear height min(h, (2m+1)/(m+1)); E6, E7, E8 carry 12/7,
 9/5, 15/8; D4 carries 3/2; CaseBIV and CaseC carry 2.  The coordinate system
 is linearly adapted exactly when the two heights agree (for D types:
-2m+1 >= n).
+2m+1 >= n).  The multiplicity comes from the class too: 1 exactly for
+CaseC with a double real factor in the quartic part.
 
 Real linear factors of the cubic and quartic parts are read off the
 dehomogenized form with the exact ``UnivariatePolynomial`` algebra of
 ``polyring``: Yun's square-free decomposition gives the repeated (hence
 rational) factors, and a Sturm count decides whether a factor has a real
-root.  All solves run on exact rational jets; the working truncation
-defaults to 2*deg + 16.
+root.  One frame routine sends the repeated cubic factor of every rank-zero
+branch path to the y-axis.  All solves run on exact rational jets; a branch
+path works at 2*deg + 16 by default and refuses a truncation below the
+input degree with TruncationTooSmall.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .newton import build_polygon, taylor_support
+from .newton import taylor_support
 from .polyring import (
     INFINITE_ORDER,
     BivariatePolynomial,
@@ -269,6 +272,19 @@ def default_truncation(p: BivariatePolynomial) -> int:
     return 2 * int(deg) + 16
 
 
+def _working_truncation(p: BivariatePolynomial, trunc: Optional[int]) -> int:
+    """The truncation a branch path works at: the default, or a given int no
+    smaller than the input degree (a jet cut below it would drop input terms)."""
+    if trunc is None:
+        return default_truncation(p)
+    if not isinstance(trunc, int) or isinstance(trunc, bool):
+        raise TypeError(f"trunc must be an int, got {trunc!r}")
+    deg = p.total_degree()
+    if deg != -math.inf and trunc < deg:
+        raise TruncationTooSmall(f"trunc={trunc} below the input degree {deg}")
+    return trunc
+
+
 def rank_at_origin(p: BivariatePolynomial) -> int:
     """Rank of the Hessian at the origin, read off the quadratic part."""
     q = p.homogeneous_part(2)
@@ -290,6 +306,35 @@ def _square_direction(q: BivariatePolynomial) -> Tuple[Fraction, Fraction]:
         return (Fraction(1), b / (2 * a))
     # rank one with no x^2 term forces q = c*y^2
     return (Fraction(0), Fraction(1))
+
+
+def _cubic_frame(
+    p: BivariatePolynomial, trunc: Optional[int], mult: int
+) -> Tuple[int, LinearMap2, BivariatePolynomial]:
+    """Working truncation, map and image of p in the frame of a rank-zero branch path.
+
+    The cubic part's real factor of multiplicity mult (2 or 3) goes to the
+    y-axis, where the cubic part must read c*x^(3-mult)*y^mult.  For mult = 2
+    it reads y^2*(alpha*x + beta*y) first; the shear x -> x - (beta/alpha)*y
+    removes the y^3 component, so the frame is rigid up to scalings and the
+    branch orders read in it are linear-invariant.
+    """
+    trunc = _working_truncation(p, trunc)
+    p3 = p.homogeneous_part(3)
+    if p3.is_zero():
+        raise NormalizationFailed(f"cubic part has no real factor of multiplicity {mult}")
+    nmap = _normalizing_map(_repeated_linear_factor(p3, mult))
+    pn = apply_linear(p, nmap)
+    p3n = pn.homogeneous_part(3)
+    alpha, beta = p3n.coefficient(1, 2), p3n.coefficient(0, 3)
+    if mult == 2 and alpha != 0 and beta != 0:
+        nmap = nmap @ LinearMap2(1, -beta / alpha, 0, 1)
+        pn = apply_linear(p, nmap)
+        p3n = pn.homogeneous_part(3)
+    if set(p3n.terms) != {(3 - mult, mult)}:
+        shape = BivariatePolynomial.monomial(3 - mult, mult).to_string()
+        raise NormalizationFailed(f"cubic part did not normalize to a multiple of {shape}")
+    return trunc, nmap, pn
 
 
 def _resolve_order(jet: UnivariatePolynomial, exact_input: bool, what: str) -> OrderValue:
@@ -332,52 +377,24 @@ def d_normal_form(p: BivariatePolynomial, trunc: Optional[int] = None) -> DNorma
     """Extract the squared-branch data (m, omega0, n, beta0, psi, b0) of a phase.
 
     Applies the normalizing linear change internally.  For rank zero the cubic
-    part must have a real factor of multiplicity exactly two; that direction
-    goes to the y-axis and a further shear removes the leftover y^3 component,
-    after which the frame is rigid up to scalings and the branch orders are
-    linear-invariant.  For a rank-one quadratic part the squared direction
-    goes to the y-axis; the residual shear freedom x -> x + gamma*y is then
-    resolved canonically: a frame that straightens the branch entirely is
-    preferred (the flat-branch case), otherwise the frame with the generic
-    (minimal) branch order is adopted.  psi solves d/dy p(x, psi(x)) = 0 with
+    part must have a real factor of multiplicity exactly two, which fixes the
+    rigid frame of ``_cubic_frame``.  For a rank-one quadratic part the
+    squared direction goes to the y-axis; the residual shear freedom
+    x -> x + gamma*y is then resolved canonically: a frame that straightens
+    the branch entirely is preferred (the flat-branch case), otherwise the
+    frame with the generic (minimal) branch order is adopted.  psi solves d/dy p(x, psi(x)) = 0 with
     psi = O(x^2), and b0(x) = p(x, psi(x)).
     """
     taylor_support(p)  # rejects non-critical phases
-    if trunc is None:
-        trunc = default_truncation(p)
-    deg = p.total_degree()
-    if deg != -math.inf and trunc < deg:
-        raise TruncationTooSmall(f"trunc={trunc} below the input degree {deg}")
-
     rank = rank_at_origin(p)
     if rank == 2:
         raise NormalizationFailed("Hessian has full rank; no squared branch")
-    if rank == 1:
-        direction = _square_direction(p.homogeneous_part(2))
-    else:
-        p3 = p.homogeneous_part(3)
-        if p3.is_zero() or circle_vanishing_order(p3) != 2:
-            raise NormalizationFailed(
-                "cubic part has no real factor of multiplicity exactly two"
-            )
-        direction = _repeated_linear_factor(p3, 2)
-
-    nmap = _normalizing_map(direction)
-    pn = apply_linear(p, nmap)
-
     if rank == 0:
-        # after the factor normalization the cubic part reads y^2*(alpha*x + beta*y);
-        # the shear x -> x - (beta/alpha) y removes the y^3 component, which is
-        # what makes the extracted branch orders linear-invariant
-        p3n = pn.homogeneous_part(3)
-        alpha = p3n.coefficient(1, 2)
-        if p3n.coefficient(3, 0) != 0 or p3n.coefficient(2, 1) != 0 or alpha == 0:
-            raise NormalizationFailed("cubic part did not normalize to the squared shape")
-        beta = p3n.coefficient(0, 3)
-        if beta != 0:
-            nmap = nmap @ LinearMap2(1, -beta / alpha, 0, 1)
-            pn = apply_linear(p, nmap)
+        trunc, nmap, pn = _cubic_frame(p, trunc, 2)
     else:
+        trunc = _working_truncation(p, trunc)
+        nmap = _normalizing_map(_square_direction(p.homogeneous_part(2)))
+        pn = apply_linear(p, nmap)
         straight = _straightening_shear(pn)
         if straight is not None:
             nmap = nmap @ straight
@@ -408,26 +425,15 @@ def d_normal_form(p: BivariatePolynomial, trunc: Optional[int] = None) -> DNorma
 
 
 def _cubic_branch_orders(
-    p: BivariatePolynomial, trunc: int
-) -> Tuple[OrderValue, OrderValue, UnivariatePolynomial, LinearMap2]:
+    p: BivariatePolynomial, trunc: Optional[int]
+) -> Tuple[OrderValue, OrderValue, BivariatePolynomial, LinearMap2]:
     """Straighten the triple cubic direction and read off the remainder orders.
 
     After the shear along the branch of d2/dy2 p = 0 the phase has no y^2
     slice; k0 and k1 are the orders of the pure-x and y-linear slices.
+    Returns them with the sheared phase and the linear map.
     """
-    p3 = p.homogeneous_part(3)
-    direction = _repeated_linear_factor(p3, 3)
-    nmap = _normalizing_map(direction)
-    pn = apply_linear(p, nmap)
-    p3n = pn.homogeneous_part(3)
-    if (
-        p3n.coefficient(0, 3) == 0
-        or p3n.coefficient(1, 2) != 0
-        or p3n.coefficient(2, 1) != 0
-        or p3n.coefficient(3, 0) != 0
-    ):
-        raise NormalizationFailed("cubic part did not normalize to a pure y^3")
-
+    trunc, nmap, pn = _cubic_frame(p, trunc, 3)
     psi = _branch_solve(pn.truncate(trunc).partial(1).partial(1), trunc)
     sheared = apply_shear(pn.truncate(trunc), psi)
     if not sheared.y_slice(2).is_zero():
@@ -435,7 +441,7 @@ def _cubic_branch_orders(
 
     k0 = _resolve_order(sheared.y_slice(0), p.is_exact, "k0")
     k1 = _resolve_order(sheared.y_slice(1), p.is_exact, "k1")
-    return k0, k1, psi, nmap
+    return k0, k1, sheared, nmap
 
 
 def classify_singularity(
@@ -451,9 +457,6 @@ def classify_singularity(
     to CaseC when the quartic part has no factor of multiplicity above two.
     """
     taylor_support(p)
-    if trunc is None:
-        trunc = default_truncation(p)
-
     rank = rank_at_origin(p)
     if rank == 2:
         return SingularityKind.marker(NONDEGENERATE_OR_RANK_POSITIVE)
@@ -536,10 +539,9 @@ def adapted_polynomial(
     D types: normalized and sheared along the squared branch.  D4 and CaseC:
     the input itself.  E/CaseBIV: normalized and sheared along the cubic
     branch.  Marker kinds raise.  A caller that already holds the kind of p
-    at this truncation passes it to skip the classification.
+    at this truncation passes it to skip the classification.  Tests check
+    heights and multiplicities against it.
     """
-    if trunc is None:
-        trunc = default_truncation(p)
     if kind is None:
         kind = classify_singularity(p, trunc)
     if not kind.is_supported:
@@ -548,27 +550,25 @@ def adapted_polynomial(
         return p
     if kind.tag == D_TYPE:
         nf = d_normal_form(p, trunc)
-        return apply_shear(apply_linear(p, nf.normal_map).truncate(trunc), nf.psi)
-    _, _, psi, nmap = _cubic_branch_orders(p, trunc)
-    return apply_shear(apply_linear(p, nmap).truncate(trunc), psi)
+        return apply_shear(apply_linear(p, nf.normal_map), nf.psi)
+    return _cubic_branch_orders(p, trunc)[2]
 
 
 def multiplicity_mfrak(
     p: BivariatePolynomial, kind: Optional[SingularityKind] = None
 ) -> int:
-    """1 when the classifier's adapted polygon has a vertex principal face at (h, h).
+    """1 when the adapted polygon has a vertex principal face at (h, h), read from the class.
 
-    Heights off the lattice can never sit at a vertex, so everything except
-    the h = 2 classes short-circuits to 0.
+    A vertex (h, h) needs an integer h, so only h = 2 classes can score.
+    Adapted, Dinf keeps (1, 2) or (0, 2) and CaseBIV has no y^2 slice, so
+    (2, 2) is no vertex of theirs; a CaseC phase has it exactly when a real
+    double factor of its quartic part, sent to an axis, leaves x^2*y^2 as the
+    corner of the line a + b = 4.
     """
     if kind is None:
         kind = classify_singularity(p)
-    h = height(kind)  # raises for unsupported kinds
-    if h.denominator != 1:
-        return 0
-    poly = build_polygon(taylor_support(adapted_polynomial(p, kind=kind)))
-    face = poly.principal_face
-    return int(face.kind == "vertex" and face.points[0] == (h, h))
+    height(kind)  # raises for unsupported kinds
+    return int(kind.tag == CASE_C and circle_vanishing_order(p.homogeneous_part(4)) == 2)
 
 
 def height_report(p: BivariatePolynomial, kind: Optional[SingularityKind] = None) -> HeightReport:

@@ -47,8 +47,11 @@ class ParseError(ValueError):
 
 
 def _frac(value: Coeff) -> Fraction:
+    """A coefficient as an exact Fraction; a float (or bool) is refused, not rounded."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"coefficient {value!r} is not exact; pass an int, a Fraction or a string")
     return Fraction(value)
 
 
@@ -235,7 +238,7 @@ class BivariatePolynomial:
         return BivariatePolynomial._clean({k: -c for k, c in self._terms.items()}, self._trunc)
 
     def __mul__(self, other) -> "BivariatePolynomial":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, BivariatePolynomial):
             return self.scale(other)
         trunc = _min_trunc(self._trunc, other._trunc)
         nums1, den1 = _integer_form(self._terms)
@@ -420,7 +423,7 @@ class UnivariatePolynomial:
         return UnivariatePolynomial._clean({d: -c for d, c in self._coeffs.items()}, self._trunc)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, UnivariatePolynomial):
             return self.scale(other)
         trunc = _min_trunc(self._trunc, other._trunc)
         nums1, den1 = _integer_form(self._coeffs)

@@ -36,6 +36,7 @@ from nphk.newton import build_polygon, taylor_support
 from nphk.polyring import (
     INFINITE_ORDER,
     BivariatePolynomial,
+    LinearMap2,
     UnivariatePolynomial,
     apply_linear,
     apply_shear,
@@ -169,10 +170,46 @@ class TestClassify:
         with pytest.raises(NormalizationFailed):
             d_normal_form(zero)
 
+    @pytest.mark.parametrize("text,mult", [("y^3 + x^4", 3), ("x*(y - x^2)^2 + x^5", 2)])
+    def test_frame_checks_the_cubic_shape(self, text, mult):
+        p = parse_polynomial(text)
+        _, _, pn = classify._cubic_frame(p, None, mult)
+        assert set(pn.homogeneous_part(3).terms) == {(3 - mult, mult)}
+        # a wrong direction leaves the cubic part off that shape
+        with mock.patch.object(classify, "_repeated_linear_factor", return_value=(F(1), F(1))):
+            with pytest.raises(NormalizationFailed, match="did not normalize"):
+                classify._cubic_frame(p, None, mult)
+
     def test_true_d_form_with_flat_branch(self):
         # a squared-y factor with a flat branch is still in range at rank zero
         kind = classify_singularity(parse_polynomial("x*y^2 + x^5"))
         assert kind.tag == D_TYPE and kind.m is INFINITE_ORDER and kind.n == 5
+
+    @pytest.mark.parametrize(
+        "text,trunc",
+        [
+            ("y^3 + x^4", 3),
+            ("y^3 + x^3*y", 3),
+            ("y^3 + x^5", 4),
+            ("y^3 + x^6", 5),
+            ("x*(y - x^2)^2 + x^5", 4),
+            ("(y - x^2)^2 + x^7", 6),
+        ],
+    )
+    def test_every_branch_path_refuses_trunc_below_degree(self, text, trunc):
+        p = parse_polynomial(text)
+        with pytest.raises(TruncationTooSmall, match="below the input degree"):
+            classify_singularity(p, trunc)
+        assert classify_singularity(p, trunc + 1).is_supported
+
+    @pytest.mark.parametrize("trunc", [20.0, True, "20"])
+    @pytest.mark.parametrize("text", ["y^3 + x^4", "x*(y - x^2)^2 + x^5", "(y - x^2)^2 + x^7"])
+    def test_non_int_trunc_refused(self, text, trunc):
+        p = parse_polynomial(text)
+        with pytest.raises(TypeError, match="trunc must be an int"):
+            classify_singularity(p, trunc)
+        with pytest.raises(TypeError, match="trunc must be an int"):
+            adapted_polynomial(p, trunc)
 
 
 class TestHeights:
@@ -332,6 +369,51 @@ class TestMultiplicity:
         rep = height_report(parse_polynomial("(y - x^2)^2 + x^7"))
         assert rep.h == F(7, 4) and rep.h_lin == F(5, 3)
         assert not rep.linearly_adapted and rep.multiplicity == 0
+
+
+def _principal_face_multiplicity(p, kind):
+    """The polygon reading: 1 when the adapted polygon's principal face is the vertex (h, h)."""
+    h = height(kind)
+    face = build_polygon(taylor_support(adapted_polynomial(p, kind=kind))).principal_face
+    return int(face.kind == "vertex" and face.points[0] == (h, h))
+
+
+class TestMultiplicityInvariance:
+    PHASES = [
+        ("x^2*y^2 + x^5 + y^5", CASE_C, 1),
+        ("x^2*(x^2 + y^2) + y^5", CASE_C, 1),
+        ("(x^2 + y^2)^2 + x^5", CASE_C, 0),
+        ("x^4 + y^4", CASE_C, 0),
+        ("x^4 - y^4", CASE_C, 0),
+        ("y^3 + x^6", CASE_BIV, 0),
+        ("x*(y - x^2)^2", D_TYPE, 0),
+        ("(y - x^2)^2", D_TYPE, 0),
+    ]
+
+    @pytest.mark.parametrize("text,tag,expected", PHASES)
+    def test_linear_images_keep_the_multiplicity(self, text, tag, expected):
+        rng = random.Random(f"multiplicity {text}")
+        p = parse_polynomial(text)
+        for image in [p] + [apply_linear(p, rand_invertible_map(rng)) for _ in range(6)]:
+            kind = classify_singularity(image)
+            assert kind.tag == tag
+            assert multiplicity_mfrak(image, kind) == expected, image.to_string()
+            if tag != CASE_C:
+                # Dinf and CaseBIV: the class rule agrees with the adapted polygon
+                assert _principal_face_multiplicity(image, kind) == expected
+
+    def test_double_factor_off_the_axes(self):
+        # the image of x^2*y^2 + ... under (x, y) -> (x + y, x - y)
+        p = apply_linear(parse_polynomial("x^2*y^2 + x^5 + y^5"), LinearMap2(1, 1, 1, -1))
+        assert multiplicity_mfrak(p) == 1
+
+    @pytest.mark.parametrize("text", [text for text, _, _ in PHASES])
+    def test_no_branch_is_solved(self, text):
+        p = parse_polynomial(text)
+        kind = classify_singularity(p)
+        with mock.patch.object(classify, "_branch_solve", wraps=classify._branch_solve) as spy:
+            multiplicity_mfrak(p, kind)
+        assert spy.call_count == 0
 
 
 # -- the branch solve at doubling working precision --------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -10,7 +11,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from nphk import cli, oscint
-from nphk.corpus import CORPUS, CorpusRow, check_row, run_corpus
+from nphk.corpus import CORPUS, CorpusRow, check_affine_invariance, check_row, run_corpus
 
 RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -98,6 +99,14 @@ class TestAnalyze:
         report = json.loads(path.read_text())
         assert report["kind"] == "CaseC" and report["h"] == "2"
 
+    def test_multiplicity_of_a_double_factor_off_the_axes(self, capsys, tmp_path):
+        # the image of x^2*y^2 + x^5 + y^5 under (x, y) -> (x + y, x - y)
+        path = tmp_path / "report.json"
+        phi = "x^4 - 2*x^2*y^2 + y^4 + 2*x^5 + 20*x^3*y^2 + 10*x*y^4"
+        assert cli.main(["analyze", "--phi", phi, "--json", str(path)]) == 0
+        report = json.loads(path.read_text())
+        assert report["kind"] == "CaseC" and report["multiplicity"] == 1
+
 
 class TestCorpusCommand:
     def test_full_corpus_passes(self, capsys):
@@ -131,6 +140,12 @@ class TestCorpusCommand:
         assert not result.ok and "k_p(1)" in result.detail
         results = run_corpus(rows=[bad], tag_filter="E6")
         assert sum(0 if r.ok else 1 for r in results) == 1
+
+    def test_invariance_compares_images_with_the_pinned_row(self):
+        bad = dataclasses.replace(CORPUS[2], m=3)  # D8 row pinned with a wrong m
+        result = check_affine_invariance([bad], seed=0)
+        assert not result.ok and "m: expected 3, got 2" in result.detail
+        assert check_affine_invariance([CORPUS[2]], seed=0).ok
 
 
 class TestDecayCommand:

@@ -113,6 +113,33 @@ class TestArithmetic:
         assert p.homogeneous_part(11).is_zero()
 
 
+class TestExactnessBoundary:
+    @pytest.mark.parametrize("value", [0.1, 0.5, 2.0, True, False])
+    def test_float_and_bool_coefficients_refused(self, value):
+        with pytest.raises(TypeError, match="not exact"):
+            BivariatePolynomial.constant(value)
+        with pytest.raises(TypeError, match="not exact"):
+            BivariatePolynomial({(2, 0): value})
+        with pytest.raises(TypeError, match="not exact"):
+            UnivariatePolynomial({1: value})
+        with pytest.raises(TypeError, match="not exact"):
+            LinearMap2(value, 0, 0, 1)
+
+    def test_product_with_a_float_refused(self):
+        p = parse_polynomial("x^2 + y^2")
+        u = UnivariatePolynomial({2: 1})
+        for poly in (p, u):
+            with pytest.raises(TypeError, match="not exact"):
+                poly * 0.5
+            with pytest.raises(TypeError, match="not exact"):
+                0.5 * poly
+
+    def test_exact_scalars_still_scale(self):
+        p = parse_polynomial("x^2 + y^2")
+        assert p * F(1, 2) == F(1, 2) * p == parse_polynomial("1/2*x^2 + 1/2*y^2")
+        assert 3 * UnivariatePolynomial({2: 1}) == UnivariatePolynomial({2: 3})
+
+
 class TestLinearMaps:
     def test_identity(self):
         p = parse_polynomial("x^2")
