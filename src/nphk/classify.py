@@ -30,8 +30,9 @@ dehomogenized form with the exact ``UnivariatePolynomial`` algebra of
 rational) factors, and a Sturm count decides whether a factor has a real
 root.  One frame routine sends the repeated cubic factor of every rank-zero
 branch path to the y-axis.  All solves run on exact rational jets; a branch
-path works at 2*deg + 16 by default and refuses a truncation below the
-input degree with TruncationTooSmall.
+path works at 2*deg + 16 by default.  Every classification path checks the
+truncation once on entry: a non-int one raises TypeError and one below the
+input degree TruncationTooSmall.
 """
 
 from __future__ import annotations
@@ -457,6 +458,7 @@ def classify_singularity(
     to CaseC when the quartic part has no factor of multiplicity above two.
     """
     taylor_support(p)
+    trunc = _working_truncation(p, trunc)
     rank = rank_at_origin(p)
     if rank == 2:
         return SingularityKind.marker(NONDEGENERATE_OR_RANK_POSITIVE)

@@ -72,10 +72,6 @@ class NewtonPolygon:
     principal_face: Face
 
     @property
-    def bisectrix_point(self) -> Tuple[Fraction, Fraction]:
-        return (self.distance, self.distance)
-
-    @property
     def edges(self) -> Tuple[Face, ...]:
         return tuple(f for f in self.faces if f.kind == EDGE)
 

@@ -9,6 +9,11 @@ truncation of its inputs.  All symbolic work in this package (coordinate
 changes, branch solves, Newton-polygon geometry) happens here, exactly;
 floating point never enters.
 
+One private core, ``_SparseJet``, holds the arithmetic both types share; each
+type names only its key check, degree function and integer product kernel.
+``+`` and ``-`` raise ``TypeError`` for an operand of another type (a scalar,
+or the other polynomial type); ``*`` also takes an exact scalar.
+
 Exact univariate polynomials also carry the Euclidean algebra the
 classifier needs for real linear factors: derivative, division with
 remainder, monic gcd, Yun's square-free decomposition and the Sturm count of
@@ -28,6 +33,7 @@ as a sentinel, never in arithmetic).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Mapping, Optional, Tuple, Union
@@ -114,32 +120,32 @@ def _sign_changes(positive: List[bool]) -> int:
     return sum(s != t for s, t in zip(positive, positive[1:]))
 
 
-class BivariatePolynomial:
-    """Immutable sparse polynomial (or jet) in the variables x and y.
+class _SparseJet:
+    """Immutable sparse polynomial (or jet) with Fraction coefficients.
 
-    ``terms`` maps (a, b) exponent pairs to nonzero Fractions.  ``trunc`` is
-    None for an exact polynomial, otherwise the total degree through which the
-    jet is valid.
+    ``_terms`` maps keys to nonzero Fractions and ``_trunc`` is None for an
+    exact polynomial, otherwise the degree through which the jet is valid.  A
+    subclass names its key check ``_key``, its degree function ``_degree`` and
+    its integer product kernel ``_convolve``.
     """
 
     __slots__ = ("_terms", "_trunc", "_hash")
 
-    def __init__(self, terms: Mapping[tuple, Coeff], trunc: Optional[int] = None):
+    def __init__(self, terms: Mapping, trunc: Optional[int] = None):
         cleaned = {}
-        for (a, b), c in terms.items():
-            if a < 0 or b < 0:
-                raise ValueError(f"negative exponent in term ({a}, {b})")
-            if trunc is not None and a + b > trunc:
+        for key, c in terms.items():
+            key = self._key(key)
+            if trunc is not None and self._degree(key) > trunc:
                 continue
             cf = _frac(c)
             if cf != 0:
-                cleaned[(int(a), int(b))] = cf
+                cleaned[key] = cf
         self._terms = cleaned
         self._trunc = trunc
         self._hash = None
 
     @classmethod
-    def _clean(cls, terms: dict, trunc: Optional[int]) -> "BivariatePolynomial":
+    def _clean(cls, terms: dict, trunc: Optional[int]):
         """Wrap terms that already hold int keys, nonzero Fractions and nothing above trunc."""
         poly = object.__new__(cls)
         poly._terms = terms
@@ -147,11 +153,98 @@ class BivariatePolynomial:
         poly._hash = None
         return poly
 
-    # -- construction helpers -------------------------------------------------
+    @classmethod
+    def zero(cls, trunc: Optional[int] = None):
+        return cls._clean({}, trunc)
+
+    @property
+    def trunc(self) -> Optional[int]:
+        return self._trunc
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def order(self) -> Union[int, float]:
+        """Smallest degree with a nonzero term; INFINITE_ORDER if zero."""
+        return min(map(self._degree, self._terms)) if self._terms else INFINITE_ORDER
+
+    def _top_degree(self) -> Union[int, float]:
+        """Largest degree with a nonzero term; -inf for the zero polynomial."""
+        return max(map(self._degree, self._terms)) if self._terms else -math.inf
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._terms == other._terms and self._trunc == other._trunc
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((frozenset(self._terms.items()), self._trunc))
+        return self._hash
+
+    def _combine(self, other, op):
+        """self op other for op in (add, sub); another type gives NotImplemented."""
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            out[k] = op(out.get(k, 0), c)
+        trunc = _min_trunc(self._trunc, other._trunc)
+        return self._clean(_kept(out, trunc, self._degree), trunc)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
+
+    def __sub__(self, other):
+        return self._combine(other, operator.sub)
+
+    def __neg__(self):
+        return self._clean({k: -c for k, c in self._terms.items()}, self._trunc)
+
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):
+            return self.scale(other)
+        trunc = _min_trunc(self._trunc, other._trunc)
+        nums1, den1 = _integer_form(self._terms)
+        nums2, den2 = _integer_form(other._terms)
+        return self._clean(_fractions(self._convolve(nums1, nums2, trunc), den1 * den2), trunc)
+
+    __rmul__ = __mul__
+
+    def scale(self, c: Coeff):
+        cf = _frac(c)
+        return self._clean({k: cf * v for k, v in self._terms.items()} if cf else {}, self._trunc)
+
+    def truncate(self, n: int):
+        trunc = n if self._trunc is None else min(self._trunc, n)
+        return self._clean(_kept(self._terms, trunc, self._degree), trunc)
+
+    def __repr__(self):
+        tag = "" if self._trunc is None else f", trunc={self._trunc}"
+        return f"{type(self).__name__}({self.to_string()}{tag})"
+
+
+class BivariatePolynomial(_SparseJet):
+    """Immutable sparse polynomial (or jet) in the variables x and y.
+
+    ``terms`` maps (a, b) exponent pairs to nonzero Fractions.  ``trunc`` is
+    None for an exact polynomial, otherwise the total degree through which the
+    jet is valid.
+    """
+
+    __slots__ = ()
 
     @staticmethod
-    def zero(trunc: Optional[int] = None) -> "BivariatePolynomial":
-        return BivariatePolynomial({}, trunc)
+    def _key(key) -> Tuple[int, int]:
+        a, b = key
+        if a < 0 or b < 0:
+            raise ValueError(f"negative exponent in term ({a}, {b})")
+        return int(a), int(b)
+
+    _degree = staticmethod(sum)
+    _convolve = staticmethod(_convolve_xy)
+
+    # -- construction helpers -------------------------------------------------
 
     @staticmethod
     def constant(c: Coeff, trunc: Optional[int] = None) -> "BivariatePolynomial":
@@ -176,80 +269,13 @@ class BivariatePolynomial:
         return dict(self._terms)
 
     @property
-    def trunc(self) -> Optional[int]:
-        return self._trunc
-
-    @property
     def is_exact(self) -> bool:
         return self._trunc is None
 
     def coefficient(self, a: int, b: int) -> Fraction:
         return self._terms.get((a, b), Fraction(0))
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def total_degree(self) -> Union[int, float]:
-        """Largest total degree with a nonzero term; -inf for the zero polynomial."""
-        if not self._terms:
-            return -math.inf
-        return max(a + b for (a, b) in self._terms)
-
-    def order(self) -> Union[int, float]:
-        """Smallest total degree with a nonzero term; INFINITE_ORDER if zero."""
-        if not self._terms:
-            return INFINITE_ORDER
-        return min(a + b for (a, b) in self._terms)
-
-    def degree_in_y(self) -> int:
-        if not self._terms:
-            return 0
-        return max(b for (_, b) in self._terms)
-
-    # -- equality / hashing ----------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BivariatePolynomial):
-            return NotImplemented
-        return self._terms == other._terms and self._trunc == other._trunc
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((frozenset(self._terms.items()), self._trunc))
-        return self._hash
-
-    # -- arithmetic --------------------------------------------------------------
-
-    def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0) + c
-        trunc = _min_trunc(self._trunc, other._trunc)
-        return BivariatePolynomial._clean(_kept(out, trunc, sum), trunc)
-
-    def __sub__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0) - c
-        trunc = _min_trunc(self._trunc, other._trunc)
-        return BivariatePolynomial._clean(_kept(out, trunc, sum), trunc)
-
-    def __neg__(self) -> "BivariatePolynomial":
-        return BivariatePolynomial._clean({k: -c for k, c in self._terms.items()}, self._trunc)
-
-    def __mul__(self, other) -> "BivariatePolynomial":
-        if not isinstance(other, BivariatePolynomial):
-            return self.scale(other)
-        trunc = _min_trunc(self._trunc, other._trunc)
-        nums1, den1 = _integer_form(self._terms)
-        nums2, den2 = _integer_form(other._terms)
-        return BivariatePolynomial._clean(_fractions(_convolve_xy(nums1, nums2, trunc), den1 * den2), trunc)
-
-    __rmul__ = __mul__
-
-    def scale(self, c: Coeff) -> "BivariatePolynomial":
-        cf = _frac(c)
-        return BivariatePolynomial._clean({k: cf * v for k, v in self._terms.items()} if cf else {}, self._trunc)
+    total_degree = _SparseJet._top_degree
 
     def __pow__(self, k: int) -> "BivariatePolynomial":
         if k < 0:
@@ -263,12 +289,6 @@ class BivariatePolynomial:
             if k:
                 base = base * base
         return result
-
-    def truncate(self, n: int) -> "BivariatePolynomial":
-        return BivariatePolynomial(self._terms, n if self._trunc is None else min(self._trunc, n))
-
-    def as_exact(self) -> "BivariatePolynomial":
-        return BivariatePolynomial(self._terms, None)
 
     # -- calculus / structure ----------------------------------------------------
 
@@ -295,12 +315,6 @@ class BivariatePolynomial:
         out = {a: c for (a, bb), c in self._terms.items() if bb == b}
         trunc = None if self._trunc is None else max(self._trunc - b, 0)
         return UnivariatePolynomial(out, trunc)
-
-    def evaluate(self, x, y):
-        total = 0
-        for (a, b), c in self._terms.items():
-            total += c * x**a * y**b
-        return total
 
     # -- printing ------------------------------------------------------------------
 
@@ -334,42 +348,20 @@ class BivariatePolynomial:
                 pieces.append((" + " if c > 0 else " - ") + body)
         return "".join(pieces)
 
-    def __repr__(self):
-        tag = "" if self._trunc is None else f", trunc={self._trunc}"
-        return f"BivariatePolynomial({self.to_string()}{tag})"
 
-
-class UnivariatePolynomial:
+class UnivariatePolynomial(_SparseJet):
     """Immutable sparse polynomial (or jet) in a single variable."""
 
-    __slots__ = ("_coeffs", "_trunc", "_hash")
-
-    def __init__(self, coeffs: Mapping[int, Coeff], trunc: Optional[int] = None):
-        cleaned = {}
-        for d, c in coeffs.items():
-            if d < 0:
-                raise ValueError("negative degree")
-            if trunc is not None and d > trunc:
-                continue
-            cf = _frac(c)
-            if cf != 0:
-                cleaned[int(d)] = cf
-        self._coeffs = cleaned
-        self._trunc = trunc
-        self._hash = None
-
-    @classmethod
-    def _clean(cls, coeffs: dict, trunc: Optional[int]) -> "UnivariatePolynomial":
-        """Wrap coefficients that already hold int keys, nonzero Fractions and nothing above trunc."""
-        poly = object.__new__(cls)
-        poly._coeffs = coeffs
-        poly._trunc = trunc
-        poly._hash = None
-        return poly
+    __slots__ = ()
 
     @staticmethod
-    def zero(trunc: Optional[int] = None) -> "UnivariatePolynomial":
-        return UnivariatePolynomial({}, trunc)
+    def _key(d) -> int:
+        if d < 0:
+            raise ValueError("negative degree")
+        return int(d)
+
+    _degree = staticmethod(int)
+    _convolve = staticmethod(_convolve_x)
 
     @staticmethod
     def monomial(d: int, c: Coeff = 1, trunc: Optional[int] = None) -> "UnivariatePolynomial":
@@ -377,103 +369,42 @@ class UnivariatePolynomial:
 
     @property
     def coeffs(self) -> dict:
-        return dict(self._coeffs)
-
-    @property
-    def trunc(self) -> Optional[int]:
-        return self._trunc
+        return dict(self._terms)
 
     def coefficient(self, d: int) -> Fraction:
-        return self._coeffs.get(d, Fraction(0))
+        return self._terms.get(d, Fraction(0))
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def degree(self) -> Union[int, float]:
-        return max(self._coeffs) if self._coeffs else -math.inf
-
-    def order(self) -> Union[int, float]:
-        return min(self._coeffs) if self._coeffs else INFINITE_ORDER
-
-    def __eq__(self, other):
-        if not isinstance(other, UnivariatePolynomial):
-            return NotImplemented
-        return self._coeffs == other._coeffs and self._trunc == other._trunc
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((frozenset(self._coeffs.items()), self._trunc))
-        return self._hash
-
-    def __add__(self, other):
-        out = dict(self._coeffs)
-        for d, c in other._coeffs.items():
-            out[d] = out.get(d, 0) + c
-        trunc = _min_trunc(self._trunc, other._trunc)
-        return UnivariatePolynomial._clean(_kept(out, trunc, int), trunc)
-
-    def __sub__(self, other):
-        out = dict(self._coeffs)
-        for d, c in other._coeffs.items():
-            out[d] = out.get(d, 0) - c
-        trunc = _min_trunc(self._trunc, other._trunc)
-        return UnivariatePolynomial._clean(_kept(out, trunc, int), trunc)
-
-    def __neg__(self):
-        return UnivariatePolynomial._clean({d: -c for d, c in self._coeffs.items()}, self._trunc)
-
-    def __mul__(self, other):
-        if not isinstance(other, UnivariatePolynomial):
-            return self.scale(other)
-        trunc = _min_trunc(self._trunc, other._trunc)
-        nums1, den1 = _integer_form(self._coeffs)
-        nums2, den2 = _integer_form(other._coeffs)
-        return UnivariatePolynomial._clean(_fractions(_convolve_x(nums1, nums2, trunc), den1 * den2), trunc)
-
-    __rmul__ = __mul__
-
-    def scale(self, c: Coeff):
-        cf = _frac(c)
-        return UnivariatePolynomial._clean({d: cf * v for d, v in self._coeffs.items()} if cf else {}, self._trunc)
-
-    def truncate(self, n: int) -> "UnivariatePolynomial":
-        return UnivariatePolynomial(self._coeffs, n if self._trunc is None else min(self._trunc, n))
-
-    def evaluate(self, x):
-        total = 0
-        for d, c in self._coeffs.items():
-            total += c * x**d
-        return total
+    degree = _SparseJet._top_degree
 
     # -- exact polynomial algebra ----------------------------------------------
 
     def derivative(self) -> "UnivariatePolynomial":
         """d/dx; a jet valid through degree N differentiates to one valid through N-1."""
         trunc = None if self._trunc is None else self._trunc - 1
-        return UnivariatePolynomial._clean({d - 1: c * d for d, c in self._coeffs.items() if d}, trunc)
+        return UnivariatePolynomial._clean({d - 1: c * d for d, c in self._terms.items() if d}, trunc)
 
     def monic(self) -> "UnivariatePolynomial":
         """self divided by its leading coefficient; the zero polynomial stays zero."""
-        if not self._coeffs:
+        if not self._terms:
             return self
-        return self.scale(1 / self._coeffs[max(self._coeffs)])
+        return self.scale(1 / self._terms[max(self._terms)])
 
     def __divmod__(self, other: "UnivariatePolynomial"):
         """Euclidean division: self = q*other + r with deg r < deg other."""
         if self._trunc is not None or other._trunc is not None:
             raise ValueError("polynomial division needs exact polynomials")
-        if not other._coeffs:
+        if not other._terms:
             raise ZeroDivisionError("polynomial division by zero")
-        deg = max(other._coeffs)
-        lead = other._coeffs[deg]
-        rem = dict(self._coeffs)
+        deg = max(other._terms)
+        lead = other._terms[deg]
+        rem = dict(self._terms)
         quo = {}
         while rem and max(rem) >= deg:
             top = max(rem)
             coef = rem[top] / lead
             shift = top - deg
             quo[shift] = coef
-            for d, c in other._coeffs.items():
+            for d, c in other._terms.items():
                 v = rem.get(d + shift, 0) - coef * c
                 if v:
                     rem[d + shift] = v
@@ -484,7 +415,7 @@ class UnivariatePolynomial:
     def gcd(self, other: "UnivariatePolynomial") -> "UnivariatePolynomial":
         """Monic greatest common divisor (Euclid); zero when both inputs are zero."""
         a, b = self, other
-        while b._coeffs:
+        while b._terms:
             a, b = b, divmod(a, b)[1]
         return a.monic()
 
@@ -494,7 +425,7 @@ class UnivariatePolynomial:
         The f_i are monic, squarefree, pairwise coprime and nonconstant; a
         constant input has the empty decomposition.
         """
-        if not self._coeffs:
+        if not self._terms:
             raise ValueError("square-free decomposition of the zero polynomial")
         du = self.derivative()
         g = self.gcd(du)
@@ -516,10 +447,10 @@ class UnivariatePolynomial:
 
     def real_root_count(self) -> int:
         """Number of distinct real roots over the whole line (Sturm's theorem)."""
-        if not self._coeffs:
+        if not self._terms:
             raise ValueError("the zero polynomial vanishes everywhere")
         seq = [self, self.derivative()]
-        while seq[-1]._coeffs:
+        while seq[-1]._terms:
             seq.append(-divmod(seq[-2], seq[-1])[1])
         seq.pop()
         at_plus = [p.coefficient(p.degree()) > 0 for p in seq]
@@ -528,17 +459,13 @@ class UnivariatePolynomial:
 
     def to_bivariate(self, axis: int = 0) -> BivariatePolynomial:
         if axis == 0:
-            terms = {(d, 0): c for d, c in self._coeffs.items()}
+            terms = {(d, 0): c for d, c in self._terms.items()}
         else:
-            terms = {(0, d): c for d, c in self._coeffs.items()}
+            terms = {(0, d): c for d, c in self._terms.items()}
         return BivariatePolynomial(terms, self._trunc)
 
     def to_string(self) -> str:
         return self.to_bivariate(0).to_string()
-
-    def __repr__(self):
-        tag = "" if self._trunc is None else f", trunc={self._trunc}"
-        return f"UnivariatePolynomial({self.to_string()}{tag})"
 
 
 @dataclass(frozen=True)
@@ -570,9 +497,6 @@ class LinearMap2:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def apply(self, x, y):
-        return (self.a * x + self.b * y, self.c * x + self.d * y)
 
     @staticmethod
     def identity() -> "LinearMap2":
@@ -646,7 +570,7 @@ def substitute_y(p: BivariatePolynomial, u: UnivariatePolynomial) -> UnivariateP
     """
     trunc = _min_trunc(p.trunc, u.trunc)
     nums, den = _integer_form(p._terms)
-    un, d = _integer_form(u._coeffs)
+    un, d = _integer_form(u._terms)
     big_b = max((b for _, b in nums), default=0)
     slices: dict = {}
     for (a, b), c in nums.items():
@@ -670,7 +594,7 @@ def series_inverse(u: UnivariatePolynomial, trunc: int) -> UnivariatePolynomial:
     """
     if u.coefficient(0) == 0:
         raise ValueError("series has no constant term, not invertible")
-    nums, den = _integer_form(u._coeffs)
+    nums, den = _integer_form(u._terms)
     u0 = nums[0]
     steps = [(j, uj * u0 ** (j - 1)) for j, uj in nums.items() if 0 < j <= trunc]
     w: list = []

@@ -194,16 +194,26 @@ class TestClassify:
             ("y^3 + x^6", 5),
             ("x*(y - x^2)^2 + x^5", 4),
             ("(y - x^2)^2 + x^7", 6),
+            ("x^2*y + y^3", 2),
+            ("x^4 + y^4", 3),
+            ("x^2 + y^2", 1),
         ],
     )
     def test_every_branch_path_refuses_trunc_below_degree(self, text, trunc):
         p = parse_polynomial(text)
         with pytest.raises(TruncationTooSmall, match="below the input degree"):
             classify_singularity(p, trunc)
-        assert classify_singularity(p, trunc + 1).is_supported
+        kind = classify_singularity(p, trunc + 1)
+        if rank_at_origin(p) == 2:  # a full-rank phase has no supported class
+            assert kind.tag == NONDEGENERATE_OR_RANK_POSITIVE
+        else:
+            assert kind.is_supported
 
     @pytest.mark.parametrize("trunc", [20.0, True, "20"])
-    @pytest.mark.parametrize("text", ["y^3 + x^4", "x*(y - x^2)^2 + x^5", "(y - x^2)^2 + x^7"])
+    @pytest.mark.parametrize(
+        "text",
+        ["y^3 + x^4", "x*(y - x^2)^2 + x^5", "(y - x^2)^2 + x^7", "x^2*y + y^3", "x^4 + y^4", "x^2 + y^2"],
+    )
     def test_non_int_trunc_refused(self, text, trunc):
         p = parse_polynomial(text)
         with pytest.raises(TypeError, match="trunc must be an int"):

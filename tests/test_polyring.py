@@ -134,6 +134,24 @@ class TestExactnessBoundary:
             with pytest.raises(TypeError, match="not exact"):
                 0.5 * poly
 
+    def test_mixed_type_sum_and_difference_refused(self):
+        p = parse_polynomial("x^2 + y^2")
+        u = UnivariatePolynomial({2: 1})
+        cases = [
+            lambda: p + 1,
+            lambda: p - F(1, 2),
+            lambda: p - 0.5,
+            lambda: 1 + p,
+            lambda: u - 1,
+            lambda: u + F(1, 3),
+            lambda: u + p,
+            lambda: p + u,
+            lambda: p - u,
+        ]
+        for case in cases:
+            with pytest.raises(TypeError):
+                case()
+
     def test_exact_scalars_still_scale(self):
         p = parse_polynomial("x^2 + y^2")
         assert p * F(1, 2) == F(1, 2) * p == parse_polynomial("1/2*x^2 + 1/2*y^2")
@@ -354,6 +372,50 @@ def test_univariate_product_matches_fraction_convolution(pair, t1, t2):
     assert all(type(d) is int for d in prod.coeffs)
     public = UnivariatePolynomial(prod.coeffs, prod.trunc)
     assert public == prod and hash(public) == hash(prod)
+
+
+def _reference_combine(t1, t2, factor, trunc, degree):
+    """Term-by-term Fraction sum t1 + factor*t2 over the terms of degree at most trunc."""
+    out = {}
+    for terms, f in ((t1, 1), (t2, factor)):
+        for k, c in terms.items():
+            if trunc is None or degree(k) <= trunc:
+                out[k] = out.get(k, Fraction(0)) + f * c
+    return {k: c for k, c in out.items() if c != 0}
+
+
+@pytest.mark.parametrize(
+    "cls,terms,degree",
+    [
+        pytest.param(BivariatePolynomial, _bivariate_terms, sum, id="bivariate"),
+        pytest.param(UnivariatePolynomial, _univariate_coeffs, int, id="univariate"),
+    ],
+)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_shared_core_matches_fraction_reference(cls, terms, degree, data):
+    t1, t2 = data.draw(st.one_of(st.tuples(terms(), terms()), _cancelling_pairs(terms())))
+    trunc1, trunc2 = data.draw(_truncations()), data.draw(_truncations())
+    c = data.draw(st.one_of(st.integers(-3, 3), _coefficients()))
+    n = data.draw(st.integers(0, 8))
+    p, q = cls(t1, trunc1), cls(t2, trunc2)
+    trunc = _min_trunc(trunc1, trunc2)
+    cut = _min_trunc(trunc1, n)
+    cases = [
+        (p + q, _reference_combine(t1, t2, 1, trunc, degree), trunc),
+        (p - q, _reference_combine(t1, t2, -1, trunc, degree), trunc),
+        (-p, _reference_combine({}, t1, -1, trunc1, degree), trunc1),
+        (p.scale(c), _reference_combine({}, t1, c, trunc1, degree), trunc1),
+        (p.truncate(n), _reference_combine(t1, {}, 1, cut, degree), cut),
+    ]
+    for result, expected, result_trunc in cases:
+        items = result.terms if cls is BivariatePolynomial else result.coeffs
+        assert items == expected
+        _assert_clean(result, items.items(), result_trunc, degree)
+        _assert_public_equal(result, cls, items)
+    assert p + q == q + p and hash(p + q) == hash(q + p)
+    assert p - q == -(q - p) and hash(p - q) == hash(-(q - p))
+    assert (p - p).is_zero() and (p - p) == cls.zero(trunc1)
 
 
 def _reference_compose(p, sx, sy):
