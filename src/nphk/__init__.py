@@ -64,7 +64,6 @@ from .oscint import (
     fit_decay,
     fit_decay_from_samples,
     randol_lq_scan,
-    randol_maximal,
 )
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Numerical verification of oscillatory-integral decay rates.
 
-Evaluates I(lambda, s) = integral of exp(i*lambda*(phi(x) + s.x)) g(x) dx over
-a compactly supported polynomial bump g, fits decay exponents on dyadic
-lambda grids, and probes the local L^q behavior of the weighted maximal
-function sup_lambda lambda^(1/2 + 1/(m+1)) |I(lambda, s)|.
+Evaluates I(lambda, s) = integral of exp(i*lambda*(phi(x) + s.x)) g(x) dx for
+the radial bump g = (1 - |x|^2/R^2)^n on the disc of radius R, fits decay
+exponents on dyadic lambda grids, and probes the local L^q behavior of the
+weighted maximal function sup_lambda lambda^(1/2 + 1/(m+1)) |I(lambda, s)|.
 
 Quadrature is a tensor-product composite Gauss rule whose panels are sized
 locally: along each axis, a monomialwise bound of |d phi / d axis| + |s| on
@@ -12,16 +12,16 @@ the panel edges follow it so that no panel holds more than an oversampled
 nodes-per-cycle budget allows or is wider than a fixed share of the support.
 A grid beyond a fixed node budget, or an offset scan beyond a fixed point
 budget, is refused before any of it is built (BudgetExceeded).  The
-integrand is evaluated in blocks of one panel's worth of x rows; for the
-radial bump each block covers only the y nodes inside the disc at its row
-nearest x = 0, since the amplitude is exactly zero on every other node, so
-each value is the full tensor-product sum without its zero terms.  Along
-every axis in which the phase is even (every exponent of that variable in
-``phi.terms`` is even) and whose nodes mirror exactly, only the nodes >= 0
-are swept and each -u column of the offset matrices is added into its +u
-column: both bumps are even, so the integrand's values at u and -u are the
-same floats.  Panel edges are made to mirror exactly, so this holds for
-every phase even in a variable.
+integrand is evaluated in blocks of one panel's worth of x rows; each block
+covers only the y nodes inside the disc at its row nearest x = 0, since the
+amplitude is exactly zero on every other node, so each value is the full
+tensor-product sum without its zero terms.  Along every axis in which the
+phase is even (every exponent of that variable in ``phi.terms`` is even)
+and whose nodes mirror exactly, only the nodes >= 0 are swept and each -u
+column of the offset matrices is added into its +u column: the bump is
+even, so the integrand's values at u and -u are the same floats.  Panel
+edges are made to mirror exactly, so this holds for every phase even in a
+variable.
 
 Each block is one fused pass over buffers allocated once per sweep.  The
 phase is one matrix product, the rows' powers in the distinct x-exponents
@@ -29,8 +29,7 @@ times a per-sweep table Q[a, j] = lambda * sum_b c_ab y_j^b; the constant term
 is left out of it and applied as the exact global factor exp(i lambda c),
 reduced mod 2 pi in rational arithmetic against a pi taken to 64 bits beyond
 |lambda c|, so it costs no accuracy at any size.
-The radial bump comes from 1-D tables and repeated squaring; the product bump
-is separable and rides on the Gauss weights.  cos and sin come from a
+The bump comes from 1-D tables and repeated squaring.  cos and sin come from a
 table-driven kernel (``_sincos``): a three-part Cody-Waite reduction modulo
 2 pi / 1024, whose parts are split from a 75-digit pi, then Taylor
 polynomials on |r| <= pi/1024 combined with a 1024-entry table.  On the
@@ -99,6 +98,8 @@ MAX_COARSE_NODES = 10**8
 # 256^2 leaves a sixteenfold margin and keeps the fine totals and maxima near
 # 1.5 MB, where --grid 20000 would ask for 38 GB.
 MAX_SCAN_POINTS = 256**2
+# Nodes per axis of the support check's gradient grid on [-R, R].
+SUPPORT_GRID = 49
 # Equal strips per axis on which the gradient bound is taken.  This sets how
 # closely the panel sizes follow the local frequency, not the accuracy budget.
 _STRIPS = 512
@@ -123,24 +124,16 @@ class BudgetExceeded(ValueError):
 
 @dataclass(frozen=True)
 class AmplitudeSpec:
-    """Compactly supported polynomial bump amplitude.
-
-    ``profile`` is "radial" for (1 - (r/R)^2)^order on the disc of radius R,
-    or "product" for the tensor bump (1 - (x/R)^2)^order (1 - (y/R)^2)^order
-    on the square.
-    """
+    """The radial bump amplitude (1 - (r/R)^2)^order on the disc of radius R."""
 
     radius: float = DEFAULT_RADIUS
     order: int = 8
-    profile: str = "radial"
 
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"amplitude radius must be positive and finite, got {self.radius}")
         if type(self.order) is not int or self.order < 2 or self.order % 2:
             raise ValueError("bump order must be an even integer >= 2")
-        if self.profile not in ("radial", "product"):
-            raise ValueError(f"unknown amplitude profile {self.profile!r}")
 
 
 @dataclass(frozen=True)
@@ -174,8 +167,8 @@ class RandolScan:
 def resolve_workers(workers: Optional[int] = None) -> int:
     """``workers``, else ``NPHK_WORKERS``, else 1.
 
-    Raises ValueError for a count below 1 or an ``NPHK_WORKERS`` that is not
-    an integer.
+    Raises ValueError for a count that is not an ``int`` >= 1 (a ``bool`` is
+    not one) or an ``NPHK_WORKERS`` that is not an integer.
     """
     if workers is None:
         env = os.environ.get("NPHK_WORKERS")
@@ -185,9 +178,9 @@ def resolve_workers(workers: Optional[int] = None) -> int:
             workers = int(env)
         except ValueError:
             raise ValueError(f"NPHK_WORKERS must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise ValueError(f"worker count must be at least 1, got {workers}")
-    return int(workers)
+    if type(workers) is not int or workers < 1:
+        raise ValueError(f"worker count must be an integer at least 1, got {workers!r}")
+    return workers
 
 
 # -- quadrature engine ---------------------------------------------------------
@@ -210,19 +203,14 @@ def _strip_cycles(
     """Strip edges along ``axis`` and an upper bound on the phase cycles in each strip.
 
     On each strip the bound is the monomialwise maximum of
-    |d phi / d axis| + |s_a| over the part of the amplitude's support the
-    strip covers: the strip's chord of the disc for the radial bump, the
-    full [-R, R] across for the product bump.
+    |d phi / d axis| + |s_a| over the strip's chord of the disc.
     """
     r = amp.radius
     u = np.linspace(-r, r, _STRIPS + 1)
     lo, hi = u[:-1], u[1:]
     u_max = np.maximum(np.abs(lo), np.abs(hi))
-    if amp.profile == "radial":
-        u_min = np.where(lo * hi <= 0.0, 0.0, np.minimum(np.abs(lo), np.abs(hi)))
-        v_max = np.sqrt(np.clip(r * r - u_min * u_min, 0.0, None))
-    else:
-        v_max = np.full_like(u_max, r)
+    u_min = np.where(lo * hi <= 0.0, 0.0, np.minimum(np.abs(lo), np.abs(hi)))
+    v_max = np.sqrt(np.clip(r * r - u_min * u_min, 0.0, None))
     bound = np.full_like(u_max, abs(s_a))
     for a, b, c in _float_terms(phi.partial(axis)):
         e_u, e_v = (a, b) if axis == 0 else (b, a)
@@ -315,11 +303,6 @@ def _fold(nodes: np.ndarray, mats: List[np.ndarray], even: bool) -> Tuple[np.nda
     if not (even and np.array_equal(nodes[h:], -nodes[:h][::-1])):
         return nodes, mats
     return nodes[h:], [m[:, h:] + m[:, :h][:, ::-1] for m in mats]
-
-
-def _bump_axis(amp: AmplitudeSpec, u: np.ndarray) -> np.ndarray:
-    """The product bump's factor (1 - (u/R)^2)^order along one axis."""
-    return np.clip(1.0 - (u / amp.radius) ** 2, 0.0, None) ** amp.order
 
 
 def _power(t: np.ndarray, n: int, scratch: np.ndarray) -> np.ndarray:
@@ -502,12 +485,9 @@ def _phase_rows(exps: np.ndarray, xc: np.ndarray, q: np.ndarray, out: np.ndarray
 def _disc_columns(amp: AmplitudeSpec, xc: np.ndarray, y: np.ndarray) -> Tuple[int, int]:
     """The y-node range [lo, hi) a block of rows ``xc`` needs.
 
-    For the radial bump every node with x^2 + y^2 >= R^2 has a zero
-    amplitude, so a block needs only the y nodes inside the disc's chord at
-    its row nearest x = 0.  The product bump needs every y node.
+    Every node with x^2 + y^2 >= R^2 has a zero amplitude, so a block needs
+    only the y nodes inside the disc's chord at its row nearest x = 0.
     """
-    if amp.profile != "radial":
-        return 0, y.size
     r = amp.radius
     x_min = float(np.abs(xc).min())
     w = math.sqrt(r * r - x_min * x_min)
@@ -561,15 +541,11 @@ def _osc_grids(
     nodes >= 0 (``_fold``).  The sweep takes ``order`` rows (one panel's
     worth) per block and evaluates the integrand only on the y nodes
     ``_disc_columns`` gives that block, in buffers allocated once per sweep.
-    The product bump rides on the weights; the constant term of the phase is
-    the factor ``_global_phase`` outside the sum.
+    The constant term of the phase is the factor ``_global_phase`` outside
+    the sum.
     """
     x, wx = _gauss_axis(edges[0], order)
     y, wy = _gauss_axis(edges[1], order)
-    radial = amp.profile == "radial"
-    if not radial:
-        wx = wx * _bump_axis(amp, x)
-        wy = wy * _bump_axis(amp, y)
 
     mats_a = [np.empty((s1.size, x.size), dtype=np.complex128) for s1, _ in grids]
     for (s1, _), mat in zip(grids, mats_a):
@@ -594,10 +570,9 @@ def _osc_grids(
         q[exps.index(a)] += (lam * c) * ypow(b)
     exps = np.array(exps, dtype=float)
     theta_max = float(np.max(float(np.abs(x).max()) ** exps @ np.abs(q), initial=0.0))
-    if radial:
-        r2 = amp.radius * amp.radius
-        ux = 1.0 - x * x / r2
-        vy = y * y / r2
+    r2 = amp.radius * amp.radius
+    ux = 1.0 - x * x / r2
+    vy = y * y / r2
 
     # g cos(theta) and g sin(theta) of a block, then theta and three scratch arrays
     pair = np.empty(2 * order * y.size)
@@ -611,8 +586,7 @@ def _osc_grids(
         theta, *scratch = (w[:size].reshape(n, hi - lo) for w in work)
         _phase_rows(exps, xc, q[:, lo:hi], theta)
         _sincos(theta, e[0], e[1], scratch, theta_max)
-        if radial:
-            e *= _radial_bump(ux[block], vy[lo:hi], amp.order, theta, scratch[0])
+        e *= _radial_bump(ux[block], vy[lo:hi], amp.order, theta, scratch[0])
         # p = [g cos; g sin] @ [B cos; B sin]^T, so the block's sums over its
         # columns against B = B cos + i B sin are these two combinations
         p = e.reshape(2 * n, hi - lo) @ mat_b[:, lo:hi].T
@@ -628,16 +602,8 @@ def _osc_grids(
 
 
 def amplitude_mass(amp: AmplitudeSpec) -> float:
-    """The integral of the bump, in closed form.
-
-    The radial bump has pi R^2 / (n + 1); the product bump is the square of
-    R times the integral of (1 - t^2)^n over [-1, 1], 2^(2n+1) (n!)^2 / (2n+1)!.
-    """
-    n = amp.order
-    if amp.profile == "radial":
-        return math.pi * (amp.radius * amp.radius) / (n + 1)
-    one_d = amp.radius * (2 ** (2 * n + 1) * math.factorial(n) ** 2 / math.factorial(2 * n + 1))
-    return one_d * one_d
+    """The integral of the bump in closed form, pi R^2 / (order + 1)."""
+    return math.pi * (amp.radius * amp.radius) / (amp.order + 1)
 
 
 def _cell_sign_change(g: np.ndarray) -> np.ndarray:
@@ -646,7 +612,7 @@ def _cell_sign_change(g: np.ndarray) -> np.ndarray:
     return (np.minimum.reduce(corners) <= 0) & (np.maximum.reduce(corners) >= 0)
 
 
-def check_amplitude_support(phi: BivariatePolynomial, amp: AmplitudeSpec, grid: int = 49) -> bool:
+def check_amplitude_support(phi: BivariatePolynomial, amp: AmplitudeSpec) -> bool:
     """Grid check that the phase has no critical points separated from the origin.
 
     Critical sets through the origin (curves of degenerate phases) are
@@ -658,6 +624,7 @@ def check_amplitude_support(phi: BivariatePolynomial, amp: AmplitudeSpec, grid: 
     vanish at a corner), so a critical curve stays connected where the
     small-gradient band along it is thinner than the grid step.
     """
+    grid = SUPPORT_GRID
     r = amp.radius
     xs = np.linspace(-r, r, grid)
     g1 = np.zeros((grid, grid))
@@ -673,10 +640,7 @@ def check_amplitude_support(phi: BivariatePolynomial, amp: AmplitudeSpec, grid: 
     for di in (0, 1):
         for dj in (0, 1):
             mask[di : grid - 1 + di, dj : grid - 1 + dj] |= cells
-    if amp.profile == "radial":
-        inside = xs[:, None] ** 2 + xs[None, :] ** 2 <= (0.98 * r) ** 2
-    else:
-        inside = np.ones_like(mask)
+    inside = xs[:, None] ** 2 + xs[None, :] ** 2 <= (0.98 * r) ** 2
 
     # flood fill from the cells nearest the origin
     seen = np.zeros_like(mask, dtype=bool)
@@ -804,7 +768,10 @@ def fit_decay_from_samples(
     errors: Sequence[float],
     with_log: bool = False,
 ) -> DecayFit:
-    """Least-squares decay exponent from precomputed I(lambda, s) samples."""
+    """Least-squares decay exponent from precomputed I(lambda, s) samples;
+    ValueError for ``lams``, ``values`` and ``errors`` of unequal lengths."""
+    if not len(lams) == len(values) == len(errors):
+        raise ValueError(f"unequal sample lengths: {len(lams)} lambdas, {len(values)} values, {len(errors)} errors")
     if len(lams) < 3:
         raise ValueError("need at least three lambda samples for a decay fit")
     mags = [abs(v) for v in values]
@@ -886,26 +853,6 @@ def randol_weight(m: int) -> float:
     return 0.5 + 1.0 / (m + 1)
 
 
-def randol_maximal(
-    phi: BivariatePolynomial,
-    amp: AmplitudeSpec,
-    m: int,
-    s: Tuple[float, float],
-    lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
-) -> float:
-    """Grid approximation (a lower bound) of sup_lambda lambda^(1/2+1/(m+1)) |I(lambda, s)|.
-
-    Every lambda passes ``_sweep_edges`` before any quadrature runs, and the
-    sweep runs through ``map_sweep``.
-    """
-    _require_d_type(phi, m)
-    lams = sorted(float(v) for v in lambda_grid)
-    plan = _sweep_edges(phi, amp, lams, s)
-    values = map_sweep(lambda lam, edges: _eval_on_edges(phi, amp, lam, s, edges)[0], lams, plan)
-    w = randol_weight(m)
-    return max((lam**w * abs(v) for lam, v in zip(lams, values)), default=0.0)
-
-
 def cell_centered_grid(half_width: float, cells: int) -> np.ndarray:
     """Cell centers of a uniform subdivision of [-w, w] into ``cells`` cells."""
     step = 2.0 * half_width / cells
@@ -934,11 +881,12 @@ def randol_lq_scan(
     check does not change any reported value.  The per-lambda sweeps run
     through ``map_sweep`` on ``workers`` threads and are folded into the
     maxima in lambda order, so the values do not depend on ``workers``.
-    A finer grid of more than MAX_SCAN_POINTS offsets raises BudgetExceeded
-    before anything is built.
+    A ``cells`` or ``refine`` that is not an ``int`` (or is a ``bool``)
+    raises ValueError, and a finer grid of more than MAX_SCAN_POINTS offsets
+    BudgetExceeded, before anything is built.
     """
-    if cells < 1 or refine < 1:
-        raise ValueError(f"offset scans need cells >= 1 and refine >= 1, got cells={cells}, refine={refine}")
+    if type(cells) is not int or type(refine) is not int or cells < 1 or refine < 1:
+        raise ValueError(f"scans need integer cells >= 1 and refine >= 1, got cells={cells!r}, refine={refine!r}")
     cells += cells % 2  # keep sample points off the axis caustic
     if (refine * cells) ** 2 > MAX_SCAN_POINTS:
         raise BudgetExceeded(

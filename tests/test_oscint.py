@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nphk import oscint
+from nphk.classify import UnsupportedKindError
 from nphk.oscint import (
     CHECK_ORDER,
     DEFAULT_SCAN_HALF_WIDTH,
@@ -34,7 +35,6 @@ from nphk.oscint import (
     fit_decay,
     map_sweep,
     randol_lq_scan,
-    randol_maximal,
     resolve_workers,
     _disc_columns,
     _eval_on_edges,
@@ -56,12 +56,15 @@ class TestAmplitude:
         assert amplitude_mass(amp) == pytest.approx(math.pi * 0.0625 / 9, rel=1e-12)
 
     @pytest.mark.parametrize("order", range(2, 41, 2))
-    def test_product_mass_closed_form_matches_gauss(self, order):
-        # 64 Gauss points integrate (1 - t^2)^order, of degree <= 80, exactly
-        amp = AmplitudeSpec(radius=0.3, order=order, profile="product")
+    def test_radial_mass_closed_form_matches_gauss(self, order):
+        # in polar coordinates the mass is 2 pi R^2 times the integral of
+        # (1 - t^2)^order t over [0, 1]; 64 Gauss points integrate that
+        # polynomial, of degree <= 81, exactly
+        amp = AmplitudeSpec(radius=0.3, order=order)
         gl_x, gl_w = np.polynomial.legendre.leggauss(64)
-        one_d = amp.radius * float(np.sum(gl_w * (1.0 - gl_x**2) ** order))
-        assert amplitude_mass(amp) == pytest.approx(one_d * one_d, rel=1e-12)
+        t = (gl_x + 1.0) / 2.0
+        radial = float(np.sum(gl_w / 2.0 * (1.0 - t**2) ** order * t))
+        assert amplitude_mass(amp) == pytest.approx(2.0 * math.pi * amp.radius**2 * radial, rel=1e-12)
 
     def test_invalid_specs(self):
         for radius in (-1, 0.0, math.nan, math.inf):
@@ -69,14 +72,15 @@ class TestAmplitude:
                 AmplitudeSpec(radius=radius)
         with pytest.raises(ValueError):
             AmplitudeSpec(order=3)
-        with pytest.raises(ValueError):
-            AmplitudeSpec(profile="gaussian")
+        # the radial bump is the only amplitude
+        with pytest.raises(TypeError, match="profile"):
+            AmplitudeSpec(profile="radial")
 
-    @pytest.mark.parametrize("order,profile", [(6.0, "radial"), (2.0, "product")])
-    def test_float_order_refused(self, order, profile):
-        # _power (radial) and math.factorial (product) need an int order
+    @pytest.mark.parametrize("order", [6.0, 2.0])
+    def test_float_order_refused(self, order):
+        # _power needs an int order
         with pytest.raises(ValueError, match="even integer"):
-            AmplitudeSpec(order=order, profile=profile)
+            AmplitudeSpec(order=order)
 
     def test_support_check_accepts_degenerate_curve(self):
         amp = AmplitudeSpec(radius=0.25)
@@ -88,18 +92,17 @@ class TestAmplitude:
         amp = AmplitudeSpec(radius=0.25)
         assert not check_amplitude_support(parse_polynomial("x^2 + y^2 - 4*x^3"), amp)
 
-    @pytest.mark.parametrize("profile", ["radial", "product"])
-    def test_support_check_follows_a_critical_curve_through_grid_nodes(self, profile):
+    def test_support_check_follows_a_critical_curve_through_grid_nodes(self):
         # at R = 0.25 and 0.3 a grid node lies exactly on the parabola, away
         # from the nodes of small gradient around it
         curve = parse_polynomial("(y - x^2)^2")
         for order in (2, 8):
             for step in range(7):
-                amp = AmplitudeSpec(radius=0.1 + 0.05 * step, order=order, profile=profile)
+                amp = AmplitudeSpec(radius=0.1 + 0.05 * step, order=order)
                 assert check_amplitude_support(curve, amp), amp
         # critical points at (0, +-1/5), apart from the one at the origin
         stray = parse_polynomial("x^2 + y^4 - 2/25*y^2")
-        assert not check_amplitude_support(stray, AmplitudeSpec(radius=0.4, profile=profile))
+        assert not check_amplitude_support(stray, AmplitudeSpec(radius=0.4))
 
     def test_support_check_sees_a_linear_term(self):
         # the gradient (2x - 1/4, 2y) vanishes only at (1/8, 0), away from the origin
@@ -150,33 +153,34 @@ class TestEval:
             )
 
     @staticmethod
-    def _simpson_1d(phase_coeffs, lam, radius=0.25, order=8, n=20001):
-        """Independent composite-Simpson oracle for a 1-D bump oscillatory factor."""
-        xs = np.linspace(-radius, radius, n)
-        h = 2 * radius / (n - 1)
+    def _simpson(f, a, b, n=200001):
+        """Composite Simpson rule for f on [a, b] with n (odd) nodes."""
+        t = np.linspace(a, b, n)
         w = np.full(n, 2.0)
         w[1:-1:2] = 4.0
         w[0] = w[-1] = 1.0
-        w *= h / 3.0
-        bump = np.clip(1 - (xs / radius) ** 2, 0, None) ** order
-        phase = sum(c * xs**k for k, c in phase_coeffs)
-        return np.sum(w * bump * np.exp(1j * lam * phase))
+        return np.sum(w * f(t)) * (b - a) / (3.0 * (n - 1))
 
-    def test_separability_on_monomial_phase(self):
-        # phase x^3 with a product bump factors into (oscillatory 1-D) x (bump mass)
-        amp = AmplitudeSpec(radius=0.25, order=8, profile="product")
-        for lam in (512.0, 2048.0):
-            value = eval_oscillatory(parse_polynomial("x^3"), amp, lam)
-            expect = self._simpson_1d([(3, 1.0)], lam) * self._simpson_1d([], lam)
-            assert abs(value) == pytest.approx(abs(expect), rel=1e-3)
+    @pytest.mark.parametrize("lam", [512.0, 2048.0])
+    def test_quadratic_phase_matches_radial_oracle(self, lam):
+        # with t = x^2 + y^2 the disc integral is pi times a 1-D integral over [0, R^2]
+        amp = AmplitudeSpec(radius=0.25, order=8)
+        r2 = amp.radius**2
+        value = eval_oscillatory(parse_polynomial("x^2 + y^2"), amp, lam)
+        expect = math.pi * self._simpson(lambda t: (1.0 - t / r2) ** amp.order * np.exp(1j * lam * t), 0.0, r2)
+        assert abs(value - expect) <= 1e-9 * abs(expect)
 
-    def test_separability_on_split_quadratic(self):
-        # exp(i lam (x^2 + y^2)) with a product bump is a product of 1-D integrals
-        amp = AmplitudeSpec(radius=0.25, order=8, profile="product")
-        for lam in (512.0, 2048.0):
-            value = eval_oscillatory(parse_polynomial("x^2 + y^2"), amp, lam)
-            one_d = self._simpson_1d([(2, 1.0)], lam)
-            assert abs(value) == pytest.approx(abs(one_d) ** 2, rel=1e-3)
+    @pytest.mark.parametrize("lam", [512.0, 2048.0])
+    def test_cubic_phase_matches_radial_oracle(self, lam):
+        # the bump's integral over each chord x = const is
+        # c_n R (1 - x^2/R^2)^(n + 1/2) with c_n = sqrt(pi) n! / Gamma(n + 3/2)
+        amp = AmplitudeSpec(radius=0.25, order=8)
+        r, n = amp.radius, amp.order
+        c_n = math.sqrt(math.pi) * math.gamma(n + 1) / math.gamma(n + 1.5)
+        value = eval_oscillatory(parse_polynomial("x^3"), amp, lam)
+        chord = lambda x: np.clip(1.0 - (x / r) ** 2, 0.0, None) ** (n + 0.5) * np.exp(1j * lam * x**3)
+        expect = c_n * r * self._simpson(chord, -r, r)
+        assert abs(value - expect) <= 1e-9 * abs(expect)
 
 
 # The decay_fit phases with their acceptance amplitudes, and the criterion-6 scan phase.
@@ -224,7 +228,7 @@ class TestPanelSizing:
             vals = np.zeros((along.size, across.size))
             for (a, b), c in grad.terms.items():
                 vals += float(c) * pts[0] ** a * pts[1] ** b
-            inside = (pts[0] ** 2 + pts[1] ** 2 <= r * r) if amp.profile == "radial" else True
+            inside = pts[0] ** 2 + pts[1] ** 2 <= r * r
             sampled = np.where(inside, np.abs(vals), 0.0).max(axis=1).reshape(-1, t.size).max(axis=1)
             assert np.all(bound >= (sampled + abs(s_max[axis])) * (1 - 1e-12))
 
@@ -269,11 +273,7 @@ def _dense_reference(phi, amp, lam, grids, edges, order=GAUSS_ORDER):
     phase = np.zeros_like(X)
     for (a, b), c in phi.terms.items():
         phase += float(c) * X**a * Y**b
-    r = amp.radius
-    if amp.profile == "radial":
-        bump = np.clip(1.0 - (X**2 + Y**2) / r**2, 0.0, None) ** amp.order
-    else:
-        bump = (np.clip(1.0 - (X / r) ** 2, 0.0, None) * np.clip(1.0 - (Y / r) ** 2, 0.0, None)) ** amp.order
+    bump = np.clip(1.0 - (X**2 + Y**2) / amp.radius**2, 0.0, None) ** amp.order
     f = wx[:, None] * wy[None, :] * bump * np.exp(1j * lam * phase)
     return [np.exp(1j * lam * np.outer(s1, x)) @ f @ np.exp(1j * lam * np.outer(y, s2)) for s1, s2 in grids]
 
@@ -299,7 +299,6 @@ _SCAN_GRIDS = [(cell_centered_grid(0.25, 8),) * 2, (cell_centered_grid(0.25, 16)
 # The phases are even in x, in x, in x, in both, in y and in neither.
 SWEEP_CASES = [
     ("x^2*y + y^3", AmplitudeSpec(radius=0.6, order=2), 256.0, _one(0.03, -0.02), None),
-    ("x^2*y + y^3", AmplitudeSpec(radius=0.25, order=8, profile="product"), 256.0, _one(0.03, -0.02), None),
     ("(y - x^2)^2", AmplitudeSpec(), 256.0, _SCAN_GRIDS, None),
     # odd panel counts: the middle panel straddles x = 0 and y = 0, so a
     # folded axis starts with half a panel
@@ -308,17 +307,16 @@ SWEEP_CASES = [
     ("x*y^2 + x^5", AmplitudeSpec(radius=0.6, order=2), 128.0, _SCAN_GRIDS,
      (_mirrored(np.linspace(-0.6, 0.6, 10)), _mirrored(np.linspace(-0.6, 0.6, 12)))),
     ("(y - x^2)^2 + x^5", AmplitudeSpec(radius=0.4, order=2), 256.0, _one(0.02, 0.01), None),
-    # the CLI's order-8 radial bump, an order that is not a power of two, a
-    # product bump of order 2, and a constant term
+    # the CLI's order-8 bump, an order that is not a power of two, a
+    # constant term and a linear term
     ("x^2*y + y^3", AmplitudeSpec(radius=0.25, order=8), 256.0, _one(0.03, -0.02), None),
     ("x*y^2 + x^5", AmplitudeSpec(radius=0.3, order=6), 256.0, _one(0.01, 0.02), None),
-    ("(y - x^2)^2 + x^5", AmplitudeSpec(radius=0.4, order=2, profile="product"), 256.0, _one(0.02, 0.01), None),
     ("7/3 + x^2 - 2*y^2", AmplitudeSpec(radius=0.4, order=2), 256.0, _one(0.01, 0.0), None),
     ("1/8*x + x^2 + y^2", AmplitudeSpec(radius=0.4, order=2), 256.0, _one(0.01, 0.02), None),
 ]
 SWEEP_IDS = [
-    "radial", "product", "scan-grids", "odd-panels", "odd-panels-scan-grids", "no-parity",
-    "radial-order-8", "radial-order-6", "product-order-2", "constant-term", "linear-term",
+    "radial", "scan-grids", "odd-panels", "odd-panels-scan-grids", "no-parity",
+    "radial-order-8", "radial-order-6", "constant-term", "linear-term",
 ]
 
 
@@ -362,11 +360,8 @@ class TestBlockedSweep:
             shape = (xc.size, skipped.size)
             bump = _radial_bump(1.0 - xc * xc / r2, skipped * skipped / r2, amp.order, np.empty(shape), np.empty(shape))
             assert np.all(bump == 0.0)
-        if amp.profile == "radial":
-            # the disc is pi/4 of the square; the clipped blocks keep little more
-            assert kept < 0.9 * x.size * y.size
-        else:
-            assert kept == x.size * y.size
+        # the disc is pi/4 of the square; the clipped blocks keep little more
+        assert kept < 0.9 * x.size * y.size
 
     def test_unmirrored_edges_sweep_the_full_axis(self):
         phi = parse_polynomial("x^2 + y^2")
@@ -389,10 +384,10 @@ class TestBlockedSweep:
         ids=["even-both", "even-x", "even-y", "scan-phase", "no-parity", "unmirrored"],
     )
     def test_fold_divides_the_evaluated_nodes(self, monkeypatch, text, edges, factor):
-        # the product bump clips no columns, so every evaluated node is counted;
-        # the order-10 and order-14 sweeps both fold
+        # with the disc clipping off every node is evaluated and counted; the
+        # order-10 and order-14 sweeps both fold
         phi = parse_polynomial(text)
-        amp = AmplitudeSpec(radius=0.4, order=2, profile="product")
+        amp = AmplitudeSpec(radius=0.4, order=2)
         edges = edges or _panels_for(phi, amp, 256.0, (0.0, 0.0))
         evaluated = []
         phase_rows = oscint._phase_rows
@@ -402,6 +397,7 @@ class TestBlockedSweep:
             return phase_rows(terms, xc, ypow, out)
 
         monkeypatch.setattr(oscint, "_phase_rows", spy)
+        monkeypatch.setattr(oscint, "_disc_columns", lambda amp, xc, y: (0, y.size))
         for order in (GAUSS_ORDER, CHECK_ORDER):
             evaluated.clear()
             _osc_grids(phi, amp, 256.0, _one(0.0, 0.0), edges, order)
@@ -441,12 +437,11 @@ def _parity_phases(draw):
 @settings(max_examples=60, deadline=None)
 @given(
     phi=_parity_phases(),
-    profile=st.sampled_from(["radial", "product"]),
     lam=st.sampled_from([64.0, 256.0]),
     s=st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)),
 )
-def test_folded_sweep_equals_unfolded(phi, profile, lam, s):
-    amp = AmplitudeSpec(radius=0.25, order=2, profile=profile)
+def test_folded_sweep_equals_unfolded(phi, lam, s):
+    amp = AmplitudeSpec(radius=0.25, order=2)
     edges = (_mirrored(np.linspace(-0.25, 0.25, 6)), _mirrored(np.linspace(-0.25, 0.25, 5)))
     grids = _one(*s) + _SCAN_GRIDS[:1]
     folded = _osc_grids(phi, amp, lam, grids, edges)
@@ -551,7 +546,7 @@ class TestTrigKernel:
 
     def test_sweep_through_the_fallback_matches_dense_reference(self, monkeypatch):
         monkeypatch.setattr(oscint, "SINCOS_RANGE", 0.0)
-        case = SWEEP_CASES[2]
+        case = SWEEP_CASES[SWEEP_IDS.index("scan-grids")]
         text, amp, lam, grids, _ = case
         got = _osc_grids(parse_polynomial(text), amp, lam, grids, _case_edges(case))
         want = _dense_reference(parse_polynomial(text), amp, lam, grids, _case_edges(case))
@@ -652,8 +647,8 @@ class TestSweepHelpers:
             gc.enable()
 
     def test_bad_worker_counts_raise(self, monkeypatch):
-        for workers in (0, -2):
-            with pytest.raises(ValueError, match="at least 1"):
+        for workers in (0, -2, 2.5, True):
+            with pytest.raises(ValueError, match="integer at least 1"):
                 resolve_workers(workers)
         monkeypatch.setenv("NPHK_WORKERS", "abc")
         with pytest.raises(ValueError, match="NPHK_WORKERS"):
@@ -714,9 +709,10 @@ class TestOrderCheck:
         assert checked.q_report == unchecked.q_report
 
     def test_scan_check_sweep_is_folded(self, monkeypatch):
-        # the scan phase is even in x only; both offset grids share the value sweep
+        # the scan phase is even in x only; both offset grids share the value
+        # sweep.  With the disc clipping off every node is evaluated and counted.
         phi = parse_polynomial("(y - x^2)^2")
-        amp = AmplitudeSpec(radius=0.2, order=2, profile="product")
+        amp = AmplitudeSpec(radius=0.2, order=2)
         evaluated = []
         phase_rows = oscint._phase_rows
 
@@ -725,6 +721,7 @@ class TestOrderCheck:
             return phase_rows(terms, xc, ypow, out)
 
         monkeypatch.setattr(oscint, "_phase_rows", spy)
+        monkeypatch.setattr(oscint, "_disc_columns", lambda amp, xc, y: (0, y.size))
         randol_lq_scan(phi, amp, 2, q_list=(2.0,), cells=8, lambda_grid=[256.0])
         ex, ey = _panels_for(phi, amp, 256.0, (DEFAULT_SCAN_HALF_WIDTH, DEFAULT_SCAN_HALF_WIDTH))
         assert 2 * sum(evaluated) == (GAUSS_ORDER**2 + CHECK_ORDER**2) * (ex.size - 1) * (ey.size - 1)
@@ -784,6 +781,12 @@ class TestFitDecay:
         with pytest.raises(QuadratureNotConverged, match="fewer than three lambda points converged"):
             fit_decay(parse_polynomial("x^2 + y^2"), AmplitudeSpec(), dyadic_grid(64, 512))
 
+    def test_unequal_sample_lengths_refused(self):
+        lams, values, errors = [64.0, 128.0, 256.0], [1.0, 0.5, 0.25], [1e-8] * 3
+        for args in ((lams, values + [0.125], errors), (lams, values, errors[:2])):
+            with pytest.raises(ValueError, match="unequal sample lengths"):
+                oscint.fit_decay_from_samples(*args)
+
     def test_two_lambdas_refused_before_any_node(self, monkeypatch):
         built = []
         gauss_axis = oscint._gauss_axis
@@ -799,57 +802,39 @@ class TestRandol:
         assert 0.0 not in grid
         assert grid.size == 32
 
-    def test_maximal_positive_and_stable_under_lambda_density(self):
-        amp = AmplitudeSpec()
-        p = parse_polynomial("(y - x^2)^2")
-        coarse = randol_maximal(p, amp, 2, (0.0, 0.0), [64.0, 256.0, 1024.0])
-        dense = randol_maximal(p, amp, 2, (0.0, 0.0), [64.0, 128.0, 256.0, 512.0, 1024.0])
-        assert coarse > 0
-        assert dense == pytest.approx(coarse, rel=0.10)
-
-    def test_growth_under_lambda_extension_at_caustic_center(self):
-        # the weighted sup at s = 0 is genuinely infinite: extending the grid grows it
-        amp = AmplitudeSpec()
-        p = parse_polynomial("(y - x^2)^2")
-        short = randol_maximal(p, amp, 2, (0.0, 0.0), dyadic_grid(64, 512))
-        extended = randol_maximal(p, amp, 2, (0.0, 0.0), dyadic_grid(64, 4096))
-        assert extended > 1.5 * short
-
-    def test_far_offsets_are_negligible(self):
-        amp = AmplitudeSpec()
-        p = parse_polynomial("(y - x^2)^2")
-        near = randol_maximal(p, amp, 2, (0.0, 0.0), dyadic_grid(64, 512))
-        far = randol_maximal(p, amp, 2, (1.0, 1.0), dyadic_grid(64, 512))
-        assert far < 1e-2 * near
-
     def test_infeasible_last_lambda_fails_before_any_node(self, monkeypatch):
         built = []
         gauss_axis = oscint._gauss_axis
         monkeypatch.setattr(oscint, "_gauss_axis", lambda *args: built.append(args) or gauss_axis(*args))
         with pytest.raises(ValueError, match="feasible"):
-            randol_maximal(parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, (0.0, 0.0), [64.0, 128.0, float(1 << 16)])
+            randol_lq_scan(
+                parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, q_list=(2.0,), cells=8,
+                lambda_grid=[64.0, 128.0, float(1 << 16)],
+            )
         assert built == []
-
-    def test_maximal_on_threads_equals_serial(self, monkeypatch):
-        args = (parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, (0.01, -0.02), dyadic_grid(64, 512))
-        serial = randol_maximal(*args)
-        monkeypatch.setenv("NPHK_WORKERS", "2")
-        assert randol_maximal(*args) == serial
 
     def test_wrong_classification_rejected(self):
         amp = AmplitudeSpec()
-        with pytest.raises(ValueError, match="m="):
-            randol_maximal(parse_polynomial("(y - x^2)^2"), amp, 3, (0.0, 0.0), [64.0])
-        with pytest.raises(ValueError):
-            randol_maximal(parse_polynomial("x^2 + y^2"), amp, 2, (0.0, 0.0), [64.0])
+        with pytest.raises(UnsupportedKindError, match="m="):
+            randol_lq_scan(parse_polynomial("(y - x^2)^2"), amp, 3, q_list=(2.0,), cells=8, lambda_grid=[64.0])
+        with pytest.raises(UnsupportedKindError):
+            randol_lq_scan(parse_polynomial("x^2 + y^2"), amp, 2, q_list=(2.0,), cells=8, lambda_grid=[64.0])
 
-    @pytest.mark.parametrize("cells,refine", [(0, 2), (-4, 2), (8, 0)])
-    def test_lq_scan_rejects_empty_grids(self, cells, refine):
-        with pytest.raises(ValueError, match="cells >= 1 and refine >= 1"):
+    # a float count such as 2.5 would round to an odd grid (2.5 + 2.5 % 2 is 3.0)
+    # whose middle cell centre is the axis caustic s1 = 0
+    @pytest.mark.parametrize(
+        "cells,refine", [(0, 2), (-4, 2), (8, 0), (2.5, 2), (8.0, 2), (8, 2.0), (True, 2), (8, True)]
+    )
+    def test_lq_scan_rejects_empty_grids(self, monkeypatch, cells, refine):
+        planned = []
+        panels_for = oscint._panels_for
+        monkeypatch.setattr(oscint, "_panels_for", lambda *args: planned.append(args) or panels_for(*args))
+        with pytest.raises(ValueError, match="integer cells >= 1 and refine >= 1"):
             randol_lq_scan(
                 parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, q_list=(2.0,), cells=cells, refine=refine,
                 lambda_grid=[64.0],
             )
+        assert planned == []
 
     def test_lq_scan_threads_give_the_same_values(self):
         # the criterion-6 scan: threaded sweeps fold into the same maxima in lambda order
