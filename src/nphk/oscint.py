@@ -12,16 +12,21 @@ the panel edges follow it so that no panel holds more than an oversampled
 nodes-per-cycle budget allows or is wider than a fixed share of the support.
 A grid beyond a fixed node budget, or an offset scan beyond a fixed point
 budget, is refused before any of it is built (BudgetExceeded).  The
-integrand is evaluated in blocks of one panel's worth of x rows; each block
-covers only the y nodes inside the disc at its row nearest x = 0, since the
-amplitude is exactly zero on every other node, so each value is the full
-tensor-product sum without its zero terms.  Along every axis in which the
-phase is even (every exponent of that variable in ``phi.terms`` is even)
-and whose nodes mirror exactly, only the nodes >= 0 are swept and each -u
-column of the offset matrices is added into its +u column: the bump is
-even, so the integrand's values at u and -u are the same floats.  Panel
-edges are made to mirror exactly, so this holds for every phase even in a
-variable.
+integrand is evaluated in blocks of one panel's worth of x rows (two after
+an odd fold, which halves the width); each block covers only the y nodes
+inside the disc at its row nearest x = 0, since the amplitude is exactly
+zero on every other node, so each value is the full tensor-product sum
+without its zero terms.  Along an axis whose nodes mirror exactly and in
+which the phase is even (every exponent of that variable in ``phi.terms``
+is even), or along y where it is odd (every non-constant term has an odd
+exponent of y), only the nodes >= 0 are swept.  The bump is even, so along
+an even axis the integrand's values at u and -u are the same floats, and
+each -u column of the offset matrices is added into its +u column; along an
+odd y they are conjugates, as are the offset factors, so the sum over +-y
+is twice the real part of the sum over y > 0.  A block summed over y is not
+conjugate in x, so x folds only when even, and a phase odd in x and not in
+y is swept with its variables swapped.  Panel edges are made to mirror
+exactly, so this holds for every such phase.
 
 Each block is one fused pass over buffers allocated once per sweep.  The
 phase is one matrix product, the rows' powers in the distinct x-exponents
@@ -293,15 +298,28 @@ def _gauss_axis(edges: np.ndarray, order: int = GAUSS_ORDER) -> Tuple[np.ndarray
     return nodes, weights
 
 
-def _fold(nodes: np.ndarray, mats: List[np.ndarray], even: bool) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """The upper half of ``nodes`` and ``mats`` with each mirror column added in.
+def _parities(phi: BivariatePolynomial) -> Tuple[Optional[str], Optional[str]]:
+    """Per variable, "even" or "odd" when every non-constant term of the
+    phase has an even or an odd exponent of it, else None."""
+    found = [{key[axis] % 2 for key in phi.terms if key != (0, 0)} or {0} for axis in (0, 1)]
+    return tuple(("even", "odd")[f.pop()] if len(f) == 1 else None for f in found)
 
-    Applies only when the integrand is even along this axis and the nodes
-    mirror exactly; otherwise the axis is returned unchanged.
+
+def _fold(nodes: np.ndarray, mats: List[np.ndarray], parity: Optional[str]) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """The upper half of ``nodes`` and ``mats`` with each mirror column folded in.
+
+    For a phase even along this axis the mirror columns are added in.  For
+    one odd along it each matrix must be the offset factors' [cos rows; sin
+    rows], and the mirror columns are added into the cos rows and subtracted
+    from the sin rows.  Applies only when ``parity`` is "even" or "odd" and
+    the nodes mirror exactly; otherwise the axis is returned unchanged.
     """
     h = nodes.size // 2
-    if not (even and np.array_equal(nodes[h:], -nodes[:h][::-1])):
+    if parity is None or not np.array_equal(nodes[h:], -nodes[:h][::-1]):
         return nodes, mats
+    if parity == "odd":
+        signs = [np.repeat([1.0, -1.0], m.shape[0] // 2)[:, None] for m in mats]
+        return nodes[h:], [m[:, h:] + sign * m[:, :h][:, ::-1] for m, sign in zip(mats, signs)]
     return nodes[h:], [m[:, h:] + m[:, :h][:, ::-1] for m in mats]
 
 
@@ -537,13 +555,21 @@ def _osc_grids(
 
     Each grid is (s1_values, s2_values) and yields the full matrix
     I[i, j] = I(lambda, (s1[i], s2[j])) under the order-``order`` rule on
-    every panel.  Each axis in which the phase is even is folded onto its
-    nodes >= 0 (``_fold``).  The sweep takes ``order`` rows (one panel's
-    worth) per block and evaluates the integrand only on the y nodes
-    ``_disc_columns`` gives that block, in buffers allocated once per sweep.
+    every panel.  An axis in which the phase is even, and y where it is odd,
+    is folded onto its nodes >= 0 (``_fold``); a phase odd in x and not in y
+    is swept with its variables swapped.  The sweep takes ``order`` rows
+    (one panel's worth, two after an odd fold) per block and evaluates the
+    integrand only on the y nodes ``_disc_columns`` gives that block, in
+    buffers allocated once per sweep.
     The constant term of the phase is the factor ``_global_phase`` outside
     the sum.
     """
+    px, py = _parities(phi)
+    if px == "odd" and py != "odd":
+        # fold the odd variable as the inner one
+        swapped = BivariatePolynomial({(b, a): c for (a, b), c in phi.terms.items()})
+        grids = [(s2, s1) for s1, s2 in grids]
+        return [total.T for total in _osc_grids(swapped, amp, lam, grids, edges[::-1], order)]
     x, wx = _gauss_axis(edges[0], order)
     y, wy = _gauss_axis(edges[1], order)
 
@@ -558,8 +584,11 @@ def _osc_grids(
     for (_, s2), start in zip(grids, starts):
         _offsets(lam, s2, y, wy, mat_b[0, start : start + s2.size], mat_b[1, start : start + s2.size])
     mat_b = mat_b.reshape(2 * n_b, y.size)
-    x, mats_a = _fold(x, mats_a, all(a % 2 == 0 for a, _ in phi.terms))
-    y, (mat_b,) = _fold(y, [mat_b], all(b % 2 == 0 for _, b in phi.terms))
+    x, mats_a = _fold(x, mats_a, "even" if px == "even" else None)
+    y_nodes = y.size
+    y, (mat_b,) = _fold(y, [mat_b], py)
+    # folded along an odd y, each block's sum over y is real
+    real = py == "odd" and y.size < y_nodes
     totals = [np.zeros((a.shape[0], n), dtype=np.complex128) for a, n in zip(mats_a, nb)]
 
     terms = _float_terms(phi - BivariatePolynomial.constant(phi.terms.get((0, 0), 0)))
@@ -574,11 +603,13 @@ def _osc_grids(
     ux = 1.0 - x * x / r2
     vy = y * y / r2
 
+    # an odd fold halves a block's width; two panels of rows keep its size
+    rows = 2 * order if real else order
     # g cos(theta) and g sin(theta) of a block, then theta and three scratch arrays
-    pair = np.empty(2 * order * y.size)
-    work = np.empty((4, order * y.size))
-    for row in range(0, x.size, order):
-        block = slice(row, row + order)
+    pair = np.empty(2 * rows * y.size)
+    work = np.empty((4, rows * y.size))
+    for row in range(0, x.size, rows):
+        block = slice(row, row + rows)
         xc = x[block]
         lo, hi = _disc_columns(amp, xc, y)
         n, size = xc.size, xc.size * (hi - lo)
@@ -592,7 +623,10 @@ def _osc_grids(
         p = e.reshape(2 * n, hi - lo) @ mat_b[:, lo:hi].T
         m = np.empty((n, n_b), dtype=np.complex128)
         np.subtract(p[:n, :n_b], p[n:, n_b:], out=m.real)
-        np.add(p[:n, n_b:], p[n:, :n_b], out=m.imag)
+        if real:
+            m.imag = 0.0
+        else:
+            np.add(p[:n, n_b:], p[n:, :n_b], out=m.imag)
         for total, a, start, count in zip(totals, mats_a, starts, nb):
             total += a[:, block] @ m[:, start : start + count]
     turn = _global_phase(phi, lam)
@@ -809,13 +843,14 @@ def fit_decay(
 
     Fits log|I| against log(lambda) (optionally with a log log lambda
     regressor) and reports gamma_hat with the RMS fit residual and the
-    per-point quadrature error estimates.  Every lambda is planned before any
-    quadrature runs; a grid of fewer than three lambdas then raises
-    ValueError.  A lambda whose order-CHECK_ORDER check fails is left out of
-    the fit and recorded in ``skipped``; fewer than three converged lambdas
-    raise QuadratureNotConverged.
+    per-point quadrature error estimates.  ``workers`` is resolved and every
+    lambda is planned before any quadrature runs; a grid of fewer than three
+    lambdas then raises ValueError.  A lambda whose order-CHECK_ORDER check
+    fails is left out of the fit and recorded in ``skipped``; fewer than
+    three converged lambdas raise QuadratureNotConverged.
     """
     lams = sorted(float(v) for v in lambda_grid)
+    workers = resolve_workers(workers)
     plan = _sweep_edges(phi, amp, lams, s)
     if len(lams) < 3:
         raise ValueError(f"a decay fit needs at least three lambda points, got {len(lams)}")
@@ -881,12 +916,15 @@ def randol_lq_scan(
     check does not change any reported value.  The per-lambda sweeps run
     through ``map_sweep`` on ``workers`` threads and are folded into the
     maxima in lambda order, so the values do not depend on ``workers``.
-    A ``cells`` or ``refine`` that is not an ``int`` (or is a ``bool``)
-    raises ValueError, and a finer grid of more than MAX_SCAN_POINTS offsets
-    BudgetExceeded, before anything is built.
+    A ``cells`` or ``refine`` that is not an ``int`` (or is a ``bool``) or a
+    ``half_width`` that is not positive and finite raises ValueError, and a
+    finer grid of more than MAX_SCAN_POINTS offsets BudgetExceeded, before
+    anything is built; ``workers`` is resolved before any planning.
     """
     if type(cells) is not int or type(refine) is not int or cells < 1 or refine < 1:
         raise ValueError(f"scans need integer cells >= 1 and refine >= 1, got cells={cells!r}, refine={refine!r}")
+    if not (math.isfinite(half_width) and half_width > 0):
+        raise ValueError(f"scan half-width must be positive and finite, got {half_width}")
     cells += cells % 2  # keep sample points off the axis caustic
     if (refine * cells) ** 2 > MAX_SCAN_POINTS:
         raise BudgetExceeded(
@@ -894,6 +932,7 @@ def randol_lq_scan(
             f" more than the budget of {MAX_SCAN_POINTS}"
         )
     lams = sorted(float(v) for v in lambda_grid)
+    workers = resolve_workers(workers)
     _require_d_type(phi, m)
     plan = _sweep_edges(phi, amp, lams, (half_width, half_width))
     w = randol_weight(m)

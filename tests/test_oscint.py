@@ -296,7 +296,8 @@ def _mirrored(edges):
 
 _SCAN_GRIDS = [(cell_centered_grid(0.25, 8),) * 2, (cell_centered_grid(0.25, 16),) * 2]
 # (phase, amplitude, lambda, offset grids, edges or None for _panels_for's).
-# The phases are even in x, in x, in x, in both, in y and in neither.
+# The first five phases are even in x and odd in y, even in x, even in both,
+# odd in x and even in y (swept swapped), and of no parity.
 SWEEP_CASES = [
     ("x^2*y + y^3", AmplitudeSpec(radius=0.6, order=2), 256.0, _one(0.03, -0.02), None),
     ("(y - x^2)^2", AmplitudeSpec(), 256.0, _SCAN_GRIDS, None),
@@ -313,10 +314,13 @@ SWEEP_CASES = [
     ("x*y^2 + x^5", AmplitudeSpec(radius=0.3, order=6), 256.0, _one(0.01, 0.02), None),
     ("7/3 + x^2 - 2*y^2", AmplitudeSpec(radius=0.4, order=2), 256.0, _one(0.01, 0.0), None),
     ("1/8*x + x^2 + y^2", AmplitudeSpec(radius=0.4, order=2), 256.0, _one(0.01, 0.02), None),
+    # odd in x only, so swept swapped and folded along the inner axis; odd in both
+    ("x*(y - x^2)^2", AmplitudeSpec(), 256.0, _SCAN_GRIDS, None),
+    ("x^3*y + x*y^3", AmplitudeSpec(radius=0.4, order=2), 256.0, _SCAN_GRIDS, None),
 ]
 SWEEP_IDS = [
     "radial", "scan-grids", "odd-panels", "odd-panels-scan-grids", "no-parity",
-    "radial-order-8", "radial-order-6", "constant-term", "linear-term",
+    "radial-order-8", "radial-order-6", "constant-term", "linear-term", "odd-x-scan-grids", "odd-both",
 ]
 
 
@@ -375,17 +379,26 @@ class TestBlockedSweep:
         "text,edges,factor",
         [
             ("x^2 + y^2", None, 4),
-            ("x^2*y + y^3", None, 2),
-            ("x*y^2 + x^5", None, 2),
+            ("x^2*y + y^3", None, 4),
+            ("x*y^2 + x^5", None, 4),
             ("(y - x^2)^2", None, 2),
             ("(y - x^2)^2 + x^5", None, 1),
             ("x^2 + y^2", (np.array([-0.4, 0.1, 0.4]),) * 2, 1),
+            ("x*(y - x^2)^2", None, 2),
+            ("x*y", None, 2),
+            ("1/3 + x^2*y + y^3", None, 4),
         ],
-        ids=["even-both", "even-x", "even-y", "scan-phase", "no-parity", "unmirrored"],
+        ids=[
+            "even-both", "even-x", "even-y", "scan-phase", "no-parity", "unmirrored", "odd-x", "odd-both",
+            "odd-y-constant",
+        ],
     )
     def test_fold_divides_the_evaluated_nodes(self, monkeypatch, text, edges, factor):
         # with the disc clipping off every node is evaluated and counted; the
-        # order-10 and order-14 sweeps both fold
+        # order-10 and order-14 sweeps both fold.  x^2*y + y^3 folds in x
+        # (even) and y (odd); x*y^2 + x^5 is swept swapped and folds in both;
+        # an odd x folds only through the swap, so x*y folds in y alone; a
+        # constant term leaves the parity alone.
         phi = parse_polynomial(text)
         amp = AmplitudeSpec(radius=0.4, order=2)
         edges = edges or _panels_for(phi, amp, 256.0, (0.0, 0.0))
@@ -422,15 +435,20 @@ class TestBlockedSweep:
 
 @st.composite
 def _parity_phases(draw):
-    """Small random polynomials even in x, in y, in both, or in neither."""
-    even_x, even_y = draw(st.booleans()), draw(st.booleans())
+    """Small random polynomials even, odd or of no parity in each of x and y,
+    some with a constant term (which an odd phase may have)."""
+    # per axis: the parity every exponent is forced to, or None
+    px, py = draw(st.sampled_from([None, 0, 1])), draw(st.sampled_from([None, 0, 1]))
+    coeff = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
     terms = {}
     for _ in range(draw(st.integers(1, 4))):
         a = draw(st.integers(0, 6))
         b = draw(st.integers(0, 6 - a))
-        a -= a % 2 if even_x else 0
-        b -= b % 2 if even_y else 0
-        terms[(a, b)] = Fraction(draw(st.integers(1, 6)) * draw(st.sampled_from([-1, 1])), draw(st.integers(1, 4)))
+        a += 0 if px is None else px - a % 2
+        b += 0 if py is None else py - b % 2
+        terms[(a, b)] = draw(coeff)
+    if draw(st.booleans()):
+        terms[(0, 0)] = draw(coeff)
     return BivariatePolynomial(terms)
 
 
@@ -445,7 +463,7 @@ def test_folded_sweep_equals_unfolded(phi, lam, s):
     edges = (_mirrored(np.linspace(-0.25, 0.25, 6)), _mirrored(np.linspace(-0.25, 0.25, 5)))
     grids = _one(*s) + _SCAN_GRIDS[:1]
     folded = _osc_grids(phi, amp, lam, grids, edges)
-    with mock.patch.object(oscint, "_fold", lambda nodes, mats, even: (nodes, mats)):
+    with mock.patch.object(oscint, "_fold", lambda nodes, mats, parity: (nodes, mats)):
         unfolded = _osc_grids(phi, amp, lam, grids, edges)
     # Folding reorders the sum, which moves it by rounding on the scale of the
     # sum of |terms|, the bump's mass, not of the value: some draws cancel to
@@ -657,6 +675,17 @@ class TestSweepHelpers:
         monkeypatch.setenv("NPHK_WORKERS", "2")
         assert resolve_workers() == 2
 
+    def test_bad_worker_count_refused_before_planning(self, monkeypatch):
+        checked = []
+        support = oscint.check_amplitude_support
+        monkeypatch.setattr(oscint, "check_amplitude_support", lambda *args: checked.append(args) or support(*args))
+        phi, amp = parse_polynomial("(y - x^2)^2"), AmplitudeSpec()
+        with pytest.raises(ValueError, match="integer at least 1"):
+            fit_decay(phi, amp, dyadic_grid(64, 256), workers=0)
+        with pytest.raises(ValueError, match="integer at least 1"):
+            randol_lq_scan(phi, amp, 2, q_list=(2.0,), cells=8, lambda_grid=[64.0], workers=0)
+        assert checked == []
+
     def test_fit_on_threads_equals_serial(self, monkeypatch):
         p = parse_polynomial("x*y^2 + x^5")
         amp = AmplitudeSpec(radius=0.6, order=2)
@@ -821,18 +850,29 @@ class TestRandol:
             randol_lq_scan(parse_polynomial("x^2 + y^2"), amp, 2, q_list=(2.0,), cells=8, lambda_grid=[64.0])
 
     # a float count such as 2.5 would round to an odd grid (2.5 + 2.5 % 2 is 3.0)
-    # whose middle cell centre is the axis caustic s1 = 0
+    # whose middle cell centre is the axis caustic s1 = 0; a zero half-width
+    # puts every offset there, and a nan one asked for "nan" coarse nodes
+    _BAD_COUNTS = [(0, 2), (-4, 2), (8, 0), (2.5, 2), (8.0, 2), (8, 2.0), (True, 2), (8, True)]
+    _BAD_WIDTHS = [0.0, -0.25, math.nan, math.inf]
+
     @pytest.mark.parametrize(
-        "cells,refine", [(0, 2), (-4, 2), (8, 0), (2.5, 2), (8.0, 2), (8, 2.0), (True, 2), (8, True)]
+        "cells,refine,half_width",
+        [(c, r, DEFAULT_SCAN_HALF_WIDTH) for c, r in _BAD_COUNTS] + [(8, 2, w) for w in _BAD_WIDTHS],
+        ids=[f"{c}-{r}" for c, r in _BAD_COUNTS]
+        + ["half-width-0", "half-width-negative", "half-width-nan", "half-width-inf"],
     )
-    def test_lq_scan_rejects_empty_grids(self, monkeypatch, cells, refine):
+    def test_lq_scan_rejects_empty_grids(self, monkeypatch, cells, refine, half_width):
         planned = []
-        panels_for = oscint._panels_for
+        panels_for, require_d_type = oscint._panels_for, oscint._require_d_type
         monkeypatch.setattr(oscint, "_panels_for", lambda *args: planned.append(args) or panels_for(*args))
-        with pytest.raises(ValueError, match="integer cells >= 1 and refine >= 1"):
+        monkeypatch.setattr(oscint, "_require_d_type", lambda *args: planned.append(args) or require_d_type(*args))
+        bad = "integer cells >= 1 and refine >= 1"
+        if half_width != DEFAULT_SCAN_HALF_WIDTH:
+            bad = "half-width must be positive and finite"
+        with pytest.raises(ValueError, match=bad):
             randol_lq_scan(
                 parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, q_list=(2.0,), cells=cells, refine=refine,
-                lambda_grid=[64.0],
+                half_width=half_width, lambda_grid=[64.0],
             )
         assert planned == []
 
