@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -254,6 +255,9 @@ def run_decay(args: argparse.Namespace, out=None) -> int:
         grid = oscint.dyadic_grid(args.lmin, args.lmax)
         if args.grid < 1:
             raise ValueError(f"--grid must be at least 1, got {args.grid}")
+        for q in args.q:
+            if not (math.isfinite(q) and q > 0):
+                raise ValueError(f"--q exponents must be positive and finite, got {q:g}")
         if args.randol and args.m is None:
             raise ValueError("--randol requires --m")
         workers = oscint.resolve_workers(args.workers)

@@ -12,21 +12,27 @@ the panel edges follow it so that no panel holds more than an oversampled
 nodes-per-cycle budget allows or is wider than a fixed share of the support.
 A grid beyond a fixed node budget, or an offset scan beyond a fixed point
 budget, is refused before any of it is built (BudgetExceeded).  The
-integrand is evaluated in blocks of one panel's worth of x rows (two after
-an odd fold, which halves the width); each block covers only the y nodes
-inside the disc at its row nearest x = 0, since the amplitude is exactly
-zero on every other node, so each value is the full tensor-product sum
-without its zero terms.  Along an axis whose nodes mirror exactly and in
-which the phase is even (every exponent of that variable in ``phi.terms``
-is even), or along y where it is odd (every non-constant term has an odd
-exponent of y), only the nodes >= 0 are swept.  The bump is even, so along
-an even axis the integrand's values at u and -u are the same floats, and
-each -u column of the offset matrices is added into its +u column; along an
-odd y they are conjugates, as are the offset factors, so the sum over +-y
-is twice the real part of the sum over y > 0.  A block summed over y is not
-conjugate in x, so x folds only when even, and a phase odd in x and not in
-y is swept with its variables swapped.  Panel edges are made to mirror
-exactly, so this holds for every such phase.
+integrand is evaluated in blocks of whole panels of x rows, as many as keep
+a block near one unfolded row of the longer axis; each block covers only
+the y nodes inside the disc at its row nearest x = 0, since the amplitude
+is exactly zero on every other node, so each value is the full
+tensor-product sum without its zero terms.  Along an axis whose nodes
+mirror exactly and in which the phase is even (every exponent of that
+variable in ``phi.terms`` is even), or along y where it is odd (every
+non-constant term has an odd exponent of y), only the nodes >= 0 are
+swept, with doubled weights.  The bump is even, so along an even axis the
+integrand's values at u and -u are the same floats and the offset factors
+at +-u add up to 2 cos(lambda s u); along an odd y they are conjugates, as
+are the offset factors, so the sum over +-y is twice the real part of the
+sum over y > 0.  A block summed over y is not conjugate in x, so x folds
+only when even, and a phase odd in x and not in y, or even in x and of no
+parity in y, is swept with its variables swapped, so that y is the axis
+that folds.  After an even fold of y only the cos rows of its offset
+factors are contracted, and for an exactly mirrored offset grid only those
+of s > 0, whose columns stand for -s too; along x the row of -s is the
+conjugate of the row of s.  Each block's sums over y are contracted with
+the x offset factors once per sweep.  Panel edges are made to mirror
+exactly, so all of this holds for every such phase.
 
 Each block is one fused pass over buffers allocated once per sweep.  The
 phase is one matrix product, the rows' powers in the distinct x-exponents
@@ -305,22 +311,28 @@ def _parities(phi: BivariatePolynomial) -> Tuple[Optional[str], Optional[str]]:
     return tuple(("even", "odd")[f.pop()] if len(f) == 1 else None for f in found)
 
 
-def _fold(nodes: np.ndarray, mats: List[np.ndarray], parity: Optional[str]) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """The upper half of ``nodes`` and ``mats`` with each mirror column folded in.
+def _fold(nodes: np.ndarray, weights: np.ndarray, parity: Optional[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """The nodes >= 0 with their weights doubled, when ``parity`` is "even"
+    or "odd" and the nodes mirror exactly (their weights then do too);
+    otherwise ``nodes`` and ``weights`` unchanged.
 
-    For a phase even along this axis the mirror columns are added in.  For
-    one odd along it each matrix must be the offset factors' [cos rows; sin
-    rows], and the mirror columns are added into the cos rows and subtracted
-    from the sin rows.  Applies only when ``parity`` is "even" or "odd" and
-    the nodes mirror exactly; otherwise the axis is returned unchanged.
+    The caller applies what the parity makes of the offset factors
+    e^(i lambda s u) at +-u: along an even axis the integrand takes the same
+    floats at both, so they add up to 2 cos(lambda s u) and their sin part
+    is exactly 0; along an odd one the integrand and the factors at -u are
+    the conjugates of those at u, so a block's sum is twice a real part.
     """
     h = nodes.size // 2
     if parity is None or not np.array_equal(nodes[h:], -nodes[:h][::-1]):
-        return nodes, mats
-    if parity == "odd":
-        signs = [np.repeat([1.0, -1.0], m.shape[0] // 2)[:, None] for m in mats]
-        return nodes[h:], [m[:, h:] + sign * m[:, :h][:, ::-1] for m, sign in zip(mats, signs)]
-    return nodes[h:], [m[:, h:] + m[:, :h][:, ::-1] for m in mats]
+        return nodes, weights
+    return nodes[h:], 2.0 * weights[h:]
+
+
+def _mirror_half(s: np.ndarray) -> int:
+    """h when the offsets s[:h] are exactly -s[::-1][:h], the mirror of the
+    upper part s[h:]; else 0."""
+    h = s.size // 2
+    return h if np.array_equal(s[:h], -s[::-1][:h]) else 0
 
 
 def _power(t: np.ndarray, n: int, scratch: np.ndarray) -> np.ndarray:
@@ -477,20 +489,47 @@ def _sincos(
 def _offsets(lam: float, s: np.ndarray, u: np.ndarray, w: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) -> None:
     """cos and sin of lam*s[i]*u[j], times w[j], into cos_out[i, j] and sin_out[i, j].
 
+    For exactly mirrored offsets only the rows s[h:] of ``_mirror_half`` are
+    evaluated: the row of -s is the conjugate of the row of s, bit for bit.
     The rows go through ``_sincos`` a few at a time, so its scratch holds
     about _OFFSET_CHUNK entries however many offsets there are.
     """
+    h = _mirror_half(s)
     bound = lam * float(np.abs(s).max(initial=0.0)) * float(np.abs(u).max(initial=0.0))
     rows = max(1, _OFFSET_CHUNK // u.size)
-    work = np.empty((4, min(rows, s.size), u.size))
-    for i in range(0, s.size, rows):
+    work = np.empty((4, min(rows, s.size - h), u.size))
+    for i in range(h, s.size, rows):
         part = s[i : i + rows]
         theta, *scratch = work[:, : part.size]
         np.multiply.outer(part, u, out=theta)
         theta *= lam
         _sincos(theta, cos_out[i : i + rows], sin_out[i : i + rows], scratch, bound)
+    cos_out[:h] = cos_out[::-1][:h]
+    np.negative(sin_out[::-1][:h], out=sin_out[:h])
     cos_out *= w
     sin_out *= w
+
+
+def _block_sums(e: np.ndarray, mat_b: np.ndarray, fold: Optional[str]) -> np.ndarray:
+    """The sums of a block's rows over its columns against every offset row.
+
+    ``e`` is [g cos; g sin] of the block's rows on its columns.  After an
+    even fold ``mat_b`` holds only the cos rows of the offset factors B (their
+    sin rows are 0); otherwise it is [B cos; B sin], and after an odd fold
+    each sum is real.
+    """
+    n = e.shape[0] // 2
+    p = e @ mat_b.T
+    if fold == "even":
+        return p[:n] + 1j * p[n:]
+    n_b = p.shape[1] // 2
+    m = np.empty((n, n_b), dtype=np.complex128)
+    np.subtract(p[:n, :n_b], p[n:, n_b:], out=m.real)
+    if fold == "odd":
+        m.imag = 0.0
+    else:
+        np.add(p[:n, n_b:], p[n:, :n_b], out=m.imag)
+    return m
 
 
 def _phase_rows(exps: np.ndarray, xc: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -556,40 +595,43 @@ def _osc_grids(
     Each grid is (s1_values, s2_values) and yields the full matrix
     I[i, j] = I(lambda, (s1[i], s2[j])) under the order-``order`` rule on
     every panel.  An axis in which the phase is even, and y where it is odd,
-    is folded onto its nodes >= 0 (``_fold``); a phase odd in x and not in y
-    is swept with its variables swapped.  The sweep takes ``order`` rows
-    (one panel's worth, two after an odd fold) per block and evaluates the
-    integrand only on the y nodes ``_disc_columns`` gives that block, in
-    buffers allocated once per sweep.
-    The constant term of the phase is the factor ``_global_phase`` outside
-    the sum.
+    is folded onto its nodes >= 0 (``_fold``).  A phase odd in x and not in
+    y, or even in x and of no parity in y, is swept with its variables
+    swapped, so that y is the axis that folds.  After an even fold of y its
+    offset factors are 2 w cos(lambda s y): only their cos rows are
+    contracted, and for an exactly mirrored s2-grid only those of s2 >= 0,
+    whose result columns are mirrored onto -s2 at the end.  Each block of
+    whole panels of rows is evaluated only on the y nodes ``_disc_columns``
+    gives it, in buffers allocated once per sweep.  The constant term of the
+    phase is the factor ``_global_phase`` outside the sum.
     """
     px, py = _parities(phi)
-    if px == "odd" and py != "odd":
-        # fold the odd variable as the inner one
+    if (px == "odd" and py != "odd") or (px == "even" and py is None):
         swapped = BivariatePolynomial({(b, a): c for (a, b), c in phi.terms.items()})
         grids = [(s2, s1) for s1, s2 in grids]
         return [total.T for total in _osc_grids(swapped, amp, lam, grids, edges[::-1], order)]
     x, wx = _gauss_axis(edges[0], order)
     y, wy = _gauss_axis(edges[1], order)
+    longest, x_nodes, y_nodes = max(x.size, y.size), x.size, y.size
+    x, wx = _fold(x, wx, "even" if px == "even" else None)
+    y, wy = _fold(y, wy, py)
+    fold = py if y.size < y_nodes else None
 
     mats_a = [np.empty((s1.size, x.size), dtype=np.complex128) for s1, _ in grids]
     for (s1, _), mat in zip(grids, mats_a):
         _offsets(lam, s1, x, wx, mat.real, mat.imag)
-    # the cos rows of every grid, then their sin rows
-    nb = [s2.size for _, s2 in grids]
+        if x.size < x_nodes:  # folded along an even x: 2 w cos(lambda s x)
+            mat.imag = 0.0
+    # the s2 rows each grid contracts: after an even fold those of s2 >= 0
+    halves = [_mirror_half(s2) if fold == "even" else 0 for _, s2 in grids]
+    rows_b = [s2[h:] for (_, s2), h in zip(grids, halves)]
+    nb = [s2.size for s2 in rows_b]
     starts = np.cumsum([0] + nb[:-1])
-    n_b = sum(nb)
-    mat_b = np.empty((2, n_b, y.size))
-    for (_, s2), start in zip(grids, starts):
+    mat_b = np.empty((2, sum(nb), y.size))
+    for s2, start in zip(rows_b, starts):
         _offsets(lam, s2, y, wy, mat_b[0, start : start + s2.size], mat_b[1, start : start + s2.size])
-    mat_b = mat_b.reshape(2 * n_b, y.size)
-    x, mats_a = _fold(x, mats_a, "even" if px == "even" else None)
-    y_nodes = y.size
-    y, (mat_b,) = _fold(y, [mat_b], py)
-    # folded along an odd y, each block's sum over y is real
-    real = py == "odd" and y.size < y_nodes
-    totals = [np.zeros((a.shape[0], n), dtype=np.complex128) for a, n in zip(mats_a, nb)]
+    # the cos rows of every grid, then (unless they are 0) their sin rows
+    mat_b = mat_b[0] if fold == "even" else mat_b.reshape(-1, y.size)
 
     terms = _float_terms(phi - BivariatePolynomial.constant(phi.terms.get((0, 0), 0)))
     exps = sorted({a for a, _, _ in terms})
@@ -603,11 +645,13 @@ def _osc_grids(
     ux = 1.0 - x * x / r2
     vy = y * y / r2
 
-    # an odd fold halves a block's width; two panels of rows keep its size
-    rows = 2 * order if real else order
+    # whole panels of rows, so that a block holds about one unfolded row of the longer axis
+    rows = order * max(1, round(longest / y.size))
     # g cos(theta) and g sin(theta) of a block, then theta and three scratch arrays
     pair = np.empty(2 * rows * y.size)
     work = np.empty((4, rows * y.size))
+    # each row's sums over y against every offset row, contracted with x once per sweep
+    sums = np.empty((x.size, sum(nb)), dtype=np.complex128)
     for row in range(0, x.size, rows):
         block = slice(row, row + rows)
         xc = x[block]
@@ -618,21 +662,10 @@ def _osc_grids(
         _phase_rows(exps, xc, q[:, lo:hi], theta)
         _sincos(theta, e[0], e[1], scratch, theta_max)
         e *= _radial_bump(ux[block], vy[lo:hi], amp.order, theta, scratch[0])
-        # p = [g cos; g sin] @ [B cos; B sin]^T, so the block's sums over its
-        # columns against B = B cos + i B sin are these two combinations
-        p = e.reshape(2 * n, hi - lo) @ mat_b[:, lo:hi].T
-        m = np.empty((n, n_b), dtype=np.complex128)
-        np.subtract(p[:n, :n_b], p[n:, n_b:], out=m.real)
-        if real:
-            m.imag = 0.0
-        else:
-            np.add(p[:n, n_b:], p[n:, :n_b], out=m.imag)
-        for total, a, start, count in zip(totals, mats_a, starts, nb):
-            total += a[:, block] @ m[:, start : start + count]
+        sums[block] = _block_sums(e.reshape(2 * n, hi - lo), mat_b[:, lo:hi], fold)
     turn = _global_phase(phi, lam)
-    for total in totals:
-        total *= turn
-    return totals
+    totals = [turn * (a @ sums[:, start : start + count]) for a, start, count in zip(mats_a, starts, nb)]
+    return [np.concatenate((total[:, ::-1][:, :h], total), axis=1) for total, h in zip(totals, halves)]
 
 
 def amplitude_mass(amp: AmplitudeSpec) -> float:
@@ -889,9 +922,11 @@ def randol_weight(m: int) -> float:
 
 
 def cell_centered_grid(half_width: float, cells: int) -> np.ndarray:
-    """Cell centers of a uniform subdivision of [-w, w] into ``cells`` cells."""
+    """Cell centers of a uniform subdivision of [-w, w] into ``cells`` cells,
+    mirrored exactly about 0 (so ``_offsets`` pairs every s with -s)."""
     step = 2.0 * half_width / cells
-    return -half_width + step * (np.arange(cells) + 0.5)
+    centers = -half_width + step * (np.arange(cells) + 0.5)
+    return (centers - centers[::-1]) / 2.0
 
 
 def randol_lq_scan(
@@ -916,15 +951,19 @@ def randol_lq_scan(
     check does not change any reported value.  The per-lambda sweeps run
     through ``map_sweep`` on ``workers`` threads and are folded into the
     maxima in lambda order, so the values do not depend on ``workers``.
-    A ``cells`` or ``refine`` that is not an ``int`` (or is a ``bool``) or a
-    ``half_width`` that is not positive and finite raises ValueError, and a
-    finer grid of more than MAX_SCAN_POINTS offsets BudgetExceeded, before
-    anything is built; ``workers`` is resolved before any planning.
+    A ``cells`` or ``refine`` that is not an ``int`` (or is a ``bool``), or a
+    ``half_width`` or a ``q`` that is not positive and finite, raises
+    ValueError, and a finer grid of more than MAX_SCAN_POINTS offsets
+    BudgetExceeded, before anything is built; ``workers`` is resolved
+    before any planning.
     """
     if type(cells) is not int or type(refine) is not int or cells < 1 or refine < 1:
         raise ValueError(f"scans need integer cells >= 1 and refine >= 1, got cells={cells!r}, refine={refine!r}")
     if not (math.isfinite(half_width) and half_width > 0):
         raise ValueError(f"scan half-width must be positive and finite, got {half_width}")
+    for q in q_list:
+        if not (math.isfinite(q) and q > 0):
+            raise ValueError(f"L^q exponents must be positive and finite, got {q}")
     cells += cells % 2  # keep sample points off the axis caustic
     if (refine * cells) ** 2 > MAX_SCAN_POINTS:
         raise BudgetExceeded(

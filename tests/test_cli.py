@@ -330,6 +330,16 @@ class TestDecayCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["exit_code"] == cli.EXIT_PARSE and payload["error"]
 
+    @pytest.mark.parametrize("q", ["0", "-2", "2,0", "8,-1/2"])
+    def test_randol_q_not_positive_is_a_parse_error(self, capsys, monkeypatch, q):
+        # neither q = 0 (a sum of ones) nor q < 0 (a sum of M^-q) is an L^q signal
+        monkeypatch.setattr(cli.oscint, "randol_lq_scan", lambda *args, **kwargs: pytest.fail("scan ran"))
+        code = cli.main(["decay", "--phi", "(y - x^2)^2", "--randol", "--m", "2", f"--q={q}", "--grid", "8", "--lmax", "128"])
+        assert code == 2 == cli.EXIT_PARSE
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["exit_code"] == 2
+        assert "--q exponents must be positive and finite" in payload["error"]
+
     def test_non_integer_worker_variable_is_a_parse_error(self, capsys, monkeypatch):
         monkeypatch.setenv("NPHK_WORKERS", "abc")
         code = cli.main(["decay", "--phi", "x^2 + y^2", "--lmin", "64", "--lmax", "256"])

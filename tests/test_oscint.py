@@ -295,9 +295,15 @@ def _mirrored(edges):
 
 
 _SCAN_GRIDS = [(cell_centered_grid(0.25, 8),) * 2, (cell_centered_grid(0.25, 16),) * 2]
+# one offset axis not mirrored in each grid, so each axis takes the full path once
+_UNMIRRORED_GRIDS = [
+    (np.linspace(-0.2, 0.25, 7), cell_centered_grid(0.25, 8)),
+    (cell_centered_grid(0.25, 8), np.linspace(-0.25, 0.1, 5)),
+]
 # (phase, amplitude, lambda, offset grids, edges or None for _panels_for's).
-# The first five phases are even in x and odd in y, even in x, even in both,
-# odd in x and even in y (swept swapped), and of no parity.
+# The first five phases are even in x and odd in y, even in x (swept
+# swapped), even in both, odd in x and even in y (swept swapped), and of no
+# parity.
 SWEEP_CASES = [
     ("x^2*y + y^3", AmplitudeSpec(radius=0.6, order=2), 256.0, _one(0.03, -0.02), None),
     ("(y - x^2)^2", AmplitudeSpec(), 256.0, _SCAN_GRIDS, None),
@@ -317,10 +323,18 @@ SWEEP_CASES = [
     # odd in x only, so swept swapped and folded along the inner axis; odd in both
     ("x*(y - x^2)^2", AmplitudeSpec(), 256.0, _SCAN_GRIDS, None),
     ("x^3*y + x*y^3", AmplitudeSpec(radius=0.4, order=2), 256.0, _SCAN_GRIDS, None),
+    # even in x and of no parity in y, so swept swapped with only the cos rows
+    # of the offsets >= 0 contracted; even in both, the same without the swap;
+    # and the scan phase on offsets that do not mirror
+    ("(y + x^2)^2", AmplitudeSpec(), 256.0, _SCAN_GRIDS, None),
+    ("x^4 + x^2*y + y^3", AmplitudeSpec(radius=0.4, order=2), 256.0, _SCAN_GRIDS, None),
+    ("x^2 + y^2", AmplitudeSpec(radius=0.4, order=2), 256.0, _SCAN_GRIDS, None),
+    ("(y - x^2)^2", AmplitudeSpec(), 256.0, _UNMIRRORED_GRIDS, None),
 ]
 SWEEP_IDS = [
     "radial", "scan-grids", "odd-panels", "odd-panels-scan-grids", "no-parity",
     "radial-order-8", "radial-order-6", "constant-term", "linear-term", "odd-x-scan-grids", "odd-both",
+    "reflected-scan-grids", "even-x-scan-grids", "radial-scan-grids", "unmirrored-offsets",
 ]
 
 
@@ -416,6 +430,40 @@ class TestBlockedSweep:
             _osc_grids(phi, amp, 256.0, _one(0.0, 0.0), edges, order)
             assert factor * sum(evaluated) == order**2 * (edges[0].size - 1) * (edges[1].size - 1)
 
+    def test_swapped_scan_contracts_the_cosine_half(self, monkeypatch):
+        # the scan phase is even in x and of no parity in y, so x is swept as
+        # the inner axis and folded: its offset factors are 2 w cos(lambda s x),
+        # contracted for s1 > 0 only, 16 + 32 rows of the 2 * (32 + 64) cos and
+        # sin rows, and 16 in the check sweep
+        calls, contracted = [], []
+        offsets, block_sums = oscint._offsets, oscint._block_sums
+        monkeypatch.setattr(oscint, "_offsets", lambda lam, s, u, *rest: calls.append((s, u)) or offsets(lam, s, u, *rest))
+        monkeypatch.setattr(
+            oscint, "_block_sums", lambda e, mat_b, fold: contracted.append((mat_b.shape[0], fold)) or block_sums(e, mat_b, fold)
+        )
+        randol_lq_scan(parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, q_list=(2.0,), lambda_grid=[256.0])
+        assert set(contracted) == {(48, "even"), (16, "even")}
+        inner = [s for s, u in calls if u.min() > 0]
+        outer = [s for s, u in calls if u.min() < 0]
+        assert [s.size for s in inner] == [16, 32, 16] and all(s.min() > 0 for s in inner)
+        assert [s.size for s in outer] == [32, 64, 32]
+
+    def test_offsets_evaluate_half_a_mirrored_grid(self, monkeypatch):
+        # the row of -s is the conjugate of the row of s, bit for bit
+        s = cell_centered_grid(0.3, 16)
+        u, w = _gauss_axis(_mirrored(np.linspace(-0.25, 0.25, 5)))
+        rows = []
+        sincos = oscint._sincos
+        monkeypatch.setattr(oscint, "_sincos", lambda theta, *rest: rows.append(theta.shape[0]) or sincos(theta, *rest))
+        cos_out, sin_out = np.empty((16, u.size)), np.empty((16, u.size))
+        oscint._offsets(256.0, s, u, w, cos_out, sin_out)
+        assert rows == [8]
+        for i in range(16):
+            row_cos, row_sin = np.empty((1, u.size)), np.empty((1, u.size))
+            oscint._offsets(256.0, s[i : i + 1], u, w, row_cos, row_sin)
+            np.testing.assert_array_equal(cos_out[i], row_cos[0])
+            np.testing.assert_array_equal(sin_out[i], row_sin[0])
+
     def test_decay_fit_exponents_unchanged(self):
         # gamma_hat of the four decay_fit phases from the order-14 values, and
         # from the order-10 values on bisected panels that the order-14 check
@@ -463,7 +511,7 @@ def test_folded_sweep_equals_unfolded(phi, lam, s):
     edges = (_mirrored(np.linspace(-0.25, 0.25, 6)), _mirrored(np.linspace(-0.25, 0.25, 5)))
     grids = _one(*s) + _SCAN_GRIDS[:1]
     folded = _osc_grids(phi, amp, lam, grids, edges)
-    with mock.patch.object(oscint, "_fold", lambda nodes, mats, parity: (nodes, mats)):
+    with mock.patch.object(oscint, "_fold", lambda nodes, weights, parity: (nodes, weights)):
         unfolded = _osc_grids(phi, amp, lam, grids, edges)
     # Folding reorders the sum, which moves it by rounding on the scale of the
     # sum of |terms|, the bump's mass, not of the value: some draws cancel to
@@ -876,8 +924,30 @@ class TestRandol:
             )
         assert planned == []
 
+    @pytest.mark.parametrize("q", [0.0, -2.0, math.nan, math.inf, -math.inf])
+    def test_lq_scan_rejects_a_q_that_is_not_positive(self, monkeypatch, q):
+        # q <= 0 gives no L^q signal: q = 0 sums ones, q = -2 sums M^-2
+        planned = []
+        panels_for, require_d_type = oscint._panels_for, oscint._require_d_type
+        monkeypatch.setattr(oscint, "_panels_for", lambda *args: planned.append(args) or panels_for(*args))
+        monkeypatch.setattr(oscint, "_require_d_type", lambda *args: planned.append(args) or require_d_type(*args))
+        with pytest.raises(ValueError, match=r"L\^q exponents must be positive and finite"):
+            randol_lq_scan(parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, q_list=(2.0, q), cells=8, lambda_grid=[64.0])
+        assert planned == []
+
+    def test_cell_centered_grid_mirrors_exactly(self):
+        # _offsets evaluates half of a grid only when it mirrors exactly; the
+        # plain cell centres of (0.1, 32) and (0.3, 16) did not
+        for half_width in (0.1, 0.25, 0.3, 1 / 3, 0.7, 2.5):
+            for cells in (1, 2, 5, 16, 32, 64, 100):
+                grid = cell_centered_grid(half_width, cells)
+                np.testing.assert_array_equal(grid, -grid[::-1])
+                assert oscint._mirror_half(grid) == cells // 2
+                np.testing.assert_allclose(np.diff(grid), 2 * half_width / cells, rtol=1e-12)
+
     def test_lq_scan_threads_give_the_same_values(self):
-        # the criterion-6 scan: threaded sweeps fold into the same maxima in lambda order
+        # the criterion-6 scan, swept swapped on the cosine half: threaded
+        # sweeps fold into the same maxima in lambda order
         args = (parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2)
         serial = randol_lq_scan(*args, q_list=(2.0, 8.0), workers=1)
         threaded = randol_lq_scan(*args, q_list=(2.0, 8.0), workers=2)
