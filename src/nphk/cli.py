@@ -9,9 +9,10 @@ Commands:
 * ``corpus``: replay the built-in classified corpus and identity suites.
 
 All symbolic values serialize as exact "num/den" strings.  Exit codes:
-0 success, 1 corpus mismatch, 2 parse error, 3 exponent data requested for an
-out-of-range class, 4 numeric non-convergence, a lambda outside the feasible
-range, or a quadrature or offset grid beyond its budget (``oscint.BudgetExceeded``).
+0 success, 1 corpus mismatch, 2 parse error (or a ``corpus --filter`` that
+matches no row), 3 exponent data requested for an out-of-range class, 4
+numeric non-convergence, a lambda outside the feasible range, or a
+quadrature or offset grid beyond its budget (``oscint.BudgetExceeded``).
 ``decay`` runs ``oscint.fit_decay``: a lambda whose order check fails is left
 out of the fit and printed as a warning; a grid of fewer than three lambdas
 (refused before any quadrature) or fewer than three converged ones exits 4.
@@ -260,18 +261,15 @@ def run_decay(args: argparse.Namespace, out=None) -> int:
                 raise ValueError(f"--q exponents must be positive and finite, got {q:g}")
         if args.randol and args.m is None:
             raise ValueError("--randol requires --m")
-        workers = oscint.resolve_workers(args.workers)
     except ValueError as exc:
         _emit_error(None, str(exc), EXIT_PARSE, out)
         return EXIT_PARSE
 
     try:  # every lambda is planned (range, node budget, support) before any quadrature
         if args.randol:
-            scan = oscint.randol_lq_scan(
-                phi, amp, args.m, q_list=args.q or (2.0,), cells=args.grid, lambda_grid=grid, workers=workers
-            )
+            scan = oscint.randol_lq_scan(phi, amp, args.m, q_list=args.q or (2.0,), cells=args.grid, lambda_grid=grid)
         else:
-            fit = oscint.fit_decay(phi, amp, grid, workers=workers)
+            fit = oscint.fit_decay(phi, amp, grid)
     except cls.UnsupportedKindError as exc:
         _emit_error(None, str(exc), EXIT_OUT_OF_SCOPE, out)
         return EXIT_OUT_OF_SCOPE
@@ -312,6 +310,9 @@ def run_corpus_command(args: argparse.Namespace, out=None) -> int:
     results = corpus_mod.run_corpus(
         tag_filter=args.tag_filter, report=lambda line: print(line, file=out), seed=args.seed
     )
+    if not results:
+        _emit_error(None, f"--filter {args.tag_filter!r} matches no corpus row", EXIT_PARSE, out)
+        return EXIT_PARSE
     failures = [r for r in results if not r.ok]
     print(f"{len(results) - len(failures)}/{len(results)} checks passed", file=out)
     return EXIT_OK if not failures else EXIT_MISMATCH
@@ -343,7 +344,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--m", type=int, default=None, help="branch order for --randol")
     pd.add_argument("--q", default="", help="comma-separated q exponents for --randol")
     pd.add_argument("--csv", dest="csv_path", help="write samples CSV here")
-    pd.add_argument("--workers", type=int, default=None, help="worker threads (default NPHK_WORKERS or 1)")
 
     pc = sub.add_parser("corpus", help="run the built-in corpus and identity suites")
     pc.add_argument("--filter", dest="tag_filter", default=None, help="only rows whose kind matches")

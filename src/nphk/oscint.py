@@ -72,13 +72,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import os
 import sys
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -175,25 +173,6 @@ class RandolScan:
     q_report: Dict[float, Tuple[float, float, float]]  # q -> (coarse, fine, ratio)
 
 
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """``workers``, else ``NPHK_WORKERS``, else 1.
-
-    Raises ValueError for a count that is not an ``int`` >= 1 (a ``bool`` is
-    not one) or an ``NPHK_WORKERS`` that is not an integer.
-    """
-    if workers is None:
-        env = os.environ.get("NPHK_WORKERS")
-        if not env:
-            return 1
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ValueError(f"NPHK_WORKERS must be an integer, got {env!r}") from None
-    if type(workers) is not int or workers < 1:
-        raise ValueError(f"worker count must be an integer at least 1, got {workers!r}")
-    return workers
-
-
 # -- quadrature engine ---------------------------------------------------------
 
 
@@ -259,13 +238,15 @@ def _axis_edges(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
 def _panels_for(phi: BivariatePolynomial, amp: AmplitudeSpec, lam: float, s_max: Tuple[float, float]) -> Tuple[np.ndarray, np.ndarray]:
     """Coarse panel edges per axis for offsets with |s_i| <= |s_max[i]|.
 
-    Raises ValueError for a lambda outside the feasible range,
-    BudgetExceeded before any edge is placed when the coarse grid would need
-    more than MAX_COARSE_NODES nodes or its size is not finite, and
-    ValueError when the bump's mass is not a normal positive float (a radius
-    whose square overflows or underflows).
+    Raises ValueError for a lambda outside the feasible range or an offset
+    that is not finite, BudgetExceeded before any edge is placed when the
+    coarse grid would need more than MAX_COARSE_NODES nodes or its size is
+    not finite, and ValueError when the bump's mass is not a normal positive
+    float (a radius whose square overflows or underflows).
     """
     _check_lambda(lam)
+    if not all(math.isfinite(v) for v in s_max):
+        raise ValueError(f"offsets must be finite, got s={tuple(s_max)}")
     costs = [_axis_cost(phi, amp, lam, s_max[axis], axis) for axis in (0, 1)]
     nodes = float(GAUSS_ORDER**2)
     for _, cum in costs:
@@ -754,24 +735,6 @@ def _sweep_edges(
     return edges
 
 
-def map_sweep(
-    fn: Callable[[float, Tuple[np.ndarray, np.ndarray]], object],
-    lams: Sequence[float],
-    plan: Sequence[Tuple[np.ndarray, np.ndarray]],
-    workers: Optional[int] = None,
-) -> list:
-    """``fn(lam, edges)`` for every lambda of a sweep, in order.
-
-    Runs on a thread pool of ``resolve_workers(workers)`` threads when that
-    is more than one.
-    """
-    nworkers = resolve_workers(workers)
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            return list(pool.map(fn, lams, plan))
-    return [fn(lam, edges) for lam, edges in zip(lams, plan)]
-
-
 def _order_check(coarse: np.ndarray, fine: np.ndarray, amp: AmplitudeSpec, what: str) -> float:
     """The largest |fine - coarse| / |fine| over the values with |fine| above
     1e-9 of the amplitude's mass (0 when there are none), where ``fine`` is
@@ -835,12 +798,24 @@ def fit_decay_from_samples(
     errors: Sequence[float],
     with_log: bool = False,
 ) -> DecayFit:
-    """Least-squares decay exponent from precomputed I(lambda, s) samples;
-    ValueError for ``lams``, ``values`` and ``errors`` of unequal lengths."""
+    """Least-squares decay exponent from precomputed I(lambda, s) samples.
+
+    Raises ValueError for ``lams``, ``values`` and ``errors`` of unequal
+    lengths, fewer than three samples, a lambda that is not positive and
+    finite or that repeats, and a value that is not finite.
+    """
     if not len(lams) == len(values) == len(errors):
         raise ValueError(f"unequal sample lengths: {len(lams)} lambdas, {len(values)} values, {len(errors)} errors")
     if len(lams) < 3:
         raise ValueError("need at least three lambda samples for a decay fit")
+    for lam in lams:
+        if not (math.isfinite(lam) and lam > 0):
+            raise ValueError(f"lambda samples must be positive and finite, got {lam}")
+    if len(set(lams)) < len(lams):
+        raise ValueError(f"lambda samples must be distinct, got {tuple(lams)}")
+    for value in values:
+        if not cmath.isfinite(value):
+            raise ValueError(f"I(lambda, s) samples must be finite, got {value}")
     mags = [abs(v) for v in values]
     if min(mags) <= 0.0:
         raise QuadratureNotConverged("an |I| value underflowed; decay fit is degenerate")
@@ -870,37 +845,32 @@ def fit_decay(
     lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
     s: Tuple[float, float] = (0.0, 0.0),
     with_log: bool = False,
-    workers: Optional[int] = None,
 ) -> DecayFit:
     """Least-squares decay exponent of |I(lambda, s)| over a lambda grid.
 
     Fits log|I| against log(lambda) (optionally with a log log lambda
     regressor) and reports gamma_hat with the RMS fit residual and the
-    per-point quadrature error estimates.  ``workers`` is resolved and every
-    lambda is planned before any quadrature runs; a grid of fewer than three
-    lambdas then raises ValueError.  A lambda whose order-CHECK_ORDER check
-    fails is left out of the fit and recorded in ``skipped``; fewer than
-    three converged lambdas raise QuadratureNotConverged.
+    per-point quadrature error estimates.  A repeated lambda is swept once.
+    Every lambda is planned before any quadrature runs; a grid of fewer than
+    three distinct lambdas then raises ValueError.  A lambda whose
+    order-CHECK_ORDER check fails is left out of the fit and recorded in
+    ``skipped``; fewer than three converged lambdas raise
+    QuadratureNotConverged.
     """
-    lams = sorted(float(v) for v in lambda_grid)
-    workers = resolve_workers(workers)
+    lams = sorted({float(v) for v in lambda_grid})
     plan = _sweep_edges(phi, amp, lams, s)
     if len(lams) < 3:
-        raise ValueError(f"a decay fit needs at least three lambda points, got {len(lams)}")
-
-    def one(lam: float, edges: Tuple[np.ndarray, np.ndarray]) -> tuple:
-        # (lambda, value, error), or (lambda, message) for a failed check
+        raise ValueError(f"a decay fit needs at least three lambda points, got {len(lams)} distinct")
+    samples, skipped = [], []
+    for lam, edges in zip(lams, plan):
         try:
-            return (lam, *_eval_on_edges(phi, amp, lam, s, edges))
+            samples.append((lam, *_eval_on_edges(phi, amp, lam, s, edges)))
         except QuadratureNotConverged as exc:
-            return (lam, str(exc))
-
-    results = map_sweep(one, lams, plan, workers)
-    samples = [r for r in results if len(r) == 3]
+            skipped.append((lam, str(exc)))
     if len(samples) < 3:
         raise QuadratureNotConverged("fewer than three lambda points converged")
     fit = fit_decay_from_samples(*zip(*samples), with_log=with_log)
-    return replace(fit, skipped=tuple(r for r in results if len(r) == 2))
+    return replace(fit, skipped=tuple(skipped))
 
 
 # -- maximal-function scans -----------------------------------------------------
@@ -939,7 +909,6 @@ def randol_lq_scan(
     lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
     refine: int = 2,
     validate: bool = True,
-    workers: Optional[int] = None,
 ) -> RandolScan:
     """Empirical L^q Riemann sums of the maximal function at two grid refinements.
 
@@ -948,14 +917,11 @@ def randol_lq_scan(
     integrand sweep under the order-GAUSS_ORDER rule, which gives the
     reported values.  With ``validate`` each lambda's coarse-grid matrix is
     also checked against an order-CHECK_ORDER sweep on the same panels; the
-    check does not change any reported value.  The per-lambda sweeps run
-    through ``map_sweep`` on ``workers`` threads and are folded into the
-    maxima in lambda order, so the values do not depend on ``workers``.
-    A ``cells`` or ``refine`` that is not an ``int`` (or is a ``bool``), or a
-    ``half_width`` or a ``q`` that is not positive and finite, raises
+    check does not change any reported value.  A ``cells`` or ``refine``
+    that is not an ``int`` (or is a ``bool``), a ``half_width`` or a ``q``
+    that is not positive and finite, or an empty ``lambda_grid`` raises
     ValueError, and a finer grid of more than MAX_SCAN_POINTS offsets
-    BudgetExceeded, before anything is built; ``workers`` is resolved
-    before any planning.
+    BudgetExceeded, before anything is built.
     """
     if type(cells) is not int or type(refine) is not int or cells < 1 or refine < 1:
         raise ValueError(f"scans need integer cells >= 1 and refine >= 1, got cells={cells!r}, refine={refine!r}")
@@ -964,33 +930,30 @@ def randol_lq_scan(
     for q in q_list:
         if not (math.isfinite(q) and q > 0):
             raise ValueError(f"L^q exponents must be positive and finite, got {q}")
+    lams = sorted(float(v) for v in lambda_grid)
+    if not lams:
+        raise ValueError("a scan needs at least one lambda")
     cells += cells % 2  # keep sample points off the axis caustic
     if (refine * cells) ** 2 > MAX_SCAN_POINTS:
         raise BudgetExceeded(
             f"a scan of {cells} cells refined {refine} times has {(refine * cells) ** 2} offset points,"
             f" more than the budget of {MAX_SCAN_POINTS}"
         )
-    lams = sorted(float(v) for v in lambda_grid)
-    workers = resolve_workers(workers)
     _require_d_type(phi, m)
     plan = _sweep_edges(phi, amp, lams, (half_width, half_width))
     w = randol_weight(m)
     coarse = cell_centered_grid(half_width, cells)
     fine = cell_centered_grid(half_width, refine * cells)
     grids = [(coarse, coarse), (fine, fine)]
-
-    def one(lam: float, edges: Tuple[np.ndarray, np.ndarray]) -> List[np.ndarray]:
+    m_coarse = np.zeros((coarse.size, coarse.size))
+    m_fine = np.zeros((fine.size, fine.size))
+    for lam, edges in zip(lams, plan):
         mats = _osc_grids(phi, amp, lam, grids, edges)
         if validate:
             checked = _osc_grids(phi, amp, lam, grids[:1], edges, CHECK_ORDER)[0]
             _order_check(mats[0], checked, amp, f"the scan at lambda={lam}")
-        return [lam**w * np.abs(mat) for mat in mats]
-
-    m_coarse = np.zeros((coarse.size, coarse.size))
-    m_fine = np.zeros((fine.size, fine.size))
-    for weighted_coarse, weighted_fine in map_sweep(one, lams, plan, workers):
-        m_coarse = np.maximum(m_coarse, weighted_coarse)
-        m_fine = np.maximum(m_fine, weighted_fine)
+        for peak, mat in zip((m_coarse, m_fine), mats):
+            np.maximum(peak, lam**w * np.abs(mat), out=peak)
 
     area_c = (2.0 * half_width / coarse.size) ** 2
     area_f = (2.0 * half_width / fine.size) ** 2

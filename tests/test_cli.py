@@ -120,6 +120,12 @@ class TestCorpusCommand:
         out = capsys.readouterr().out
         assert out.count("PASS corpus") == 3  # E6, E7, E8
 
+    def test_filter_that_matches_no_row_is_a_parse_error(self, capsys):
+        # "0/0 checks passed" with exit 0 would let a mistyped tag pass as a clean run
+        assert cli.main(["corpus", "--filter", "D7"]) == cli.EXIT_PARSE
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"error": "--filter 'D7' matches no corpus row", "exit_code": cli.EXIT_PARSE}
+
     def test_seeded_invariance_suite_runs(self, capsys):
         assert cli.main(["corpus", "--seed", "7"]) == 0
         out = capsys.readouterr().out
@@ -175,17 +181,7 @@ class TestDecayCommand:
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_worker_threads_give_the_same_csv(self, capsys, tmp_path, monkeypatch):
-        args = ["decay", "--phi", "x^2*y + y^3", "--lmin", "64", "--lmax", "512", "--csv"]
-        serial, flag, env = tmp_path / "serial.csv", tmp_path / "flag.csv", tmp_path / "env.csv"
-        assert cli.main([*args, str(serial)]) == cli.EXIT_OK
-        assert cli.main([*args, str(flag), "--workers", "3"]) == cli.EXIT_OK
-        monkeypatch.setenv("NPHK_WORKERS", "2")
-        assert cli.main([*args, str(env)]) == cli.EXIT_OK
-        assert serial.read_bytes() == flag.read_bytes() == env.read_bytes()
-
-    @pytest.mark.parametrize("workers", [[], ["--workers", "2"]], ids=["serial", "threads"])
-    def test_unconverged_lambda_is_a_warning(self, capsys, monkeypatch, workers):
+    def test_unconverged_lambda_is_a_warning(self, capsys, monkeypatch):
         eval_on_edges = oscint._eval_on_edges
 
         def flaky(phi, amp, lam, s, edges):
@@ -194,7 +190,7 @@ class TestDecayCommand:
             return eval_on_edges(phi, amp, lam, s, edges)
 
         monkeypatch.setattr(oscint, "_eval_on_edges", flaky)
-        code = cli.main(["decay", "--phi", "x^2 + y^2", "--lmin", "64", "--lmax", "512", *workers])
+        code = cli.main(["decay", "--phi", "x^2 + y^2", "--lmin", "64", "--lmax", "512"])
         assert code == cli.EXIT_OK
         out = capsys.readouterr().out
         assert "warning: lambda=128: order 14 moved I(lambda=128.0" in out
@@ -235,20 +231,6 @@ class TestDecayCommand:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "s1,s2,M_value"
         assert len(lines) == 65
-        assert "q=2" in capsys.readouterr().out
-
-    def test_randol_runs_its_sweep_on_the_worker_threads(self, capsys, monkeypatch):
-        seen = []
-        map_sweep = oscint.map_sweep
-
-        def spy(fn, lams, plan, workers=None):
-            seen.append(workers)
-            return map_sweep(fn, lams, plan, workers)
-
-        monkeypatch.setattr(oscint, "map_sweep", spy)
-        args = ["--phi", "(y - x^2)^2", "--randol", "--m", "2", "--grid", "8", "--lmin", "64", "--lmax", "256"]
-        assert cli.main(["decay", *args, "--workers", "2"]) == cli.EXIT_OK
-        assert seen == [2]
         assert "q=2" in capsys.readouterr().out
 
     def test_randol_requires_m(self, capsys):
@@ -308,8 +290,6 @@ class TestDecayCommand:
             ["--lmin", "nan"],
             ["--lmax", "inf"],
             ["--lmin", "1024", "--lmax", "64"],
-            ["--workers", "0"],
-            ["--workers=-2"],
         ],
         ids=[
             "radius-negative",
@@ -320,8 +300,6 @@ class TestDecayCommand:
             "lmin-nan",
             "lmax-inf",
             "lmax-below-lmin",
-            "workers-zero",
-            "workers-negative",
         ],
     )
     def test_bad_numeric_input_is_a_parse_error(self, capsys, args):
@@ -339,13 +317,6 @@ class TestDecayCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["exit_code"] == 2
         assert "--q exponents must be positive and finite" in payload["error"]
-
-    def test_non_integer_worker_variable_is_a_parse_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("NPHK_WORKERS", "abc")
-        code = cli.main(["decay", "--phi", "x^2 + y^2", "--lmin", "64", "--lmax", "256"])
-        assert code == cli.EXIT_PARSE
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["exit_code"] == cli.EXIT_PARSE and "NPHK_WORKERS" in payload["error"]
 
 
 # -- every analyze input ends in a documented exit code ------------------------------

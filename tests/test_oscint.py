@@ -33,9 +33,7 @@ from nphk.oscint import (
     dyadic_grid,
     eval_oscillatory,
     fit_decay,
-    map_sweep,
     randol_lq_scan,
-    resolve_workers,
     _disc_columns,
     _eval_on_edges,
     _gauss_axis,
@@ -122,6 +120,18 @@ class TestEval:
         i1 = eval_oscillatory(p, amp, 2048.0)
         i2 = eval_oscillatory(p, amp, 4096.0)
         assert abs(i2) / abs(i1) == pytest.approx(0.5, rel=0.05)
+
+    def test_non_finite_offset_refused(self):
+        # a nan offset would reach the node budget, which would ask for "nan coarse quadrature nodes"
+        p, amp = parse_polynomial("x^2*y + y^3"), AmplitudeSpec()
+        calls = [
+            lambda: eval_oscillatory(p, amp, 64.0, (math.nan, 0.0)),
+            lambda: fit_decay(p, amp, dyadic_grid(64, 256), s=(math.inf, 0.0)),
+            lambda: _panels_for(p, amp, 64.0, (0.0, -math.inf)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="offsets must be finite"):
+                call()
 
     def test_conjugation_under_phase_and_offset_flip(self):
         amp = AmplitudeSpec()
@@ -696,12 +706,6 @@ class TestSweepHelpers:
         with pytest.raises(QuadratureNotConverged, match=r"order 14 moved the scan by 2\.00e-03"):
             _order_check(np.array([[1.0 - 2e-3, 0.0]]), fine, amp, "the scan")
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_map_sweep_keeps_lambda_order(self, workers):
-        lams = [64.0, 128.0, 256.0, 512.0]
-        plan = [(np.array([lam]), np.array([-lam])) for lam in lams]
-        assert map_sweep(lambda lam, edges: (lam, edges[1][0]), lams, plan, workers) == [(v, -v) for v in lams]
-
     def test_sweep_leaves_no_reference_cycles(self):
         # the cached node powers are freed with the sweep, not by the cyclic collector
         gc.collect()
@@ -711,35 +715,6 @@ class TestSweepHelpers:
             assert gc.collect() == 0
         finally:
             gc.enable()
-
-    def test_bad_worker_counts_raise(self, monkeypatch):
-        for workers in (0, -2, 2.5, True):
-            with pytest.raises(ValueError, match="integer at least 1"):
-                resolve_workers(workers)
-        monkeypatch.setenv("NPHK_WORKERS", "abc")
-        with pytest.raises(ValueError, match="NPHK_WORKERS"):
-            resolve_workers()
-        assert resolve_workers(3) == 3
-        monkeypatch.setenv("NPHK_WORKERS", "2")
-        assert resolve_workers() == 2
-
-    def test_bad_worker_count_refused_before_planning(self, monkeypatch):
-        checked = []
-        support = oscint.check_amplitude_support
-        monkeypatch.setattr(oscint, "check_amplitude_support", lambda *args: checked.append(args) or support(*args))
-        phi, amp = parse_polynomial("(y - x^2)^2"), AmplitudeSpec()
-        with pytest.raises(ValueError, match="integer at least 1"):
-            fit_decay(phi, amp, dyadic_grid(64, 256), workers=0)
-        with pytest.raises(ValueError, match="integer at least 1"):
-            randol_lq_scan(phi, amp, 2, q_list=(2.0,), cells=8, lambda_grid=[64.0], workers=0)
-        assert checked == []
-
-    def test_fit_on_threads_equals_serial(self, monkeypatch):
-        p = parse_polynomial("x*y^2 + x^5")
-        amp = AmplitudeSpec(radius=0.6, order=2)
-        serial = fit_decay(p, amp, dyadic_grid(64, 512), workers=1)
-        monkeypatch.setenv("NPHK_WORKERS", "2")
-        assert fit_decay(p, amp, dyadic_grid(64, 512)) == serial
 
 
 class TestOrderCheck:
@@ -843,12 +818,11 @@ class TestFitDecay:
 
         monkeypatch.setattr(oscint, "_eval_on_edges", flaky)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_failed_lambda_is_skipped(self, monkeypatch, workers):
+    def test_failed_lambda_is_skipped(self, monkeypatch):
         p, amp, lams = parse_polynomial("x^2 + y^2"), AmplitudeSpec(radius=0.4, order=2), dyadic_grid(64, 512)
         full = fit_decay(p, amp, lams)
         self._fail_at(monkeypatch, {128.0})
-        fit = fit_decay(p, amp, lams, workers=workers)
+        fit = fit_decay(p, amp, lams)
         assert fit.lambdas == (64.0, 256.0, 512.0)
         assert fit.values == tuple(v for lam, v in zip(full.lambdas, full.values) if lam != 128.0)
         assert fit.skipped == ((128.0, "order 14 moved I(lambda=128.0, s=(0.0, 0.0)) by 1.00e+00 (> 0.001)"),)
@@ -871,6 +845,34 @@ class TestFitDecay:
         with pytest.raises(ValueError, match="at least three lambda points, got 2"):
             fit_decay(parse_polynomial("x^2 + y^2"), AmplitudeSpec(), [64.0, 128.0])
         assert built == []
+
+    def test_repeated_lambda_counts_once(self, monkeypatch):
+        # one lambda swept three times would give a rank-deficient fit (gamma_hat 0.6874)
+        planned, built = [], []
+        panels_for, gauss_axis = oscint._panels_for, oscint._gauss_axis
+        monkeypatch.setattr(oscint, "_panels_for", lambda *args: planned.append(args[2]) or panels_for(*args))
+        monkeypatch.setattr(oscint, "_gauss_axis", lambda *args: built.append(args) or gauss_axis(*args))
+        p, amp = parse_polynomial("x^2 + y^2"), AmplitudeSpec(radius=0.4, order=2)
+        with pytest.raises(ValueError, match="at least three lambda points, got 1 distinct"):
+            fit_decay(p, amp, [64.0, 64.0, 64.0])
+        assert planned == [64.0] and built == []
+        assert fit_decay(p, amp, [128.0, 64.0, 128.0, 256.0]) == fit_decay(p, amp, [64.0, 128.0, 256.0])
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, 0.0, -256.0], ids=["inf", "nan", "zero", "negative"])
+    def test_samples_need_positive_finite_lambdas(self, lam):
+        # an inf lambda would reach LAPACK, which prints a DLASCL error and raises LinAlgError
+        with pytest.raises(ValueError, match="lambda samples must be positive and finite"):
+            oscint.fit_decay_from_samples([64.0, 128.0, lam], [1.0, 0.5, 0.25], [1e-8] * 3)
+
+    def test_samples_need_distinct_lambdas(self):
+        with pytest.raises(ValueError, match="lambda samples must be distinct"):
+            oscint.fit_decay_from_samples([64.0, 128.0, 64.0], [1.0, 0.5, 1.0], [1e-8] * 3)
+
+    @pytest.mark.parametrize("value", [complex(math.nan, 0.0), math.inf, complex(0.5, -math.inf)], ids=["nan", "inf", "imag-inf"])
+    def test_samples_need_finite_values(self, value):
+        # a nan value would give gamma_hat = nan
+        with pytest.raises(ValueError, match=r"I\(lambda, s\) samples must be finite"):
+            oscint.fit_decay_from_samples([64.0, 128.0, 256.0], [1.0, value, 0.25], [1e-8] * 3)
 
 
 class TestRandol:
@@ -945,14 +947,15 @@ class TestRandol:
                 assert oscint._mirror_half(grid) == cells // 2
                 np.testing.assert_allclose(np.diff(grid), 2 * half_width / cells, rtol=1e-12)
 
-    def test_lq_scan_threads_give_the_same_values(self):
-        # the criterion-6 scan, swept swapped on the cosine half: threaded
-        # sweeps fold into the same maxima in lambda order
-        args = (parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2)
-        serial = randol_lq_scan(*args, q_list=(2.0, 8.0), workers=1)
-        threaded = randol_lq_scan(*args, q_list=(2.0, 8.0), workers=2)
-        assert threaded.M_values == serial.M_values
-        assert threaded.q_report == serial.q_report
+    def test_lq_scan_rejects_an_empty_lambda_grid(self, monkeypatch):
+        # an empty grid would give an all-zero maximal function and ratio inf for every q
+        planned = []
+        panels_for, require_d_type = oscint._panels_for, oscint._require_d_type
+        monkeypatch.setattr(oscint, "_panels_for", lambda *args: planned.append(args) or panels_for(*args))
+        monkeypatch.setattr(oscint, "_require_d_type", lambda *args: planned.append(args) or require_d_type(*args))
+        with pytest.raises(ValueError, match="at least one lambda"):
+            randol_lq_scan(parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, q_list=(2.0,), cells=8, lambda_grid=[])
+        assert planned == []
 
     def test_lq_scan_smoke(self):
         amp = AmplitudeSpec()
