@@ -29,10 +29,17 @@ dehomogenized form with the exact ``UnivariatePolynomial`` algebra of
 ``polyring``: Yun's square-free decomposition gives the repeated (hence
 rational) factors, and a Sturm count decides whether a factor has a real
 root.  One frame routine sends the repeated cubic factor of every rank-zero
-branch path to the y-axis.  All solves run on exact rational jets; a branch
-path works at 2*deg + 16 by default.  Every classification path checks the
-truncation once on entry: a non-int one raises TypeError and one below the
-input degree TruncationTooSmall.
+branch path to the y-axis.  All solves run on exact rational jets.  Without
+a given truncation, ``classify_singularity`` climbs a doubling ladder: it
+classifies the jet of the phase at 16, 32, ... below the cap 2*deg + 16
+and keeps the first answer whose every order is certified for the phase
+itself, a finite order by the degree the branch solve's residual pins and
+an infinite one by a branch that is an exact polynomial root with the slice
+vanishing identically along it; otherwise the cap decides.
+``d_normal_form`` and ``adapted_polynomial`` return jets, and work at the
+cap.  Every classification path checks the truncation once on entry: a
+non-int one raises TypeError and one below the input degree
+TruncationTooSmall.
 """
 
 from __future__ import annotations
@@ -211,8 +218,9 @@ def _normalizing_map(direction: Tuple[Fraction, Fraction]) -> LinearMap2:
 # -- branch solve on jets -------------------------------------------------------
 
 
-def _branch_solve(f: BivariatePolynomial, trunc: int) -> UnivariatePolynomial:
-    """The power-series branch psi with f(x, psi(x)) = 0, psi = O(x^2).
+def _branch_solve(f: BivariatePolynomial, trunc: int) -> Tuple[UnivariatePolynomial, bool]:
+    """The power-series branch psi with f(x, psi(x)) = 0, psi = O(x^2), and
+    whether the solve stopped early (below).
 
     Newton iteration on jets; the y-derivative of f along the branch may
     vanish to order one (degenerate pivot, s = 1), which slows the doubling
@@ -227,8 +235,9 @@ def _branch_solve(f: BivariatePolynomial, trunc: int) -> UnivariatePolynomial:
     still reads a pivot order of 0, 1 or more correctly.  The correction is
     rebuilt at ``trunc`` so that psi keeps its truncation.  A residual that
     vanishes at working precision is confirmed once at full precision, which
-    stops a polynomial branch at once; the loop stops only on a full
-    residual of order above ``trunc``.
+    stops a polynomial branch at once (the early stop that the returned flag
+    reports); the loop stops only on a full residual of order above
+    ``trunc``.
 
     So psi satisfies the same final check as under full-precision steps, and
     every coefficient that check pins, those through degree T - s with T the
@@ -243,7 +252,8 @@ def _branch_solve(f: BivariatePolynomial, trunc: int) -> UnivariatePolynomial:
     for _ in range(trunc + 2):
         w = min(trunc, 2 * known + 1)
         residual = substitute_y(f.truncate(w), psi.truncate(w))
-        if residual.is_zero() and w < trunc:
+        early = residual.is_zero() and w < trunc
+        if early:
             residual = substitute_y(f, psi)
         if residual.order() > trunc:
             break
@@ -263,10 +273,12 @@ def _branch_solve(f: BivariatePolynomial, trunc: int) -> UnivariatePolynomial:
         raise TruncationTooSmall("branch solve did not stabilize inside the truncation")
     if psi.coefficient(0) != 0 or psi.coefficient(1) != 0:
         raise NormalizationFailed("branch is not tangent to the x-axis")
-    return psi
+    return psi, early
 
 
 def default_truncation(p: BivariatePolynomial) -> int:
+    """2*deg + 16: the truncation ``d_normal_form`` and ``adapted_polynomial``
+    work at by default, and the cap of ``classify_singularity``'s ladder."""
     deg = p.total_degree()
     if deg == -math.inf:
         deg = 2
@@ -338,11 +350,89 @@ def _cubic_frame(
     return trunc, nmap, pn
 
 
-def _resolve_order(jet: UnivariatePolynomial, exact_input: bool, what: str) -> OrderValue:
-    order = jet.order()
-    if order == INFINITE_ORDER and not exact_input:
-        raise TruncationTooSmall(f"{what} unresolved >= trunc on a truncated input")
-    return order
+@dataclass(frozen=True)
+class _Solve:
+    """A branch solve d^k/dy^k image(x, psi(x)) = 0 on a jet ``image`` of a phase.
+
+    ``frame`` is the map that made the image, ``k`` the y-derivative that
+    gives the branch equation, ``pinned`` the degree T - s through which psi
+    is the branch of the untruncated image (T the precision of the residual,
+    s the pivot order), and ``early`` whether the solve stopped early, the
+    one way psi can be an exact polynomial root.
+    """
+
+    psi: UnivariatePolynomial
+    image: BivariatePolynomial
+    frame: LinearMap2
+    k: int
+    pinned: int
+    early: bool
+
+
+def _y_derivative(p: BivariatePolynomial, k: int) -> BivariatePolynomial:
+    for _ in range(k):
+        p = p.partial(1)
+    return p
+
+
+def _solve(pn: BivariatePolynomial, frame: LinearMap2, k: int, trunc: int) -> _Solve:
+    image = pn.truncate(trunc)
+    f = _y_derivative(image, k)
+    psi, early = _branch_solve(f, trunc)
+    pivot_order = 0 if f.coefficient(0, 1) else 1
+    return _Solve(psi, image, frame, k, f.trunc - pivot_order, early)
+
+
+class _Orders:
+    """Reads the branch and remainder orders a classification decides on.
+
+    Off the ladder an infinite order of a truncated ``phase`` is unresolved:
+    TruncationTooSmall.  On a ``rung`` the classification reads a jet of
+    ``phase``, and an order counts only when it holds for the phase itself;
+    otherwise TruncationTooSmall sends the ladder up.  A finite order holds
+    when it is at most the solve's pinned degree.  An infinite one holds
+    when the solve stopped early on an exact polynomial root of the phase's
+    branch equation and the slice vanishes identically along it.
+    """
+
+    def __init__(self, phase: BivariatePolynomial, rung: bool = False):
+        self.phase = phase
+        self.rung = rung
+
+    def read(self, jet: UnivariatePolynomial, what: str, solve: _Solve, j: Optional[int] = None) -> OrderValue:
+        """The order of ``jet``: psi itself (j None) or d^j/dy^j image(x, psi(x))."""
+        order = jet.order()
+        if not self.rung:
+            if order == INFINITE_ORDER and not self.phase.is_exact:
+                raise TruncationTooSmall(f"{what} unresolved >= trunc on a truncated input")
+            return order
+        if order == INFINITE_ORDER:
+            holds = solve.early and self._vanishes(solve, j)
+        else:
+            holds = order <= solve.pinned
+        if not holds:
+            raise TruncationTooSmall(f"{what} not certified at trunc={solve.psi.trunc}")
+        return order
+
+    def _vanishes(self, solve: _Solve, j: Optional[int]) -> bool:
+        """Whether psi is an exact root of d^k/dy^k of the phase's image and
+        d^j/dy^j of the image vanishes identically along it."""
+        if not self.phase.is_exact:
+            return False
+        derivatives = {solve.k, j} - {None}
+        # The residual and the slice were read as zero through the pinned
+        # degree, which settles them when the jet holds the whole image and
+        # d^i/dy^i image(x, psi(x)), of degree at most a + deg(psi)*(b - i)
+        # over its terms x^a y^b, has no higher degree.
+        d = max(solve.psi.degree(), 0)
+        terms = solve.image.terms
+        if self.phase.total_degree() <= solve.image.trunc and all(
+            a + d * (b - i) <= solve.pinned for i in derivatives for a, b in terms if b >= i
+        ):
+            return True
+        image = apply_linear(self.phase, solve.frame)
+        psi = UnivariatePolynomial(solve.psi.coeffs)
+        return all(substitute_y(_y_derivative(image, i), psi).is_zero() for i in derivatives)
 
 
 def _straightening_shear(pn: BivariatePolynomial) -> Optional[LinearMap2]:
@@ -367,11 +457,10 @@ def _straightening_shear(pn: BivariatePolynomial) -> Optional[LinearMap2]:
     return None
 
 
-def _solve_branch_data(pn: BivariatePolynomial, trunc: int):
+def _solve_branch_data(pn: BivariatePolynomial, frame: LinearMap2, trunc: int) -> Tuple[_Solve, UnivariatePolynomial]:
     """Branch and restricted remainder of a normalized phase, as jets."""
-    psi = _branch_solve(pn.truncate(trunc).partial(1), trunc)
-    b0 = substitute_y(pn.truncate(trunc), psi)
-    return psi, b0
+    solve = _solve(pn, frame, 1, trunc)
+    return solve, substitute_y(solve.image, solve.psi)
 
 
 def d_normal_form(p: BivariatePolynomial, trunc: Optional[int] = None) -> DNormalForm:
@@ -386,6 +475,10 @@ def d_normal_form(p: BivariatePolynomial, trunc: Optional[int] = None) -> DNorma
     frame with the generic (minimal) branch order is adopted.  psi solves d/dy p(x, psi(x)) = 0 with
     psi = O(x^2), and b0(x) = p(x, psi(x)).
     """
+    return _d_normal_form(p, trunc, _Orders(p))
+
+
+def _d_normal_form(p: BivariatePolynomial, trunc: Optional[int], orders: _Orders) -> DNormalForm:
     taylor_support(p)  # rejects non-critical phases
     rank = rank_at_origin(p)
     if rank == 2:
@@ -401,32 +494,33 @@ def d_normal_form(p: BivariatePolynomial, trunc: Optional[int] = None) -> DNorma
             nmap = nmap @ straight
             pn = apply_linear(p, nmap)
 
-    psi, b0 = _solve_branch_data(pn, trunc)
-    m = _resolve_order(psi, p.is_exact, "m")
-    n = _resolve_order(b0, p.is_exact, "n")
+    solve, b0 = _solve_branch_data(pn, nmap, trunc)
+    m = orders.read(solve.psi, "m", solve)
+    n = orders.read(b0, "n", solve, 0)
 
     if rank == 1 and m != INFINITE_ORDER and n != INFINITE_ORDER and m > n - 1:
         # the constructed frame is the special one; generic shears see a
         # branch of order n-1, and at most one gamma can cancel it
         for gamma in (1, -1):
             cmap = nmap @ LinearMap2(1, gamma, 0, 1)
-            cpsi, cb0 = _solve_branch_data(apply_linear(p, cmap), trunc)
-            cm = _resolve_order(cpsi, p.is_exact, "m")
+            csolve, cb0 = _solve_branch_data(apply_linear(p, cmap), cmap, trunc)
+            cm = orders.read(csolve.psi, "m", csolve)
             if cm != INFINITE_ORDER and cm < m:
-                nmap, pn, psi, b0 = cmap, apply_linear(p, cmap), cpsi, cb0
+                nmap, solve, b0 = cmap, csolve, cb0
                 m = cm
-                n = _resolve_order(cb0, p.is_exact, "n")
+                n = orders.read(cb0, "n", csolve, 0)
 
     if m != INFINITE_ORDER and m > trunc - 2:
         raise TruncationTooSmall(f"m={m} too close to trunc={trunc}")
 
+    psi = solve.psi
     omega0 = psi.coefficient(m) if m != INFINITE_ORDER else None
     beta0 = b0.coefficient(n) if n != INFINITE_ORDER else None
     return DNormalForm(m=m, omega0=omega0, n=n, beta0=beta0, psi=psi, b0=b0, normal_map=nmap)
 
 
 def _cubic_branch_orders(
-    p: BivariatePolynomial, trunc: Optional[int]
+    p: BivariatePolynomial, trunc: Optional[int], orders: Optional[_Orders] = None
 ) -> Tuple[OrderValue, OrderValue, BivariatePolynomial, LinearMap2]:
     """Straighten the triple cubic direction and read off the remainder orders.
 
@@ -434,14 +528,15 @@ def _cubic_branch_orders(
     slice; k0 and k1 are the orders of the pure-x and y-linear slices.
     Returns them with the sheared phase and the linear map.
     """
+    orders = _Orders(p) if orders is None else orders
     trunc, nmap, pn = _cubic_frame(p, trunc, 3)
-    psi = _branch_solve(pn.truncate(trunc).partial(1).partial(1), trunc)
-    sheared = apply_shear(pn.truncate(trunc), psi)
+    solve = _solve(pn, nmap, 2, trunc)
+    sheared = apply_shear(solve.image, solve.psi)
     if not sheared.y_slice(2).is_zero():
         raise NormalizationFailed("cubic branch shear left a y^2 slice")
 
-    k0 = _resolve_order(sheared.y_slice(0), p.is_exact, "k0")
-    k1 = _resolve_order(sheared.y_slice(1), p.is_exact, "k1")
+    k0 = orders.read(sheared.y_slice(0), "k0", solve, 0)
+    k1 = orders.read(sheared.y_slice(1), "k1", solve, 1)
     return k0, k1, sheared, nmap
 
 
@@ -456,14 +551,45 @@ def classify_singularity(
     is D(m, n).  A simple-factor cubic part is D4.  A triple-factor cubic
     part leads to the E/CaseBIV split on (k0, k1), and a vanishing cubic part
     to CaseC when the quartic part has no factor of multiplicity above two.
+
+    Without ``trunc`` the classification climbs the truncation ladder of
+    ``_ladder``: jets of p at 16, 32, ... below ``default_truncation(p)``
+    give the answer as soon as every order it reads is certified for p
+    itself, and the cap gives it otherwise.
     """
     taylor_support(p)
-    trunc = _working_truncation(p, trunc)
+    if trunc is None:
+        return _ladder(p)[0]
+    return _classify(p, _working_truncation(p, trunc), _Orders(p))
+
+
+def _ladder(p: BivariatePolynomial) -> Tuple[SingularityKind, int]:
+    """The kind of p and the truncation that decided it.
+
+    Each rung T = 16, 32, ... below the cap ``default_truncation(p)``
+    classifies the jet p.truncate(T) and keeps the answer only when
+    ``_Orders`` certifies every order read for p; TruncationTooSmall or
+    NormalizationFailed on a rung means "go up".  At the cap p is classified
+    as with an explicit truncation, and its errors propagate.  Rank-two
+    markers, D4 and CaseC read homogeneous parts of degree at most four, so
+    the first rung decides them.
+    """
+    cap = default_truncation(p)
+    trunc = 16
+    while trunc < cap:
+        try:
+            return _classify(p.truncate(trunc), trunc, _Orders(p, rung=True)), trunc
+        except (TruncationTooSmall, NormalizationFailed):
+            trunc *= 2
+    return _classify(p, cap, _Orders(p)), cap
+
+
+def _classify(p: BivariatePolynomial, trunc: int, orders: _Orders) -> SingularityKind:
     rank = rank_at_origin(p)
     if rank == 2:
         return SingularityKind.marker(NONDEGENERATE_OR_RANK_POSITIVE)
     if rank == 1:
-        nf = d_normal_form(p, trunc)
+        nf = _d_normal_form(p, trunc, orders)
         if nf.m == INFINITE_ORDER:
             return SingularityKind.marker(NONDEGENERATE_OR_RANK_POSITIVE)
         return SingularityKind.d_type(nf.m, nf.n)
@@ -474,9 +600,9 @@ def classify_singularity(
         if vanishing == 1:
             return SingularityKind.d4()
         if vanishing == 2:
-            nf = d_normal_form(p, trunc)
+            nf = _d_normal_form(p, trunc, orders)
             return SingularityKind.d_type(nf.m, nf.n)
-        k0, k1, _, _ = _cubic_branch_orders(p, trunc)
+        k0, k1, _, _ = _cubic_branch_orders(p, trunc, orders)
         if k0 == 4:
             return SingularityKind(E6, k0=k0, k1=k1)
         if k1 == 3:

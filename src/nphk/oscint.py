@@ -917,20 +917,23 @@ def randol_lq_scan(
     integrand sweep under the order-GAUSS_ORDER rule, which gives the
     reported values.  With ``validate`` each lambda's coarse-grid matrix is
     also checked against an order-CHECK_ORDER sweep on the same panels; the
-    check does not change any reported value.  A ``cells`` or ``refine``
-    that is not an ``int`` (or is a ``bool``), a ``half_width`` or a ``q``
-    that is not positive and finite, or an empty ``lambda_grid`` raises
-    ValueError, and a finer grid of more than MAX_SCAN_POINTS offsets
-    BudgetExceeded, before anything is built.
+    check does not change any reported value.  A repeated lambda is swept
+    once.  A ``cells`` or ``refine`` that is not an ``int`` (or is a
+    ``bool``), a ``half_width`` or a ``q`` that is not positive and finite,
+    an empty ``q_list`` or an empty ``lambda_grid`` raises ValueError, and a
+    finer grid of more than MAX_SCAN_POINTS offsets BudgetExceeded, before
+    anything is built.
     """
     if type(cells) is not int or type(refine) is not int or cells < 1 or refine < 1:
         raise ValueError(f"scans need integer cells >= 1 and refine >= 1, got cells={cells!r}, refine={refine!r}")
     if not (math.isfinite(half_width) and half_width > 0):
         raise ValueError(f"scan half-width must be positive and finite, got {half_width}")
+    if not q_list:
+        raise ValueError("a scan needs at least one L^q exponent")
     for q in q_list:
         if not (math.isfinite(q) and q > 0):
             raise ValueError(f"L^q exponents must be positive and finite, got {q}")
-    lams = sorted(float(v) for v in lambda_grid)
+    lams = sorted({float(v) for v in lambda_grid})
     if not lams:
         raise ValueError("a scan needs at least one lambda")
     cells += cells % 2  # keep sample points off the axis caustic

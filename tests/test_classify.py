@@ -3,7 +3,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from nphk import classify
@@ -37,14 +37,17 @@ from nphk.polyring import (
     INFINITE_ORDER,
     BivariatePolynomial,
     LinearMap2,
+    ParseError,
     UnivariatePolynomial,
     apply_linear,
     apply_shear,
+    compose,
     parse_polynomial,
     series_divide,
     substitute_y,
 )
 from conftest import rand_critical_poly, rand_invertible_map
+from test_cli import _PHASES
 
 F = Fraction
 
@@ -477,7 +480,7 @@ def _assert_same_branch(f, trunc, exact=False):
             classify._branch_solve(f, trunc)
         assert str(caught.value) == str(exc)
         return None
-    psi = classify._branch_solve(f, trunc)
+    psi, _ = classify._branch_solve(f, trunc)
     assert psi.trunc == expected.trunc == trunc
     assert substitute_y(f, psi).order() > trunc
     pinned = _pinned_degree(f, trunc)
@@ -567,3 +570,106 @@ class TestBranchSolve:
         _assert_same_branch(parse_polynomial("2*y - x + y^2"), 12)
         with pytest.raises(NormalizationFailed, match="zero slope"):
             classify._branch_solve(parse_polynomial("2*y - x + y^2"), 12)
+
+
+# -- the truncation ladder ---------------------------------------------------------
+
+
+def _outcome(p, trunc=None):
+    """The kind classify_singularity gives, or the type of the error it raises."""
+    try:
+        return classify_singularity(p, trunc)
+    except Exception as exc:
+        return type(exc)
+
+
+_UNITS = st.integers(-3, 3).filter(bool)
+_LINEAR_MAPS = st.tuples(*[st.integers(-3, 3)] * 4).filter(lambda e: e[0] * e[3] != e[1] * e[2])
+_HIGHER_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda ab: 2 <= sum(ab) <= 3), _UNITS, max_size=2
+).map(BivariatePolynomial)
+_CORPUS_PHASES = [parse_polynomial(row.phase) for row in CORPUS]
+
+
+@st.composite
+def _corpus_images(draw):
+    """A corpus phase under a linear map, a shear y -> y + c*x^k, a shear then
+    a linear map, or a map (x + P, y + Q) with P and Q of order two or three;
+    perhaps plus a term of degree 10 to 40, so that orders can lie beyond the
+    low rungs."""
+    p = draw(st.sampled_from(_CORPUS_PHASES))
+    how = draw(st.sampled_from(["linear", "shear", "shear_linear", "higher"]))
+    if how == "higher":
+        x, y = BivariatePolynomial.var_x(), BivariatePolynomial.var_y()
+        p = compose(p, x + draw(_HIGHER_TERMS), y + draw(_HIGHER_TERMS))
+    else:
+        if how != "linear":
+            p = apply_shear(p, UnivariatePolynomial({draw(st.integers(2, 4)): draw(_UNITS)}))
+        if how != "shear":
+            p = apply_linear(p, LinearMap2(*draw(_LINEAR_MAPS)))
+    if draw(st.booleans()):
+        degree = draw(st.integers(10, 40))
+        b = draw(st.integers(0, 3))
+        p = p + BivariatePolynomial.monomial(degree - b, b, draw(_UNITS))
+    return p
+
+
+class TestTruncationLadder:
+    @settings(max_examples=150, deadline=None)
+    @given(p=_corpus_images())
+    def test_corpus_images_match_the_cap(self, p):
+        assert _outcome(p) == _outcome(p, classify.default_truncation(p))
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=_PHASES)
+    def test_analyze_grammar_matches_the_cap(self, text):
+        try:
+            p = parse_polynomial(text)
+        except ParseError:
+            reject()
+        # the reference at the cap can take seconds above degree 64
+        assume(p.total_degree() <= 64)
+        assert _outcome(p) == _outcome(p, classify.default_truncation(p))
+
+    def test_degree_128_phase_is_decided_on_a_low_rung(self):
+        # 2*deg + 16 = 272; at that truncation the solve did not finish in 100 s
+        p = parse_polynomial("x*(y - x^3)^2 + x^9 + y^4*(y^3 + y*x^3)*(-1/3 + y^10 - y)^12")
+        kind, trunc = classify._ladder(p)
+        assert (kind.label(), kind.m, kind.n) == ("D10", 3, 9)
+        assert trunc <= 32
+
+    @pytest.mark.parametrize(
+        "text,label,trunc",
+        [
+            ("y^3 + x^4", "E6", 16),  # k1 infinite: psi = 0 is an exact root
+            ("y^3*(1 + x^30) + x^4", "E6", 16),  # the same, checked on the terms beyond the jet
+            ("(y - x^2)^2", "Dinf", 16),  # n infinite on the polynomial branch x^2
+            ("x*y^2 + x^5", "D6", 16),  # m infinite at rank zero
+            ("x^2*y + y^3", "D4", 16),
+            ("x^4 + y^4", "CaseC", 16),
+            ("x*(y - x^2)^2 + x^15", "D16", 32),  # n = 15 lies above the pinned degree 16 - 1 - 1
+            ("(y - x^2)^2 + x^20", "D21", 32),  # n = 20 is not in the jet at 16
+            ("y^2 + x^40", NONDEGENERATE_OR_RANK_POSITIVE, 64),
+            ("((1 + x)*y - x^2)^2", "Dinf", 24),  # the branch x^2/(1 + x) is no polynomial: the cap
+        ],
+    )
+    def test_rungs(self, text, label, trunc):
+        p = parse_polynomial(text)
+        kind, used = classify._ladder(p)
+        assert (kind.label(), used) == (label, trunc)
+        assert kind == classify_singularity(p, classify.default_truncation(p))
+
+    def test_a_truncated_input_has_no_polynomial_certificate(self):
+        # a jet says nothing about the terms beyond its truncation
+        p = parse_polynomial("y^3 + x^4").truncate(8)
+        with pytest.raises(TruncationTooSmall, match="k1 unresolved"):
+            classify._ladder(p)  # rung 16 goes up, and the cap raises as always
+        assert _outcome(p) is TruncationTooSmall
+
+    def test_one_traced_call_per_classification(self):
+        # three rungs, one call of the module attribute that tracers wrap
+        p = parse_polynomial("x*(y - x^2)^2 + x^40")
+        with mock.patch.object(classify, "classify_singularity", wraps=classify_singularity) as spy:
+            assert height_report(p).h == F(80, 41)
+        assert spy.call_count == 1
+        assert classify._ladder(p)[1] == 64

@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from nphk import cli, oscint
@@ -362,6 +362,9 @@ _P_LISTS = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(text=st.one_of(_PHASES, _SOUP), ps=_P_LISTS)
+# degree 128: each took more than 30 s at the fixed truncation 2*deg + 16
+@example(text="y^4*(y^3 + y*x^3)*(-1/3 + y^10 - y)^12 + ((y - x^3)^2 + x^9)", ps="")
+@example(text="x*(y - x^3)^2 + x^9 + y^4*(y^3 + y*x^3)*(-1/3 + y^10 - y)^12", ps="1,4/3,2")
 def test_analyze_ends_in_a_documented_exit_code(text, ps):
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):

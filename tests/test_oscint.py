@@ -957,6 +957,32 @@ class TestRandol:
             randol_lq_scan(parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, q_list=(2.0,), cells=8, lambda_grid=[])
         assert planned == []
 
+    def test_lq_scan_rejects_an_empty_q_list(self, monkeypatch):
+        # with no q the scan would return an empty q_report: no L^q signal and no refusal
+        planned = []
+        panels_for, require_d_type = oscint._panels_for, oscint._require_d_type
+        monkeypatch.setattr(oscint, "_panels_for", lambda *args: planned.append(args) or panels_for(*args))
+        monkeypatch.setattr(oscint, "_require_d_type", lambda *args: planned.append(args) or require_d_type(*args))
+        with pytest.raises(ValueError, match=r"at least one L\^q exponent"):
+            randol_lq_scan(parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, q_list=(), cells=8, lambda_grid=[64.0])
+        assert planned == []
+
+    def test_lq_scan_sweeps_a_repeated_lambda_once(self, monkeypatch):
+        swept = []
+        osc_grids = oscint._osc_grids
+        monkeypatch.setattr(oscint, "_osc_grids", lambda *args: swept.append(args[2]) or osc_grids(*args))
+        args = (parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2)
+        kwargs = dict(q_list=(2.0, 8.0), cells=8)
+        single = randol_lq_scan(*args, lambda_grid=[64.0], **kwargs)
+        once = list(swept)
+        swept.clear()
+        assert randol_lq_scan(*args, lambda_grid=[64.0] * 5, **kwargs) == single
+        assert swept == once and set(once) == {64.0}
+        swept.clear()
+        mixed = randol_lq_scan(*args, lambda_grid=[128.0, 64.0, 128.0], validate=False, **kwargs)
+        assert sorted(set(swept)) == [64.0, 128.0] and swept.count(128.0) == swept.count(64.0) == len(swept) // 2
+        assert mixed.M_values == randol_lq_scan(*args, lambda_grid=[64.0, 128.0], validate=False, **kwargs).M_values
+
     def test_lq_scan_smoke(self):
         amp = AmplitudeSpec()
         scan = randol_lq_scan(
