@@ -35,7 +35,8 @@ classifies the jet of the phase at 16, 32, ... below the cap 2*deg + 16
 and keeps the first answer whose every order is certified for the phase
 itself, a finite order by the degree the branch solve's residual pins and
 an infinite one by a branch that is an exact polynomial root with the slice
-vanishing identically along it; otherwise the cap decides.
+vanishing identically along it, which a degree bound shows once the jet
+holds every term of the phase; otherwise the cap decides.
 ``d_normal_form`` and ``adapted_polynomial`` return jets, and work at the
 cap.  Every classification path checks the truncation once on entry: a
 non-int one raises TypeError and one below the input degree
@@ -392,7 +393,8 @@ class _Orders:
     otherwise TruncationTooSmall sends the ladder up.  A finite order holds
     when it is at most the solve's pinned degree.  An infinite one holds
     when the solve stopped early on an exact polynomial root of the phase's
-    branch equation and the slice vanishes identically along it.
+    branch equation and the slice vanishes identically along it, which a
+    degree bound settles once the jet holds every term of the phase.
     """
 
     def __init__(self, phase: BivariatePolynomial, rung: bool = False):
@@ -416,23 +418,20 @@ class _Orders:
 
     def _vanishes(self, solve: _Solve, j: Optional[int]) -> bool:
         """Whether psi is an exact root of d^k/dy^k of the phase's image and
-        d^j/dy^j of the image vanishes identically along it."""
-        if not self.phase.is_exact:
+        d^j/dy^j of the image vanishes identically along it.
+
+        Both were read as zero through the pinned degree.  When the jet holds
+        every term of the phase, d^i/dy^i image(x, psi(x)) is a polynomial of
+        degree at most a + deg(psi)*(b - i) over the image's terms x^a y^b,
+        so a bound within the pinned degree makes it zero; otherwise the
+        ladder goes up.
+        """
+        if not self.phase.is_exact or self.phase.total_degree() > solve.image.trunc:
             return False
-        derivatives = {solve.k, j} - {None}
-        # The residual and the slice were read as zero through the pinned
-        # degree, which settles them when the jet holds the whole image and
-        # d^i/dy^i image(x, psi(x)), of degree at most a + deg(psi)*(b - i)
-        # over its terms x^a y^b, has no higher degree.
         d = max(solve.psi.degree(), 0)
-        terms = solve.image.terms
-        if self.phase.total_degree() <= solve.image.trunc and all(
-            a + d * (b - i) <= solve.pinned for i in derivatives for a, b in terms if b >= i
-        ):
-            return True
-        image = apply_linear(self.phase, solve.frame)
-        psi = UnivariatePolynomial(solve.psi.coeffs)
-        return all(substitute_y(_y_derivative(image, i), psi).is_zero() for i in derivatives)
+        return all(
+            a + d * (b - i) <= solve.pinned for i in {solve.k, j} - {None} for a, b in solve.image.terms if b >= i
+        )
 
 
 def _straightening_shear(pn: BivariatePolynomial) -> Optional[LinearMap2]:
@@ -520,7 +519,7 @@ def _d_normal_form(p: BivariatePolynomial, trunc: Optional[int], orders: _Orders
 
 
 def _cubic_branch_orders(
-    p: BivariatePolynomial, trunc: Optional[int], orders: Optional[_Orders] = None
+    p: BivariatePolynomial, trunc: Optional[int], orders: _Orders
 ) -> Tuple[OrderValue, OrderValue, BivariatePolynomial, LinearMap2]:
     """Straighten the triple cubic direction and read off the remainder orders.
 
@@ -528,7 +527,6 @@ def _cubic_branch_orders(
     slice; k0 and k1 are the orders of the pure-x and y-linear slices.
     Returns them with the sheared phase and the linear map.
     """
-    orders = _Orders(p) if orders is None else orders
     trunc, nmap, pn = _cubic_frame(p, trunc, 3)
     solve = _solve(pn, nmap, 2, trunc)
     sheared = apply_shear(solve.image, solve.psi)
@@ -679,7 +677,7 @@ def adapted_polynomial(
     if kind.tag == D_TYPE:
         nf = d_normal_form(p, trunc)
         return apply_shear(apply_linear(p, nf.normal_map), nf.psi)
-    return _cubic_branch_orders(p, trunc)[2]
+    return _cubic_branch_orders(p, trunc, _Orders(p))[2]
 
 
 def multiplicity_mfrak(

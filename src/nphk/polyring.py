@@ -548,10 +548,7 @@ def compose(p: BivariatePolynomial, sx: BivariatePolynomial, sy: BivariatePolyno
 
 
 def apply_linear(p: BivariatePolynomial, m: LinearMap2) -> BivariatePolynomial:
-    """Pull back p along the linear map: result(x) = p(m(x)).  The identity,
-    the frame most classification paths start in, returns p itself."""
-    if (m.a, m.b, m.c, m.d) == (1, 0, 0, 1):
-        return p
+    """Pull back p along the linear map: result(x) = p(m(x))."""
     sx = BivariatePolynomial({(1, 0): m.a, (0, 1): m.b})
     sy = BivariatePolynomial({(1, 0): m.c, (0, 1): m.d})
     return compose(p, sx, sy)

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
+from nphk.corpus import CORPUS
 from nphk.corpus import random_invertible_map as rand_invertible_map  # re-exported for the tests
 from nphk.polyring import BivariatePolynomial, UnivariatePolynomial
 
@@ -57,3 +59,32 @@ def rand_support(rng: random.Random, max_points: int = 12, max_coord: int = 20):
 @pytest.fixture
 def rng():
     return random.Random(20260808)
+
+
+# -- the phase text grammar of the analyze properties ---------------------------
+
+
+def join_terms(parts, ops):
+    return "".join(part + op for part, op in zip(parts, ops)) + parts[-1]
+
+
+_LEAVES = st.one_of(
+    st.sampled_from(["x", "y", "0", "1", "2", "3/2", "-1/3"]),
+    st.builds("{}^{}".format, st.sampled_from(["x", "y"]), st.integers(0, 12)),
+)
+_SUMS = st.lists(_LEAVES, min_size=1, max_size=3).flatmap(
+    lambda parts: st.builds(
+        join_terms, st.just(parts), st.lists(st.sampled_from([" + ", " - ", "*", " "]), min_size=len(parts) - 1, max_size=len(parts) - 1)
+    )
+)
+_FACTORS = st.one_of(
+    _LEAVES,
+    st.builds("({})^{}".format, _SUMS, st.integers(0, 12)),
+    st.sampled_from([f"({row.phase})" for row in CORPUS]),
+)
+# well-formed phase text: sums and products of leaves, powers of sums and corpus phases
+PHASE_TEXTS = st.lists(_FACTORS, min_size=1, max_size=4).flatmap(
+    lambda parts: st.builds(
+        join_terms, st.just(parts), st.lists(st.sampled_from([" + ", " - ", "*"]), min_size=len(parts) - 1, max_size=len(parts) - 1)
+    )
+)

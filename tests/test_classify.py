@@ -46,8 +46,7 @@ from nphk.polyring import (
     series_divide,
     substitute_y,
 )
-from conftest import rand_critical_poly, rand_invertible_map
-from test_cli import _PHASES
+from conftest import PHASE_TEXTS, rand_critical_poly, rand_invertible_map
 
 F = Fraction
 
@@ -542,7 +541,7 @@ class TestBranchSolve:
             nmap = d_normal_form(p, trunc).normal_map
             return [(apply_linear(p, nmap).truncate(trunc).partial(1), trunc)]
         if kind.tag in (E6, E7, E8, CASE_BIV):
-            nmap = classify._cubic_branch_orders(p, trunc)[3]
+            nmap = classify._cubic_branch_orders(p, trunc, classify._Orders(p))[3]
             return [(apply_linear(p, nmap).truncate(trunc).partial(1).partial(1), trunc)]
         return []
 
@@ -621,7 +620,7 @@ class TestTruncationLadder:
         assert _outcome(p) == _outcome(p, classify.default_truncation(p))
 
     @settings(max_examples=150, deadline=None)
-    @given(text=_PHASES)
+    @given(text=PHASE_TEXTS)
     def test_analyze_grammar_matches_the_cap(self, text):
         try:
             p = parse_polynomial(text)
@@ -642,13 +641,16 @@ class TestTruncationLadder:
         "text,label,trunc",
         [
             ("y^3 + x^4", "E6", 16),  # k1 infinite: psi = 0 is an exact root
-            ("y^3*(1 + x^30) + x^4", "E6", 16),  # the same, checked on the terms beyond the jet
+            ("y^3*(1 + x^30) + x^4", "E6", 64),  # the same, once a rung holds the term x^30*y^3
             ("(y - x^2)^2", "Dinf", 16),  # n infinite on the polynomial branch x^2
             ("x*y^2 + x^5", "D6", 16),  # m infinite at rank zero
             ("x^2*y + y^3", "D4", 16),
             ("x^4 + y^4", "CaseC", 16),
             ("x*(y - x^2)^2 + x^15", "D16", 32),  # n = 15 lies above the pinned degree 16 - 1 - 1
             ("(y - x^2)^2 + x^20", "D21", 32),  # n = 20 is not in the jet at 16
+            # b0 = -5*x^18 reads zero in the jet at 16, which holds the whole
+            # phase, but y^6 along psi = x^3 has degree 18 > 15: no certificate
+            ("(y - x^3)^2 + y^6 - 6*x^15*y", "D19", 32),
             ("y^2 + x^40", NONDEGENERATE_OR_RANK_POSITIVE, 64),
             ("((1 + x)*y - x^2)^2", "Dinf", 24),  # the branch x^2/(1 + x) is no polynomial: the cap
         ],

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from nphk import cli, oscint
 from nphk.corpus import CORPUS, CorpusRow, check_affine_invariance, check_row, run_corpus
+from conftest import PHASE_TEXTS, join_terms
 
 RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -321,31 +322,6 @@ class TestDecayCommand:
 
 # -- every analyze input ends in a documented exit code ------------------------------
 
-_LEAVES = st.one_of(
-    st.sampled_from(["x", "y", "0", "1", "2", "3/2", "-1/3"]),
-    st.builds("{}^{}".format, st.sampled_from(["x", "y"]), st.integers(0, 12)),
-)
-
-
-def _join(parts, ops):
-    return "".join(part + op for part, op in zip(parts, ops)) + parts[-1]
-
-
-_SUMS = st.lists(_LEAVES, min_size=1, max_size=3).flatmap(
-    lambda parts: st.builds(
-        _join, st.just(parts), st.lists(st.sampled_from([" + ", " - ", "*", " "]), min_size=len(parts) - 1, max_size=len(parts) - 1)
-    )
-)
-_FACTORS = st.one_of(
-    _LEAVES,
-    st.builds("({})^{}".format, _SUMS, st.integers(0, 12)),
-    st.sampled_from([f"({row.phase})" for row in CORPUS]),
-)
-_PHASES = st.lists(_FACTORS, min_size=1, max_size=4).flatmap(
-    lambda parts: st.builds(
-        _join, st.just(parts), st.lists(st.sampled_from([" + ", " - ", "*"]), min_size=len(parts) - 1, max_size=len(parts) - 1)
-    )
-)
 # malformed text from the same alphabet; the space keeps every integer at most 12
 _SOUP = st.lists(
     st.sampled_from(["x", "y", "z", "+", "-", "*", "^", "/", "(", ")", ".", "0", "2", "12", "1/2", "1.5", "^12", ""]),
@@ -361,7 +337,7 @@ _P_LISTS = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(text=st.one_of(_PHASES, _SOUP), ps=_P_LISTS)
+@given(text=st.one_of(PHASE_TEXTS, _SOUP), ps=_P_LISTS)
 # degree 128: each took more than 30 s at the fixed truncation 2*deg + 16
 @example(text="y^4*(y^3 + y*x^3)*(-1/3 + y^10 - y)^12 + ((y - x^3)^2 + x^9)", ps="")
 @example(text="x*(y - x^3)^2 + x^9 + y^4*(y^3 + y*x^3)*(-1/3 + y^10 - y)^12", ps="1,4/3,2")
@@ -384,7 +360,7 @@ _SMALL_LEAVES = st.one_of(
 )
 _SMALL_SUMS = st.lists(_SMALL_LEAVES, min_size=1, max_size=3).flatmap(
     lambda parts: st.builds(
-        _join, st.just(parts), st.lists(st.sampled_from([" + ", " - ", "*"]), min_size=len(parts) - 1, max_size=len(parts) - 1)
+        join_terms, st.just(parts), st.lists(st.sampled_from([" + ", " - ", "*"]), min_size=len(parts) - 1, max_size=len(parts) - 1)
     )
 )
 _DECAY_PHASES = st.one_of(
