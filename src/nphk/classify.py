@@ -29,18 +29,16 @@ dehomogenized form with the exact ``UnivariatePolynomial`` algebra of
 ``polyring``: Yun's square-free decomposition gives the repeated (hence
 rational) factors, and a Sturm count decides whether a factor has a real
 root.  One frame routine sends the repeated cubic factor of every rank-zero
-branch path to the y-axis.  All solves run on exact rational jets.  Without
-a given truncation, ``classify_singularity`` climbs a doubling ladder: it
-classifies the jet of the phase at 16, 32, ... below the cap 2*deg + 16
-and keeps the first answer whose every order is certified for the phase
-itself, a finite order by the degree the branch solve's residual pins and
-an infinite one by a branch that is an exact polynomial root with the slice
-vanishing identically along it, which a degree bound shows once the jet
-holds every term of the phase; otherwise the cap decides.
-``d_normal_form`` and ``adapted_polynomial`` return jets, and work at the
-cap.  Every classification path checks the truncation once on entry: a
-non-int one raises TypeError and one below the input degree
-TruncationTooSmall.
+branch path to the y-axis.  All solves run on exact rational jets.
+``classify_singularity`` climbs a doubling ladder: it classifies the jet of
+the phase at 16, 32, ... below the cap 2*deg + 16 and keeps the first
+answer whose every order is certified for the phase itself, a finite order
+by the degree the branch solve's residual pins and an infinite one by a
+branch that is an exact polynomial root with the slice vanishing
+identically along it, which a degree bound shows once the jet holds every
+term of the phase; otherwise the cap decides.  ``d_normal_form`` and
+``adapted_polynomial`` return jets, work at the cap, and carry the branch
+only through the degree its solve pins.
 """
 
 from __future__ import annotations
@@ -134,9 +132,9 @@ class DNormalForm:
     """Branch data of a squared-branch phase.
 
     psi is the jet of the branch x2 = psi(x1) (order m, leading coefficient
-    omega0), b0 the jet of the phase restricted to the branch (order n,
-    leading coefficient beta0).  normal_map is the linear change that was
-    applied before solving.
+    omega0) through the degree the solve's residual pins, b0 the jet of the
+    phase restricted to the branch (order n, leading coefficient beta0).
+    normal_map is the linear change that was applied before solving.
     """
 
     m: OrderValue
@@ -286,19 +284,6 @@ def default_truncation(p: BivariatePolynomial) -> int:
     return 2 * int(deg) + 16
 
 
-def _working_truncation(p: BivariatePolynomial, trunc: Optional[int]) -> int:
-    """The truncation a branch path works at: the default, or a given int no
-    smaller than the input degree (a jet cut below it would drop input terms)."""
-    if trunc is None:
-        return default_truncation(p)
-    if not isinstance(trunc, int) or isinstance(trunc, bool):
-        raise TypeError(f"trunc must be an int, got {trunc!r}")
-    deg = p.total_degree()
-    if deg != -math.inf and trunc < deg:
-        raise TruncationTooSmall(f"trunc={trunc} below the input degree {deg}")
-    return trunc
-
-
 def rank_at_origin(p: BivariatePolynomial) -> int:
     """Rank of the Hessian at the origin, read off the quadratic part."""
     q = p.homogeneous_part(2)
@@ -322,10 +307,8 @@ def _square_direction(q: BivariatePolynomial) -> Tuple[Fraction, Fraction]:
     return (Fraction(0), Fraction(1))
 
 
-def _cubic_frame(
-    p: BivariatePolynomial, trunc: Optional[int], mult: int
-) -> Tuple[int, LinearMap2, BivariatePolynomial]:
-    """Working truncation, map and image of p in the frame of a rank-zero branch path.
+def _cubic_frame(p: BivariatePolynomial, mult: int) -> Tuple[LinearMap2, BivariatePolynomial]:
+    """Map and image of p in the frame of a rank-zero branch path.
 
     The cubic part's real factor of multiplicity mult (2 or 3) goes to the
     y-axis, where the cubic part must read c*x^(3-mult)*y^mult.  For mult = 2
@@ -333,7 +316,6 @@ def _cubic_frame(
     removes the y^3 component, so the frame is rigid up to scalings and the
     branch orders read in it are linear-invariant.
     """
-    trunc = _working_truncation(p, trunc)
     p3 = p.homogeneous_part(3)
     if p3.is_zero():
         raise NormalizationFailed(f"cubic part has no real factor of multiplicity {mult}")
@@ -348,7 +330,7 @@ def _cubic_frame(
     if set(p3n.terms) != {(3 - mult, mult)}:
         shape = BivariatePolynomial.monomial(3 - mult, mult).to_string()
         raise NormalizationFailed(f"cubic part did not normalize to a multiple of {shape}")
-    return trunc, nmap, pn
+    return nmap, pn
 
 
 @dataclass(frozen=True)
@@ -368,6 +350,10 @@ class _Solve:
     k: int
     pinned: int
     early: bool
+
+    def branch(self) -> UnivariatePolynomial:
+        """psi through the pinned degree: the branch a caller may rely on."""
+        return self.psi.truncate(self.pinned)
 
 
 def _y_derivative(p: BivariatePolynomial, k: int) -> BivariatePolynomial:
@@ -462,7 +448,7 @@ def _solve_branch_data(pn: BivariatePolynomial, frame: LinearMap2, trunc: int) -
     return solve, substitute_y(solve.image, solve.psi)
 
 
-def d_normal_form(p: BivariatePolynomial, trunc: Optional[int] = None) -> DNormalForm:
+def d_normal_form(p: BivariatePolynomial) -> DNormalForm:
     """Extract the squared-branch data (m, omega0, n, beta0, psi, b0) of a phase.
 
     Applies the normalizing linear change internally.  For rank zero the cubic
@@ -472,20 +458,19 @@ def d_normal_form(p: BivariatePolynomial, trunc: Optional[int] = None) -> DNorma
     x -> x + gamma*y is then resolved canonically: a frame that straightens
     the branch entirely is preferred (the flat-branch case), otherwise the
     frame with the generic (minimal) branch order is adopted.  psi solves d/dy p(x, psi(x)) = 0 with
-    psi = O(x^2), and b0(x) = p(x, psi(x)).
+    psi = O(x^2), and b0(x) = p(x, psi(x)).  Works at ``default_truncation(p)``.
     """
-    return _d_normal_form(p, trunc, _Orders(p))
-
-
-def _d_normal_form(p: BivariatePolynomial, trunc: Optional[int], orders: _Orders) -> DNormalForm:
     taylor_support(p)  # rejects non-critical phases
+    return _d_normal_form(p, default_truncation(p), _Orders(p))
+
+
+def _d_normal_form(p: BivariatePolynomial, trunc: int, orders: _Orders) -> DNormalForm:
     rank = rank_at_origin(p)
     if rank == 2:
         raise NormalizationFailed("Hessian has full rank; no squared branch")
     if rank == 0:
-        trunc, nmap, pn = _cubic_frame(p, trunc, 2)
+        nmap, pn = _cubic_frame(p, 2)
     else:
-        trunc = _working_truncation(p, trunc)
         nmap = _normalizing_map(_square_direction(p.homogeneous_part(2)))
         pn = apply_linear(p, nmap)
         straight = _straightening_shear(pn)
@@ -512,35 +497,30 @@ def _d_normal_form(p: BivariatePolynomial, trunc: Optional[int], orders: _Orders
     if m != INFINITE_ORDER and m > trunc - 2:
         raise TruncationTooSmall(f"m={m} too close to trunc={trunc}")
 
-    psi = solve.psi
+    psi = solve.branch()
     omega0 = psi.coefficient(m) if m != INFINITE_ORDER else None
     beta0 = b0.coefficient(n) if n != INFINITE_ORDER else None
     return DNormalForm(m=m, omega0=omega0, n=n, beta0=beta0, psi=psi, b0=b0, normal_map=nmap)
 
 
 def _cubic_branch_orders(
-    p: BivariatePolynomial, trunc: Optional[int], orders: _Orders
-) -> Tuple[OrderValue, OrderValue, BivariatePolynomial, LinearMap2]:
-    """Straighten the triple cubic direction and read off the remainder orders.
+    p: BivariatePolynomial, trunc: int, orders: _Orders
+) -> Tuple[OrderValue, OrderValue, _Solve]:
+    """Send the triple cubic direction to the y-axis and read off the remainder orders.
 
-    After the shear along the branch of d2/dy2 p = 0 the phase has no y^2
-    slice; k0 and k1 are the orders of the pure-x and y-linear slices.
-    Returns them with the sheared phase and the linear map.
+    Along the branch psi of d2/dy2 p = 0, k0 and k1 are the orders of
+    p(x, psi(x)) and d/dy p(x, psi(x)): the pure-x and y-linear slices of
+    the phase sheared by y -> y + psi(x), whose y^2 slice vanishes.
+    Returns them with the branch solve.
     """
-    trunc, nmap, pn = _cubic_frame(p, trunc, 3)
+    nmap, pn = _cubic_frame(p, 3)
     solve = _solve(pn, nmap, 2, trunc)
-    sheared = apply_shear(solve.image, solve.psi)
-    if not sheared.y_slice(2).is_zero():
-        raise NormalizationFailed("cubic branch shear left a y^2 slice")
-
-    k0 = orders.read(sheared.y_slice(0), "k0", solve, 0)
-    k1 = orders.read(sheared.y_slice(1), "k1", solve, 1)
-    return k0, k1, sheared, nmap
+    k0 = orders.read(substitute_y(solve.image, solve.psi), "k0", solve, 0)
+    k1 = orders.read(substitute_y(solve.image.partial(1), solve.psi), "k1", solve, 1)
+    return k0, k1, solve
 
 
-def classify_singularity(
-    p: BivariatePolynomial, trunc: Optional[int] = None
-) -> SingularityKind:
+def classify_singularity(p: BivariatePolynomial) -> SingularityKind:
     """Classify the critical point of p at the origin.
 
     Dispatch: a full-rank Hessian, or a rank-one phase whose branch is flat,
@@ -550,15 +530,13 @@ def classify_singularity(
     part leads to the E/CaseBIV split on (k0, k1), and a vanishing cubic part
     to CaseC when the quartic part has no factor of multiplicity above two.
 
-    Without ``trunc`` the classification climbs the truncation ladder of
-    ``_ladder``: jets of p at 16, 32, ... below ``default_truncation(p)``
-    give the answer as soon as every order it reads is certified for p
-    itself, and the cap gives it otherwise.
+    The classification climbs the truncation ladder of ``_ladder``: jets of
+    p at 16, 32, ... below ``default_truncation(p)`` give the answer as soon
+    as every order it reads is certified for p itself, and the cap gives it
+    otherwise.
     """
-    taylor_support(p)
-    if trunc is None:
-        return _ladder(p)[0]
-    return _classify(p, _working_truncation(p, trunc), _Orders(p))
+    taylor_support(p)  # rejects non-critical phases
+    return _ladder(p)[0]
 
 
 def _ladder(p: BivariatePolynomial) -> Tuple[SingularityKind, int]:
@@ -567,10 +545,10 @@ def _ladder(p: BivariatePolynomial) -> Tuple[SingularityKind, int]:
     Each rung T = 16, 32, ... below the cap ``default_truncation(p)``
     classifies the jet p.truncate(T) and keeps the answer only when
     ``_Orders`` certifies every order read for p; TruncationTooSmall or
-    NormalizationFailed on a rung means "go up".  At the cap p is classified
-    as with an explicit truncation, and its errors propagate.  Rank-two
-    markers, D4 and CaseC read homogeneous parts of degree at most four, so
-    the first rung decides them.
+    NormalizationFailed on a rung means "go up".  At the cap p itself is
+    classified, and its errors propagate.  Rank-two markers, D4 and CaseC
+    read homogeneous parts of degree at most four, so the first rung decides
+    them.
     """
     cap = default_truncation(p)
     trunc = 16
@@ -600,7 +578,7 @@ def _classify(p: BivariatePolynomial, trunc: int, orders: _Orders) -> Singularit
         if vanishing == 2:
             nf = _d_normal_form(p, trunc, orders)
             return SingularityKind.d_type(nf.m, nf.n)
-        k0, k1, _, _ = _cubic_branch_orders(p, trunc, orders)
+        k0, k1, _ = _cubic_branch_orders(p, trunc, orders)
         if k0 == 4:
             return SingularityKind(E6, k0=k0, k1=k1)
         if k1 == 3:
@@ -655,29 +633,27 @@ def linear_height(kind: SingularityKind) -> Fraction:
     return height(kind)
 
 
-def adapted_polynomial(
-    p: BivariatePolynomial,
-    trunc: Optional[int] = None,
-    kind: Optional[SingularityKind] = None,
-) -> BivariatePolynomial:
+def adapted_polynomial(p: BivariatePolynomial, kind: Optional[SingularityKind] = None) -> BivariatePolynomial:
     """The coordinate image of p the classifier builds on its way to the kind.
 
     D types: normalized and sheared along the squared branch.  D4 and CaseC:
     the input itself.  E/CaseBIV: normalized and sheared along the cubic
-    branch.  Marker kinds raise.  A caller that already holds the kind of p
-    at this truncation passes it to skip the classification.  Tests check
-    heights and multiplicities against it.
+    branch.  Both branches are cut to the degree their solve pins, so the
+    jet ends there.  Marker kinds raise.  A caller that already holds the
+    kind of p passes it to skip the classification.  Tests check heights and
+    multiplicities against it.
     """
     if kind is None:
-        kind = classify_singularity(p, trunc)
+        kind = classify_singularity(p)
     if not kind.is_supported:
         raise UnsupportedKindError(f"no adapted form for kind {kind.tag}")
     if kind.tag in (D4, CASE_C):
         return p
     if kind.tag == D_TYPE:
-        nf = d_normal_form(p, trunc)
+        nf = d_normal_form(p)
         return apply_shear(apply_linear(p, nf.normal_map), nf.psi)
-    return _cubic_branch_orders(p, trunc, _Orders(p))[2]
+    solve = _cubic_branch_orders(p, default_truncation(p), _Orders(p))[2]
+    return apply_shear(solve.image, solve.branch())
 
 
 def multiplicity_mfrak(

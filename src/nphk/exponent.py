@@ -37,6 +37,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
+from .newton import lower_hull
+
 RationalLike = Union[int, Fraction]
 
 
@@ -185,17 +187,7 @@ def interpolation_envelope(anchors: Sequence[BoundednessAnchor]) -> PiecewiseLin
     for (x0, _), (x1, _) in zip(pts, pts[1:]):
         if x0 == x1:
             raise ValueError(f"duplicate inv_p = {x0}")
-    hull: List[Tuple[Fraction, Fraction]] = []
-    for pt in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            cross = (x2 - x1) * (pt[1] - y1) - (y2 - y1) * (pt[0] - x1)
-            if cross <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    return PiecewiseLinear(tuple(hull))
+    return PiecewiseLinear(tuple(lower_hull(pts)))
 
 
 def _anchors(h: Fraction, h_lin: Fraction) -> List[BoundednessAnchor]:

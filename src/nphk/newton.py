@@ -97,11 +97,13 @@ def _staircase(points) -> list:
     return keep
 
 
-def _lower_hull(points: list) -> list:
-    """Lower-left convex chain of an antichain sorted by increasing t1.
+def lower_hull(points: list) -> list:
+    """Lower convex chain of points sorted by increasing first coordinate.
 
-    Cross-product test keeps only points that are extreme for the hull of the
-    shifted quadrants.
+    Cross-product test keeps only points where the chain turns
+    counter-clockwise.  On an antichain these are the points extreme for the
+    hull of the shifted quadrants; on the points of a graph, the corners of
+    its lower convex envelope.
     """
     chain: list = []
     for q in points:
@@ -133,7 +135,7 @@ def build_polygon(support) -> NewtonPolygon:
         if a < 0 or b < 0:
             raise ValueError(f"support point {(a, b)} outside the positive quadrant")
 
-    verts = _lower_hull(_staircase(pts))
+    verts = lower_hull(_staircase(pts))
     faces = []
     top = verts[0]
     bottom = verts[-1]

@@ -904,30 +904,27 @@ def randol_lq_scan(
     amp: AmplitudeSpec,
     m: int,
     q_list: Sequence[float],
-    half_width: float = DEFAULT_SCAN_HALF_WIDTH,
     cells: int = DEFAULT_SCAN_CELLS,
     lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
-    refine: int = 2,
     validate: bool = True,
 ) -> RandolScan:
     """Empirical L^q Riemann sums of the maximal function at two grid refinements.
 
-    A bounded coarse-to-fine ratio is the integrability signal; a growing one
-    flags divergence.  The two cell-centered offset grids share every
-    integrand sweep under the order-GAUSS_ORDER rule, which gives the
+    The offsets fill the square of half-width DEFAULT_SCAN_HALF_WIDTH on a
+    coarse grid of ``cells`` cells per axis and a fine grid of twice as
+    many.  A bounded coarse-to-fine ratio is the integrability signal; a
+    growing one flags divergence.  The two cell-centered offset grids share
+    every integrand sweep under the order-GAUSS_ORDER rule, which gives the
     reported values.  With ``validate`` each lambda's coarse-grid matrix is
     also checked against an order-CHECK_ORDER sweep on the same panels; the
     check does not change any reported value.  A repeated lambda is swept
-    once.  A ``cells`` or ``refine`` that is not an ``int`` (or is a
-    ``bool``), a ``half_width`` or a ``q`` that is not positive and finite,
-    an empty ``q_list`` or an empty ``lambda_grid`` raises ValueError, and a
-    finer grid of more than MAX_SCAN_POINTS offsets BudgetExceeded, before
-    anything is built.
+    once.  A ``cells`` that is not an ``int`` (or is a ``bool``), a ``q``
+    that is not positive and finite, an empty ``q_list`` or an empty
+    ``lambda_grid`` raises ValueError, and a fine grid of more than
+    MAX_SCAN_POINTS offsets BudgetExceeded, before anything is built.
     """
-    if type(cells) is not int or type(refine) is not int or cells < 1 or refine < 1:
-        raise ValueError(f"scans need integer cells >= 1 and refine >= 1, got cells={cells!r}, refine={refine!r}")
-    if not (math.isfinite(half_width) and half_width > 0):
-        raise ValueError(f"scan half-width must be positive and finite, got {half_width}")
+    if type(cells) is not int or cells < 1:
+        raise ValueError(f"scans need integer cells >= 1, got cells={cells!r}")
     if not q_list:
         raise ValueError("a scan needs at least one L^q exponent")
     for q in q_list:
@@ -937,16 +934,17 @@ def randol_lq_scan(
     if not lams:
         raise ValueError("a scan needs at least one lambda")
     cells += cells % 2  # keep sample points off the axis caustic
-    if (refine * cells) ** 2 > MAX_SCAN_POINTS:
+    if (2 * cells) ** 2 > MAX_SCAN_POINTS:
         raise BudgetExceeded(
-            f"a scan of {cells} cells refined {refine} times has {(refine * cells) ** 2} offset points,"
+            f"a scan of {cells} cells refined 2 times has {(2 * cells) ** 2} offset points,"
             f" more than the budget of {MAX_SCAN_POINTS}"
         )
     _require_d_type(phi, m)
+    half_width = DEFAULT_SCAN_HALF_WIDTH
     plan = _sweep_edges(phi, amp, lams, (half_width, half_width))
     w = randol_weight(m)
     coarse = cell_centered_grid(half_width, cells)
-    fine = cell_centered_grid(half_width, refine * cells)
+    fine = cell_centered_grid(half_width, 2 * cells)
     grids = [(coarse, coarse), (fine, fine)]
     m_coarse = np.zeros((coarse.size, coarse.size))
     m_fine = np.zeros((fine.size, fine.size))

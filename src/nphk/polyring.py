@@ -457,15 +457,12 @@ class UnivariatePolynomial(_SparseJet):
         at_minus = [pos == (p.degree() % 2 == 0) for pos, p in zip(at_plus, seq)]
         return _sign_changes(at_minus) - _sign_changes(at_plus)
 
-    def to_bivariate(self, axis: int = 0) -> BivariatePolynomial:
-        if axis == 0:
-            terms = {(d, 0): c for d, c in self._terms.items()}
-        else:
-            terms = {(0, d): c for d, c in self._terms.items()}
-        return BivariatePolynomial(terms, self._trunc)
+    def to_bivariate(self) -> BivariatePolynomial:
+        """The same jet as a polynomial in x alone."""
+        return BivariatePolynomial({(d, 0): c for d, c in self._terms.items()}, self._trunc)
 
     def to_string(self) -> str:
-        return self.to_bivariate(0).to_string()
+        return self.to_bivariate().to_string()
 
 
 @dataclass(frozen=True)
@@ -557,7 +554,7 @@ def apply_linear(p: BivariatePolynomial, m: LinearMap2) -> BivariatePolynomial:
 def apply_shear(p: BivariatePolynomial, psi: UnivariatePolynomial) -> BivariatePolynomial:
     """result(x, y) = p(x, y + psi(x)); the jet truncation of psi propagates."""
     sx = BivariatePolynomial({(1, 0): Fraction(1)}, psi.trunc)
-    sy = BivariatePolynomial({(0, 1): Fraction(1)}, psi.trunc) + psi.to_bivariate(0)
+    sy = BivariatePolynomial({(0, 1): Fraction(1)}, psi.trunc) + psi.to_bivariate()
     return compose(p, sx, sy)
 
 

@@ -116,10 +116,6 @@ class TestDNormalForm:
         with pytest.raises(NormalizationFailed):
             d_normal_form(parse_polynomial("x^2 + y^2"))
 
-    def test_trunc_below_degree_rejected(self):
-        with pytest.raises(TruncationTooSmall):
-            d_normal_form(parse_polynomial("(y - x^2)^2 + x^7"), trunc=5)
-
 
 class TestClassify:
     @pytest.mark.parametrize(
@@ -175,53 +171,17 @@ class TestClassify:
     @pytest.mark.parametrize("text,mult", [("y^3 + x^4", 3), ("x*(y - x^2)^2 + x^5", 2)])
     def test_frame_checks_the_cubic_shape(self, text, mult):
         p = parse_polynomial(text)
-        _, _, pn = classify._cubic_frame(p, None, mult)
+        _, pn = classify._cubic_frame(p, mult)
         assert set(pn.homogeneous_part(3).terms) == {(3 - mult, mult)}
         # a wrong direction leaves the cubic part off that shape
         with mock.patch.object(classify, "_repeated_linear_factor", return_value=(F(1), F(1))):
             with pytest.raises(NormalizationFailed, match="did not normalize"):
-                classify._cubic_frame(p, None, mult)
+                classify._cubic_frame(p, mult)
 
     def test_true_d_form_with_flat_branch(self):
         # a squared-y factor with a flat branch is still in range at rank zero
         kind = classify_singularity(parse_polynomial("x*y^2 + x^5"))
         assert kind.tag == D_TYPE and kind.m is INFINITE_ORDER and kind.n == 5
-
-    @pytest.mark.parametrize(
-        "text,trunc",
-        [
-            ("y^3 + x^4", 3),
-            ("y^3 + x^3*y", 3),
-            ("y^3 + x^5", 4),
-            ("y^3 + x^6", 5),
-            ("x*(y - x^2)^2 + x^5", 4),
-            ("(y - x^2)^2 + x^7", 6),
-            ("x^2*y + y^3", 2),
-            ("x^4 + y^4", 3),
-            ("x^2 + y^2", 1),
-        ],
-    )
-    def test_every_branch_path_refuses_trunc_below_degree(self, text, trunc):
-        p = parse_polynomial(text)
-        with pytest.raises(TruncationTooSmall, match="below the input degree"):
-            classify_singularity(p, trunc)
-        kind = classify_singularity(p, trunc + 1)
-        if rank_at_origin(p) == 2:  # a full-rank phase has no supported class
-            assert kind.tag == NONDEGENERATE_OR_RANK_POSITIVE
-        else:
-            assert kind.is_supported
-
-    @pytest.mark.parametrize("trunc", [20.0, True, "20"])
-    @pytest.mark.parametrize(
-        "text",
-        ["y^3 + x^4", "x*(y - x^2)^2 + x^5", "(y - x^2)^2 + x^7", "x^2*y + y^3", "x^4 + y^4", "x^2 + y^2"],
-    )
-    def test_non_int_trunc_refused(self, text, trunc):
-        p = parse_polynomial(text)
-        with pytest.raises(TypeError, match="trunc must be an int"):
-            classify_singularity(p, trunc)
-        with pytest.raises(TypeError, match="trunc must be an int"):
-            adapted_polynomial(p, trunc)
 
 
 class TestHeights:
@@ -513,12 +473,43 @@ def _jets_with_branch(draw):
         )
     )
     units.update(extra)
-    line = BivariatePolynomial.var_y() * UnivariatePolynomial(q).to_bivariate(0)
-    f = (line - UnivariatePolynomial(p).to_bivariate(0)) * BivariatePolynomial(units)
+    line = BivariatePolynomial.var_y() * UnivariatePolynomial(q).to_bivariate()
+    f = (line - UnivariatePolynomial(p).to_bivariate()) * BivariatePolynomial(units)
     trunc = draw(st.integers(4, 40))
     offset = draw(st.sampled_from([None, 0, 1, 2]))
     f = f if offset is None else f.truncate(trunc - offset)
     return f, trunc, UnivariatePolynomial(p), UnivariatePolynomial(q)
+
+
+def _cap_kind(p):
+    """The ladder's cap line on its own, the reference every rung must match:
+    one classification of p at ``default_truncation(p)``."""
+    taylor_support(p)
+    return classify._classify(p, classify.default_truncation(p), classify._Orders(p))
+
+
+def _branch_equation(p):
+    """The jet the classifier solves for p at the cap, with its kind, frame
+    and truncation: f_y of the normalized phase (D rows), or f_yy after the
+    triple-direction normalization (E rows); None for the other kinds."""
+    trunc = classify.default_truncation(p)
+    kind = _cap_kind(p)
+    if kind.tag == D_TYPE:
+        frame = d_normal_form(p).normal_map
+        return kind, frame, apply_linear(p, frame).truncate(trunc).partial(1), trunc
+    if kind.tag in (E6, E7, E8, CASE_BIV):
+        frame = classify._cubic_branch_orders(p, trunc, classify._Orders(p))[2].frame
+        return kind, frame, apply_linear(p, frame).truncate(trunc).partial(1).partial(1), trunc
+    return None
+
+
+def _row_images(row):
+    """A corpus row's phase, a linear image and a shear image of it."""
+    rng = random.Random(f"branch {row.phase}")
+    p = parse_polynomial(row.phase)
+    c = rng.choice([-3, -2, -1, 1, 2, 3])
+    k = rng.choice([2, 3])
+    return [p, apply_linear(p, rand_invertible_map(rng)), apply_shear(p, UnivariatePolynomial({k: c}))]
 
 
 class TestBranchSolve:
@@ -531,32 +522,13 @@ class TestBranchSolve:
         pinned = _pinned_degree(f, trunc)
         assert psi.truncate(pinned) == series_divide(p, q, pinned)
 
-    @staticmethod
-    def _branch_inputs(p):
-        """The jets the classifier solves for p: f_y of the normalized phase
-        (D rows), or f_yy after the triple-direction normalization (E rows)."""
-        trunc = classify.default_truncation(p)
-        kind = classify_singularity(p, trunc)
-        if kind.tag == D_TYPE:
-            nmap = d_normal_form(p, trunc).normal_map
-            return [(apply_linear(p, nmap).truncate(trunc).partial(1), trunc)]
-        if kind.tag in (E6, E7, E8, CASE_BIV):
-            nmap = classify._cubic_branch_orders(p, trunc, classify._Orders(p))[3]
-            return [(apply_linear(p, nmap).truncate(trunc).partial(1).partial(1), trunc)]
-        return []
-
     @pytest.mark.parametrize("row", CORPUS, ids=[row.kind_label for row in CORPUS])
     def test_corpus_rows_and_images(self, row):
-        rng = random.Random(f"branch {row.phase}")
-        p = parse_polynomial(row.phase)
-        for f, trunc in self._branch_inputs(p):
-            _assert_same_branch(f, trunc, exact=True)
-        c = rng.choice([-3, -2, -1, 1, 2, 3])
-        k = rng.choice([2, 3])
-        images = [apply_linear(p, rand_invertible_map(rng)), apply_shear(p, UnivariatePolynomial({k: c}))]
-        for image in images:
-            for f, trunc in self._branch_inputs(image):
-                _assert_same_branch(f, trunc)
+        for i, image in enumerate(_row_images(row)):
+            equation = _branch_equation(image)
+            if equation is not None:
+                _, _, f, trunc = equation
+                _assert_same_branch(f, trunc, exact=i == 0)
 
     def test_degenerate_pivot(self):
         # f_y = 2*x^2 along the branch: pivot of order two
@@ -571,13 +543,51 @@ class TestBranchSolve:
             classify._branch_solve(parse_polynomial("2*y - x + y^2"), 12)
 
 
+# -- the branches the outputs carry -------------------------------------------------
+
+_SUPPORTED_ROWS = [row for row in CORPUS if row.kind_label not in ("D4", "CaseC")]
+_E_ROWS = [row for row in CORPUS if row.kind_label in ("E6", "E7", "E8", "CaseBIV")]
+
+
+class TestPinnedBranch:
+    @pytest.mark.parametrize("row", _SUPPORTED_ROWS, ids=[row.kind_label for row in _SUPPORTED_ROWS])
+    def test_outputs_end_at_the_pinned_degree(self, row):
+        # psi holds only the coefficients the residual pins, so the adapted
+        # jet ends at that degree too
+        for image in _row_images(row):
+            equation = _branch_equation(image)
+            if equation is None:  # a shear that cancels a rank-one branch leaves a marker
+                continue
+            kind, frame, f, trunc = equation
+            pinned = _pinned_degree(f, trunc)
+            branch = _reference_branch_solve(f, trunc).truncate(pinned)
+            if kind.tag == D_TYPE:
+                psi = d_normal_form(image).psi
+                assert psi.trunc == pinned
+                assert psi == branch
+            adapted = adapted_polynomial(image, kind=kind)
+            assert adapted.trunc == pinned
+            assert adapted == apply_shear(apply_linear(image, frame), branch)
+
+    @pytest.mark.parametrize("row", _E_ROWS, ids=[row.kind_label for row in _E_ROWS])
+    def test_cubic_branch_orders_are_the_adapted_slices(self, row):
+        # the classifier reads k0 and k1 along the branch without shearing;
+        # the sheared jet must show them as its y^0 and y^1 slices, with no y^2 slice
+        for image in _row_images(row):
+            kind = classify_singularity(image)
+            adapted = adapted_polynomial(image, kind=kind)
+            assert adapted.y_slice(2).is_zero()
+            assert (adapted.y_slice(0).order(), adapted.y_slice(1).order()) == (kind.k0, kind.k1)
+
+
 # -- the truncation ladder ---------------------------------------------------------
 
 
-def _outcome(p, trunc=None):
-    """The kind classify_singularity gives, or the type of the error it raises."""
+def _outcome(p, at_cap=False):
+    """The kind classify_singularity gives (with ``at_cap``, the kind the cap
+    alone gives), or the type of the error it raises."""
     try:
-        return classify_singularity(p, trunc)
+        return _cap_kind(p) if at_cap else classify_singularity(p)
     except Exception as exc:
         return type(exc)
 
@@ -617,7 +627,7 @@ class TestTruncationLadder:
     @settings(max_examples=150, deadline=None)
     @given(p=_corpus_images())
     def test_corpus_images_match_the_cap(self, p):
-        assert _outcome(p) == _outcome(p, classify.default_truncation(p))
+        assert _outcome(p) == _outcome(p, at_cap=True)
 
     @settings(max_examples=150, deadline=None)
     @given(text=PHASE_TEXTS)
@@ -628,7 +638,7 @@ class TestTruncationLadder:
             reject()
         # the reference at the cap can take seconds above degree 64
         assume(p.total_degree() <= 64)
-        assert _outcome(p) == _outcome(p, classify.default_truncation(p))
+        assert _outcome(p) == _outcome(p, at_cap=True)
 
     def test_degree_128_phase_is_decided_on_a_low_rung(self):
         # 2*deg + 16 = 272; at that truncation the solve did not finish in 100 s
@@ -659,7 +669,7 @@ class TestTruncationLadder:
         p = parse_polynomial(text)
         kind, used = classify._ladder(p)
         assert (kind.label(), used) == (label, trunc)
-        assert kind == classify_singularity(p, classify.default_truncation(p))
+        assert kind == _cap_kind(p)
 
     def test_a_truncated_input_has_no_polynomial_certificate(self):
         # a jet says nothing about the terms beyond its truncation

@@ -900,29 +900,19 @@ class TestRandol:
             randol_lq_scan(parse_polynomial("x^2 + y^2"), amp, 2, q_list=(2.0,), cells=8, lambda_grid=[64.0])
 
     # a float count such as 2.5 would round to an odd grid (2.5 + 2.5 % 2 is 3.0)
-    # whose middle cell centre is the axis caustic s1 = 0; a zero half-width
-    # puts every offset there, and a nan one asked for "nan" coarse nodes
-    _BAD_COUNTS = [(0, 2), (-4, 2), (8, 0), (2.5, 2), (8.0, 2), (8, 2.0), (True, 2), (8, True)]
-    _BAD_WIDTHS = [0.0, -0.25, math.nan, math.inf]
+    # whose middle cell centre is the axis caustic s1 = 0
+    _BAD_CELLS = [0, -4, 2.5, 8.0, True]
 
-    @pytest.mark.parametrize(
-        "cells,refine,half_width",
-        [(c, r, DEFAULT_SCAN_HALF_WIDTH) for c, r in _BAD_COUNTS] + [(8, 2, w) for w in _BAD_WIDTHS],
-        ids=[f"{c}-{r}" for c, r in _BAD_COUNTS]
-        + ["half-width-0", "half-width-negative", "half-width-nan", "half-width-inf"],
-    )
-    def test_lq_scan_rejects_empty_grids(self, monkeypatch, cells, refine, half_width):
+    # the ids name the fine grid's fixed refinement 2 after the cell count
+    @pytest.mark.parametrize("cells", _BAD_CELLS, ids=[f"{c}-2" for c in _BAD_CELLS])
+    def test_lq_scan_rejects_empty_grids(self, monkeypatch, cells):
         planned = []
         panels_for, require_d_type = oscint._panels_for, oscint._require_d_type
         monkeypatch.setattr(oscint, "_panels_for", lambda *args: planned.append(args) or panels_for(*args))
         monkeypatch.setattr(oscint, "_require_d_type", lambda *args: planned.append(args) or require_d_type(*args))
-        bad = "integer cells >= 1 and refine >= 1"
-        if half_width != DEFAULT_SCAN_HALF_WIDTH:
-            bad = "half-width must be positive and finite"
-        with pytest.raises(ValueError, match=bad):
+        with pytest.raises(ValueError, match="integer cells >= 1"):
             randol_lq_scan(
-                parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, q_list=(2.0,), cells=cells, refine=refine,
-                half_width=half_width, lambda_grid=[64.0],
+                parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, q_list=(2.0,), cells=cells, lambda_grid=[64.0]
             )
         assert planned == []
 

@@ -461,7 +461,7 @@ def _branch_case(draw):
     k = draw(st.integers(1, 3))
     r = BivariatePolynomial(draw(_small_bivariate_terms(2)))
     s = BivariatePolynomial(draw(_small_bivariate_terms(3)))
-    p = (BivariatePolynomial.var_y() - UnivariatePolynomial(coeffs).to_bivariate(0)) ** k * r + s
+    p = (BivariatePolynomial.var_y() - UnivariatePolynomial(coeffs).to_bivariate()) ** k * r + s
     trunc = draw(_truncations())
     return (p if trunc is None else p.truncate(trunc)), UnivariatePolynomial(coeffs, draw(_truncations()))
 
@@ -495,7 +495,7 @@ def test_shear_along_a_branch_cancels_like_fractions(case):
     p, psi = case
     sheared = apply_shear(p, psi)
     sx = BivariatePolynomial({(1, 0): F(1)}, psi.trunc)
-    sy = BivariatePolynomial({(0, 1): F(1)}, psi.trunc) + psi.to_bivariate(0)
+    sy = BivariatePolynomial({(0, 1): F(1)}, psi.trunc) + psi.to_bivariate()
     assert sheared.terms == _reference_compose(p, sx, sy)
     _assert_clean(sheared, sheared.terms.items(), _min_trunc(p.trunc, psi.trunc), sum)
     _assert_public_equal(sheared, BivariatePolynomial, sheared.terms)
