@@ -21,8 +21,9 @@ Heights attached to each class are exact rationals: D(m, n) has
 h = 2n/(n+1) and linear height min(h, (2m+1)/(m+1)); E6, E7, E8 carry 12/7,
 9/5, 15/8; D4 carries 3/2; CaseBIV and CaseC carry 2.  The coordinate system
 is linearly adapted exactly when the two heights agree (for D types:
-2m+1 >= n).  The multiplicity comes from the class too: 1 exactly for
-CaseC with a double real factor in the quartic part.
+2m+1 >= n).  The multiplicity is 1 exactly for CaseC with a double real
+factor in the quartic part and for CaseBIV with (k0, k1) = (6, 4) whose
+adapted principal part has a double root.
 
 Real linear factors of the cubic and quartic parts are read off the
 dehomogenized form with the exact ``UnivariatePolynomial`` algebra of
@@ -37,8 +38,9 @@ by the degree the branch solve's residual pins and an infinite one by a
 branch that is an exact polynomial root with the slice vanishing
 identically along it, which a degree bound shows once the jet holds every
 term of the phase; otherwise the cap decides.  ``d_normal_form`` and
-``adapted_polynomial`` return jets, work at the cap, and carry the branch
-only through the degree its solve pins.
+``adapted_polynomial`` make the same one decision and build their jets from
+the branch solve it read: the jets end at the degree that solve pins, on the
+rung that decided.
 """
 
 from __future__ import annotations
@@ -276,8 +278,7 @@ def _branch_solve(f: BivariatePolynomial, trunc: int) -> Tuple[UnivariatePolynom
 
 
 def default_truncation(p: BivariatePolynomial) -> int:
-    """2*deg + 16: the truncation ``d_normal_form`` and ``adapted_polynomial``
-    work at by default, and the cap of ``classify_singularity``'s ladder."""
+    """2*deg + 16: the cap of the truncation ladder (``_ladder``)."""
     deg = p.total_degree()
     if deg == -math.inf:
         deg = 2
@@ -458,16 +459,26 @@ def d_normal_form(p: BivariatePolynomial) -> DNormalForm:
     x -> x + gamma*y is then resolved canonically: a frame that straightens
     the branch entirely is preferred (the flat-branch case), otherwise the
     frame with the generic (minimal) branch order is adopted.  psi solves d/dy p(x, psi(x)) = 0 with
-    psi = O(x^2), and b0(x) = p(x, psi(x)).  Works at ``default_truncation(p)``.
+    psi = O(x^2), and b0(x) = p(x, psi(x)).  Both come from the branch solve
+    that decided the kind of p on the truncation ladder, so b0 is a jet at
+    that rung and psi ends at the degree the solve pins.  Raises
+    NormalizationFailed when the kind was not decided on a squared branch.
     """
-    taylor_support(p)  # rejects non-critical phases
-    return _d_normal_form(p, default_truncation(p), _Orders(p))
+    kind, _, solve = _ladder(p)
+    if solve is None or solve.k != 1:
+        raise NormalizationFailed(f"no squared branch: the phase classifies as {kind.label()}")
+    psi = solve.branch()
+    b0 = substitute_y(solve.image, solve.psi)
+    m, n = psi.order(), b0.order()
+    omega0 = psi.coefficient(m) if m != INFINITE_ORDER else None
+    beta0 = b0.coefficient(n) if n != INFINITE_ORDER else None
+    return DNormalForm(m=m, omega0=omega0, n=n, beta0=beta0, psi=psi, b0=b0, normal_map=solve.frame)
 
 
-def _d_normal_form(p: BivariatePolynomial, trunc: int, orders: _Orders) -> DNormalForm:
+def _d_normal_form(p: BivariatePolynomial, trunc: int, orders: _Orders) -> Tuple[OrderValue, OrderValue, _Solve]:
+    """The orders (m, n) of a squared-branch phase of Hessian rank zero or
+    one, with the branch solve in the adopted frame (see ``d_normal_form``)."""
     rank = rank_at_origin(p)
-    if rank == 2:
-        raise NormalizationFailed("Hessian has full rank; no squared branch")
     if rank == 0:
         nmap, pn = _cubic_frame(p, 2)
     else:
@@ -486,21 +497,15 @@ def _d_normal_form(p: BivariatePolynomial, trunc: int, orders: _Orders) -> DNorm
         # the constructed frame is the special one; generic shears see a
         # branch of order n-1, and at most one gamma can cancel it
         for gamma in (1, -1):
-            cmap = nmap @ LinearMap2(1, gamma, 0, 1)
+            cmap = solve.frame @ LinearMap2(1, gamma, 0, 1)
             csolve, cb0 = _solve_branch_data(apply_linear(p, cmap), cmap, trunc)
             cm = orders.read(csolve.psi, "m", csolve)
             if cm != INFINITE_ORDER and cm < m:
-                nmap, solve, b0 = cmap, csolve, cb0
-                m = cm
-                n = orders.read(cb0, "n", csolve, 0)
+                solve, m, n = csolve, cm, orders.read(cb0, "n", csolve, 0)
 
     if m != INFINITE_ORDER and m > trunc - 2:
         raise TruncationTooSmall(f"m={m} too close to trunc={trunc}")
-
-    psi = solve.branch()
-    omega0 = psi.coefficient(m) if m != INFINITE_ORDER else None
-    beta0 = b0.coefficient(n) if n != INFINITE_ORDER else None
-    return DNormalForm(m=m, omega0=omega0, n=n, beta0=beta0, psi=psi, b0=b0, normal_map=nmap)
+    return m, n, solve
 
 
 def _cubic_branch_orders(
@@ -535,12 +540,12 @@ def classify_singularity(p: BivariatePolynomial) -> SingularityKind:
     as every order it reads is certified for p itself, and the cap gives it
     otherwise.
     """
-    taylor_support(p)  # rejects non-critical phases
     return _ladder(p)[0]
 
 
-def _ladder(p: BivariatePolynomial) -> Tuple[SingularityKind, int]:
-    """The kind of p and the truncation that decided it.
+def _ladder(p: BivariatePolynomial) -> Tuple[SingularityKind, int, Optional[_Solve]]:
+    """The kind of p, the truncation that decided it, and the branch solve
+    the kind was read from (None when no branch was solved).
 
     Each rung T = 16, 32, ... below the cap ``default_truncation(p)``
     classifies the jet p.truncate(T) and keeps the answer only when
@@ -550,49 +555,55 @@ def _ladder(p: BivariatePolynomial) -> Tuple[SingularityKind, int]:
     read homogeneous parts of degree at most four, so the first rung decides
     them.
     """
+    taylor_support(p)  # rejects non-critical phases
     cap = default_truncation(p)
     trunc = 16
     while trunc < cap:
         try:
-            return _classify(p.truncate(trunc), trunc, _Orders(p, rung=True)), trunc
+            kind, solve = _classify(p.truncate(trunc), trunc, _Orders(p, rung=True))
+            return kind, trunc, solve
         except (TruncationTooSmall, NormalizationFailed):
             trunc *= 2
-    return _classify(p, cap, _Orders(p)), cap
+    kind, solve = _classify(p, cap, _Orders(p))
+    return kind, cap, solve
 
 
-def _classify(p: BivariatePolynomial, trunc: int, orders: _Orders) -> SingularityKind:
+def _classify(p: BivariatePolynomial, trunc: int, orders: _Orders) -> Tuple[SingularityKind, Optional[_Solve]]:
+    """The kind of p and the branch solve it was read from: the k = 1 solve
+    in the adopted frame on the D path, the k = 2 solve on the E path, None
+    where no branch is solved (rank two, D4 and the quartic path)."""
     rank = rank_at_origin(p)
     if rank == 2:
-        return SingularityKind.marker(NONDEGENERATE_OR_RANK_POSITIVE)
+        return SingularityKind.marker(NONDEGENERATE_OR_RANK_POSITIVE), None
     if rank == 1:
-        nf = _d_normal_form(p, trunc, orders)
-        if nf.m == INFINITE_ORDER:
-            return SingularityKind.marker(NONDEGENERATE_OR_RANK_POSITIVE)
-        return SingularityKind.d_type(nf.m, nf.n)
+        m, n, solve = _d_normal_form(p, trunc, orders)
+        if m == INFINITE_ORDER:
+            return SingularityKind.marker(NONDEGENERATE_OR_RANK_POSITIVE), solve
+        return SingularityKind.d_type(m, n), solve
 
     p3 = p.homogeneous_part(3)
     if not p3.is_zero():
         vanishing = circle_vanishing_order(p3)
         if vanishing == 1:
-            return SingularityKind.d4()
+            return SingularityKind.d4(), None
         if vanishing == 2:
-            nf = _d_normal_form(p, trunc, orders)
-            return SingularityKind.d_type(nf.m, nf.n)
-        k0, k1, _ = _cubic_branch_orders(p, trunc, orders)
+            m, n, solve = _d_normal_form(p, trunc, orders)
+            return SingularityKind.d_type(m, n), solve
+        k0, k1, solve = _cubic_branch_orders(p, trunc, orders)
         if k0 == 4:
-            return SingularityKind(E6, k0=k0, k1=k1)
+            return SingularityKind(E6, k0=k0, k1=k1), solve
         if k1 == 3:
-            return SingularityKind(E7, k0=k0, k1=k1)
+            return SingularityKind(E7, k0=k0, k1=k1), solve
         if k0 == 5:
-            return SingularityKind(E8, k0=k0, k1=k1)
+            return SingularityKind(E8, k0=k0, k1=k1), solve
         if (k0 == 6 and k1 >= 4) or (k1 == 4 and k0 >= 6):
-            return SingularityKind(CASE_BIV, k0=k0, k1=k1)
-        return SingularityKind.marker(UNSUPPORTED_HEIGHT_ABOVE_2)
+            return SingularityKind(CASE_BIV, k0=k0, k1=k1), solve
+        return SingularityKind.marker(UNSUPPORTED_HEIGHT_ABOVE_2), solve
 
     p4 = p.homogeneous_part(4)
     if not p4.is_zero() and circle_vanishing_order(p4) <= 2:
-        return SingularityKind.marker(CASE_C)
-    return SingularityKind.marker(UNSUPPORTED_HEIGHT_ABOVE_2)
+        return SingularityKind.marker(CASE_C), None
+    return SingularityKind.marker(UNSUPPORTED_HEIGHT_ABOVE_2), None
 
 
 # -- heights -----------------------------------------------------------------
@@ -633,44 +644,48 @@ def linear_height(kind: SingularityKind) -> Fraction:
     return height(kind)
 
 
-def adapted_polynomial(p: BivariatePolynomial, kind: Optional[SingularityKind] = None) -> BivariatePolynomial:
+def adapted_polynomial(p: BivariatePolynomial) -> BivariatePolynomial:
     """The coordinate image of p the classifier builds on its way to the kind.
 
     D types: normalized and sheared along the squared branch.  D4 and CaseC:
     the input itself.  E/CaseBIV: normalized and sheared along the cubic
-    branch.  Both branches are cut to the degree their solve pins, so the
-    jet ends there.  Marker kinds raise.  A caller that already holds the
-    kind of p passes it to skip the classification.  Tests check heights and
-    multiplicities against it.
+    branch.  The image is the jet of the rung that decided the kind, and the
+    branch is cut to the degree its solve pins, so the jet ends there.
+    Marker kinds raise.  Tests check heights and multiplicities against it.
     """
-    if kind is None:
-        kind = classify_singularity(p)
+    kind, _, solve = _ladder(p)
     if not kind.is_supported:
         raise UnsupportedKindError(f"no adapted form for kind {kind.tag}")
-    if kind.tag in (D4, CASE_C):
+    if solve is None:  # D4 and CaseC
         return p
-    if kind.tag == D_TYPE:
-        nf = d_normal_form(p)
-        return apply_shear(apply_linear(p, nf.normal_map), nf.psi)
-    solve = _cubic_branch_orders(p, default_truncation(p), _Orders(p))[2]
     return apply_shear(solve.image, solve.branch())
 
 
 def multiplicity_mfrak(
     p: BivariatePolynomial, kind: Optional[SingularityKind] = None
 ) -> int:
-    """1 when the adapted polygon has a vertex principal face at (h, h), read from the class.
+    """1 when the adapted polygon's principal face is the vertex (h, h) or a
+    compact edge whose principal part has a real root of multiplicity h.
 
-    A vertex (h, h) needs an integer h, so only h = 2 classes can score.
-    Adapted, Dinf keeps (1, 2) or (0, 2) and CaseBIV has no y^2 slice, so
-    (2, 2) is no vertex of theirs; a CaseC phase has it exactly when a real
-    double factor of its quartic part, sent to an axis, leaves x^2*y^2 as the
-    corner of the line a + b = 4.
+    Both need an integer h, so only h = 2 classes can score.  Adapted, Dinf
+    has the horizontal ray at (0, 2) or (1, 2) as its principal face.  A CaseC
+    phase is adapted as given and scores exactly when a real double factor of
+    its quartic part, sent to an axis, leaves x^2*y^2 as the corner of the
+    line a + b = 4.  The adapted jet of CaseBIV has no y^2 slice, so its
+    principal part c3*t^3 + c1*t + c0 (t = y/x^2) on the edge a + 2b = 6 can
+    have a double root only when (k0, k1) = (6, 4); only then is the adapted
+    jet built and the root read off Yun's decomposition.
     """
     if kind is None:
         kind = classify_singularity(p)
     height(kind)  # raises for unsupported kinds
-    return int(kind.tag == CASE_C and circle_vanishing_order(p.homogeneous_part(4)) == 2)
+    if kind.tag == CASE_C:
+        return int(circle_vanishing_order(p.homogeneous_part(4)) == 2)
+    if kind.tag == CASE_BIV and (kind.k0, kind.k1) == (6, 4):
+        adapted = adapted_polynomial(p)
+        part = UnivariatePolynomial({b: adapted.coefficient(6 - 2 * b, b) for b in (0, 1, 3)})
+        return int(any(mult == 2 for _, mult in part.squarefree_decomposition()))
+    return 0
 
 
 def height_report(p: BivariatePolynomial, kind: Optional[SingularityKind] = None) -> HeightReport:

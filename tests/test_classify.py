@@ -32,7 +32,7 @@ from nphk.classify import (
     rank_at_origin,
 )
 from nphk.corpus import CORPUS
-from nphk.newton import build_polygon, taylor_support
+from nphk.newton import EDGE, VERTEX, build_polygon, face_part, taylor_support
 from nphk.polyring import (
     INFINITE_ORDER,
     BivariatePolynomial,
@@ -331,8 +331,6 @@ class TestMultiplicity:
         kind = classify_singularity(p)
         expected = multiplicity_mfrak(p)
         with mock.patch.object(classify, "classify_singularity", wraps=classify_singularity) as spy:
-            assert adapted_polynomial(p, kind=kind) == adapted_polynomial(p)
-            spy.reset_mock()
             assert multiplicity_mfrak(p, kind) == expected
             assert height_report(p, kind).multiplicity == expected
         assert spy.call_count == 0
@@ -344,10 +342,18 @@ class TestMultiplicity:
 
 
 def _principal_face_multiplicity(p, kind):
-    """The polygon reading: 1 when the adapted polygon's principal face is the vertex (h, h)."""
+    """The polygon reading: 1 when the adapted polygon's principal face is the
+    vertex (h, h), or a compact edge whose principal part at x = 1 has a real
+    root of multiplicity exactly h."""
     h = height(kind)
-    face = build_polygon(taylor_support(adapted_polynomial(p, kind=kind))).principal_face
-    return int(face.kind == "vertex" and face.points[0] == (h, h))
+    adapted = adapted_polynomial(p)
+    face = build_polygon(taylor_support(adapted)).principal_face
+    if face.kind == VERTEX:
+        return int(face.points[0] == (h, h))
+    if face.kind != EDGE:
+        return 0
+    part = UnivariatePolynomial({b: c for (_, b), c in face_part(adapted, face).terms.items()})
+    return int(any(k == h and f.real_root_count() > 0 for f, k in part.squarefree_decomposition()))
 
 
 class TestMultiplicityInvariance:
@@ -361,8 +367,17 @@ class TestMultiplicityInvariance:
         ("x*(y - x^2)^2", D_TYPE, 0),
         ("(y - x^2)^2", D_TYPE, 0),
     ]
+    # CaseBIV with (k0, k1) = (6, 4): the adapted principal part
+    # c3*t^3 + c1*t + c0 (t = y/x^2) has a double root
+    DOUBLE_ROOT_PHASES = [
+        ("y^3 + x^2*y^2", CASE_BIV, 1),
+        ("y^3 + x^2*y^2 + x^7", CASE_BIV, 1),
+        ("y^3 + x^2*y^2 + x^8", CASE_BIV, 1),
+        ("y^3 - 3*x^4*y + 2*x^6", CASE_BIV, 1),
+        ("y^3 - 3*x^4*y + 2*x^6 + x^7", CASE_BIV, 1),
+    ]
 
-    @pytest.mark.parametrize("text,tag,expected", PHASES)
+    @pytest.mark.parametrize("text,tag,expected", PHASES + DOUBLE_ROOT_PHASES)
     def test_linear_images_keep_the_multiplicity(self, text, tag, expected):
         rng = random.Random(f"multiplicity {text}")
         p = parse_polynomial(text)
@@ -371,7 +386,7 @@ class TestMultiplicityInvariance:
             assert kind.tag == tag
             assert multiplicity_mfrak(image, kind) == expected, image.to_string()
             if tag != CASE_C:
-                # Dinf and CaseBIV: the class rule agrees with the adapted polygon
+                # Dinf and CaseBIV: the rule agrees with the adapted polygon
                 assert _principal_face_multiplicity(image, kind) == expected
 
     def test_double_factor_off_the_axes(self):
@@ -485,22 +500,21 @@ def _cap_kind(p):
     """The ladder's cap line on its own, the reference every rung must match:
     one classification of p at ``default_truncation(p)``."""
     taylor_support(p)
-    return classify._classify(p, classify.default_truncation(p), classify._Orders(p))
+    return classify._classify(p, classify.default_truncation(p), classify._Orders(p))[0]
 
 
 def _branch_equation(p):
-    """The jet the classifier solves for p at the cap, with its kind, frame
-    and truncation: f_y of the normalized phase (D rows), or f_yy after the
-    triple-direction normalization (E rows); None for the other kinds."""
-    trunc = classify.default_truncation(p)
-    kind = _cap_kind(p)
-    if kind.tag == D_TYPE:
-        frame = d_normal_form(p).normal_map
-        return kind, frame, apply_linear(p, frame).truncate(trunc).partial(1), trunc
-    if kind.tag in (E6, E7, E8, CASE_BIV):
-        frame = classify._cubic_branch_orders(p, trunc, classify._Orders(p))[2].frame
-        return kind, frame, apply_linear(p, frame).truncate(trunc).partial(1).partial(1), trunc
-    return None
+    """The jet the classifier solved for p on the rung that decided its kind,
+    with the kind, frame and truncation: f_y of the normalized phase (D rows),
+    or f_yy after the triple-direction normalization (E rows); None for the
+    other kinds."""
+    kind, trunc, solve = classify._ladder(p)
+    if solve is None or not kind.is_supported:
+        return None
+    f = apply_linear(p, solve.frame).truncate(trunc)
+    for _ in range(solve.k):
+        f = f.partial(1)
+    return kind, solve.frame, f, trunc
 
 
 def _row_images(row):
@@ -565,7 +579,7 @@ class TestPinnedBranch:
                 psi = d_normal_form(image).psi
                 assert psi.trunc == pinned
                 assert psi == branch
-            adapted = adapted_polynomial(image, kind=kind)
+            adapted = adapted_polynomial(image)
             assert adapted.trunc == pinned
             assert adapted == apply_shear(apply_linear(image, frame), branch)
 
@@ -575,7 +589,7 @@ class TestPinnedBranch:
         # the sheared jet must show them as its y^0 and y^1 slices, with no y^2 slice
         for image in _row_images(row):
             kind = classify_singularity(image)
-            adapted = adapted_polynomial(image, kind=kind)
+            adapted = adapted_polynomial(image)
             assert adapted.y_slice(2).is_zero()
             assert (adapted.y_slice(0).order(), adapted.y_slice(1).order()) == (kind.k0, kind.k1)
 
@@ -623,6 +637,15 @@ def _corpus_images(draw):
     return p
 
 
+_DEGREE_128 = "x*(y - x^3)^2 + x^9 + y^4*(y^3 + y*x^3)*(-1/3 + y^10 - y)^12"
+
+
+def _leading(jet):
+    """The order of a jet and its coefficient there (None for an infinite order)."""
+    order = jet.order()
+    return order, None if order == INFINITE_ORDER else jet.coefficient(order)
+
+
 class TestTruncationLadder:
     @settings(max_examples=150, deadline=None)
     @given(p=_corpus_images())
@@ -640,12 +663,55 @@ class TestTruncationLadder:
         assume(p.total_degree() <= 64)
         assert _outcome(p) == _outcome(p, at_cap=True)
 
+    @settings(max_examples=100, deadline=None)
+    @given(p=_corpus_images())
+    def test_output_jets_are_prefixes_of_the_cap_jets(self, p):
+        # the reference is the cap line's own solve, as in _cap_kind
+        assume(p.total_degree() <= 64)
+        try:
+            kind, solve = classify._classify(p, classify.default_truncation(p), classify._Orders(p))
+        except (NormalizationFailed, TruncationTooSmall) as exc:
+            with pytest.raises(type(exc)):
+                d_normal_form(p)
+            with pytest.raises(type(exc)):
+                adapted_polynomial(p)
+            return
+        if solve is not None and solve.k == 1:
+            nf = d_normal_form(p)
+            psi, b0 = solve.branch(), substitute_y(solve.image, solve.psi)
+            assert ((nf.m, nf.omega0), (nf.n, nf.beta0)) == (_leading(psi), _leading(b0))
+            assert nf.normal_map == solve.frame
+            assert nf.psi == psi.truncate(nf.psi.trunc)
+            assert nf.b0 == b0.truncate(nf.b0.trunc)
+        else:
+            with pytest.raises(NormalizationFailed):
+                d_normal_form(p)
+        if not kind.is_supported:
+            with pytest.raises(UnsupportedKindError):
+                adapted_polynomial(p)
+        elif solve is None:
+            assert adapted_polynomial(p) is p
+        else:
+            adapted = adapted_polynomial(p)
+            assert adapted == apply_shear(solve.image, solve.branch()).truncate(adapted.trunc)
+
     def test_degree_128_phase_is_decided_on_a_low_rung(self):
         # 2*deg + 16 = 272; at that truncation the solve did not finish in 100 s
-        p = parse_polynomial("x*(y - x^3)^2 + x^9 + y^4*(y^3 + y*x^3)*(-1/3 + y^10 - y)^12")
-        kind, trunc = classify._ladder(p)
+        kind, trunc, _ = classify._ladder(parse_polynomial(_DEGREE_128))
         assert (kind.label(), kind.m, kind.n) == ("D10", 3, 9)
         assert trunc <= 32
+
+    def test_degree_128_outputs_are_read_on_the_deciding_rung(self):
+        # solving again at the cap did not finish in 30 s
+        p = parse_polynomial(_DEGREE_128)
+        _, _, f, trunc = _branch_equation(p)
+        assert trunc <= 32
+        nf = d_normal_form(p)
+        assert (nf.m, nf.n) == (3, 9)
+        assert nf.psi.trunc == _pinned_degree(f, trunc)
+        adapted = adapted_polynomial(p)
+        assert adapted.trunc == nf.psi.trunc
+        assert build_polygon(taylor_support(adapted)).distance == F(9, 5)
 
     @pytest.mark.parametrize(
         "text,label,trunc",
@@ -667,7 +733,7 @@ class TestTruncationLadder:
     )
     def test_rungs(self, text, label, trunc):
         p = parse_polynomial(text)
-        kind, used = classify._ladder(p)
+        kind, used, _ = classify._ladder(p)
         assert (kind.label(), used) == (label, trunc)
         assert kind == _cap_kind(p)
 
