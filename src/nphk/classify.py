@@ -21,16 +21,20 @@ Heights attached to each class are exact rationals: D(m, n) has
 h = 2n/(n+1) and linear height min(h, (2m+1)/(m+1)); E6, E7, E8 carry 12/7,
 9/5, 15/8; D4 carries 3/2; CaseBIV and CaseC carry 2.  The coordinate system
 is linearly adapted exactly when the two heights agree (for D types:
-2m+1 >= n).  The multiplicity is 1 exactly for CaseC with a double real
-factor in the quartic part and for CaseBIV with (k0, k1) = (6, 4) whose
-adapted principal part has a double root.
+2m+1 >= n).  The multiplicity of a height-two class, read for the kind its
+caller passes, follows one rule: it is 1 exactly when the principal form has
+a real double line.  That form is the quartic part for CaseC and the
+weighted sextic of the cubic frame for CaseBIV, where only (k0, k1) = (6, 4)
+can score.
 
-Real linear factors of the cubic and quartic parts are read off the
-dehomogenized form with the exact ``UnivariatePolynomial`` algebra of
-``polyring``: Yun's square-free decomposition gives the repeated (hence
-rational) factors, and a Sturm count decides whether a factor has a real
-root.  One frame routine sends the repeated cubic factor of every rank-zero
-branch path to the y-axis.  All solves run on exact rational jets.
+One reader, ``_line_factors``, finds the real lines dividing a binary form
+and their multiplicities, with the exact ``UnivariatePolynomial`` algebra of
+``polyring``: the axes off the extreme powers of y, then Yun's square-free
+decomposition of the dehomogenized form, whose linear factors are rational,
+and a Sturm count for a longer factor.  The vanishing order on the circle,
+the cubic frame and the multiplicity all read lines through it.  One frame
+routine sends the repeated cubic factor of every rank-zero branch path to
+the y-axis.  All solves run on exact rational jets.
 ``classify_singularity`` climbs a doubling ladder: it classifies the jet of
 the phase at 16, 32, ... below the cap 2*deg + 16 and keeps the first
 answer whose every order is certified for the phase itself, a finite order
@@ -48,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .newton import taylor_support
 from .polyring import (
@@ -159,53 +163,43 @@ class HeightReport:
 # -- real linear factors of binary forms --------------------------------------
 
 
-def _hom_profile(hom: BivariatePolynomial) -> Tuple[int, int, UnivariatePolynomial]:
-    """Multiplicities of the axis factors, and the dehomogenized core.
+def _line_factors(form: BivariatePolynomial) -> Dict[int, Optional[Tuple[Fraction, Fraction]]]:
+    """Each multiplicity of a real line dividing a nonzero binary form, mapped
+    to the rational (a, b) of a line a*x + b*y with it, or to None when only
+    irrational lines have that multiplicity.
 
-    Writes hom = x^(d-jmax) * y^jmin * core(x, y) and returns the core as the
-    univariate polynomial u(s) = core(1, s).
+    The axes come first, off the lowest and highest power of y (y wins a
+    tie).  Then come Yun's factors of form(1, s): a degree-1 factor s - r is
+    the line y - r*x, and a longer one counts when its Sturm count is positive.
     """
-    by_y = {b: c for (_, b), c in hom.terms.items()}
-    jmin = min(by_y)
-    jmax = max(by_y)
+    by_y = {b: c for (_, b), c in form.terms.items()}
+    jmin, jmax = min(by_y), max(by_y)
+    x_mult = form.total_degree() - jmax
+    lines = {x_mult: (Fraction(1), Fraction(0))} if x_mult else {}
+    if jmin:
+        lines[jmin] = (Fraction(0), Fraction(1))  # y wins a tie
     u = UnivariatePolynomial({j - jmin: c for j, c in by_y.items()})
-    return hom.total_degree() - jmax, jmin, u
+    for factor, mult in u.squarefree_decomposition():
+        if mult in lines:
+            continue
+        if factor.degree() == 1:
+            lines[mult] = (factor.coefficient(0), Fraction(1))
+        elif factor.real_root_count() > 0:
+            lines[mult] = None
+    return lines
 
 
 def circle_vanishing_order(hom: BivariatePolynomial) -> int:
     """Largest multiplicity of a real linear factor of a homogeneous polynomial.
 
-    Returns 0 when no real line divides it.  Multiple factors are rational and
-    come out of the squarefree decomposition; the existence of simple real
-    factors is decided by a Sturm count.
+    Returns 0 when no real line divides it.
     """
     if hom.is_zero():
         raise ValueError("vanishing order of the zero polynomial is undefined")
     degrees = {a + b for (a, b) in hom.terms}
     if len(degrees) != 1:
         raise ValueError("input is not homogeneous")
-    x_mult, y_mult, u = _hom_profile(hom)
-    best = max(x_mult, y_mult)
-    for factor, mult in u.squarefree_decomposition():
-        if mult > best and factor.real_root_count() > 0:
-            best = mult
-    return best
-
-
-def _repeated_linear_factor(hom: BivariatePolynomial, mult: int) -> Tuple[Fraction, Fraction]:
-    """The real linear factor a*x + b*y of the given multiplicity (it is rational)."""
-    x_mult, y_mult, u = _hom_profile(hom)
-    if y_mult == mult:
-        return (Fraction(0), Fraction(1))
-    if x_mult == mult:
-        return (Fraction(1), Fraction(0))
-    for factor, k in u.squarefree_decomposition():
-        if k == mult and factor.degree() == 1:
-            # the monic factor s - r of u(s) is the line y - r*x
-            return (factor.coefficient(0), Fraction(1))
-    raise NormalizationFailed(
-        f"no rational linear factor of multiplicity {mult} in {hom.to_string()}"
-    )
+    return max(_line_factors(hom), default=0)
 
 
 def _normalizing_map(direction: Tuple[Fraction, Fraction]) -> LinearMap2:
@@ -320,7 +314,10 @@ def _cubic_frame(p: BivariatePolynomial, mult: int) -> Tuple[LinearMap2, Bivaria
     p3 = p.homogeneous_part(3)
     if p3.is_zero():
         raise NormalizationFailed(f"cubic part has no real factor of multiplicity {mult}")
-    nmap = _normalizing_map(_repeated_linear_factor(p3, mult))
+    line = _line_factors(p3).get(mult)
+    if line is None:
+        raise NormalizationFailed(f"no rational linear factor of multiplicity {mult} in {p3.to_string()}")
+    nmap = _normalizing_map(line)
     pn = apply_linear(p, nmap)
     p3n = pn.homogeneous_part(3)
     alpha, beta = p3n.coefficient(1, 2), p3n.coefficient(0, 3)
@@ -661,36 +658,33 @@ def adapted_polynomial(p: BivariatePolynomial) -> BivariatePolynomial:
     return apply_shear(solve.image, solve.branch())
 
 
-def multiplicity_mfrak(
-    p: BivariatePolynomial, kind: Optional[SingularityKind] = None
-) -> int:
+def multiplicity_mfrak(p: BivariatePolynomial, kind: SingularityKind) -> int:
     """1 when the adapted polygon's principal face is the vertex (h, h) or a
     compact edge whose principal part has a real root of multiplicity h.
 
-    Both need an integer h, so only h = 2 classes can score.  Adapted, Dinf
-    has the horizontal ray at (0, 2) or (1, 2) as its principal face.  A CaseC
-    phase is adapted as given and scores exactly when a real double factor of
-    its quartic part, sent to an axis, leaves x^2*y^2 as the corner of the
-    line a + b = 4.  The adapted jet of CaseBIV has no y^2 slice, so its
-    principal part c3*t^3 + c1*t + c0 (t = y/x^2) on the edge a + 2b = 6 can
-    have a double root only when (k0, k1) = (6, 4); only then is the adapted
-    jet built and the root read off Yun's decomposition.
+    Reads p for the given ``kind`` and never classifies.  Only h = 2 classes
+    can score, by one rule: the principal form has a real double line.  Dinf
+    scores 0 (its adapted principal face is a horizontal ray).  For CaseC the
+    form is the quartic part: a double line sent to an axis leaves the corner
+    x^2*y^2 of a + b = 4.  For CaseBIV it is the weighted sextic Q of the
+    cubic frame (weights (1, 2)), read as a binary cubic: the adapted shear
+    y -> y + w*x^2 + O(x^3) turns Q(1, t) into Q(1, t + w), the principal
+    part c3*t^3 + c1*t + c0 (t = y/x^2) on the edge a + 2b = 6, and a
+    translation keeps root multiplicities.  Only (k0, k1) = (6, 4) can have
+    a double root there, so only then is the frame built.
     """
-    if kind is None:
-        kind = classify_singularity(p)
     height(kind)  # raises for unsupported kinds
     if kind.tag == CASE_C:
         return int(circle_vanishing_order(p.homogeneous_part(4)) == 2)
     if kind.tag == CASE_BIV and (kind.k0, kind.k1) == (6, 4):
-        adapted = adapted_polynomial(p)
-        part = UnivariatePolynomial({b: adapted.coefficient(6 - 2 * b, b) for b in (0, 1, 3)})
-        return int(any(mult == 2 for _, mult in part.squarefree_decomposition()))
+        _, pn = _cubic_frame(p, 3)
+        cubic = BivariatePolynomial({(3 - b, b): pn.coefficient(6 - 2 * b, b) for b in range(4)})
+        return int(circle_vanishing_order(cubic) == 2)
     return 0
 
 
-def height_report(p: BivariatePolynomial, kind: Optional[SingularityKind] = None) -> HeightReport:
-    if kind is None:
-        kind = classify_singularity(p)
+def height_report(p: BivariatePolynomial, kind: SingularityKind) -> HeightReport:
+    """Heights, multiplicity and linear adaptedness of p, whose class is ``kind``."""
     h = height(kind)
     h_lin = linear_height(kind)
     return HeightReport(

@@ -363,10 +363,6 @@ class UnivariatePolynomial(_SparseJet):
     _degree = staticmethod(int)
     _convolve = staticmethod(_convolve_x)
 
-    @staticmethod
-    def monomial(d: int, c: Coeff = 1, trunc: Optional[int] = None) -> "UnivariatePolynomial":
-        return UnivariatePolynomial({d: _frac(c)}, trunc)
-
     @property
     def coeffs(self) -> dict:
         return dict(self._terms)
@@ -657,12 +653,26 @@ class _Tokenizer:
         return tok, pos
 
 
+# Bounds on phase text, checked before any recursion or product runs past them:
+# four Python frames per parenthesis keep 100 levels well inside the default
+# recursion limit, and a power or product of total degree above 128 is
+# refused before it is expanded.
+MAX_NESTING = 100
+MAX_DEGREE = 128
+
+
 class _Parser:
     """Recursive descent for: sums of terms; term = factors joined by '*' or
     juxtaposition; factor = atom ['^' int]; atom = rational | x | y | (expr)."""
 
     def __init__(self, text: str):
         self.tz = _Tokenizer(text)
+        self.depth = 0
+
+    @staticmethod
+    def _check_degree(degree, pos: int):
+        if degree > MAX_DEGREE:
+            raise ParseError(f"total degree {degree} exceeds MAX_DEGREE = {MAX_DEGREE}", pos)
 
     def parse(self) -> BivariatePolynomial:
         result = self.expression()
@@ -692,21 +702,22 @@ class _Parser:
     def term(self) -> BivariatePolynomial:
         total = self.factor()
         while True:
-            tok, _ = self.tz.peek()
+            tok, pos = self.tz.peek()
             if tok is None:
                 break
             if tok[0] == "op" and tok[1] == "*":
                 self.tz.next()
-                total = total * self.factor()
-            elif tok[0] in ("int", "var") or (tok[0] == "op" and tok[1] == "("):
-                total = total * self.factor()  # juxtaposition
-            else:
+            elif not (tok[0] in ("int", "var") or (tok[0] == "op" and tok[1] == "(")):
                 break
+            # '*' or juxtaposition
+            rhs = self.factor()
+            self._check_degree(total.total_degree() + rhs.total_degree(), pos)
+            total = total * rhs
         return total
 
     def factor(self) -> BivariatePolynomial:
         base = self.atom()
-        tok, _ = self.tz.peek()
+        tok, op_pos = self.tz.peek()
         if tok is not None and tok[0] == "op" and tok[1] == "^":
             self.tz.next()
             tok, pos = self.tz.next()
@@ -714,6 +725,9 @@ class _Parser:
                 raise ParseError("negative exponent", pos)
             if tok is None or tok[0] != "int":
                 raise ParseError("exponent must be a nonnegative integer", pos)
+            degree = base.total_degree()
+            if degree > 0:  # a constant keeps any exponent
+                self._check_degree(degree * tok[1], op_pos)
             base = base ** tok[1]
         return base
 
@@ -736,10 +750,14 @@ class _Parser:
         if tok[0] == "var":
             return BivariatePolynomial.var_x() if tok[1] == "x" else BivariatePolynomial.var_y()
         if tok[0] == "op" and tok[1] == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than MAX_NESTING = {MAX_NESTING}", pos)
             inner = self.expression()
             close, cpos = self.tz.next()
             if close is None or close[0] != "op" or close[1] != ")":
                 raise ParseError("expected ')'", cpos)
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected token {tok[1]!r}", pos)
 
@@ -750,6 +768,8 @@ def parse_polynomial(text: str) -> BivariatePolynomial:
     Grammar: terms joined by + and -; a term is rationals and monomials joined
     by '*' (or juxtaposition); powers use '^' with nonnegative integer
     exponents; parenthesized subexpressions may be raised to powers, e.g.
-    ``(y - x^2)^2 + 1/3*x^7``.
+    ``(y - x^2)^2 + 1/3*x^7``.  Text nested in more than ``MAX_NESTING``
+    parentheses, and a power or product of total degree above ``MAX_DEGREE``,
+    raise ParseError at the offending '(' or operator, before expanding it.
     """
     return _Parser(text).parse()

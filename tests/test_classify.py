@@ -174,7 +174,7 @@ class TestClassify:
         _, pn = classify._cubic_frame(p, mult)
         assert set(pn.homogeneous_part(3).terms) == {(3 - mult, mult)}
         # a wrong direction leaves the cubic part off that shape
-        with mock.patch.object(classify, "_repeated_linear_factor", return_value=(F(1), F(1))):
+        with mock.patch.object(classify, "_line_factors", return_value={mult: (F(1), F(1))}):
             with pytest.raises(NormalizationFailed, match="did not normalize"):
                 classify._cubic_frame(p, mult)
 
@@ -317,26 +317,33 @@ class TestAffineInvariance:
         assert checked == 40
 
 
+def _multiplicity(p):
+    return multiplicity_mfrak(p, classify_singularity(p))
+
+
 class TestMultiplicity:
     def test_examples(self):
-        assert multiplicity_mfrak(parse_polynomial("(y - x^2)^2 + x^7")) == 0
-        assert multiplicity_mfrak(parse_polynomial("y^3 + x^4")) == 0
-        assert multiplicity_mfrak(parse_polynomial("x^2*y^2 + x^4*y^4")) == 1
-        assert multiplicity_mfrak(parse_polynomial("x^4 + y^4")) == 0
-        assert multiplicity_mfrak(parse_polynomial("(y - x^2)^2")) == 0
+        assert _multiplicity(parse_polynomial("(y - x^2)^2 + x^7")) == 0
+        assert _multiplicity(parse_polynomial("y^3 + x^4")) == 0
+        assert _multiplicity(parse_polynomial("x^2*y^2 + x^4*y^4")) == 1
+        assert _multiplicity(parse_polynomial("x^4 + y^4")) == 0
+        assert _multiplicity(parse_polynomial("(y - x^2)^2")) == 0
 
-    @pytest.mark.parametrize("text", ["(y - x^2)^2", "y^3 + x^6", "x^4 + y^4", "x^2*y^2 + x^4*y^4"])
+    EXPECTED = {"(y - x^2)^2": 0, "y^3 + x^6": 0, "x^4 + y^4": 0, "x^2*y^2 + x^4*y^4": 1}
+
+    @pytest.mark.parametrize("text", list(EXPECTED))
     def test_given_kind_is_not_classified_again(self, text):
         p = parse_polynomial(text)
         kind = classify_singularity(p)
-        expected = multiplicity_mfrak(p)
+        expected = self.EXPECTED[text]
         with mock.patch.object(classify, "classify_singularity", wraps=classify_singularity) as spy:
             assert multiplicity_mfrak(p, kind) == expected
             assert height_report(p, kind).multiplicity == expected
         assert spy.call_count == 0
 
     def test_report(self):
-        rep = height_report(parse_polynomial("(y - x^2)^2 + x^7"))
+        p = parse_polynomial("(y - x^2)^2 + x^7")
+        rep = height_report(p, classify_singularity(p))
         assert rep.h == F(7, 4) and rep.h_lin == F(5, 3)
         assert not rep.linearly_adapted and rep.multiplicity == 0
 
@@ -392,7 +399,21 @@ class TestMultiplicityInvariance:
     def test_double_factor_off_the_axes(self):
         # the image of x^2*y^2 + ... under (x, y) -> (x + y, x - y)
         p = apply_linear(parse_polynomial("x^2*y^2 + x^5 + y^5"), LinearMap2(1, 1, 1, -1))
-        assert multiplicity_mfrak(p) == 1
+        assert _multiplicity(p) == 1
+
+    @pytest.mark.parametrize("text,tag,expected", DOUBLE_ROOT_PHASES + [("y^3 + x^6", CASE_BIV, 0)])
+    def test_case_biv_reads_the_frame_without_classifying(self, text, tag, expected):
+        # the weighted sextic of the cubic frame decides: no ladder climb, no
+        # classification and no adapted jet once the kind is given
+        p = parse_polynomial(text)
+        kind = classify_singularity(p)
+        with (
+            mock.patch.object(classify, "_ladder", wraps=classify._ladder) as ladder,
+            mock.patch.object(classify, "classify_singularity", wraps=classify_singularity) as classified,
+            mock.patch.object(classify, "adapted_polynomial", wraps=adapted_polynomial) as adapted,
+        ):
+            assert height_report(p, kind).multiplicity == expected
+        assert (ladder.call_count, classified.call_count, adapted.call_count) == (0, 0, 0)
 
     @pytest.mark.parametrize("text", [text for text, _, _ in PHASES])
     def test_no_branch_is_solved(self, text):
@@ -748,6 +769,6 @@ class TestTruncationLadder:
         # three rungs, one call of the module attribute that tracers wrap
         p = parse_polynomial("x*(y - x^2)^2 + x^40")
         with mock.patch.object(classify, "classify_singularity", wraps=classify_singularity) as spy:
-            assert height_report(p).h == F(80, 41)
+            assert height_report(p, classify.classify_singularity(p)).h == F(80, 41)
         assert spy.call_count == 1
         assert classify._ladder(p)[1] == 64

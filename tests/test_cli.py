@@ -69,6 +69,20 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out)
         assert "error" in payload and payload["exit_code"] == cli.EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "phi,bound",
+        [
+            ("(" * 3000 + "x^2*y + y^3" + ")" * 3000, "MAX_NESTING = 100"),
+            ("(x + y)^4000", "MAX_DEGREE = 128"),
+            ("y^2 + x^1000000000", "MAX_DEGREE = 128"),
+        ],
+    )
+    def test_input_beyond_a_bound_is_a_parse_error(self, capsys, phi, bound):
+        code = cli.main(["analyze", "--phi", phi])
+        assert code == cli.EXIT_PARSE
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["exit_code"] == cli.EXIT_PARSE and bound in payload["error"]
+
     def test_rational_field_schema(self, capsys):
         _, report = analyze_json(capsys, "--phi", "(y - x^3)^2 + x^9", "--p", "1,6/5,3/2")
         fields = [report["h"], report["h_lin"], report["polygon"]["distance"]]

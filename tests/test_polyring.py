@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from nphk.polyring import (
     INFINITE_ORDER,
+    MAX_DEGREE,
+    MAX_NESTING,
     BivariatePolynomial,
     LinearMap2,
     ParseError,
@@ -71,6 +73,43 @@ class TestParse:
         for _ in range(60):
             p = rand_poly(rng)
             assert parse_polynomial(p.to_string()) == p
+
+
+_DEGREE_128 = "x*(y - x^3)^2 + x^9 + y^4*(y^3 + y*x^3)*(-1/3 + y^10 - y)^12"
+
+
+class TestInputBounds:
+    def test_nesting_is_refused_at_the_parenthesis_past_the_bound(self):
+        deep = "(" * MAX_NESTING + "x^2*y + y^3" + ")" * MAX_NESTING
+        assert parse_polynomial(deep) == parse_polynomial("x^2*y + y^3")
+        with pytest.raises(ParseError, match="MAX_NESTING = 100") as err:
+            parse_polynomial("x + (" + deep + ")")
+        assert err.value.position == 4 + MAX_NESTING
+        # far past the bound, where the recursion itself would overflow
+        with pytest.raises(ParseError, match="MAX_NESTING") as err:
+            parse_polynomial("(" * 3000 + "x^2*y + y^3" + ")" * 3000)
+        assert err.value.position == MAX_NESTING
+
+    @pytest.mark.parametrize(
+        "text,position",
+        [
+            ("(x + y)^4000", 7),
+            ("y^2 + x^1000000000", 7),
+            ("(x^2)^65", 5),
+            ("x^100*x^29", 5),
+            ("x^100 x^29", 6),
+            ("x^65*(x^64 + 1)", 4),
+        ],
+    )
+    def test_degree_is_refused_at_the_operator_past_the_bound(self, text, position):
+        with pytest.raises(ParseError, match="exceeds MAX_DEGREE = 128") as err:
+            parse_polynomial(text)
+        assert err.value.position == position
+
+    def test_inputs_within_the_bounds_parse(self):
+        assert parse_polynomial("x^100*x^28").total_degree() == MAX_DEGREE
+        assert parse_polynomial(_DEGREE_128).total_degree() == MAX_DEGREE
+        assert parse_polynomial("10^400 + x^2 + y^2").coefficient(0, 0) == 10**400
 
 
 class TestArithmetic:
