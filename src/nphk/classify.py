@@ -302,20 +302,30 @@ def _square_direction(q: BivariatePolynomial) -> Tuple[Fraction, Fraction]:
     return (Fraction(0), Fraction(1))
 
 
-def _cubic_frame(p: BivariatePolynomial, mult: int) -> Tuple[LinearMap2, BivariatePolynomial]:
+def _cubic_lines(p: BivariatePolynomial) -> Dict[int, Optional[Tuple[Fraction, Fraction]]]:
+    """``_line_factors`` of the cubic part of p; empty when it vanishes."""
+    p3 = p.homogeneous_part(3)
+    return {} if p3.is_zero() else _line_factors(p3)
+
+
+def _cubic_frame(
+    p: BivariatePolynomial, mult: int, line: Optional[Tuple[Fraction, Fraction]]
+) -> Tuple[LinearMap2, BivariatePolynomial]:
     """Map and image of p in the frame of a rank-zero branch path.
 
-    The cubic part's real factor of multiplicity mult (2 or 3) goes to the
-    y-axis, where the cubic part must read c*x^(3-mult)*y^mult.  For mult = 2
-    it reads y^2*(alpha*x + beta*y) first; the shear x -> x - (beta/alpha)*y
-    removes the y^3 component, so the frame is rigid up to scalings and the
-    branch orders read in it are linear-invariant.
+    ``line`` is ``_cubic_lines(p).get(mult)``, which the caller reads once
+    per phase: the cubic part is the same on every rung of the truncation
+    ladder.  That real factor of the cubic part, of multiplicity mult (2 or
+    3), goes to the y-axis, where the cubic part must read
+    c*x^(3-mult)*y^mult.  For mult = 2 it reads y^2*(alpha*x + beta*y)
+    first; the shear x -> x - (beta/alpha)*y removes the y^3 component, so
+    the frame is rigid up to scalings and the branch orders read in it are
+    linear-invariant.
     """
-    p3 = p.homogeneous_part(3)
-    if p3.is_zero():
-        raise NormalizationFailed(f"cubic part has no real factor of multiplicity {mult}")
-    line = _line_factors(p3).get(mult)
     if line is None:
+        p3 = p.homogeneous_part(3)
+        if p3.is_zero():
+            raise NormalizationFailed(f"cubic part has no real factor of multiplicity {mult}")
         raise NormalizationFailed(f"no rational linear factor of multiplicity {mult} in {p3.to_string()}")
     nmap = _normalizing_map(line)
     pn = apply_linear(p, nmap)
@@ -472,12 +482,16 @@ def d_normal_form(p: BivariatePolynomial) -> DNormalForm:
     return DNormalForm(m=m, omega0=omega0, n=n, beta0=beta0, psi=psi, b0=b0, normal_map=solve.frame)
 
 
-def _d_normal_form(p: BivariatePolynomial, trunc: int, orders: _Orders) -> Tuple[OrderValue, OrderValue, _Solve]:
+def _d_normal_form(
+    p: BivariatePolynomial, trunc: int, orders: _Orders, line: Optional[Tuple[Fraction, Fraction]]
+) -> Tuple[OrderValue, OrderValue, _Solve]:
     """The orders (m, n) of a squared-branch phase of Hessian rank zero or
-    one, with the branch solve in the adopted frame (see ``d_normal_form``)."""
+    one, with the branch solve in the adopted frame (see ``d_normal_form``).
+    ``line`` is the cubic part's double line (``_cubic_frame``); rank one
+    does not read it."""
     rank = rank_at_origin(p)
     if rank == 0:
-        nmap, pn = _cubic_frame(p, 2)
+        nmap, pn = _cubic_frame(p, 2, line)
     else:
         nmap = _normalizing_map(_square_direction(p.homogeneous_part(2)))
         pn = apply_linear(p, nmap)
@@ -506,16 +520,16 @@ def _d_normal_form(p: BivariatePolynomial, trunc: int, orders: _Orders) -> Tuple
 
 
 def _cubic_branch_orders(
-    p: BivariatePolynomial, trunc: int, orders: _Orders
+    p: BivariatePolynomial, trunc: int, orders: _Orders, line: Optional[Tuple[Fraction, Fraction]]
 ) -> Tuple[OrderValue, OrderValue, _Solve]:
-    """Send the triple cubic direction to the y-axis and read off the remainder orders.
+    """Send the triple cubic direction ``line`` to the y-axis and read off the remainder orders.
 
     Along the branch psi of d2/dy2 p = 0, k0 and k1 are the orders of
     p(x, psi(x)) and d/dy p(x, psi(x)): the pure-x and y-linear slices of
     the phase sheared by y -> y + psi(x), whose y^2 slice vanishes.
     Returns them with the branch solve.
     """
-    nmap, pn = _cubic_frame(p, 3)
+    nmap, pn = _cubic_frame(p, 3, line)
     solve = _solve(pn, nmap, 2, trunc)
     k0 = orders.read(substitute_y(solve.image, solve.psi), "k0", solve, 0)
     k1 = orders.read(substitute_y(solve.image.partial(1), solve.psi), "k1", solve, 1)
@@ -554,39 +568,43 @@ def _ladder(p: BivariatePolynomial) -> Tuple[SingularityKind, int, Optional[_Sol
     """
     taylor_support(p)  # rejects non-critical phases
     cap = default_truncation(p)
+    # every rung's jet has p's cubic part; only rank zero reads its lines
+    lines = _cubic_lines(p) if rank_at_origin(p) == 0 else {}
     trunc = 16
     while trunc < cap:
         try:
-            kind, solve = _classify(p.truncate(trunc), trunc, _Orders(p, rung=True))
+            kind, solve = _classify(p.truncate(trunc), trunc, _Orders(p, rung=True), lines)
             return kind, trunc, solve
         except (TruncationTooSmall, NormalizationFailed):
             trunc *= 2
-    kind, solve = _classify(p, cap, _Orders(p))
+    kind, solve = _classify(p, cap, _Orders(p), lines)
     return kind, cap, solve
 
 
-def _classify(p: BivariatePolynomial, trunc: int, orders: _Orders) -> Tuple[SingularityKind, Optional[_Solve]]:
+def _classify(
+    p: BivariatePolynomial, trunc: int, orders: _Orders, lines: Dict[int, Optional[Tuple[Fraction, Fraction]]]
+) -> Tuple[SingularityKind, Optional[_Solve]]:
     """The kind of p and the branch solve it was read from: the k = 1 solve
     in the adopted frame on the D path, the k = 2 solve on the E path, None
-    where no branch is solved (rank two, D4 and the quartic path)."""
+    where no branch is solved (rank two, D4 and the quartic path).  ``lines``
+    is ``_cubic_lines(p)`` when p has rank zero."""
     rank = rank_at_origin(p)
     if rank == 2:
         return SingularityKind.marker(NONDEGENERATE_OR_RANK_POSITIVE), None
     if rank == 1:
-        m, n, solve = _d_normal_form(p, trunc, orders)
+        m, n, solve = _d_normal_form(p, trunc, orders, None)
         if m == INFINITE_ORDER:
             return SingularityKind.marker(NONDEGENERATE_OR_RANK_POSITIVE), solve
         return SingularityKind.d_type(m, n), solve
 
-    p3 = p.homogeneous_part(3)
-    if not p3.is_zero():
-        vanishing = circle_vanishing_order(p3)
+    if lines:  # the cubic part is not zero
+        vanishing = max(lines)
         if vanishing == 1:
             return SingularityKind.d4(), None
         if vanishing == 2:
-            m, n, solve = _d_normal_form(p, trunc, orders)
+            m, n, solve = _d_normal_form(p, trunc, orders, lines[2])
             return SingularityKind.d_type(m, n), solve
-        k0, k1, solve = _cubic_branch_orders(p, trunc, orders)
+        k0, k1, solve = _cubic_branch_orders(p, trunc, orders, lines[3])
         if k0 == 4:
             return SingularityKind(E6, k0=k0, k1=k1), solve
         if k1 == 3:
@@ -677,7 +695,7 @@ def multiplicity_mfrak(p: BivariatePolynomial, kind: SingularityKind) -> int:
     if kind.tag == CASE_C:
         return int(circle_vanishing_order(p.homogeneous_part(4)) == 2)
     if kind.tag == CASE_BIV and (kind.k0, kind.k1) == (6, 4):
-        _, pn = _cubic_frame(p, 3)
+        _, pn = _cubic_frame(p, 3, _cubic_lines(p).get(3))
         cubic = BivariatePolynomial({(3 - b, b): pn.coefficient(6 - 2 * b, b) for b in range(4)})
         return int(circle_vanishing_order(cubic) == 2)
     return 0

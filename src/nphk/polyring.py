@@ -655,10 +655,13 @@ class _Tokenizer:
 
 # Bounds on phase text, checked before any recursion or product runs past them:
 # four Python frames per parenthesis keep 100 levels well inside the default
-# recursion limit, and a power or product of total degree above 128 is
-# refused before it is expanded.
+# recursion limit, a power or product of total degree above 128 is refused
+# before it is expanded, and so is a power of a constant whose numerator or
+# denominator would pass 4096 bits (10^400 has 1329; 10^999999999 would take
+# about 400 MB).
 MAX_NESTING = 100
 MAX_DEGREE = 128
+MAX_CONSTANT_BITS = 4096
 
 
 class _Parser:
@@ -673,6 +676,17 @@ class _Parser:
     def _check_degree(degree, pos: int):
         if degree > MAX_DEGREE:
             raise ParseError(f"total degree {degree} exceeds MAX_DEGREE = {MAX_DEGREE}", pos)
+
+    @staticmethod
+    def _check_constant_power(value: Fraction, k: int, pos: int):
+        # |n|^k has at least k*(bits(n) - 1) + 1 bits, so only a power below
+        # about 2 * MAX_CONSTANT_BITS bits is ever computed to be measured
+        for part in (value.numerator, value.denominator):
+            bits = abs(part).bit_length()
+            if bits > 1 and (
+                k * (bits - 1) >= MAX_CONSTANT_BITS or (abs(part) ** k).bit_length() > MAX_CONSTANT_BITS
+            ):
+                raise ParseError(f"a constant power exceeds MAX_CONSTANT_BITS = {MAX_CONSTANT_BITS} bits", pos)
 
     def parse(self) -> BivariatePolynomial:
         result = self.expression()
@@ -726,8 +740,10 @@ class _Parser:
             if tok is None or tok[0] != "int":
                 raise ParseError("exponent must be a nonnegative integer", pos)
             degree = base.total_degree()
-            if degree > 0:  # a constant keeps any exponent
+            if degree > 0:
                 self._check_degree(degree * tok[1], op_pos)
+            else:
+                self._check_constant_power(base.coefficient(0, 0), tok[1], op_pos)
             base = base ** tok[1]
         return base
 
@@ -769,7 +785,9 @@ def parse_polynomial(text: str) -> BivariatePolynomial:
     by '*' (or juxtaposition); powers use '^' with nonnegative integer
     exponents; parenthesized subexpressions may be raised to powers, e.g.
     ``(y - x^2)^2 + 1/3*x^7``.  Text nested in more than ``MAX_NESTING``
-    parentheses, and a power or product of total degree above ``MAX_DEGREE``,
-    raise ParseError at the offending '(' or operator, before expanding it.
+    parentheses, a power or product of total degree above ``MAX_DEGREE``, and
+    a power of a constant whose numerator or denominator would have more
+    than ``MAX_CONSTANT_BITS`` bits raise ParseError at the offending '(' or
+    operator, before expanding it.
     """
     return _Parser(text).parse()

@@ -171,12 +171,11 @@ class TestClassify:
     @pytest.mark.parametrize("text,mult", [("y^3 + x^4", 3), ("x*(y - x^2)^2 + x^5", 2)])
     def test_frame_checks_the_cubic_shape(self, text, mult):
         p = parse_polynomial(text)
-        _, pn = classify._cubic_frame(p, mult)
+        _, pn = classify._cubic_frame(p, mult, classify._cubic_lines(p)[mult])
         assert set(pn.homogeneous_part(3).terms) == {(3 - mult, mult)}
         # a wrong direction leaves the cubic part off that shape
-        with mock.patch.object(classify, "_line_factors", return_value={mult: (F(1), F(1))}):
-            with pytest.raises(NormalizationFailed, match="did not normalize"):
-                classify._cubic_frame(p, mult)
+        with pytest.raises(NormalizationFailed, match="did not normalize"):
+            classify._cubic_frame(p, mult, (F(1), F(1)))
 
     def test_true_d_form_with_flat_branch(self):
         # a squared-y factor with a flat branch is still in range at rank zero
@@ -521,7 +520,7 @@ def _cap_kind(p):
     """The ladder's cap line on its own, the reference every rung must match:
     one classification of p at ``default_truncation(p)``."""
     taylor_support(p)
-    return classify._classify(p, classify.default_truncation(p), classify._Orders(p))[0]
+    return classify._classify(p, classify.default_truncation(p), classify._Orders(p), classify._cubic_lines(p))[0]
 
 
 def _branch_equation(p):
@@ -690,7 +689,7 @@ class TestTruncationLadder:
         # the reference is the cap line's own solve, as in _cap_kind
         assume(p.total_degree() <= 64)
         try:
-            kind, solve = classify._classify(p, classify.default_truncation(p), classify._Orders(p))
+            kind, solve = classify._classify(p, classify.default_truncation(p), classify._Orders(p), classify._cubic_lines(p))
         except (NormalizationFailed, TruncationTooSmall) as exc:
             with pytest.raises(type(exc)):
                 d_normal_form(p)

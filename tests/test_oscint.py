@@ -3,6 +3,7 @@ import gc
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -15,14 +16,10 @@ from hypothesis import strategies as st
 from nphk import oscint
 from nphk.classify import UnsupportedKindError
 from nphk.oscint import (
-    CHECK_ORDER,
     DEFAULT_SCAN_HALF_WIDTH,
-    GAUSS_ORDER,
     MAX_COARSE_NODES,
     MAX_FEASIBLE_LAMBDA,
     MAX_SCAN_POINTS,
-    MIN_PANELS,
-    OVERSAMPLE_NODES_PER_CYCLE,
     SINCOS_RANGE,
     AmplitudeSpec,
     BudgetExceeded,
@@ -34,6 +31,8 @@ from nphk.oscint import (
     eval_oscillatory,
     fit_decay,
     randol_lq_scan,
+    _DECAY_RULE,
+    _SCAN_RULE,
     _disc_columns,
     _eval_on_edges,
     _gauss_axis,
@@ -43,9 +42,17 @@ from nphk.oscint import (
     _power,
     _radial_bump,
     _sincos,
-    _strip_cycles,
+    _strip_bounds,
 )
 from nphk.polyring import BivariatePolynomial, parse_polynomial
+
+RULES = [_DECAY_RULE, _SCAN_RULE]
+# the orders of both rules
+ORDERS = sorted({order for rule in RULES for order in (rule.order, rule.check)})
+
+
+def _edges(phi, amp, lam, s_max, rule=_DECAY_RULE):
+    return _panels_for(_strip_bounds(phi, amp, s_max), amp, lam, rule)
 
 
 class TestAmplitude:
@@ -127,7 +134,7 @@ class TestEval:
         calls = [
             lambda: eval_oscillatory(p, amp, 64.0, (math.nan, 0.0)),
             lambda: fit_decay(p, amp, dyadic_grid(64, 256), s=(math.inf, 0.0)),
-            lambda: _panels_for(p, amp, 64.0, (0.0, -math.inf)),
+            lambda: _strip_bounds(p, amp, (0.0, -math.inf)),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="offsets must be finite"):
@@ -150,7 +157,7 @@ class TestEval:
     def test_reported_error_within_tolerance(self):
         amp = AmplitudeSpec()
         phi, s = parse_polynomial("x^2 + y^2"), (0.0, 0.0)
-        _, err = _eval_on_edges(phi, amp, 1024.0, s, _panels_for(phi, amp, 1024.0, s))
+        _, err = _eval_on_edges(phi, amp, 1024.0, s, _edges(phi, amp, 1024.0, s))
         assert err < 1e-3
 
     def test_feasibility_guard(self):
@@ -212,24 +219,24 @@ class TestPanelSizing:
     def test_edges_respect_cycle_and_width_budgets(self, text, amp, s_max, lam):
         phi = parse_polynomial(text)
         r = amp.radius
-        for axis, edges in enumerate(_panels_for(phi, amp, lam, s_max)):
-            assert edges[0] == -r and edges[-1] == r
-            assert np.all(np.diff(edges) > 0)
-            u, cycles = _strip_cycles(phi, amp, lam, s_max[axis], axis)
-            cum = np.concatenate(([0.0], np.cumsum(cycles)))
-            panel_cycles = np.diff(np.interp(edges, u, cum))
-            assert panel_cycles.max() <= GAUSS_ORDER / OVERSAMPLE_NODES_PER_CYCLE * (1 + 1e-9)
-            assert np.diff(edges).max() <= 2 * r / MIN_PANELS * (1 + 1e-9)
+        u, bounds = _strip_bounds(phi, amp, s_max)
+        for rule in RULES:
+            for axis, edges in enumerate(_edges(phi, amp, lam, s_max, rule)):
+                assert edges[0] == -r and edges[-1] == r
+                assert np.all(np.diff(edges) > 0)
+                cycles = lam * bounds[axis] * np.diff(u) / (2 * math.pi)
+                cum = np.concatenate(([0.0], np.cumsum(cycles)))
+                panel_cycles = np.diff(np.interp(edges, u, cum))
+                assert panel_cycles.max() <= rule.cycles * (1 + 1e-9)
+                assert np.diff(edges).max() <= 2 * r / rule.min_panels * (1 + 1e-9)
 
     @pytest.mark.parametrize("text,amp,s_max", SIZING_CASES, ids=SIZING_IDS)
     def test_strip_bound_dominates_sampled_gradient(self, text, amp, s_max):
         # the monomialwise strip bound must cover |d phi / d axis| + |s| on the support
         phi = parse_polynomial(text)
         r = amp.radius
-        lam = 1024.0
-        for axis in (0, 1):
-            u, cycles = _strip_cycles(phi, amp, lam, s_max[axis], axis)
-            bound = cycles * 2 * math.pi / (lam * np.diff(u))
+        u, bounds = _strip_bounds(phi, amp, s_max)
+        for axis, bound in enumerate(bounds):
             grad = phi.partial(axis)
             t = np.linspace(0.0, 1.0, 5)
             along = (u[:-1, None] + np.diff(u)[:, None] * t[None, :]).ravel()
@@ -247,15 +254,16 @@ class TestPanelSizing:
     def test_edges_mirror_exactly(self, text, amp, s_max, lam):
         # _fold pairs u with -u only where the nodes mirror exactly
         phi = parse_polynomial(text)
-        for offsets in ((0.0, 0.0), (DEFAULT_SCAN_HALF_WIDTH, DEFAULT_SCAN_HALF_WIDTH)):
-            for edges in _panels_for(phi, amp, lam, offsets):
-                assert np.array_equal(edges, -edges[::-1])
+        for rule in RULES:
+            for offsets in ((0.0, 0.0), (DEFAULT_SCAN_HALF_WIDTH, DEFAULT_SCAN_HALF_WIDTH)):
+                for edges in _edges(phi, amp, lam, offsets, rule):
+                    assert np.array_equal(edges, -edges[::-1])
 
     def test_mirrored_edges_give_mirrored_nodes_and_equal_weights(self):
-        coarse = _panels_for(parse_polynomial("x^2*y + y^3"), AmplitudeSpec(radius=0.6, order=2), 4096.0, (0.0, 0.0))[1]
+        coarse = _edges(parse_polynomial("x^2*y + y^3"), AmplitudeSpec(radius=0.6, order=2), 4096.0, (0.0, 0.0))[1]
         # the last: an odd panel count, whose middle panel straddles 0
         for edges in (coarse, np.array([-0.4, -0.1, 0.1, 0.4])):
-            for order in (GAUSS_ORDER, CHECK_ORDER):
+            for order in ORDERS:
                 nodes, weights = _gauss_axis(edges, order)
                 assert nodes.size == order * (edges.size - 1)
                 assert np.array_equal(nodes, -nodes[::-1])
@@ -265,17 +273,18 @@ class TestPanelSizing:
         # the four decay_fit phases; a single global gradient bound needed 25,532,500
         total = 0
         for text, amp, s_max in SIZING_CASES[:4]:
-            ex, ey = _panels_for(parse_polynomial(text), amp, 4096.0, s_max)
-            total += GAUSS_ORDER * (ex.size - 1) * GAUSS_ORDER * (ey.size - 1)
+            ex, ey = _edges(parse_polynomial(text), amp, 4096.0, s_max)
+            total += _DECAY_RULE.check * (ex.size - 1) * _DECAY_RULE.check * (ey.size - 1)
         assert total <= 25_532_500 // 4
 
     @pytest.mark.parametrize("text,amp,s_max", SIZING_CASES, ids=SIZING_IDS)
     def test_acceptance_phases_fit_the_node_budget(self, text, amp, s_max):
-        ex, ey = _panels_for(parse_polynomial(text), amp, MAX_FEASIBLE_LAMBDA, s_max)
-        assert GAUSS_ORDER**2 * (ex.size - 1) * (ey.size - 1) <= MAX_COARSE_NODES
+        for rule in RULES:
+            ex, ey = _edges(parse_polynomial(text), amp, MAX_FEASIBLE_LAMBDA, s_max, rule)
+            assert rule.check**2 * (ex.size - 1) * (ey.size - 1) <= MAX_COARSE_NODES
 
 
-def _dense_reference(phi, amp, lam, grids, edges, order=GAUSS_ORDER):
+def _dense_reference(phi, amp, lam, grids, edges, order):
     """Every tensor node summed at once, with the bump written out independently."""
     x, wx = _gauss_axis(edges[0], order)
     y, wy = _gauss_axis(edges[1], order)
@@ -286,6 +295,16 @@ def _dense_reference(phi, amp, lam, grids, edges, order=GAUSS_ORDER):
     bump = np.clip(1.0 - (X**2 + Y**2) / amp.radius**2, 0.0, None) ** amp.order
     f = wx[:, None] * wy[None, :] * bump * np.exp(1j * lam * phase)
     return [np.exp(1j * lam * np.outer(s1, x)) @ f @ np.exp(1j * lam * np.outer(y, s2)) for s1, s2 in grids]
+
+
+def _finer_reference(phi, amp, lam, grids, edges):
+    """The first grid's matrix under order 20 on ``edges`` bisected twice,
+    summed densely a few x panels at a time."""
+    ex, ey = (_bisected(_bisected(e)) for e in edges)
+    return sum(
+        _dense_reference(phi, amp, lam, grids[:1], (ex[i : i + 17], ey), 20)[0]
+        for i in range(0, ex.size - 1, 16)
+    )
 
 
 def _bisected(edges):
@@ -348,55 +367,60 @@ SWEEP_IDS = [
 ]
 
 
-def _case_edges(case):
+def _case_edges(case, rule=_DECAY_RULE):
     text, amp, lam, grids, edges = case
     if edges is None:
         s_max = (max(abs(g[0]).max() for g in grids), max(abs(g[1]).max() for g in grids))
-        edges = _panels_for(parse_polynomial(text), amp, lam, s_max)
+        edges = _edges(parse_polynomial(text), amp, lam, s_max, rule)
     return edges
 
 
 class TestBlockedSweep:
     @pytest.mark.parametrize("case", SWEEP_CASES, ids=SWEEP_IDS)
     def test_matches_dense_reference(self, case):
+        # each rule's value order on its own panels, in its own blocks
         text, amp, lam, grids, _ = case
         phi = parse_polynomial(text)
-        edges = _case_edges(case)
-        if edges[0].size % 2 == 0:
-            assert np.any((edges[0][:-1] < 0) & (edges[0][1:] > 0))
-        got = _osc_grids(phi, amp, lam, grids, edges)
-        want = _dense_reference(phi, amp, lam, grids, edges)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape
-            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+        for rule in RULES:
+            edges = _case_edges(case, rule)
+            if edges[0].size % 2 == 0:
+                assert np.any((edges[0][:-1] < 0) & (edges[0][1:] > 0))
+            got = _osc_grids(phi, amp, lam, grids, edges, rule.order, rule.split)
+            want = _dense_reference(phi, amp, lam, grids, edges, rule.order)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
 
     @pytest.mark.parametrize("case", SWEEP_CASES, ids=SWEEP_IDS)
     def test_skipped_nodes_lie_outside_the_disc(self, case):
+        # the blocks of each rule's value sweep
         _, amp, _, _, _ = case
-        edges = _case_edges(case)
-        x, _ = _gauss_axis(edges[0])
-        y, _ = _gauss_axis(edges[1])
-        kept = 0
-        for row in range(0, x.size, GAUSS_ORDER):
-            xc = x[row : row + GAUSS_ORDER]
-            lo, hi = _disc_columns(amp, xc, y)
-            kept += GAUSS_ORDER * (hi - lo)
-            skipped = np.concatenate((y[:lo], y[hi:]))
-            assert np.all(xc[:, None] ** 2 + skipped[None, :] ** 2 >= amp.radius**2)
-            # the sweep's own bump, from its tables, is exactly zero there too
-            r2 = amp.radius * amp.radius
-            shape = (xc.size, skipped.size)
-            bump = _radial_bump(1.0 - xc * xc / r2, skipped * skipped / r2, amp.order, np.empty(shape), np.empty(shape))
-            assert np.all(bump == 0.0)
-        # the disc is pi/4 of the square; the clipped blocks keep little more
-        assert kept < 0.9 * x.size * y.size
+        for rule in RULES:
+            edges = _case_edges(case, rule)
+            x, _ = _gauss_axis(edges[0], rule.order)
+            y, _ = _gauss_axis(edges[1], rule.order)
+            rows = rule.order // rule.split
+            kept = 0
+            for row in range(0, x.size, rows):
+                xc = x[row : row + rows]
+                lo, hi = _disc_columns(amp, xc, y)
+                kept += xc.size * (hi - lo)
+                skipped = np.concatenate((y[:lo], y[hi:]))
+                assert np.all(xc[:, None] ** 2 + skipped[None, :] ** 2 >= amp.radius**2)
+                # the sweep's own bump, from its tables, is exactly zero there too
+                r2 = amp.radius * amp.radius
+                shape = (xc.size, skipped.size)
+                bump = _radial_bump(1.0 - xc * xc / r2, skipped * skipped / r2, amp.order, np.empty(shape), np.empty(shape))
+                assert np.all(bump == 0.0)
+            # the disc is pi/4 of the square; the clipped blocks keep little more
+            assert kept < 0.9 * x.size * y.size
 
     def test_unmirrored_edges_sweep_the_full_axis(self):
         phi = parse_polynomial("x^2 + y^2")
         amp = AmplitudeSpec(radius=0.4, order=2)
         edges = (np.array([-0.4, 0.1, 0.4]), np.array([-0.4, 0.1, 0.4]))
-        got = _osc_grids(phi, amp, 64.0, _one(0.01, 0.0), edges)[0]
-        want = _dense_reference(phi, amp, 64.0, _one(0.01, 0.0), edges)[0]
+        got = _osc_grids(phi, amp, 64.0, _one(0.01, 0.0), edges, 10)[0]
+        want = _dense_reference(phi, amp, 64.0, _one(0.01, 0.0), edges, 10)[0]
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -419,13 +443,13 @@ class TestBlockedSweep:
     )
     def test_fold_divides_the_evaluated_nodes(self, monkeypatch, text, edges, factor):
         # with the disc clipping off every node is evaluated and counted; the
-        # order-10 and order-14 sweeps both fold.  x^2*y + y^3 folds in x
+        # sweeps of all four orders fold.  x^2*y + y^3 folds in x
         # (even) and y (odd); x*y^2 + x^5 is swept swapped and folds in both;
         # an odd x folds only through the swap, so x*y folds in y alone; a
         # constant term leaves the parity alone.
         phi = parse_polynomial(text)
         amp = AmplitudeSpec(radius=0.4, order=2)
-        edges = edges or _panels_for(phi, amp, 256.0, (0.0, 0.0))
+        edges = edges or _edges(phi, amp, 256.0, (0.0, 0.0))
         evaluated = []
         phase_rows = oscint._phase_rows
 
@@ -435,7 +459,7 @@ class TestBlockedSweep:
 
         monkeypatch.setattr(oscint, "_phase_rows", spy)
         monkeypatch.setattr(oscint, "_disc_columns", lambda amp, xc, y: (0, y.size))
-        for order in (GAUSS_ORDER, CHECK_ORDER):
+        for order in ORDERS:
             evaluated.clear()
             _osc_grids(phi, amp, 256.0, _one(0.0, 0.0), edges, order)
             assert factor * sum(evaluated) == order**2 * (edges[0].size - 1) * (edges[1].size - 1)
@@ -461,7 +485,7 @@ class TestBlockedSweep:
     def test_offsets_evaluate_half_a_mirrored_grid(self, monkeypatch):
         # the row of -s is the conjugate of the row of s, bit for bit
         s = cell_centered_grid(0.3, 16)
-        u, w = _gauss_axis(_mirrored(np.linspace(-0.25, 0.25, 5)))
+        u, w = _gauss_axis(_mirrored(np.linspace(-0.25, 0.25, 5)), 10)
         rows = []
         sincos = oscint._sincos
         monkeypatch.setattr(oscint, "_sincos", lambda theta, *rest: rows.append(theta.shape[0]) or sincos(theta, *rest))
@@ -520,9 +544,9 @@ def test_folded_sweep_equals_unfolded(phi, lam, s):
     amp = AmplitudeSpec(radius=0.25, order=2)
     edges = (_mirrored(np.linspace(-0.25, 0.25, 6)), _mirrored(np.linspace(-0.25, 0.25, 5)))
     grids = _one(*s) + _SCAN_GRIDS[:1]
-    folded = _osc_grids(phi, amp, lam, grids, edges)
+    folded = _osc_grids(phi, amp, lam, grids, edges, 10)
     with mock.patch.object(oscint, "_fold", lambda nodes, weights, parity: (nodes, weights)):
-        unfolded = _osc_grids(phi, amp, lam, grids, edges)
+        unfolded = _osc_grids(phi, amp, lam, grids, edges, 10)
     # Folding reorders the sum, which moves it by rounding on the scale of the
     # sum of |terms|, the bump's mass, not of the value: some draws cancel to
     # 1e-7 of the mass.
@@ -624,8 +648,8 @@ class TestTrigKernel:
         monkeypatch.setattr(oscint, "SINCOS_RANGE", 0.0)
         case = SWEEP_CASES[SWEEP_IDS.index("scan-grids")]
         text, amp, lam, grids, _ = case
-        got = _osc_grids(parse_polynomial(text), amp, lam, grids, _case_edges(case))
-        want = _dense_reference(parse_polynomial(text), amp, lam, grids, _case_edges(case))
+        got = _osc_grids(parse_polynomial(text), amp, lam, grids, _case_edges(case), 10)
+        want = _dense_reference(parse_polynomial(text), amp, lam, grids, _case_edges(case), 10)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
 
@@ -699,12 +723,12 @@ class TestSweepHelpers:
     def test_order_check_above_the_floor(self):
         amp = AmplitudeSpec()
         floor = 1e-9 * amplitude_mass(amp)
-        fine = np.array([[1.0, 0.5 * floor]])
+        value = np.array([[1.0, 0.5 * floor]])
         # the value below the floor does not count
-        assert _order_check(np.array([[1.0 + 5e-4, 0.0]]), fine, amp, "I") == pytest.approx(5e-4)
-        assert _order_check(np.zeros((1, 2)), np.full((1, 2), 0.5 * floor), amp, "I") == 0.0
-        with pytest.raises(QuadratureNotConverged, match=r"order 14 moved the scan by 2\.00e-03"):
-            _order_check(np.array([[1.0 - 2e-3, 0.0]]), fine, amp, "the scan")
+        assert _order_check(np.array([[1.0 + 5e-4, 0.0]]), value, amp, "I", _DECAY_RULE) == pytest.approx(5e-4)
+        assert _order_check(np.zeros((1, 2)), np.full((1, 2), 0.5 * floor), amp, "I", _DECAY_RULE) == 0.0
+        with pytest.raises(QuadratureNotConverged, match=r"order 20 is off order 24 on the scan by 2\.00e-03"):
+            _order_check(np.array([[1.0 - 2e-3, 0.0]]), value, amp, "the scan", _SCAN_RULE)
 
     def test_sweep_leaves_no_reference_cycles(self):
         # the cached node powers are freed with the sweep, not by the cyclic collector
@@ -723,30 +747,46 @@ class TestOrderCheck:
     def test_value_matches_a_finer_reference(self, text, amp, s_max, lam):
         # order 20 on twice-bisected panels, summed densely a few x panels at a time
         phi = parse_polynomial(text)
-        edges = _panels_for(phi, amp, lam, s_max)
+        edges = _edges(phi, amp, lam, s_max)
         value, err = _eval_on_edges(phi, amp, lam, s_max, edges)
-        ex, ey = (_bisected(_bisected(e)) for e in edges)
-        want = sum(
-            _dense_reference(phi, amp, lam, _one(*s_max), (ex[i : i + 17], ey), order=20)[0][0, 0]
-            for i in range(0, ex.size - 1, 16)
-        )
+        want = _finer_reference(phi, amp, lam, _one(*s_max), edges)[0, 0]
         assert abs(value - want) <= 1e-6 * abs(want)
         assert err < 1e-3
 
+    @pytest.mark.parametrize("text", ["(y - x^2)^2", "x*(y - x^2)^2"])
+    @pytest.mark.parametrize("lam", [64.0, 128.0, 256.0, 512.0, 1024.0])
+    def test_scan_matrix_matches_a_finer_reference(self, text, lam):
+        # the coarse offset grid of a scan of 8 cells, as randol_lq_scan sweeps
+        # it; the order-10 rule of the narrow panels was 5e-6 off at 1024
+        phi, amp = parse_polynomial(text), AmplitudeSpec()
+        half = DEFAULT_SCAN_HALF_WIDTH
+        grids = [(cell_centered_grid(half, 8),) * 2]
+        edges = _edges(phi, amp, lam, (half, half), _SCAN_RULE)
+        got = _osc_grids(phi, amp, lam, grids, edges, _SCAN_RULE.order, _SCAN_RULE.split)[0]
+        want = _finer_reference(phi, amp, lam, grids, edges)
+        big = np.abs(want) > 1e-9 * amplitude_mass(amp)
+        assert big.sum() >= 8
+        assert np.max(np.abs(got - want)[big] / np.abs(want)[big]) <= 1e-6
+
     def test_both_rules_stay_cached(self):
-        phi = parse_polynomial("x^2 + y^2")
-        amp = AmplitudeSpec(radius=0.4, order=2)
-        eval_oscillatory(phi, amp, 64.0)
+        # the decay rule's orders 14 and 10 and the scan rule's 24 and 20
+        def sweep_both():
+            eval_oscillatory(parse_polynomial("x^2 + y^2"), AmplitudeSpec(radius=0.4, order=2), 64.0)
+            randol_lq_scan(parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, q_list=(2.0,), cells=8, lambda_grid=[64.0])
+
+        sweep_both()
         misses = oscint._gauss_rule.cache_info().misses
-        eval_oscillatory(phi, amp, 64.0)
+        sweep_both()
         assert oscint._gauss_rule.cache_info().misses == misses
+        assert oscint._gauss_rule.cache_info().currsize == len(ORDERS) == 4
 
     def test_check_trips_on_underresolved_panels(self, monkeypatch):
-        # one node per cycle leaves 10 cycles on an order-10 panel
-        monkeypatch.setattr(oscint, "OVERSAMPLE_NODES_PER_CYCLE", 1)
-        with pytest.raises(QuadratureNotConverged, match=r"order 14 moved I\(lambda=4096\.0"):
+        # one node per cycle: 10 cycles on a decay panel, 24 on a scan panel
+        monkeypatch.setattr(oscint, "_DECAY_RULE", replace(_DECAY_RULE, cycles=10.0))
+        monkeypatch.setattr(oscint, "_SCAN_RULE", replace(_SCAN_RULE, cycles=24.0))
+        with pytest.raises(QuadratureNotConverged, match=r"order 10 is off order 14 on I\(lambda=4096\.0"):
             eval_oscillatory(parse_polynomial("x^2*y + y^3"), AmplitudeSpec(radius=0.6, order=2), 4096.0)
-        with pytest.raises(QuadratureNotConverged, match="order 14 moved the scan at lambda=1024.0"):
+        with pytest.raises(QuadratureNotConverged, match="order 20 is off order 24 on the scan at lambda=1024.0"):
             randol_lq_scan(
                 parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, q_list=(2.0,), cells=8,
                 lambda_grid=[1024.0], validate=True,
@@ -761,8 +801,10 @@ class TestOrderCheck:
         assert checked.q_report == unchecked.q_report
 
     def test_scan_check_sweep_is_folded(self, monkeypatch):
-        # the scan phase is even in x only; both offset grids share the value
-        # sweep.  With the disc clipping off every node is evaluated and counted.
+        # the scan phase is even in x only; both offset grids share the
+        # order-24 sweep, and the order-20 check sweeps the coarse grid on the
+        # same panels.  With the disc clipping off every node is evaluated
+        # and counted.
         phi = parse_polynomial("(y - x^2)^2")
         amp = AmplitudeSpec(radius=0.2, order=2)
         evaluated = []
@@ -775,8 +817,8 @@ class TestOrderCheck:
         monkeypatch.setattr(oscint, "_phase_rows", spy)
         monkeypatch.setattr(oscint, "_disc_columns", lambda amp, xc, y: (0, y.size))
         randol_lq_scan(phi, amp, 2, q_list=(2.0,), cells=8, lambda_grid=[256.0])
-        ex, ey = _panels_for(phi, amp, 256.0, (DEFAULT_SCAN_HALF_WIDTH, DEFAULT_SCAN_HALF_WIDTH))
-        assert 2 * sum(evaluated) == (GAUSS_ORDER**2 + CHECK_ORDER**2) * (ex.size - 1) * (ey.size - 1)
+        ex, ey = _edges(phi, amp, 256.0, (DEFAULT_SCAN_HALF_WIDTH, DEFAULT_SCAN_HALF_WIDTH), _SCAN_RULE)
+        assert 2 * sum(evaluated) == (_SCAN_RULE.order**2 + _SCAN_RULE.check**2) * (ex.size - 1) * (ey.size - 1)
 
 
 class TestFitDecay:
@@ -813,7 +855,7 @@ class TestFitDecay:
 
         def flaky(phi, amp, lam, s, edges):
             if lam in failing:
-                raise QuadratureNotConverged(f"order 14 moved I(lambda={lam}, s={s}) by 1.00e+00 (> 0.001)")
+                raise QuadratureNotConverged(f"order 10 is off order 14 on I(lambda={lam}, s={s}) by 1.00e+00 (> 0.001)")
             return eval_on_edges(phi, amp, lam, s, edges)
 
         monkeypatch.setattr(oscint, "_eval_on_edges", flaky)
@@ -825,7 +867,7 @@ class TestFitDecay:
         fit = fit_decay(p, amp, lams)
         assert fit.lambdas == (64.0, 256.0, 512.0)
         assert fit.values == tuple(v for lam, v in zip(full.lambdas, full.values) if lam != 128.0)
-        assert fit.skipped == ((128.0, "order 14 moved I(lambda=128.0, s=(0.0, 0.0)) by 1.00e+00 (> 0.001)"),)
+        assert fit.skipped == ((128.0, "order 10 is off order 14 on I(lambda=128.0, s=(0.0, 0.0)) by 1.00e+00 (> 0.001)"),)
 
     def test_all_but_two_failed_is_not_converged(self, monkeypatch):
         self._fail_at(monkeypatch, {256.0, 512.0})

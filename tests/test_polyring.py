@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nphk.polyring import (
     INFINITE_ORDER,
+    MAX_CONSTANT_BITS,
     MAX_DEGREE,
     MAX_NESTING,
     BivariatePolynomial,
@@ -105,6 +106,26 @@ class TestInputBounds:
         with pytest.raises(ParseError, match="exceeds MAX_DEGREE = 128") as err:
             parse_polynomial(text)
         assert err.value.position == position
+
+    @pytest.mark.parametrize(
+        "text,position",
+        [
+            ("10^999999999 + x^2 + y^2", 2),
+            ("x^2 + (1/3)^2585", 11),
+            ("2^4096*y^2", 1),
+            ("(1 + 1)^4096", 7),
+        ],
+    )
+    def test_constant_power_is_refused_at_the_operator_past_the_bound(self, text, position):
+        with pytest.raises(ParseError, match="exceeds MAX_CONSTANT_BITS = 4096 bits") as err:
+            parse_polynomial(text)
+        assert err.value.position == position
+
+    def test_constant_powers_within_the_bound_parse(self):
+        assert parse_polynomial("2^4095").coefficient(0, 0).numerator.bit_length() == MAX_CONSTANT_BITS
+        assert parse_polynomial("(2/3)^2584").coefficient(0, 0).denominator.bit_length() == MAX_CONSTANT_BITS
+        # a numerator or denominator of 1 never grows
+        assert parse_polynomial("(-1)^999999999*x^2 + 0^999999999") == parse_polynomial("-x^2")
 
     def test_inputs_within_the_bounds_parse(self):
         assert parse_polynomial("x^100*x^28").total_degree() == MAX_DEGREE
