@@ -18,27 +18,36 @@ rule's wide panels) a quarter of one, as many as keep a block near one
 unfolded row of the longer axis; each block covers only
 the y nodes inside the disc at its row nearest x = 0, since the amplitude
 is exactly zero on every other node, so each value is the full
-tensor-product sum without its zero terms.  Along an axis whose nodes
-mirror exactly and in which the phase is even (every exponent of that
-variable in ``phi.terms`` is even), or along y where it is odd (every
-non-constant term has an odd exponent of y), only the nodes >= 0 are
-swept, with doubled weights.  The bump is even, so along an even axis the
-integrand's values at u and -u are the same floats and the offset factors
-at +-u add up to 2 cos(lambda s u); along an odd y they are conjugates, as
-are the offset factors, so the sum over +-y is twice the real part of the
-sum over y > 0.  A block summed over y is not conjugate in x, so x folds
-only when even, and a phase odd in x and not in y, or even in x and of no
-parity in y, is swept with its variables swapped, so that y is the axis
-that folds.  After an even fold of y only the cos rows of its offset
-factors are contracted, and for an exactly mirrored offset grid only those
-of s > 0, whose columns stand for -s too; along x the row of -s is the
-conjugate of the row of s.  Each block's sums over y are contracted with
-the x offset factors once per sweep.  Panel edges are made to mirror
-exactly, so all of this holds for every such phase.
+tensor-product sum without its zero terms.
+
+The sweep folds on the mixed part of the phase.  Without its constant, phi
+is its mixed terms M (those in both variables) plus pure terms X(x) and
+Y(y).  An axis is even or odd when every exponent of that variable in M is,
+and both are even when M is empty.  The sweep's phase theta is lambda times
+M and the pure terms that keep its parities: those with an exponent of their
+own axis's parity, when M is not empty and the other axis is not odd.  Every
+other pure term moves to its axis's 1-D factor
+F(u; s) = w e^(i lambda (s u + P(u))), beside the offset.  theta is then
+even or odd along each axis as M is, and the bump is even, so along an axis
+whose nodes mirror exactly only the nodes u >= 0 are swept: there
+g cos(theta) takes the same floats at u and -u and g sin(theta) the same or
+their negatives, and the factors pair as Fc = F(u) + F(-u) and
+Fs = Fc on an even fold or F(u) - F(-u) on an odd one (unfolded, both are
+F).  One contraction serves every pair of parities: each block's rows give
+P = g cos(theta) Bc^T and Q = g sin(theta) Bs^T against the y factors, and
+once per sweep I = Ac P + i As Q with the x factors.  With M empty theta is
+0, and a block is the bump alone: no phase, no trig, and Q = 0.  On an
+exactly mirrored s2-grid only the offsets s2 >= 0 are contracted when the
+columns of -s2 follow from them: on a folded y whose pure terms are even,
+P is even in s2 and Q even or odd as the fold; on an unfolded y with no
+pure term both conjugate.  Along x, ``_offsets`` evaluates the row of -s as
+the conjugate of the row of s.  Panel edges are made to mirror exactly, so
+all of this holds for every such phase, and ``_fold`` is the one switch
+that turns every fold off.
 
 Each block is one fused pass over buffers allocated once per sweep.  The
 phase is one matrix product, the rows' powers in the distinct x-exponents
-times a per-sweep table Q[a, j] = lambda * sum_b c_ab y_j^b; the constant term
+times a per-sweep table T[a, j] = lambda * sum_b c_ab y_j^b; the constant term
 is left out of it and applied as the exact global factor exp(i lambda c),
 reduced mod 2 pi in rational arithmetic against a pi taken to 64 bits beyond
 |lambda c|, so it costs no accuracy at any size.
@@ -337,11 +346,35 @@ def _gauss_axis(edges: np.ndarray, order: int) -> Tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _parities(phi: BivariatePolynomial) -> Tuple[Optional[str], Optional[str]]:
-    """Per variable, "even" or "odd" when every non-constant term of the
-    phase has an even or an odd exponent of it, else None."""
-    found = [{key[axis] % 2 for key in phi.terms if key != (0, 0)} or {0} for axis in (0, 1)]
-    return tuple(("even", "odd")[f.pop()] if len(f) == 1 else None for f in found)
+_PARITY = ("even", "odd")
+
+
+def _split_phase(
+    phi: BivariatePolynomial,
+) -> Tuple[Tuple[Optional[str], Optional[str]], List[Tuple[int, int, float]], Tuple[List[Tuple[int, float]], ...]]:
+    """The fold parities of ``phi``, the terms of theta and the pure terms
+    each axis's 1-D factor takes.
+
+    The parity of an axis is "even" or "odd" when every mixed term (one in
+    both variables) has an even or an odd exponent of it, else None; with no
+    mixed term both are "even" and theta is 0.  A pure term stays in theta
+    when there is a mixed term, its exponent has its axis's parity and the
+    other axis is not odd, so that theta keeps both parities; every other
+    pure term moves to its axis as an (exponent, coefficient) pair.  The
+    constant term is in neither (``_global_phase``).
+    """
+    terms = _float_terms(phi - BivariatePolynomial.constant(phi.terms.get((0, 0), 0)))
+    mixed = [(a, b) for a, b, _ in terms if a and b]
+    found = [{key[axis] % 2 for key in mixed} or {0} for axis in (0, 1)]
+    parities = tuple(_PARITY[f.pop()] if len(f) == 1 else None for f in found)
+    theta, pure = [], ([], [])
+    for a, b, c in terms:
+        axis, e = (0, a) if b == 0 else (1, b)
+        if (a and b) or (mixed and parities[axis] == _PARITY[e % 2] and parities[1 - axis] != "odd"):
+            theta.append((a, b, c))
+        else:
+            pure[axis].append((e, c))
+    return parities, theta, pure
 
 
 def _fold(nodes: np.ndarray, weights: np.ndarray, parity: Optional[str]) -> Tuple[np.ndarray, np.ndarray]:
@@ -349,11 +382,10 @@ def _fold(nodes: np.ndarray, weights: np.ndarray, parity: Optional[str]) -> Tupl
     or "odd" and the nodes mirror exactly (their weights then do too);
     otherwise ``nodes`` and ``weights`` unchanged.
 
-    The caller applies what the parity makes of the offset factors
-    e^(i lambda s u) at +-u: along an even axis the integrand takes the same
-    floats at both, so they add up to 2 cos(lambda s u) and their sin part
-    is exactly 0; along an odd one the integrand and the factors at -u are
-    the conjugates of those at u, so a block's sum is twice a real part.
+    The bump is even, and theta is even or odd along the axis, so on a
+    fold g cos(theta) takes the same floats at u and -u and g sin(theta)
+    the same or their negatives.  ``_axis_factors`` pairs the 1-D factors
+    of u and -u to match.
     """
     h = nodes.size // 2
     if parity is None or not np.array_equal(nodes[h:], -nodes[:h][::-1]):
@@ -519,16 +551,28 @@ def _sincos(
     cos_out += cos_r1
 
 
-def _offsets(lam: float, s: np.ndarray, u: np.ndarray, w: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) -> None:
-    """cos and sin of lam*s[i]*u[j], times w[j], into cos_out[i, j] and sin_out[i, j].
+def _offsets(
+    lam: float,
+    s: np.ndarray,
+    u: np.ndarray,
+    w: np.ndarray,
+    cos_out: np.ndarray,
+    sin_out: np.ndarray,
+    shift: Optional[np.ndarray] = None,
+) -> None:
+    """cos and sin of lam*s[i]*u[j] + shift[j], times w[j], into cos_out[i, j]
+    and sin_out[i, j]; no ``shift`` is a shift of 0.
 
-    For exactly mirrored offsets only the rows s[h:] of ``_mirror_half`` are
-    evaluated: the row of -s is the conjugate of the row of s, bit for bit.
-    The rows go through ``_sincos`` a few at a time, so its scratch holds
-    about _OFFSET_CHUNK entries however many offsets there are.
+    For exactly mirrored offsets and no shift only the rows s[h:] of
+    ``_mirror_half`` are evaluated: the row of -s is the conjugate of the row
+    of s, bit for bit.  The rows go through ``_sincos`` a few at a time, so
+    its scratch holds about _OFFSET_CHUNK entries however many offsets there
+    are.
     """
-    h = _mirror_half(s)
+    h = _mirror_half(s) if shift is None else 0
     bound = lam * float(np.abs(s).max(initial=0.0)) * float(np.abs(u).max(initial=0.0))
+    if shift is not None:
+        bound += float(np.abs(shift).max(initial=0.0))
     rows = max(1, _OFFSET_CHUNK // u.size)
     work = np.empty((4, min(rows, s.size - h), u.size))
     for i in range(h, s.size, rows):
@@ -536,6 +580,8 @@ def _offsets(lam: float, s: np.ndarray, u: np.ndarray, w: np.ndarray, cos_out: n
         theta, *scratch = work[:, : part.size]
         np.multiply.outer(part, u, out=theta)
         theta *= lam
+        if shift is not None:
+            theta += shift
         _sincos(theta, cos_out[i : i + rows], sin_out[i : i + rows], scratch, bound)
     cos_out[:h] = cos_out[::-1][:h]
     np.negative(sin_out[::-1][:h], out=sin_out[:h])
@@ -543,33 +589,38 @@ def _offsets(lam: float, s: np.ndarray, u: np.ndarray, w: np.ndarray, cos_out: n
     sin_out *= w
 
 
-def _block_sums(e: np.ndarray, mat_b: np.ndarray, fold: Optional[str]) -> np.ndarray:
-    """The sums of a block's rows over its columns against every offset row.
+def _axis_factors(
+    lam: float, s: np.ndarray, u: np.ndarray, w: np.ndarray, pure: Sequence[Tuple[int, float]], fold: Optional[str]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The 1-D factors (Fc, Fs) of one axis, one row per offset of ``s``, on
+    its swept nodes ``u`` with weights ``w``.
 
-    ``e`` is [g cos; g sin] of the block's rows on its columns.  After an
-    even fold ``mat_b`` holds only the cos rows of the offset factors B (their
-    sin rows are 0); otherwise it is [B cos; B sin], and after an odd fold
-    each sum is real.
+    F(u; s) = w e^(i lambda (s u + P(u))), where P is the sum of the ``pure``
+    terms moved out of theta.  Unfolded, Fc = Fs = F.  Folded (``w`` holds
+    the doubled weights), Fc = F(u) + F(-u), and Fs is Fc on an even fold
+    and F(u) - F(-u) on an odd one, so that the sum over +-u of F g e^(i
+    theta) is Fc g cos(theta) + i Fs g sin(theta).  With P = Pe + Po split
+    into its even and odd exponents, F(+-u) = e^(i lambda Pe) w e^(+-i
+    lambda (s u + Po)), so Fc = e^(i lambda Pe) w cos(lambda (s u + Po)) and
+    the odd Fs = i e^(i lambda Pe) w sin(lambda (s u + Po)).
     """
-    n = e.shape[0] // 2
-    p = e @ mat_b.T
-    if fold == "even":
-        return p[:n] + 1j * p[n:]
-    n_b = p.shape[1] // 2
-    m = np.empty((n, n_b), dtype=np.complex128)
-    np.subtract(p[:n, :n_b], p[n:, n_b:], out=m.real)
-    if fold == "odd":
-        m.imag = 0.0
-    else:
-        np.add(p[:n, n_b:], p[n:, :n_b], out=m.imag)
-    return m
+    in_angle = [(e, c) for e, c in pure if fold is None or e % 2]
+    in_tone = [(e, c) for e, c in pure if fold is not None and e % 2 == 0]
+    f = np.empty((s.size, u.size), dtype=np.complex128)
+    shift = sum((lam * c) * u**e for e, c in in_angle) if in_angle else None
+    _offsets(lam, s, u, w, f.real, f.imag, shift)
+    if fold is None:
+        return f, f
+    tone = np.exp(1j * sum((lam * c) * u**e for e, c in in_tone)) if in_tone else 1.0 + 0.0j
+    f_c = f.real * tone
+    return f_c, f_c if fold == "even" else f.imag * (1j * tone)
 
 
-def _phase_rows(exps: np.ndarray, xc: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """lam times the phase without its constant on a block of rows, into ``out``:
-    the rows' powers in the distinct x-exponents ``exps`` times the matching
-    columns ``q`` of the sweep's table Q[a, j] = lam * sum_b c_ab y_j^b."""
-    return np.matmul(xc[:, None] ** exps, q, out=out)
+def _phase_rows(exps: np.ndarray, xc: np.ndarray, table: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """theta on a block of rows, into ``out``: the rows' powers in the
+    distinct x-exponents ``exps`` times the matching columns ``table`` of the
+    sweep's table T[a, j] = lam * sum_b c_ab y_j^b over the terms of theta."""
+    return np.matmul(xc[:, None] ** exps, table, out=out)
 
 
 def _disc_columns(amp: AmplitudeSpec, xc: np.ndarray, y: np.ndarray) -> Tuple[int, int]:
@@ -628,54 +679,56 @@ def _osc_grids(
 
     Each grid is (s1_values, s2_values) and yields the full matrix
     I[i, j] = I(lambda, (s1[i], s2[j])) under the order-``order`` rule on
-    every panel.  An axis in which the phase is even, and y where it is odd,
-    is folded onto its nodes >= 0 (``_fold``).  A phase odd in x and not in
-    y, or even in x and of no parity in y, is swept with its variables
-    swapped, so that y is the axis that folds.  After an even fold of y its
-    offset factors are 2 w cos(lambda s y): only their cos rows are
-    contracted, and for an exactly mirrored s2-grid only those of s2 >= 0,
-    whose result columns are mirrored onto -s2 at the end.  Each block of
-    rows (whole panels, or with ``split`` > 1 that share of a panel's rows)
-    is evaluated only on the y nodes ``_disc_columns`` gives it, in buffers
-    allocated once per sweep.  The constant term of the
-    phase is the factor ``_global_phase`` outside the sum.
+    every panel.  The phase splits into theta and the pure terms of each
+    axis's 1-D factors (``_split_phase``), and every axis with a parity
+    folds onto its nodes >= 0 (``_fold``).  Each block of rows (whole
+    panels, or with ``split`` > 1 that share of a panel's rows) is evaluated
+    only on the y nodes ``_disc_columns`` gives it, in buffers allocated
+    once per sweep, and summed over y against the y factors
+    (``_axis_factors``): P = g cos(theta) Bc^T and Q = g sin(theta) Bs^T.
+    With no theta the block is the bump alone and Q is 0.  Once per sweep
+    I = Ac P + i As Q with the x factors.  Of an exactly mirrored s2-grid
+    only the offsets s2 >= 0 are contracted when the columns of -s2 follow
+    from theirs: when y folds and its pure terms are even (P is even in s2,
+    and Q even or odd as the fold), and when y is swept whole with no pure
+    term (P and Q conjugate).  The constant term of the phase is the factor
+    ``_global_phase`` outside the sum.
     """
-    px, py = _parities(phi)
-    if (px == "odd" and py != "odd") or (px == "even" and py is None):
-        swapped = BivariatePolynomial({(b, a): c for (a, b), c in phi.terms.items()})
-        grids = [(s2, s1) for s1, s2 in grids]
-        return [total.T for total in _osc_grids(swapped, amp, lam, grids, edges[::-1], order, split)]
+    (px, py), terms, (pure_x, pure_y) = _split_phase(phi)
     x, wx = _gauss_axis(edges[0], order)
     y, wy = _gauss_axis(edges[1], order)
     longest, x_nodes, y_nodes = max(x.size, y.size), x.size, y.size
-    x, wx = _fold(x, wx, "even" if px == "even" else None)
+    x, wx = _fold(x, wx, px)
     y, wy = _fold(y, wy, py)
-    fold = py if y.size < y_nodes else None
+    fx, fy = px if x.size < x_nodes else None, py if y.size < y_nodes else None
 
-    mats_a = [np.empty((s1.size, x.size), dtype=np.complex128) for s1, _ in grids]
-    for (s1, _), mat in zip(grids, mats_a):
-        _offsets(lam, s1, x, wx, mat.real, mat.imag)
-        if x.size < x_nodes:  # folded along an even x: 2 w cos(lambda s x)
-            mat.imag = 0.0
-    # the s2 rows each grid contracts: after an even fold those of s2 >= 0
-    halves = [_mirror_half(s2) if fold == "even" else 0 for _, s2 in grids]
+    # the s2 rows each grid contracts: when the columns of -s2 follow from
+    # those of s2, only those of s2 >= 0
+    mirror = not pure_y if fy is None else all(e % 2 == 0 for e, _ in pure_y)
+    halves = [_mirror_half(s2) if mirror else 0 for _, s2 in grids]
     rows_b = [s2[h:] for (_, s2), h in zip(grids, halves)]
     nb = [s2.size for s2 in rows_b]
     starts = np.cumsum([0] + nb[:-1])
-    mat_b = np.empty((2, sum(nb), y.size))
-    for s2, start in zip(rows_b, starts):
-        _offsets(lam, s2, y, wy, mat_b[0, start : start + s2.size], mat_b[1, start : start + s2.size])
-    # the cos rows of every grid, then (unless they are 0) their sin rows
-    mat_b = mat_b[0] if fold == "even" else mat_b.reshape(-1, y.size)
+    # Bc^T and, on an odd fold with a theta, Bs^T (else Fs = Fc), as real
+    # matrices whose column pairs are a factor's real and imaginary parts: a
+    # block's product holds its rows' P and Q with their complex entries as
+    # pairs of floats
+    mats = np.empty((1 + (bool(terms) and fy == "odd"), y.size, sum(nb)), dtype=np.complex128)
+    for s2, start, count in zip(rows_b, starts, nb):
+        for mat, f in zip(mats, _axis_factors(lam, s2, y, wy, pure_y, fy)):
+            mat[:, start : start + count] = f.T
+    # Q unless g sin(theta) or Fs is 0; with Fs = Fc one product gives P and Q
+    with_q = bool(terms) and (len(mats) == 1 or bool(mats[1].any()))
+    shared = with_q and len(mats) == 1
+    mats = mats[: 1 + (with_q and not shared)].view(np.float64)
 
-    terms = _float_terms(phi - BivariatePolynomial.constant(phi.terms.get((0, 0), 0)))
     exps = sorted({a for a, _, _ in terms})
-    q = np.zeros((len(exps), y.size))
+    table = np.zeros((len(exps), y.size))
     ypow = _power_cache(y)
     for a, b, c in terms:
-        q[exps.index(a)] += (lam * c) * ypow(b)
+        table[exps.index(a)] += (lam * c) * ypow(b)
     exps = np.array(exps, dtype=float)
-    theta_max = float(np.max(float(np.abs(x).max()) ** exps @ np.abs(q), initial=0.0))
+    theta_max = float(np.max(float(np.abs(x).max()) ** exps @ np.abs(table), initial=0.0))
     r2 = amp.radius * amp.radius
     ux = 1.0 - x * x / r2
     vy = y * y / r2
@@ -686,8 +739,8 @@ def _osc_grids(
     # g cos(theta) and g sin(theta) of a block, then theta and three scratch arrays
     pair = np.empty(2 * rows * y.size)
     work = np.empty((4, rows * y.size))
-    # each row's sums over y against every offset row, contracted with x once per sweep
-    sums = np.empty((x.size, sum(nb)), dtype=np.complex128)
+    # each row's P and Q, contracted with the x factors once per sweep
+    sums = np.empty((1 + with_q, x.size, 2 * sum(nb)))
     for row in range(0, x.size, rows):
         block = slice(row, row + rows)
         xc = x[block]
@@ -695,13 +748,39 @@ def _osc_grids(
         n, size = xc.size, xc.size * (hi - lo)
         e = pair[: 2 * size].reshape(2, n, hi - lo)
         theta, *scratch = (w[:size].reshape(n, hi - lo) for w in work)
-        _phase_rows(exps, xc, q[:, lo:hi], theta)
-        _sincos(theta, e[0], e[1], scratch, theta_max)
-        e *= _radial_bump(ux[block], vy[lo:hi], amp.order, theta, scratch[0])
-        sums[block] = _block_sums(e.reshape(2 * n, hi - lo), mat_b[:, lo:hi], fold)
+        if terms:
+            _phase_rows(exps, xc, table[:, lo:hi], theta)
+            _sincos(theta, e[0], e[1], scratch, theta_max)
+            e *= _radial_bump(ux[block], vy[lo:hi], amp.order, theta, scratch[0])
+        else:
+            e = _radial_bump(ux[block], vy[lo:hi], amp.order, theta, scratch[0])[None]
+        if shared:
+            sums[:, block] = (e.reshape(2 * n, hi - lo) @ mats[0, lo:hi]).reshape(2, n, -1)
+        else:
+            np.matmul(e[: len(mats)], mats[:, lo:hi], out=sums[:, block])
+    pq = sums.view(np.complex128)
     turn = _global_phase(phi, lam)
-    totals = [turn * (a @ sums[:, start : start + count]) for a, start, count in zip(mats_a, starts, nb)]
-    return [np.concatenate((total[:, ::-1][:, :h], total), axis=1) for total, h in zip(totals, halves)]
+    totals = []
+    for (s1, _), start, count, h in zip(grids, starts, nb, halves):
+        a_c, a_s = _axis_factors(lam, s1, x, wx, pure_x, fx)
+        p, q = pq[0, :, start : start + count], pq[1, :, start : start + count] if with_q else None
+        total = mirrored = _contract(turn, a_c, a_s, p, q)
+        # the columns of -s2: P and Q conjugate on an unfolded y; on a folded
+        # one P is the same, and Q the same or negated as the fold
+        if h and fy is None:
+            mirrored = _contract(turn, a_c, a_s, p.conj(), None if q is None else q.conj())
+        elif h and fy == "odd" and q is not None:
+            mirrored = _contract(turn, a_c, a_s, p, -q)
+        totals.append(np.concatenate((mirrored[:, ::-1][:, :h], total), axis=1))
+    return totals
+
+
+def _contract(turn: complex, a_c: np.ndarray, a_s: np.ndarray, p: np.ndarray, q: Optional[np.ndarray]) -> np.ndarray:
+    """turn (Ac P + i As Q), where no ``q`` stands for Q = 0."""
+    total = a_c @ p
+    if q is not None:
+        total += 1j * (a_s @ q)
+    return turn * total
 
 
 def amplitude_mass(amp: AmplitudeSpec) -> float:
@@ -834,7 +913,11 @@ def eval_oscillatory(
     s: Tuple[float, float] = (0.0, 0.0),
 ) -> complex:
     """Quadrature value of I(lambda, s) under the decay rule's order 14,
-    checked against its order 10 on the same panels."""
+    checked against its order 10 on the same panels.
+
+    It runs no support check (``check_amplitude_support``): a critical point
+    away from the origin is integrated like any other.
+    """
     edges = _panels_for(_strip_bounds(phi, amp, s), amp, lam, _DECAY_RULE)
     value, _ = _eval_on_edges(phi, amp, lam, s, edges)
     return value
@@ -914,9 +997,12 @@ def fit_decay(
     regressor) and reports gamma_hat with the RMS fit residual and the
     per-point quadrature error estimates.  A repeated lambda is swept once.
     Every lambda is planned before any quadrature runs; a grid of fewer than
-    three distinct lambdas then raises ValueError.  A lambda whose
-    order check fails is left out of the fit and recorded in ``skipped``;
-    fewer than three converged lambdas raise QuadratureNotConverged.
+    three distinct lambdas then raises ValueError.  The support check
+    (``check_amplitude_support``) covers ``phi``, not phi + s.x: an offset
+    that puts a critical point of phi + s.x inside the disc is not refused.
+    A lambda whose order check fails is left out of the fit and recorded in
+    ``skipped``; fewer than three converged lambdas raise
+    QuadratureNotConverged.
     """
     lams = sorted({float(v) for v in lambda_grid})
     plan = _sweep_edges(phi, amp, lams, s, _DECAY_RULE)

@@ -330,9 +330,10 @@ _UNMIRRORED_GRIDS = [
     (cell_centered_grid(0.25, 8), np.linspace(-0.25, 0.1, 5)),
 ]
 # (phase, amplitude, lambda, offset grids, edges or None for _panels_for's).
-# The first five phases are even in x and odd in y, even in x (swept
-# swapped), even in both, odd in x and even in y (swept swapped), and of no
-# parity.
+# The parities are those of the mixed terms.  The first five phases fold even
+# in x and odd in y; even in x and odd in y with x^4 and y^2 moved to the 1-D
+# factors; even in both with no theta; odd in x and even in y; and even in x
+# and odd in y with x^4, x^5 and y^2 moved out.
 SWEEP_CASES = [
     ("x^2*y + y^3", AmplitudeSpec(radius=0.6, order=2), 256.0, _one(0.03, -0.02), None),
     ("(y - x^2)^2", AmplitudeSpec(), 256.0, _SCAN_GRIDS, None),
@@ -349,21 +350,28 @@ SWEEP_CASES = [
     ("x*y^2 + x^5", AmplitudeSpec(radius=0.3, order=6), 256.0, _one(0.01, 0.02), None),
     ("7/3 + x^2 - 2*y^2", AmplitudeSpec(radius=0.4, order=2), 256.0, _one(0.01, 0.0), None),
     ("1/8*x + x^2 + y^2", AmplitudeSpec(radius=0.4, order=2), 256.0, _one(0.01, 0.02), None),
-    # odd in x only, so swept swapped and folded along the inner axis; odd in both
+    # odd in x and of no parity in y, so y is swept whole and its offsets >= 0
+    # stand for their mirrors by conjugation; odd in both
     ("x*(y - x^2)^2", AmplitudeSpec(), 256.0, _SCAN_GRIDS, None),
     ("x^3*y + x*y^3", AmplitudeSpec(radius=0.4, order=2), 256.0, _SCAN_GRIDS, None),
-    # even in x and of no parity in y, so swept swapped with only the cos rows
-    # of the offsets >= 0 contracted; even in both, the same without the swap;
-    # and the scan phase on offsets that do not mirror
+    # the reflected scan phase; even in x and odd in y, with x^4 moved out and
+    # y^3 kept in theta; no theta on offset grids; and the scan phase on
+    # offsets that do not mirror
     ("(y + x^2)^2", AmplitudeSpec(), 256.0, _SCAN_GRIDS, None),
     ("x^4 + x^2*y + y^3", AmplitudeSpec(radius=0.4, order=2), 256.0, _SCAN_GRIDS, None),
     ("x^2 + y^2", AmplitudeSpec(radius=0.4, order=2), 256.0, _SCAN_GRIDS, None),
     ("(y - x^2)^2", AmplitudeSpec(), 256.0, _UNMIRRORED_GRIDS, None),
+    # the bump alone, with an odd pure term on each axis; odd in both, with
+    # y^3 moved out; and x^6 moved out, so that y folds odd
+    ("y^3 + x^5", AmplitudeSpec(radius=0.4, order=2), 256.0, _one(0.03, -0.02), None),
+    ("y^3 + y*x^3", AmplitudeSpec(radius=0.4, order=2), 256.0, _SCAN_GRIDS, None),
+    ("y^3 + x^4*y + x^6", AmplitudeSpec(radius=0.4, order=2), 256.0, _SCAN_GRIDS, None),
 ]
 SWEEP_IDS = [
     "radial", "scan-grids", "odd-panels", "odd-panels-scan-grids", "no-parity",
     "radial-order-8", "radial-order-6", "constant-term", "linear-term", "odd-x-scan-grids", "odd-both",
     "reflected-scan-grids", "even-x-scan-grids", "radial-scan-grids", "unmirrored-offsets",
+    "bump-only", "odd-both-moved-out", "moved-out-folds-y",
 ]
 
 
@@ -429,58 +437,75 @@ class TestBlockedSweep:
             ("x^2 + y^2", None, 4),
             ("x^2*y + y^3", None, 4),
             ("x*y^2 + x^5", None, 4),
-            ("(y - x^2)^2", None, 2),
-            ("(y - x^2)^2 + x^5", None, 1),
+            ("(y - x^2)^2", None, 4),
+            ("(y - x^2)^2 + x^5", None, 4),
             ("x^2 + y^2", (np.array([-0.4, 0.1, 0.4]),) * 2, 1),
             ("x*(y - x^2)^2", None, 2),
-            ("x*y", None, 2),
+            ("x*y", None, 4),
             ("1/3 + x^2*y + y^3", None, 4),
+            ("y^3 + x^5", None, 4),
+            ("y^3 + y*x^3", None, 4),
+            ("y^3 + x^4*y + x^6", None, 4),
+            ("x^2*y + x*y^2", None, 1),
         ],
         ids=[
-            "even-both", "even-x", "even-y", "scan-phase", "no-parity", "unmirrored", "odd-x", "odd-both",
-            "odd-y-constant",
+            "even-both", "even-x", "even-y", "scan-phase", "pure-terms-moved-out", "unmirrored", "odd-x", "odd-both",
+            "odd-y-constant", "bump-only", "odd-both-moved-out", "moved-out-folds-y", "no-parity",
         ],
     )
     def test_fold_divides_the_evaluated_nodes(self, monkeypatch, text, edges, factor):
-        # with the disc clipping off every node is evaluated and counted; the
-        # sweeps of all four orders fold.  x^2*y + y^3 folds in x
-        # (even) and y (odd); x*y^2 + x^5 is swept swapped and folds in both;
-        # an odd x folds only through the swap, so x*y folds in y alone; a
-        # constant term leaves the parity alone.
+        # with the disc clipping off every node is evaluated and counted,
+        # through the bump each block takes once; the sweeps of all four
+        # orders fold.  The parities are those of the mixed terms: x^2*y + y^3
+        # folds in x (even) and y (odd), and so do the scan phase and
+        # (y - x^2)^2 + x^5 once their pure terms move out; x*y and
+        # y^3 + y*x^3 fold odd in both; x*(y - x^2)^2 has no parity in y; a
+        # constant term leaves the parities alone.  With no mixed term the
+        # sweep evaluates no phase at all.
         phi = parse_polynomial(text)
         amp = AmplitudeSpec(radius=0.4, order=2)
         edges = edges or _edges(phi, amp, 256.0, (0.0, 0.0))
-        evaluated = []
-        phase_rows = oscint._phase_rows
+        evaluated, phases = [], []
+        radial_bump, phase_rows = oscint._radial_bump, oscint._phase_rows
 
-        def spy(terms, xc, ypow, out):
+        def spy(ux, vy, order, out, scratch):
             evaluated.append(out.size)
-            return phase_rows(terms, xc, ypow, out)
+            return radial_bump(ux, vy, order, out, scratch)
 
-        monkeypatch.setattr(oscint, "_phase_rows", spy)
+        monkeypatch.setattr(oscint, "_radial_bump", spy)
+        monkeypatch.setattr(oscint, "_phase_rows", lambda *args: phases.append(args[-1].size) or phase_rows(*args))
         monkeypatch.setattr(oscint, "_disc_columns", lambda amp, xc, y: (0, y.size))
+        mixed = any(a and b for a, b in phi.terms)
         for order in ORDERS:
             evaluated.clear()
+            phases.clear()
             _osc_grids(phi, amp, 256.0, _one(0.0, 0.0), edges, order)
             assert factor * sum(evaluated) == order**2 * (edges[0].size - 1) * (edges[1].size - 1)
+            assert phases == (evaluated if mixed else [])
 
-    def test_swapped_scan_contracts_the_cosine_half(self, monkeypatch):
-        # the scan phase is even in x and of no parity in y, so x is swept as
-        # the inner axis and folded: its offset factors are 2 w cos(lambda s x),
-        # contracted for s1 > 0 only, 16 + 32 rows of the 2 * (32 + 64) cos and
-        # sin rows, and 16 in the check sweep
-        calls, contracted = [], []
-        offsets, block_sums = oscint._offsets, oscint._block_sums
-        monkeypatch.setattr(oscint, "_offsets", lambda lam, s, u, *rest: calls.append((s, u)) or offsets(lam, s, u, *rest))
-        monkeypatch.setattr(
-            oscint, "_block_sums", lambda e, mat_b, fold: contracted.append((mat_b.shape[0], fold)) or block_sums(e, mat_b, fold)
-        )
+    def test_scan_contracts_the_offsets_half(self, monkeypatch):
+        # the scan phase folds even in x and odd in y, with x^4 and y^2 moved
+        # to the 1-D factors.  y^2 is even, so P is even in s2 and Q odd, and
+        # only the offsets s2 > 0 are contracted: 16 + 32 of the 32 + 64 rows,
+        # and 16 in the check sweep.  Both axes are swept on their nodes > 0.
+        calls = []
+        axis_factors = oscint._axis_factors
+
+        def spy(lam, s, u, w, pure, fold):
+            f_c, f_s = axis_factors(lam, s, u, w, pure, fold)
+            calls.append((s, u, pure, fold, f_c.shape, f_s is f_c))
+            return f_c, f_s
+
+        monkeypatch.setattr(oscint, "_axis_factors", spy)
         randol_lq_scan(parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, q_list=(2.0,), lambda_grid=[256.0])
-        assert set(contracted) == {(48, "even"), (16, "even")}
-        inner = [s for s, u in calls if u.min() > 0]
-        outer = [s for s, u in calls if u.min() < 0]
-        assert [s.size for s in inner] == [16, 32, 16] and all(s.min() > 0 for s in inner)
-        assert [s.size for s in outer] == [32, 64, 32]
+        inner = [c for c in calls if c[3] == "odd"]
+        outer = [c for c in calls if c[3] == "even"]
+        assert len(inner) + len(outer) == len(calls) == 6
+        assert [s.size for s, *_ in inner] == [16, 32, 16] and all(s.min() > 0 for s, *_ in inner)
+        assert [s.size for s, *_ in outer] == [32, 64, 32]
+        assert all(u.min() > 0 and shape == (s.size, u.size) for s, u, _, _, shape, _ in calls)
+        assert all(pure == [(2, 1.0)] and not same for _, _, pure, _, _, same in inner)
+        assert all(pure == [(4, 1.0)] and same for _, _, pure, _, _, same in outer)
 
     def test_offsets_evaluate_half_a_mirrored_grid(self, monkeypatch):
         # the row of -s is the conjugate of the row of s, bit for bit
@@ -517,19 +542,24 @@ class TestBlockedSweep:
 
 @st.composite
 def _parity_phases(draw):
-    """Small random polynomials even, odd or of no parity in each of x and y,
-    some with a constant term (which an odd phase may have)."""
-    # per axis: the parity every exponent is forced to, or None
+    """Small random polynomials whose mixed part (the terms in both variables)
+    is even, odd or of no parity in each of x and y, or absent, plus pure
+    terms in x and in y of any exponents, and some with a constant term."""
+    # per axis: the parity every exponent of a mixed term is forced to, or None
     px, py = draw(st.sampled_from([None, 0, 1])), draw(st.sampled_from([None, 0, 1]))
     coeff = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
     terms = {}
-    for _ in range(draw(st.integers(1, 4))):
-        a = draw(st.integers(0, 6))
-        b = draw(st.integers(0, 6 - a))
-        a += 0 if px is None else px - a % 2
-        b += 0 if py is None else py - b % 2
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.integers(1, 4))
+        b = draw(st.integers(1, 5 - a))
+        a += 0 if px is None else (px - a) % 2
+        b += 0 if py is None else (py - b) % 2
         terms[(a, b)] = draw(coeff)
-    if draw(st.booleans()):
+    for axis in (0, 1):
+        for _ in range(draw(st.integers(0, 2))):
+            e = draw(st.integers(1, 6))
+            terms[(e, 0) if axis == 0 else (0, e)] = draw(coeff)
+    if not terms or draw(st.booleans()):
         terms[(0, 0)] = draw(coeff)
     return BivariatePolynomial(terms)
 
@@ -801,9 +831,9 @@ class TestOrderCheck:
         assert checked.q_report == unchecked.q_report
 
     def test_scan_check_sweep_is_folded(self, monkeypatch):
-        # the scan phase is even in x only; both offset grids share the
-        # order-24 sweep, and the order-20 check sweeps the coarse grid on the
-        # same panels.  With the disc clipping off every node is evaluated
+        # the scan phase folds even in x and odd in y; both offset grids share
+        # the order-24 sweep, and the order-20 check sweeps the coarse grid on
+        # the same panels.  With the disc clipping off every node is evaluated
         # and counted.
         phi = parse_polynomial("(y - x^2)^2")
         amp = AmplitudeSpec(radius=0.2, order=2)
@@ -818,7 +848,7 @@ class TestOrderCheck:
         monkeypatch.setattr(oscint, "_disc_columns", lambda amp, xc, y: (0, y.size))
         randol_lq_scan(phi, amp, 2, q_list=(2.0,), cells=8, lambda_grid=[256.0])
         ex, ey = _edges(phi, amp, 256.0, (DEFAULT_SCAN_HALF_WIDTH, DEFAULT_SCAN_HALF_WIDTH), _SCAN_RULE)
-        assert 2 * sum(evaluated) == (_SCAN_RULE.order**2 + _SCAN_RULE.check**2) * (ex.size - 1) * (ey.size - 1)
+        assert 4 * sum(evaluated) == (_SCAN_RULE.order**2 + _SCAN_RULE.check**2) * (ex.size - 1) * (ey.size - 1)
 
 
 class TestFitDecay:
