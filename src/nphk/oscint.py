@@ -13,12 +13,10 @@ allows or is wider than a fixed share of the support.  The bound does not
 depend on lambda, so a sweep takes it once and scales it per lambda.
 A grid beyond a fixed node budget, or an offset scan beyond a fixed point
 budget, is refused before any of it is built (BudgetExceeded).  The
-integrand is evaluated in blocks of x rows, whole panels or (for the scan
-rule's wide panels) a quarter of one, as many as keep a block near one
-unfolded row of the longer axis; each block covers only
-the y nodes inside the disc at its row nearest x = 0, since the amplitude
-is exactly zero on every other node, so each value is the full
-tensor-product sum without its zero terms.
+integrand is evaluated in blocks of x rows of one height for every rule
+(``_BLOCK_ROWS``); each block covers only the y nodes inside the disc at its
+row nearest x = 0, since the amplitude is exactly zero on every other node,
+so each value is the full tensor-product sum without its zero terms.
 
 The sweep folds on the mixed part of the phase.  Without its constant, phi
 is its mixed terms M (those in both variables) plus pure terms X(x) and
@@ -116,29 +114,30 @@ class _Rule:
     panels, and their relative difference is the reported error.  No panel
     holds more than ``cycles`` oscillation cycles or is wider than
     2R / ``min_panels``.  Both orders are even, so their nodes mirror on
-    mirrored panels and every sweep folds alike.  A sweep block holds a
-    panel's rows in ``split`` parts, so that a block of wide panels is no
-    taller than one of narrow panels and the disc clips it as tightly.
+    mirrored panels and every sweep folds alike.
     """
 
     order: int
     check: int
     cycles: float
     min_panels: int
-    split: int
 
 
 # Decay values.  On one panel a pure tone of 2.5 cycles is integrated by
 # order 14 to about 1.3e-13 of the panel width and by order 10 to 2.4e-7.
-_DECAY_RULE = _Rule(order=14, check=10, cycles=2.5, min_panels=6, split=1)
+_DECAY_RULE = _Rule(order=14, check=10, cycles=2.5, min_panels=6)
 # Scan values.  A tone of 7.5 cycles: order 24 to about 1.9e-11, order 20 to
 # 4e-7, so the check trips near the error order 10 has on 2.5-cycle panels.
-# Three panels give 72 nodes per axis at low lambda.  A quarter of a panel
-# spans about 0.75 of a 2.5-cycle panel, so the disc clips the scan's blocks
-# at least as tightly as it clipped blocks of whole 2.5-cycle panels, at
-# every lambda of the default grid on both scan phases (a third of a panel
-# kept up to 0.1% more nodes, whole panels up to 12% more).
-_SCAN_RULE = _Rule(order=24, check=20, cycles=7.5, min_panels=3, split=4)
+# Three panels give 72 nodes per axis at low lambda.
+_SCAN_RULE = _Rule(order=24, check=20, cycles=7.5, min_panels=3)
+# x rows per sweep block, for every rule and order, times the ratio of the
+# longer axis's nodes to the swept y nodes.  The disc clips a block at its row
+# nearest x = 0, so a taller block keeps more zero nodes (whole 24-row scan
+# panels keep up to 0.92 of the square on the sweep tests' grids, 14 rows up
+# to 0.88); a shorter one pays the block's fixed cost of about 30 numpy calls
+# more often.  14 is the decay rule's order, so decay value sweeps take whole
+# panels.
+_BLOCK_ROWS = 14
 REL_TOL = 1e-3
 MAX_FEASIBLE_LAMBDA = float(1 << 15)
 # Nodes of a rule's lower (check) order one lambda may use, the count the
@@ -673,7 +672,6 @@ def _osc_grids(
     grids: Sequence[Tuple[np.ndarray, np.ndarray]],
     edges: Tuple[np.ndarray, np.ndarray],
     order: int,
-    split: int = 1,
 ) -> List[np.ndarray]:
     """I(lambda, s) over several separable s-grids, sharing one integrand sweep.
 
@@ -681,11 +679,11 @@ def _osc_grids(
     I[i, j] = I(lambda, (s1[i], s2[j])) under the order-``order`` rule on
     every panel.  The phase splits into theta and the pure terms of each
     axis's 1-D factors (``_split_phase``), and every axis with a parity
-    folds onto its nodes >= 0 (``_fold``).  Each block of rows (whole
-    panels, or with ``split`` > 1 that share of a panel's rows) is evaluated
-    only on the y nodes ``_disc_columns`` gives it, in buffers allocated
-    once per sweep, and summed over y against the y factors
-    (``_axis_factors``): P = g cos(theta) Bc^T and Q = g sin(theta) Bs^T.
+    folds onto its nodes >= 0 (``_fold``).  Each block of rows
+    (``_BLOCK_ROWS``) is evaluated only on the y nodes ``_disc_columns``
+    gives it, in buffers allocated once per sweep, and summed over y against
+    the y factors (``_axis_factors``): P = g cos(theta) Bc^T and
+    Q = g sin(theta) Bs^T.
     With no theta the block is the bump alone and Q is 0.  Once per sweep
     I = Ac P + i As Q with the x factors.  Of an exactly mirrored s2-grid
     only the offsets s2 >= 0 are contracted when the columns of -s2 follow
@@ -717,10 +715,10 @@ def _osc_grids(
     for s2, start, count in zip(rows_b, starts, nb):
         for mat, f in zip(mats, _axis_factors(lam, s2, y, wy, pure_y, fy)):
             mat[:, start : start + count] = f.T
-    # Q unless g sin(theta) or Fs is 0; with Fs = Fc one product gives P and Q
-    with_q = bool(terms) and (len(mats) == 1 or bool(mats[1].any()))
-    shared = with_q and len(mats) == 1
-    mats = mats[: 1 + (with_q and not shared)].view(np.float64)
+    # Q unless g sin(theta) or Fs is 0; with Fs = Fc the block product
+    # broadcasts the one matrix over g cos(theta) and g sin(theta)
+    with_q = bool(terms) and bool(mats[-1].any())
+    mats = mats[: 1 + with_q].view(np.float64)
 
     exps = sorted({a for a, _, _ in terms})
     table = np.zeros((len(exps), y.size))
@@ -733,9 +731,7 @@ def _osc_grids(
     ux = 1.0 - x * x / r2
     vy = y * y / r2
 
-    # a panel's rows in ``split`` parts, as many as keep a block near one
-    # unfolded row of the longer axis
-    rows = order // split * max(1, round(longest / y.size))
+    rows = _BLOCK_ROWS * max(1, round(longest / y.size))
     # g cos(theta) and g sin(theta) of a block, then theta and three scratch arrays
     pair = np.empty(2 * rows * y.size)
     work = np.empty((4, rows * y.size))
@@ -754,10 +750,7 @@ def _osc_grids(
             e *= _radial_bump(ux[block], vy[lo:hi], amp.order, theta, scratch[0])
         else:
             e = _radial_bump(ux[block], vy[lo:hi], amp.order, theta, scratch[0])[None]
-        if shared:
-            sums[:, block] = (e.reshape(2 * n, hi - lo) @ mats[0, lo:hi]).reshape(2, n, -1)
-        else:
-            np.matmul(e[: len(mats)], mats[:, lo:hi], out=sums[:, block])
+        np.matmul(e[: 1 + with_q], mats[:, lo:hi], out=sums[:, block])
     pq = sums.view(np.complex128)
     turn = _global_phase(phi, lam)
     totals = []
@@ -901,8 +894,8 @@ def _eval_on_edges(
     relative difference from the rule's check order."""
     grid = [(np.array([s[0]]), np.array([s[1]]))]
     rule = _DECAY_RULE
-    check = _osc_grids(phi, amp, lam, grid, edges, rule.check, rule.split)[0]
-    value = _osc_grids(phi, amp, lam, grid, edges, rule.order, rule.split)[0]
+    check = _osc_grids(phi, amp, lam, grid, edges, rule.check)[0]
+    value = _osc_grids(phi, amp, lam, grid, edges, rule.order)[0]
     return value[0, 0], _order_check(check, value, amp, f"I(lambda={lam}, s={s})", rule)
 
 
@@ -924,7 +917,9 @@ def eval_oscillatory(
 
 
 def dyadic_grid(lmin: float, lmax: float) -> Tuple[float, ...]:
-    """Powers of two from lmin through lmax inclusive."""
+    """lmin times the powers of two, up to lmax inclusive (within a relative
+    1e-12): dyadic_grid(64, 4096) is 64, 128, ..., 4096, and
+    dyadic_grid(100, 1000) is 100, 200, 400, 800."""
     if not (math.isfinite(lmin) and math.isfinite(lmax)):
         raise ValueError(f"lambda bounds must be finite, got [{lmin}, {lmax}]")
     if not 0 < lmin <= lmax:
@@ -1059,7 +1054,9 @@ def randol_lq_scan(
 
     The offsets fill the square of half-width DEFAULT_SCAN_HALF_WIDTH on a
     coarse grid of ``cells`` cells per axis and a fine grid of twice as
-    many.  A bounded coarse-to-fine ratio is the integrability signal; a
+    many; an odd ``cells`` is rounded up to the next even count, so that no
+    sample point lies on the axis caustic (``cells=7`` samples 8 x 8 coarse
+    points).  A bounded coarse-to-fine ratio is the integrability signal; a
     growing one flags divergence.  The two cell-centered offset grids share
     every integrand sweep under the scan rule's order 24, which gives the
     reported values.  With ``validate`` each lambda's coarse-grid matrix is
@@ -1100,9 +1097,9 @@ def randol_lq_scan(
     m_coarse = np.zeros((coarse.size, coarse.size))
     m_fine = np.zeros((fine.size, fine.size))
     for lam, edges in zip(lams, plan):
-        mats = _osc_grids(phi, amp, lam, grids, edges, rule.order, rule.split)
+        mats = _osc_grids(phi, amp, lam, grids, edges, rule.order)
         if validate:
-            check = _osc_grids(phi, amp, lam, grids[:1], edges, rule.check, rule.split)[0]
+            check = _osc_grids(phi, amp, lam, grids[:1], edges, rule.check)[0]
             _order_check(check, mats[0], amp, f"the scan at lambda={lam}", rule)
         for peak, mat in zip((m_coarse, m_fine), mats):
             np.maximum(peak, lam**w * np.abs(mat), out=peak)

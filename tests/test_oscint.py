@@ -31,6 +31,7 @@ from nphk.oscint import (
     eval_oscillatory,
     fit_decay,
     randol_lq_scan,
+    _BLOCK_ROWS,
     _DECAY_RULE,
     _SCAN_RULE,
     _disc_columns,
@@ -393,34 +394,48 @@ class TestBlockedSweep:
             edges = _case_edges(case, rule)
             if edges[0].size % 2 == 0:
                 assert np.any((edges[0][:-1] < 0) & (edges[0][1:] > 0))
-            got = _osc_grids(phi, amp, lam, grids, edges, rule.order, rule.split)
+            got = _osc_grids(phi, amp, lam, grids, edges, rule.order)
             want = _dense_reference(phi, amp, lam, grids, edges, rule.order)
             for g, w in zip(got, want):
                 assert g.shape == w.shape
                 np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
 
     @pytest.mark.parametrize("case", SWEEP_CASES, ids=SWEEP_IDS)
-    def test_skipped_nodes_lie_outside_the_disc(self, case):
-        # the blocks of each rule's value sweep
-        _, amp, _, _, _ = case
+    def test_skipped_nodes_lie_outside_the_disc(self, monkeypatch, case):
+        # the blocks the sweeps of both orders of each rule really build,
+        # folded and sized as _osc_grids sizes them
+        text, amp, lam, grids, _ = case
+        blocks = []
+        disc_columns = oscint._disc_columns
+
+        def spy(amp, xc, y):
+            lo, hi = disc_columns(amp, xc, y)
+            blocks.append((xc.copy(), np.concatenate((y[:lo], y[hi:]))))
+            return lo, hi
+
+        monkeypatch.setattr(oscint, "_disc_columns", spy)
+        r2 = amp.radius * amp.radius
         for rule in RULES:
             edges = _case_edges(case, rule)
+            for order in (rule.order, rule.check):
+                blocks.clear()
+                _osc_grids(parse_polynomial(text), amp, lam, grids, edges, order)
+                assert blocks
+                for xc, skipped in blocks:
+                    assert np.all(xc[:, None] ** 2 + skipped[None, :] ** 2 >= amp.radius**2)
+                    # the sweep's own bump, from its tables, is exactly zero there too
+                    shape = (xc.size, skipped.size)
+                    bump = _radial_bump(1.0 - xc * xc / r2, skipped * skipped / r2, amp.order, np.empty(shape), np.empty(shape))
+                    assert np.all(bump == 0.0)
+            # blocks of _BLOCK_ROWS rows of the unfolded value grid: the disc
+            # is pi/4 of the square, and the clipped blocks keep little more
             x, _ = _gauss_axis(edges[0], rule.order)
             y, _ = _gauss_axis(edges[1], rule.order)
-            rows = rule.order // rule.split
             kept = 0
-            for row in range(0, x.size, rows):
-                xc = x[row : row + rows]
+            for row in range(0, x.size, _BLOCK_ROWS):
+                xc = x[row : row + _BLOCK_ROWS]
                 lo, hi = _disc_columns(amp, xc, y)
                 kept += xc.size * (hi - lo)
-                skipped = np.concatenate((y[:lo], y[hi:]))
-                assert np.all(xc[:, None] ** 2 + skipped[None, :] ** 2 >= amp.radius**2)
-                # the sweep's own bump, from its tables, is exactly zero there too
-                r2 = amp.radius * amp.radius
-                shape = (xc.size, skipped.size)
-                bump = _radial_bump(1.0 - xc * xc / r2, skipped * skipped / r2, amp.order, np.empty(shape), np.empty(shape))
-                assert np.all(bump == 0.0)
-            # the disc is pi/4 of the square; the clipped blocks keep little more
             assert kept < 0.9 * x.size * y.size
 
     def test_unmirrored_edges_sweep_the_full_axis(self):
@@ -792,7 +807,7 @@ class TestOrderCheck:
         half = DEFAULT_SCAN_HALF_WIDTH
         grids = [(cell_centered_grid(half, 8),) * 2]
         edges = _edges(phi, amp, lam, (half, half), _SCAN_RULE)
-        got = _osc_grids(phi, amp, lam, grids, edges, _SCAN_RULE.order, _SCAN_RULE.split)[0]
+        got = _osc_grids(phi, amp, lam, grids, edges, _SCAN_RULE.order)[0]
         want = _finer_reference(phi, amp, lam, grids, edges)
         big = np.abs(want) > 1e-9 * amplitude_mass(amp)
         assert big.sum() >= 8
@@ -1044,6 +1059,22 @@ class TestRandol:
         mixed = randol_lq_scan(*args, lambda_grid=[128.0, 64.0, 128.0], validate=False, **kwargs)
         assert sorted(set(swept)) == [64.0, 128.0] and swept.count(128.0) == swept.count(64.0) == len(swept) // 2
         assert mixed.M_values == randol_lq_scan(*args, lambda_grid=[64.0, 128.0], validate=False, **kwargs).M_values
+
+    @pytest.mark.parametrize(
+        "text,ratios",
+        [
+            ("x*(y - x^2)^2", (1.0825736860751838, 2.802884887081341, 40.05766741773646)),
+            ("y*(x - y^2)^2", (1.0825736860751838, 2.8028848870813396, 40.05766741773647)),
+        ],
+        ids=["twin", "swapped-twin"],
+    )
+    def test_scan_ratios_unchanged(self, text, ratios):
+        # the default scan of the rank-zero twin and its variable swap.  The
+        # twin sweeps y whole, so its offset columns of -s2 are conjugates;
+        # the swap folds y odd, so they negate Q
+        scan = randol_lq_scan(parse_polynomial(text), AmplitudeSpec(), 2, q_list=(2.0, 4.0, 8.0))
+        for q, ratio in zip((2.0, 4.0, 8.0), ratios):
+            assert scan.q_report[q][2] == pytest.approx(ratio, rel=1e-12)
 
     def test_lq_scan_smoke(self):
         amp = AmplitudeSpec()
