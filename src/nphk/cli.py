@@ -280,6 +280,8 @@ def run_decay(args: argparse.Namespace, out=None) -> int:
     if args.randol:
         if args.csv_path:
             oscint.write_scan_csv(args.csv_path, scan)
+        swept = scan.lambdas
+        print(f"lambda swept {swept[0]:g}..{swept[-1]:g} of {grid[0]:g}..{grid[-1]:g}", file=out)
         for q, (coarse, fine, ratio) in sorted(scan.q_report.items()):
             print(f"q={q:g}: L^q sum coarse={coarse:.6g} fine={fine:.6g} ratio={ratio:.4f}", file=out)
         return EXIT_OK

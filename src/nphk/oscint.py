@@ -167,6 +167,12 @@ DEFAULT_SCAN_HALF_WIDTH = 0.25
 # their caustic on an axis line, where the maximal function is infinite, and
 # an odd cell-centered grid would place sample points exactly on it.
 DEFAULT_SCAN_CELLS = 32
+# A scan stops raising lambda once it has swept this many octaves above the
+# last lambda that raised any point of its maximal function.  One quiet octave
+# is not enough: on x*(y - x^2)^2 the largest value at lambda = 8192 is 0.404
+# of the running max, and at 16384 it climbs back to 0.712.  The count is in
+# octaves, not grid steps, so a denser lambda grid does not stop sooner.
+_QUIET_OCTAVES = 2
 
 
 class QuadratureNotConverged(RuntimeError):
@@ -212,9 +218,14 @@ class DecayFit:
 
 @dataclass(frozen=True)
 class RandolScan:
-    """Maximal-function samples and empirical L^q refinement ratios."""
+    """Maximal-function samples and empirical L^q refinement ratios.
+
+    ``lambdas`` holds the lambda values the scan swept, in ascending order:
+    the head of its grid up to where the scan stopped.
+    """
 
     m: int
+    lambdas: Tuple[float, ...]
     s_grid: Tuple[Tuple[float, float], ...]
     M_values: Tuple[float, ...]
     q_report: Dict[float, Tuple[float, float, float]]  # q -> (coarse, fine, ratio)
@@ -1064,7 +1075,19 @@ def randol_lq_scan(
     relative difference from the reported matrix must stay within REL_TOL;
     the check does not change any reported value.  This is the convention
     of the decay values, on panels three times as wide (see the module
-    docstring).  A repeated lambda is swept once.  A ``cells`` that is not
+    docstring).  A repeated lambda is swept once.
+
+    ``M`` at an offset s is the largest lambda^w |I(lambda, s)|, with
+    w = ``randol_weight(m)``, over the lambda swept, in ascending order.  The
+    sweep stops once it has covered _QUIET_OCTAVES octaves of lambda above the
+    last lambda that raised any coarse or fine point; ``RandolScan.lambdas``
+    says where.  On the default grid that is two swept lambda in a row that
+    raise no point.  The stop reads only the reported values, so ``validate``
+    does not move it.  Every lambda of the grid is still planned, against the
+    feasible range and the node budget, before any node is built: a grid that
+    is refused is refused whole, even past where the sweep would stop.
+
+    A ``cells`` that is not
     an ``int`` (or is a ``bool``), a ``q`` that is not positive and finite,
     an empty ``q_list`` or an empty ``lambda_grid`` raises ValueError, and a
     fine grid of more than MAX_SCAN_POINTS offsets BudgetExceeded, before
@@ -1096,13 +1119,21 @@ def randol_lq_scan(
     grids = [(coarse, coarse), (fine, fine)]
     m_coarse = np.zeros((coarse.size, coarse.size))
     m_fine = np.zeros((fine.size, fine.size))
+    swept: List[float] = []
+    last_raise = lams[0]
     for lam, edges in zip(lams, plan):
         mats = _osc_grids(phi, amp, lam, grids, edges, rule.order)
         if validate:
             check = _osc_grids(phi, amp, lam, grids[:1], edges, rule.check)[0]
             _order_check(check, mats[0], amp, f"the scan at lambda={lam}", rule)
+        swept.append(lam)
         for peak, mat in zip((m_coarse, m_fine), mats):
-            np.maximum(peak, lam**w * np.abs(mat), out=peak)
+            value = lam**w * np.abs(mat)
+            if (value > peak).any():
+                last_raise = lam
+            np.maximum(peak, value, out=peak)
+        if lam >= 2.0**_QUIET_OCTAVES * last_raise:
+            break
 
     area_c = (2.0 * half_width / coarse.size) ** 2
     area_f = (2.0 * half_width / fine.size) ** 2
@@ -1115,6 +1146,7 @@ def randol_lq_scan(
     points = tuple((float(a), float(b)) for a in coarse for b in coarse)
     return RandolScan(
         m=m,
+        lambdas=tuple(swept),
         s_grid=points,
         M_values=tuple(float(v) for v in m_coarse.ravel()),
         q_report=report,

@@ -248,6 +248,12 @@ class TestDecayCommand:
         assert len(lines) == 65
         assert "q=2" in capsys.readouterr().out
 
+    def test_randol_prints_the_swept_lambda(self, capsys):
+        # on the 8-cell grid no point rises after lambda = 512, so the scan stops two octaves on
+        code = cli.main(["decay", "--phi", "(y - x^2)^2", "--randol", "--m", "2", "--grid", "8"])
+        assert code == 0
+        assert "lambda swept 64..2048 of 64..16384\n" in capsys.readouterr().out
+
     def test_randol_requires_m(self, capsys):
         code = cli.main(["decay", "--phi", "(y - x^2)^2", "--randol"])
         assert code == cli.EXIT_PARSE

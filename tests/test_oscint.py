@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from nphk import oscint
 from nphk.classify import UnsupportedKindError
 from nphk.oscint import (
+    DEFAULT_LAMBDA_GRID,
     DEFAULT_SCAN_HALF_WIDTH,
     MAX_COARSE_NODES,
     MAX_FEASIBLE_LAMBDA,
@@ -1065,16 +1066,45 @@ class TestRandol:
         [
             ("x*(y - x^2)^2", (1.0825736860751838, 2.802884887081341, 40.05766741773646)),
             ("y*(x - y^2)^2", (1.0825736860751838, 2.8028848870813396, 40.05766741773647)),
+            ("(y - x^2)^2", (1.0260494375753464, 1.2471173830368816, 2.758882379955612)),
         ],
-        ids=["twin", "swapped-twin"],
+        ids=["twin", "swapped-twin", "benchmark-phase"],
     )
     def test_scan_ratios_unchanged(self, text, ratios):
-        # the default scan of the rank-zero twin and its variable swap.  The
-        # twin sweeps y whole, so its offset columns of -s2 are conjugates;
-        # the swap folds y odd, so they negate Q
+        # the default scan of the rank-zero twin, its variable swap and the
+        # phase of criterion 6.  The twin sweeps y whole, so its offset
+        # columns of -s2 are conjugates; the swap folds y odd, so they negate
+        # Q.  The values were read before the scan stopped early
         scan = randol_lq_scan(parse_polynomial(text), AmplitudeSpec(), 2, q_list=(2.0, 4.0, 8.0))
         for q, ratio in zip((2.0, 4.0, 8.0), ratios):
             assert scan.q_report[q][2] == pytest.approx(ratio, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "text,m,last",
+        [("(y - x^2)^2", 2, 8192.0), ("(y + x^2)^2", 2, 8192.0), ("x*(y - x^2)^2", 2, 16384.0), ("x*(y - x^3)^2", 3, 16384.0)],
+        ids=["benchmark-phase", "reflected", "twin", "m3"],
+    )
+    def test_the_stop_is_exact(self, text, m, last):
+        # the running max of one-lambda scans over the whole default grid is
+        # the stopped scan's maximal function, checked or not
+        phi, amp = parse_polynomial(text), AmplitudeSpec()
+        scan = randol_lq_scan(phi, amp, m, q_list=(2.0,))
+        assert scan.lambdas == tuple(lam for lam in DEFAULT_LAMBDA_GRID if lam <= last)
+        assert randol_lq_scan(phi, amp, m, q_list=(2.0,), validate=False) == scan
+        running = np.zeros(len(scan.M_values))
+        for lam in DEFAULT_LAMBDA_GRID:
+            one = randol_lq_scan(phi, amp, m, q_list=(2.0,), lambda_grid=[lam], validate=False)
+            assert one.lambdas == (lam,)
+            running = np.maximum(running, one.M_values)
+        assert tuple(running) == scan.M_values
+
+    def test_the_stop_counts_octaves(self):
+        # on a grid four times as dense the last lambda to raise a point is
+        # 64 * 2^(21/4), about 2436, and the scan stops two octaves on, past
+        # the dyadic grid's stop at 8192: a denser grid never stops sooner
+        quarter = tuple(64.0 * 2.0 ** (k / 4) for k in range(33))
+        scan = randol_lq_scan(parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, q_list=(2.0,), lambda_grid=quarter)
+        assert scan.lambdas == quarter[:30] and scan.lambdas[-1] > 8192.0
 
     def test_lq_scan_smoke(self):
         amp = AmplitudeSpec()
