@@ -362,7 +362,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "decay":
             args.q = tuple(parse_exponent(tok) for tok in args.q.split(",") if tok.strip())
     except ValueError as exc:
-        print(json.dumps({"error": str(exc), "exit_code": EXIT_PARSE}), file=sys.stdout)
+        _emit_error(getattr(args, "json_path", None), str(exc), EXIT_PARSE, sys.stdout)
         return EXIT_PARSE
     run = {"analyze": run_analyze, "decay": run_decay, "corpus": run_corpus_command}[args.command]
     return run(args)

@@ -436,20 +436,6 @@ def _radial_bump(ux: np.ndarray, vy: np.ndarray, order: int, out: np.ndarray, sc
     return _power(out, order, scratch)
 
 
-def _power_cache(base: np.ndarray):
-    # pw must not call itself: a self-referencing closure is a reference cycle,
-    # and the cycle would keep the cached node powers alive until the next
-    # cyclic collection instead of freeing them with the sweep.
-    cache = [np.ones_like(base)]
-
-    def pw(k):
-        while len(cache) <= k:
-            cache.append(cache[-1] * base)
-        return cache[k]
-
-    return pw
-
-
 # -- trig kernel ---------------------------------------------------------------
 #
 # cos and sin by table lookup after a Cody-Waite reduction (Cody and Waite,
@@ -733,9 +719,11 @@ def _osc_grids(
 
     exps = sorted({a for a, _, _ in terms})
     table = np.zeros((len(exps), y.size))
-    ypow = _power_cache(y)
+    ypow = [np.ones_like(y)]
+    for _ in range(max((b for _, b, _ in terms), default=0)):
+        ypow.append(ypow[-1] * y)
     for a, b, c in terms:
-        table[exps.index(a)] += (lam * c) * ypow(b)
+        table[exps.index(a)] += (lam * c) * ypow[b]
     exps = np.array(exps, dtype=float)
     theta_max = float(np.max(float(np.abs(x).max()) ** exps @ np.abs(table), initial=0.0))
     r2 = amp.radius * amp.radius

@@ -19,11 +19,12 @@ classifier needs for real linear factors: derivative, division with
 remainder, monic gcd, Yun's square-free decomposition and the Sturm count of
 distinct real roots.
 
-Products, compositions (``compose``, behind linear maps and shears),
-substitutions (``substitute_y``) and series inverses run on Python integers:
-each operand is rewritten as integer numerators over the lcm of its
-denominators, the numerators are convolved by one integer kernel per
-polynomial type, and each output coefficient is built once as a reduced
+Products, powers, compositions (``compose``, behind linear maps and
+shears), substitutions (``substitute_y``) and series division
+(``series_divide``) run on Python integers: each operand is rewritten as
+integer numerators over the lcm of its denominators, the numerators go
+through one integer pass (a convolution, a chain of them, or a linear
+recurrence), and each output coefficient is built once as a reduced
 ``Fraction``.  ``Fraction`` is still what every API takes and returns.
 
 The zero polynomial has order ``INFINITE_ORDER`` (a float infinity used only
@@ -278,17 +279,18 @@ class BivariatePolynomial(_SparseJet):
     total_degree = _SparseJet._top_degree
 
     def __pow__(self, k: int) -> "BivariatePolynomial":
+        """self**k by binary powering on integer numerators, each output coefficient reduced once."""
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = BivariatePolynomial.constant(1, self._trunc)
-        base = self
+        base, base_den = _integer_form(self._terms)
+        nums, den = _kept({(0, 0): 1}, self._trunc, sum), 1
         while k:
             if k & 1:
-                result = result * base
+                nums, den = _convolve_xy(nums, base, self._trunc), den * base_den
             k >>= 1
             if k:
-                base = base * base
-        return result
+                base, base_den = _convolve_xy(base, base, self._trunc), base_den * base_den
+        return BivariatePolynomial._clean(_fractions(nums, den), self._trunc)
 
     # -- calculus / structure ----------------------------------------------------
 
@@ -479,10 +481,6 @@ class LinearMap2:
     def det(self) -> Fraction:
         return self.a * self.d - self.b * self.c
 
-    def inverse(self) -> "LinearMap2":
-        det = self.det()
-        return LinearMap2(self.d / det, -self.b / det, -self.c / det, self.a / det)
-
     def __matmul__(self, other: "LinearMap2") -> "LinearMap2":
         return LinearMap2(
             self.a * other.a + self.b * other.c,
@@ -494,10 +492,6 @@ class LinearMap2:
     @staticmethod
     def identity() -> "LinearMap2":
         return LinearMap2(1, 0, 0, 1)
-
-    @staticmethod
-    def swap() -> "LinearMap2":
-        return LinearMap2(0, 1, 1, 0)
 
 
 # -- substitution -------------------------------------------------------------
@@ -578,32 +572,14 @@ def substitute_y(p: BivariatePolynomial, u: UnivariatePolynomial) -> UnivariateP
     return UnivariatePolynomial._clean(_fractions(acc, den * d**big_b), trunc)
 
 
-def series_inverse(u: UnivariatePolynomial, trunc: int) -> UnivariatePolynomial:
-    """Multiplicative inverse of a unit jet (nonzero constant term), mod x^(trunc+1).
-
-    With u = U/den over integers and U0 = U[0], the scaled coefficients
-    w_d = U0^(d+1) * inv_d / den are integers: w_0 = 1 and
-    w_d = -sum_j U_j * U0^(j-1) * w_(d-j).
-    """
-    if u.coefficient(0) == 0:
-        raise ValueError("series has no constant term, not invertible")
-    nums, den = _integer_form(u._terms)
-    u0 = nums[0]
-    steps = [(j, uj * u0 ** (j - 1)) for j, uj in nums.items() if 0 < j <= trunc]
-    w: list = []
-    inv = {}
-    u0_pow = 1
-    for d in range(trunc + 1):
-        wd = -sum(step * w[d - j] for j, step in steps if j <= d) if d else 1
-        w.append(wd)
-        u0_pow *= u0
-        if wd:
-            inv[d] = Fraction(den * wd, u0_pow)
-    return UnivariatePolynomial._clean(inv, trunc)
-
-
 def series_divide(num: UnivariatePolynomial, den: UnivariatePolynomial, trunc: int) -> UnivariatePolynomial:
-    """num/den as a jet mod x^(trunc+1); requires order(num) >= order(den)."""
+    """num/den as a jet mod x^(trunc+1); requires order(num) >= order(den).
+
+    With s = order(den), num = x^s N/dn and den = x^s U/du over integers and
+    U0 = U[0] != 0, the scaled quotient coefficients w_d = U0^(d+1) dn q_d / du
+    are integers: w_d = U0^d N_d - sum_(j>=1) U_j U0^(j-1) w_(d-j), and each
+    q_d = du w_d / (dn U0^(d+1)) is reduced once.
+    """
     s = den.order()
     if s is INFINITE_ORDER:
         raise ZeroDivisionError("division by the zero jet")
@@ -611,9 +587,20 @@ def series_divide(num: UnivariatePolynomial, den: UnivariatePolynomial, trunc: i
         return UnivariatePolynomial.zero(trunc)
     if num.order() < s:
         raise ValueError("quotient is not a power series")
-    num_shift = UnivariatePolynomial({d - s: c for d, c in num.coeffs.items()}, None)
-    den_shift = UnivariatePolynomial({d - s: c for d, c in den.coeffs.items()}, None)
-    return (num_shift.truncate(trunc) * series_inverse(den_shift, trunc)).truncate(trunc)
+    nums, dn = _integer_form(num._terms)
+    dens, du = _integer_form(den._terms)
+    u0 = dens[s]
+    steps = [(d - s, c * u0 ** (d - s - 1)) for d, c in dens.items() if 0 < d - s <= trunc]
+    w: list = []
+    quo = {}
+    u0_pow = 1
+    for d in range(trunc + 1):
+        wd = u0_pow * nums.get(d + s, 0) - sum(step * w[d - j] for j, step in steps if j <= d)
+        w.append(wd)
+        u0_pow *= u0
+        if wd:
+            quo[d] = Fraction(du * wd, dn * u0_pow)
+    return UnivariatePolynomial._clean(quo, trunc)
 
 
 # -- parsing ---------------------------------------------------------------------

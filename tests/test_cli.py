@@ -69,6 +69,16 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out)
         assert "error" in payload and payload["exit_code"] == cli.EXIT_PARSE
 
+    def test_bad_p_list_writes_the_error_record_to_the_json_file(self, capsys, tmp_path):
+        path = tmp_path / "out.json"
+        code = cli.main(["analyze", "--phi", "x^2*y + y^3", "--p", "1,abc", "--json", str(path)])
+        assert code == cli.EXIT_PARSE
+        printed = capsys.readouterr().out
+        assert path.read_text() == printed
+        payload = json.loads(printed)
+        assert payload["exit_code"] == cli.EXIT_PARSE and "abc" in payload["error"]
+        assert printed == json.dumps(payload, indent=2) + "\n"
+
     @pytest.mark.parametrize(
         "phi,bound",
         [

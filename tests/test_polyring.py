@@ -20,7 +20,6 @@ from nphk.polyring import (
     compose,
     parse_polynomial,
     series_divide,
-    series_inverse,
     substitute_y,
 )
 from conftest import rand_invertible_map, rand_poly, rand_univariate
@@ -140,9 +139,20 @@ class TestArithmetic:
             p, q, r = (rand_poly(rng, 4, 4) for _ in range(3))
             assert (p + q) * r == p * r + q * r
 
-    def test_power_matches_repeated_product(self):
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_power_matches_repeated_product(self, data):
         p = parse_polynomial("x + y^2 - 2")
         assert p**3 == p * p * p
+        trunc, k = data.draw(_truncations()), data.draw(st.integers(0, 6))
+        for p in (BivariatePolynomial(data.draw(_small_bivariate_terms(3)), trunc), BivariatePolynomial.zero(trunc)):
+            expected = BivariatePolynomial.constant(1, trunc)
+            for _ in range(k):
+                expected = expected * p
+            power = p**k
+            assert power == expected
+            _assert_clean(power, power.terms.items(), trunc, sum)
+            _assert_public_equal(power, BivariatePolynomial, power.terms)
 
     def test_truncation_drops_high_degree(self):
         p = parse_polynomial("x^2 + y^2").truncate(3)
@@ -225,7 +235,7 @@ class TestLinearMaps:
 
     def test_swap_symmetric(self):
         p = parse_polynomial("x*y")
-        assert apply_linear(p, LinearMap2.swap()) == p
+        assert apply_linear(p, LinearMap2(0, 1, 1, 0)) == p
 
     def test_shear_map_example(self):
         p = parse_polynomial("y^2")
@@ -241,7 +251,9 @@ class TestLinearMaps:
         for _ in range(20):
             p = rand_poly(rng, 4, 4)
             m = rand_invertible_map(rng)
-            assert apply_linear(apply_linear(p, m), m.inverse()) == p
+            det = m.det()
+            inverse = LinearMap2(m.d / det, -m.b / det, -m.c / det, m.a / det)
+            assert apply_linear(apply_linear(p, m), inverse) == p
 
     def test_group_action(self):
         rng = random.Random(4)
@@ -316,16 +328,11 @@ class TestUnivariate:
         b0 = substitute_y(p, psi)
         assert b0 == UnivariatePolynomial({7: F(1)})
 
-    def test_series_inverse(self):
+    def test_series_divide_one_by_a_unit(self):
         u = UnivariatePolynomial({0: F(1), 1: F(1)})
-        inv = series_inverse(u, 6)
+        inv = series_divide(ONE, u, 6)
         assert (u * inv).truncate(6) == UnivariatePolynomial({0: F(1)}, trunc=6)
-
-    def test_series_divide_with_shift(self):
-        num = UnivariatePolynomial({2: F(2), 3: F(2)})
-        den = UnivariatePolynomial({1: F(2)})
-        quo = series_divide(num, den, 8)
-        assert (den * quo).truncate(8) == num.truncate(8)
+        assert inv == _reference_inverse(u, 6)
 
     def test_series_divide_rejects_bad_valuation(self):
         num = UnivariatePolynomial({0: F(1)})
@@ -598,19 +605,28 @@ def _reference_inverse(u, trunc):
     return UnivariatePolynomial(inv, trunc)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     c0=st.builds(Fraction, st.integers(-40, 40).filter(bool), st.sampled_from(_DENOMINATORS[1:])).filter(
         lambda c: c.denominator > 1
     ),
     rest=st.dictionaries(st.integers(1, 8), _coefficients(), max_size=5),
+    num=st.one_of(st.just({0: F(1)}), _univariate_coeffs()),
+    s=st.integers(0, 2),
+    lift=st.booleans(),
     t=st.integers(0, 10),
 )
-def test_series_inverse_of_non_integer_unit(c0, rest, t):
+@example(c0=F(2), rest={}, num={1: F(2), 2: F(2)}, s=1, lift=False, t=8)
+def test_series_divide_matches_the_fraction_recursion(c0, rest, num, s, lift, t):
+    # x^s n / (x^s u) for a unit u; n starts above degree t when lifted
     u = UnivariatePolynomial({0: c0, **rest})
-    inv = series_inverse(u, t)
-    assert inv * u == UnivariatePolynomial({0: F(1)}, trunc=t)
-    assert inv == _reference_inverse(u, t)
+    n = UnivariatePolynomial({d + (t + 1 if lift else 0): c for d, c in num.items()})
+    shifted = [UnivariatePolynomial({d + s: c for d, c in v.coeffs.items()}) for v in (n, u)]
+    quo = series_divide(*shifted, t)
+    assert quo * u == n.truncate(t)
+    assert quo == n.truncate(t) * _reference_inverse(u, t)
+    _assert_clean(quo, quo.coeffs.items(), t, int)
+    _assert_public_equal(quo, UnivariatePolynomial, quo.coeffs)
 
 
 @settings(max_examples=300, deadline=None)
