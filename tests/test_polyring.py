@@ -334,6 +334,12 @@ class TestUnivariate:
         assert (u * inv).truncate(6) == UnivariatePolynomial({0: F(1)}, trunc=6)
         assert inv == _reference_inverse(u, 6)
 
+    def test_series_divide_with_shift(self):
+        num = UnivariatePolynomial({2: F(2), 3: F(2)})
+        den = UnivariatePolynomial({1: F(2)})
+        quo = series_divide(num, den, 8)
+        assert (den * quo).truncate(8) == num.truncate(8)
+
     def test_series_divide_rejects_bad_valuation(self):
         num = UnivariatePolynomial({0: F(1)})
         den = UnivariatePolynomial({1: F(1)})
@@ -603,6 +609,21 @@ def _reference_inverse(u, trunc):
     for d in range(1, trunc + 1):
         inv[d] = -sum((cj * inv[d - j] for j, cj in coeffs.items() if 0 < j <= d), Fraction(0)) / coeffs[0]
     return UnivariatePolynomial(inv, trunc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    c0=st.builds(Fraction, st.integers(-40, 40).filter(bool), st.sampled_from(_DENOMINATORS[1:])).filter(
+        lambda c: c.denominator > 1
+    ),
+    rest=st.dictionaries(st.integers(1, 8), _coefficients(), max_size=5),
+    t=st.integers(0, 10),
+)
+def test_series_inverse_of_non_integer_unit(c0, rest, t):
+    u = UnivariatePolynomial({0: c0, **rest})
+    inv = series_divide(UnivariatePolynomial({0: F(1)}), u, t)
+    assert inv * u == UnivariatePolynomial({0: F(1)}, trunc=t)
+    assert inv == _reference_inverse(u, t)
 
 
 @settings(max_examples=300, deadline=None)
