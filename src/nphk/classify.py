@@ -228,11 +228,14 @@ def _branch_solve(f: BivariatePolynomial, trunc: int) -> Tuple[UnivariatePolynom
     psi = O(x^2).  The pivot f_y(x, psi) enters the correction only through
     about w - known orders, so it is substituted at max(2, w - known), which
     still reads a pivot order of 0, 1 or more correctly.  The correction is
-    rebuilt at ``trunc`` so that psi keeps its truncation.  A residual that
-    vanishes at working precision is confirmed once at full precision, which
-    stops a polynomial branch at once (the early stop that the returned flag
-    reports); the loop stops only on a full residual of order above
-    ``trunc``.
+    rebuilt at ``trunc`` so that psi keeps its truncation.  The residual and
+    the pivot enter ``series_divide`` as exact polynomials with their
+    coefficients, so it divides through w on purpose: the jets alone pin
+    fewer orders, and the final check below decides what psi pins.  A
+    residual that vanishes at working precision is confirmed once at full
+    precision, which stops a polynomial branch at once (the early stop that
+    the returned flag reports); the loop stops only on a full residual of
+    order above ``trunc``.
 
     So psi satisfies the same final check as under full-precision steps, and
     every coefficient that check pins, those through degree T - s with T the
@@ -261,7 +264,7 @@ def _branch_solve(f: BivariatePolynomial, trunc: int) -> Tuple[UnivariatePolynom
             raise NormalizationFailed(
                 "no power-series branch through the origin with zero slope"
             )
-        correction = series_divide(residual, pivot, w)
+        correction = series_divide(UnivariatePolynomial(residual.coeffs), UnivariatePolynomial(pivot.coeffs), w)
         psi = psi - UnivariatePolynomial(correction.coeffs, trunc)
         known = min(trunc, 2 * known + 1 - s)
     else:

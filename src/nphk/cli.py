@@ -309,9 +309,9 @@ def run_decay(args: argparse.Namespace, out=None) -> int:
 
 def run_corpus_command(args: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
-    results = corpus_mod.run_corpus(
-        tag_filter=args.tag_filter, report=lambda line: print(line, file=out), seed=args.seed
-    )
+    results = corpus_mod.run_corpus(tag_filter=args.tag_filter, seed=args.seed)
+    for res in results:
+        print(res.line(), file=out)
     if not results:
         _emit_error(None, f"--filter {args.tag_filter!r} matches no corpus row", EXIT_PARSE, out)
         return EXIT_PARSE

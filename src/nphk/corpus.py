@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from . import classify as cls
 from . import exponent as expo
@@ -161,11 +161,7 @@ def check_affine_invariance(rows: Sequence[CorpusRow], seed: int, per_row: int =
     return CheckResult(f"affine invariance (seed {seed})", not problems, "; ".join(problems))
 
 
-def run_corpus(
-    tag_filter: Optional[str] = None,
-    report: Optional[Callable[[str], None]] = None,
-    seed: int = 0,
-) -> List[CheckResult]:
+def run_corpus(tag_filter: Optional[str] = None, seed: int = 0) -> List[CheckResult]:
     """Run the built-in classification table and the exact identity suites.
 
     ``tag_filter`` keeps only rows whose kind label contains the tag, and
@@ -180,7 +176,4 @@ def run_corpus(
         results.append(check_nla_sweep())
         results.append(check_knapp_threshold())
         results.append(check_affine_invariance(rows, seed))
-    if report is not None:
-        for res in results:
-            report(res.line())
     return results

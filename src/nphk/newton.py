@@ -8,6 +8,10 @@ rays carry a weight with one zero component when their supporting line does
 not pass through the origin.  The distance d is where the bisectrix t1 = t2
 crosses the boundary, and the principal face is the smallest face containing
 (d, d).  All computations are exact over the rationals.
+
+``build_polygon`` reads the staircase of minimal points off one sorted pass
+over the support, and the principal face off the faces whose weight attains
+d: one such face is the principal face, and two share the vertex (d, d).
 """
 
 from __future__ import annotations
@@ -88,11 +92,12 @@ def taylor_support(p: BivariatePolynomial) -> LatticeSet:
 
 
 def _staircase(points) -> list:
-    """Minimal points of the support under componentwise domination."""
-    pts = sorted(points)
-    keep = []
-    for q in pts:
-        if not any(p[0] <= q[0] and p[1] <= q[1] and p != q for p in pts):
+    """Minimal points of the support under componentwise domination, in one
+    pass: in lexicographic order, a point is minimal exactly when its second
+    coordinate is below that of every earlier point."""
+    keep: list = []
+    for q in sorted(points):
+        if not keep or q[1] < keep[-1][1]:
             keep.append(q)
     return keep
 
@@ -155,24 +160,12 @@ def build_polygon(support) -> NewtonPolygon:
 
     # d is the largest 1/|kappa| over supporting lines: every face's line keeps
     # the polygon in {kappa . t >= 1}, and (d, d) saturates the one through it.
-    d = max(
-        Fraction(1) / (f.weight[0] + f.weight[1])
-        for f in faces
-        if f.weight is not None
-    )
-
-    principal = None
-    for v in verts:
-        if Fraction(v[0]) == d and Fraction(v[1]) == d:
-            principal = Face(VERTEX, ((Fraction(v[0]), Fraction(v[1])),))
-            break
-    if principal is None:
-        for f in faces:
-            if f.contains(d, d):
-                principal = f
-                break
-    if principal is None:  # unreachable for a well-formed polygon
-        raise RuntimeError("bisectrix point not located on the boundary")
+    # A line through (d, d) meets the polygon in its face, so the faces that
+    # attain d are the one face containing (d, d), or the two that meet there.
+    reach = [(Fraction(1) / (f.weight[0] + f.weight[1]), f) for f in faces if f.weight is not None]
+    d = max(r for r, _ in reach)
+    attained = [f for r, f in reach if r == d]
+    principal = attained[0] if len(attained) == 1 else Face(VERTEX, ((d, d),))
 
     return NewtonPolygon(tuple(verts), tuple(faces), d, principal)
 

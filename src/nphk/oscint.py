@@ -208,7 +208,6 @@ class DecayFit:
 
     lambdas: Tuple[float, ...]
     values: Tuple[complex, ...]
-    magnitudes: Tuple[float, ...]
     gamma_hat: float
     log_correction: bool
     residual: float
@@ -970,7 +969,6 @@ def fit_decay_from_samples(
     return DecayFit(
         lambdas=tuple(float(v) for v in lams),
         values=tuple(complex(v) for v in values),
-        magnitudes=tuple(mags),
         gamma_hat=float(coef[1]),
         log_correction=bool(with_log),
         residual=residual,

@@ -27,6 +27,9 @@ through one integer pass (a convolution, a chain of them, or a linear
 recurrence), and each output coefficient is built once as a reduced
 ``Fraction``.  ``Fraction`` is still what every API takes and returns.
 
+``parse_polynomial`` reads phase text by recursive descent with one token of
+lookahead; one compiled regular expression scans each character once.
+
 The zero polynomial has order ``INFINITE_ORDER`` (a float infinity used only
 as a sentinel, never in arithmetic).
 """
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Mapping, Optional, Tuple, Union
@@ -579,14 +583,22 @@ def series_divide(num: UnivariatePolynomial, den: UnivariatePolynomial, trunc: i
     U0 = U[0] != 0, the scaled quotient coefficients w_d = U0^(d+1) dn q_d / du
     are integers: w_d = U0^d N_d - sum_(j>=1) U_j U0^(j-1) w_(d-j), and each
     q_d = du w_d / (dn U0^(d+1)) is reduced once.
+
+    q_d reads N through degree d and U through degree d - order(N), so the
+    quotient is valid only through min(trunc, num.trunc - s,
+    den.trunc - 2s + order(num)); an exact input adds no bound.
     """
     s = den.order()
     if s is INFINITE_ORDER:
         raise ZeroDivisionError("division by the zero jet")
+    if num.trunc is not None:
+        trunc = min(trunc, num.trunc - s)
     if num.is_zero():
         return UnivariatePolynomial.zero(trunc)
     if num.order() < s:
         raise ValueError("quotient is not a power series")
+    if den.trunc is not None:
+        trunc = min(trunc, den.trunc - 2 * s + num.order())
     nums, dn = _integer_form(num._terms)
     dens, du = _integer_form(den._terms)
     u0 = dens[s]
@@ -606,38 +618,9 @@ def series_divide(num: UnivariatePolynomial, den: UnivariatePolynomial, trunc: i
 # -- parsing ---------------------------------------------------------------------
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_space(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self._skip_space()
-        if self.pos >= len(self.text):
-            return None, self.pos
-        ch = self.text[self.pos]
-        if ch.isdigit():
-            j = self.pos
-            while j < len(self.text) and self.text[j].isdigit():
-                j += 1
-            if j < len(self.text) and self.text[j] == ".":
-                raise ParseError("non-rational coefficient (decimal point)", j)
-            return ("int", int(self.text[self.pos:j]), j - self.pos), self.pos
-        if ch in "xy":
-            return ("var", ch, 1), self.pos
-        if ch in "+-*^()/":
-            return ("op", ch, 1), self.pos
-        raise ParseError(f"unexpected character {ch!r}", self.pos)
-
-    def next(self):
-        tok, pos = self.peek()
-        if tok is not None:
-            self.pos = pos + tok[2]
-        return tok, pos
+# One token after white space: an integer (a decimal point right after it is
+# an error), a variable or operator, any other character (an error), or none.
+_TOKEN = re.compile(r"\s*(?:(\d+)(\.)?|([-+*^()/xy])|(.))?")
 
 
 # Bounds on phase text, checked before any recursion or product runs past them:
@@ -653,11 +636,34 @@ MAX_CONSTANT_BITS = 4096
 
 class _Parser:
     """Recursive descent for: sums of terms; term = factors joined by '*' or
-    juxtaposition; factor = atom ['^' int]; atom = rational | x | y | (expr)."""
+    juxtaposition; factor = atom ['^' int]; atom = rational | x | y | (expr).
+    A token is an int, a one-character str or None at the end; ``_TOKEN``
+    scans each one once, when the parser first looks at it, so a bad token
+    raises only then."""
 
     def __init__(self, text: str):
-        self.tz = _Tokenizer(text)
+        self.text = text
+        self.pos = 0  # where the next scan starts
+        self.ahead = None  # the scanned, unconsumed (token, position)
         self.depth = 0
+
+    def peek(self):
+        if self.ahead is None:
+            m = _TOKEN.match(self.text, self.pos)
+            digits, point, symbol, bad = m.groups()
+            if point:
+                raise ParseError("non-rational coefficient (decimal point)", m.start(2))
+            if bad:
+                raise ParseError(f"unexpected character {bad!r}", m.start(4))
+            self.pos = m.end()
+            tok = int(digits) if digits else symbol
+            self.ahead = tok, (m.start(m.lastindex) if m.lastindex else self.pos)
+        return self.ahead
+
+    def next(self):
+        tok = self.peek()
+        self.ahead = None
+        return tok
 
     @staticmethod
     def _check_degree(degree, pos: int):
@@ -677,38 +683,35 @@ class _Parser:
 
     def parse(self) -> BivariatePolynomial:
         result = self.expression()
-        tok, pos = self.tz.peek()
+        tok, pos = self.peek()
         if tok is not None:
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", pos)
+            raise ParseError(f"unexpected trailing input {tok!r}", pos)
         return result
 
     def expression(self) -> BivariatePolynomial:
-        tok, _ = self.tz.peek()
-        negate = False
-        if tok is not None and tok[0] == "op" and tok[1] in "+-":
-            self.tz.next()
-            negate = tok[1] == "-"
+        tok, _ = self.peek()
+        negate = tok == "-"
+        if tok in ("+", "-"):
+            self.next()
         total = self.term()
         if negate:
             total = -total
         while True:
-            tok, _ = self.tz.peek()
-            if tok is None or tok[0] != "op" or tok[1] not in "+-":
+            tok, _ = self.peek()
+            if tok not in ("+", "-"):
                 break
-            self.tz.next()
+            self.next()
             rhs = self.term()
-            total = total - rhs if tok[1] == "-" else total + rhs
+            total = total - rhs if tok == "-" else total + rhs
         return total
 
     def term(self) -> BivariatePolynomial:
         total = self.factor()
         while True:
-            tok, pos = self.tz.peek()
-            if tok is None:
-                break
-            if tok[0] == "op" and tok[1] == "*":
-                self.tz.next()
-            elif not (tok[0] in ("int", "var") or (tok[0] == "op" and tok[1] == "(")):
+            tok, pos = self.peek()
+            if tok == "*":
+                self.next()
+            elif not (isinstance(tok, int) or tok in ("x", "y", "(")):
                 break
             # '*' or juxtaposition
             rhs = self.factor()
@@ -718,51 +721,52 @@ class _Parser:
 
     def factor(self) -> BivariatePolynomial:
         base = self.atom()
-        tok, op_pos = self.tz.peek()
-        if tok is not None and tok[0] == "op" and tok[1] == "^":
-            self.tz.next()
-            tok, pos = self.tz.next()
-            if tok is not None and tok[0] == "op" and tok[1] == "-":
+        tok, op_pos = self.peek()
+        if tok == "^":
+            self.next()
+            k, pos = self.next()
+            if k == "-":
                 raise ParseError("negative exponent", pos)
-            if tok is None or tok[0] != "int":
+            if not isinstance(k, int):
                 raise ParseError("exponent must be a nonnegative integer", pos)
             degree = base.total_degree()
             if degree > 0:
-                self._check_degree(degree * tok[1], op_pos)
+                self._check_degree(degree * k, op_pos)
             else:
-                self._check_constant_power(base.coefficient(0, 0), tok[1], op_pos)
-            base = base ** tok[1]
+                self._check_constant_power(base.coefficient(0, 0), k, op_pos)
+            base = base**k
         return base
 
     def atom(self) -> BivariatePolynomial:
-        tok, pos = self.tz.next()
+        tok, pos = self.next()
         if tok is None:
             raise ParseError("unexpected end of input", pos)
-        if tok[0] == "int":
-            value = Fraction(tok[1])
-            nxt, _ = self.tz.peek()
-            if nxt is not None and nxt[0] == "op" and nxt[1] == "/":
-                self.tz.next()
-                den_tok, den_pos = self.tz.next()
-                if den_tok is None or den_tok[0] != "int":
+        if isinstance(tok, int):
+            value = Fraction(tok)
+            if self.peek()[0] == "/":
+                self.next()
+                den, den_pos = self.next()
+                if not isinstance(den, int):
                     raise ParseError("denominator must be an integer", den_pos)
-                if den_tok[1] == 0:
+                if den == 0:
                     raise ParseError("zero denominator", den_pos)
-                value = Fraction(tok[1], den_tok[1])
+                value = Fraction(tok, den)
             return BivariatePolynomial.constant(value)
-        if tok[0] == "var":
-            return BivariatePolynomial.var_x() if tok[1] == "x" else BivariatePolynomial.var_y()
-        if tok[0] == "op" and tok[1] == "(":
+        if tok == "x":
+            return BivariatePolynomial.var_x()
+        if tok == "y":
+            return BivariatePolynomial.var_y()
+        if tok == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
                 raise ParseError(f"parentheses nest deeper than MAX_NESTING = {MAX_NESTING}", pos)
             inner = self.expression()
-            close, cpos = self.tz.next()
-            if close is None or close[0] != "op" or close[1] != ")":
+            close, cpos = self.next()
+            if close != ")":
                 raise ParseError("expected ')'", cpos)
             self.depth -= 1
             return inner
-        raise ParseError(f"unexpected token {tok[1]!r}", pos)
+        raise ParseError(f"unexpected token {tok!r}", pos)
 
 
 def parse_polynomial(text: str) -> BivariatePolynomial:

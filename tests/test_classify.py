@@ -443,7 +443,8 @@ def _reference_branch_solve(f, trunc):
             raise NormalizationFailed(
                 "no power-series branch through the origin with zero slope"
             )
-        correction = series_divide(residual, pivot, trunc)
+        # divided as exact polynomials, past what the jets pin, as the solver does
+        correction = series_divide(UnivariatePolynomial(residual.coeffs), UnivariatePolynomial(pivot.coeffs), trunc)
         psi = (psi - correction).truncate(trunc)
         known = min(trunc, 2 * known + 1 - s)
         if known >= trunc:
@@ -667,6 +668,26 @@ def _leading(jet):
 
 
 class TestTruncationLadder:
+    # x*B^2 + B*y^D with B = (1-x)*y - x^2, near the ladder's cap 2*deg + 16.
+    # At the cap, D = 10 reads n = 39, one past the degree 38 that the final
+    # residual pins, so this guards the branch solve's division past its jets.
+    # D >= 11 reads Dinf today, the cap defect of ROADMAP item 12; those rows
+    # are not pinned.
+    @pytest.mark.parametrize(
+        "phase,label,trunc",
+        [
+            ("x*((1-x)*y - x^2)^2 + ((1-x)*y - x^2)*y^2", "D8", 16),
+            ("x*((1-x)*y - x^2)^2 + ((1-x)*y - x^2)*y^4", "D16", 28),
+            ("x*((1-x)*y - x^2)^2 + ((1-x)*y - x^2)*y^8", "D32", 36),
+            ("x*((1-x)*y - x^2)^2 + ((1-x)*y - x^2)*y^10", "D40", 40),
+            ("x*((1-x)*y - x^2)^2", "Dinf", 26),
+            ("x*((1-x)*y - x^2)^2*(1 + x^60)", "Dinf", 146),
+        ],
+    )
+    def test_label_and_deciding_truncation_near_the_cap(self, phase, label, trunc):
+        kind, used, _ = classify._ladder(parse_polynomial(phase))
+        assert (kind.label(), used) == (label, trunc)
+
     @settings(max_examples=150, deadline=None)
     @given(p=_corpus_images())
     def test_corpus_images_match_the_cap(self, p):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from nphk.newton import (
     Face,
     FaceNotIncident,
     NotCriticalAtOrigin,
+    _staircase,
     build_polygon,
     distance_under_linear,
     face_part,
@@ -174,3 +176,25 @@ class TestAgainstOracle:
             assert poly.principal_face.contains(d, d)
             if (d, d) in {(F(a), F(b)) for a, b in poly.vertices}:
                 assert poly.principal_face.kind == VERTEX
+
+
+def _criterion_4_supports():
+    """The 200 seeded supports of acceptance criterion 4."""
+    rng = random.Random(1729)
+    return [rand_support(rng, max_points=12, max_coord=20) for _ in range(200)]
+
+
+class TestCriterion4Supports:
+    def test_staircase_is_the_set_of_minimal_points(self):
+        for support in _criterion_4_supports():
+            minimal = [q for q in support if not any(p != q and p[0] <= q[0] and p[1] <= q[1] for p in support)]
+            assert _staircase(support) == sorted(minimal)
+
+    def test_principal_face_is_the_vertex_or_the_one_face_at_the_bisectrix(self):
+        for support in _criterion_4_supports():
+            poly = build_polygon(support)
+            d = poly.distance
+            if (d, d) in poly.vertices:
+                assert poly.principal_face == Face(VERTEX, ((d, d),))
+            else:
+                assert [f for f in poly.faces if f.contains(d, d)] == [poly.principal_face]

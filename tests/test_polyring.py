@@ -68,6 +68,26 @@ class TestParse:
         with pytest.raises(ParseError, match="trailing"):
             parse_polynomial("x + y )")
 
+    @pytest.mark.parametrize(
+        "text,message,position",
+        [
+            ("x^2 + y^2 $", "unexpected character '$'", 10),
+            ("x^2 + 1.5*y^2", "non-rational coefficient (decimal point)", 7),
+            ("(x + y", "expected ')'", 6),
+            ("1/x", "denominator must be an integer", 2),
+            ("x^y", "exponent must be a nonnegative integer", 2),
+            ("x^2 +", "unexpected end of input", 5),
+            (")", "unexpected token ')'", 0),
+            # a digit that is not a decimal digit
+            ("x\u00b2 + y^2", "unexpected character '\u00b2'", 1),
+        ],
+    )
+    def test_error_message_and_position(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text)
+        assert (err.value.message, err.value.position) == (message, position)
+        assert str(err.value) == f"{message} (at position {position})"
+
     def test_round_trip(self):
         rng = random.Random(11)
         for _ in range(60):
@@ -339,6 +359,11 @@ class TestUnivariate:
         den = UnivariatePolynomial({1: F(2)})
         quo = series_divide(num, den, 8)
         assert (den * quo).truncate(8) == num.truncate(8)
+
+    def test_series_divide_stops_where_the_denominator_is_known(self):
+        # the denominator 1 + x + ... is known only through x^1
+        quo = series_divide(ONE, UnivariatePolynomial({0: F(1), 1: F(1)}, trunc=1), 5)
+        assert quo == UnivariatePolynomial({0: F(1), 1: F(-1)}, trunc=1)
 
     def test_series_divide_rejects_bad_valuation(self):
         num = UnivariatePolynomial({0: F(1)})
@@ -648,6 +673,46 @@ def test_series_divide_matches_the_fraction_recursion(c0, rest, num, s, lift, t)
     assert quo == n.truncate(t) * _reference_inverse(u, t)
     _assert_clean(quo, quo.coeffs.items(), t, int)
     _assert_public_equal(quo, UnivariatePolynomial, quo.coeffs)
+
+
+def _completed(jet, extra):
+    """The jet as an exact polynomial, with extra[j] as its coefficient of degree trunc + j."""
+    if jet.trunc is None:
+        return jet
+    return UnivariatePolynomial({**{jet.trunc + j: c for j, c in extra.items()}, **jet.coeffs})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    c0=_coefficients(),
+    rest=st.dictionaries(st.integers(1, 8), _coefficients(), max_size=4),
+    num=_univariate_coeffs(),
+    s=st.integers(0, 2),
+    num_trunc=_truncations(),
+    den_trunc=_truncations(),
+    t=st.integers(0, 10),
+    extra=st.tuples(*[st.dictionaries(st.integers(1, 4), _coefficients(), max_size=3)] * 2),
+)
+@example(c0=F(1), rest={1: F(1)}, num={0: F(1)}, s=0, num_trunc=None, den_trunc=1, t=5, extra=({}, {1: F(6)}))
+def test_series_divide_labels_only_what_its_inputs_pin(c0, rest, num, s, num_trunc, den_trunc, t, extra):
+    # x^s n / (x^s u) on jets known through x^(s + num_trunc) and x^(s + den_trunc)
+    def jet(coeffs, trunc):
+        return UnivariatePolynomial({d + s: c for d, c in coeffs.items()}, None if trunc is None else trunc + s)
+
+    num_jet, den_jet = jet(num, num_trunc), jet({0: c0, **rest}, den_trunc)
+    quo = series_divide(num_jet, den_jet, t)
+    assert quo.trunc <= t
+    # any completion of the inputs gives the same coefficients through quo.trunc
+    full = series_divide(_completed(num_jet, extra[0]), _completed(den_jet, extra[1]), t)
+    assert full.truncate(quo.trunc) == quo
+    if quo.trunc < t:
+        # and one term past the truncation of an input moves the next coefficient
+        n0, d0 = _completed(num_jet, {}), _completed(den_jet, {})
+        nxt = series_divide(n0, d0, t).coefficient(quo.trunc + 1)
+        moved = [series_divide(n0, _completed(den_jet, {1: F(1)}), t)] if den_jet.trunc is not None else []
+        if num_jet.trunc is not None:
+            moved.append(series_divide(_completed(num_jet, {1: F(1)}), d0, t))
+        assert any(q.coefficient(quo.trunc + 1) != nxt for q in moved)
 
 
 @settings(max_examples=300, deadline=None)
