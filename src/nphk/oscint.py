@@ -33,12 +33,12 @@ their negatives, and the factors pair as Fc = F(u) + F(-u) and
 Fs = Fc on an even fold or F(u) - F(-u) on an odd one (unfolded, both are
 F).  One contraction serves every pair of parities: each block's rows give
 P = g cos(theta) Bc^T and Q = g sin(theta) Bs^T against the y factors, and
-once per sweep I = Ac P + i As Q with the x factors.  With M empty theta is
-0, and a block is the bump alone: no phase, no trig, and Q = 0.  On an
-exactly mirrored s2-grid only the offsets s2 >= 0 are contracted when the
-columns of -s2 follow from them: on a folded y whose pure terms are even,
-P is even in s2 and Q even or odd as the fold; on an unfolded y with no
-pure term both conjugate.  Along x, ``_offsets`` evaluates the row of -s as
+once per sweep I = Ac P + i As Q with the x factors, as real matrix
+products (``_contract``).  With M empty theta is 0, and a block is the bump
+alone: no phase, no trig, and Q = 0.  On an exactly mirrored s2-grid only
+the offsets s2 >= 0 are contracted when the columns of -s2 follow from them:
+on a folded y whose pure terms are even, P is even in s2 and Q even or odd
+as the fold; on an unfolded y with no pure term both conjugate.  Along x, ``_offsets`` evaluates the row of -s as
 the conjugate of the row of s.  Panel edges are made to mirror exactly, so
 all of this holds for every such phase, and ``_fold`` is the one switch
 that turns every fold off.
@@ -55,33 +55,47 @@ table-driven kernel (``_sincos``): a three-part Cody-Waite reduction modulo
 polynomials on |r| <= pi/1024 combined with a 1024-entry table.  On the
 exact range |theta| <= SINCOS_RANGE (about 1.6e6) every value is within about
 2e-16 of cos and sin of the double theta; beyond it, decided from a bound
-taken once per sweep, np.cos and np.sin run instead.  The kernel and the
-sweep are checked against ``_dense_reference`` in the tests, which sums every
-node at once with np.exp and the bump written out and shares only the Gauss
-nodes with them; it stays the independent check of the whole fused pass.
+taken once per sweep, np.cos and np.sin run instead, and so they do on
+arrays too small to pay the table's fixed cost (_TABLE_MIN_SIZE).  The
+kernel and the sweep are checked against ``_dense_reference`` in the tests,
+which sums every node at once with np.exp and the bump written out and
+shares only the Gauss nodes with them; it stays the independent check of
+the whole fused pass.
 
 Two rules (``_Rule``) set the orders and panels, and both follow one
 convention: the value is the rule's higher order, checked by its lower order
 on the same panels, and the reported error is their relative difference.
-Decay values (``fit_decay``, ``eval_oscillatory``) take order 14, checked by
-order 10, on panels of at most 2.5 cycles and 2R/6.  Scan values
-(``randol_lq_scan``) take order 24, checked by order 20, on panels of at
-most 7.5 cycles and 2R/3: on the area of one square 2.5-cycle panel that is
-64 + 44 nodes, against 196 + 100 under the decay rule.  The error is a
-measured difference, not a rigorous bound.  Against an order-20 reference
-on panels a quarter as wide, for the four decay phases with an order-2 bump
-at lambda = 64..4096 the true error was up to twice the reported one and at
-most 3.6e-7; for the two scan phases with the default bump on the default
-32-cell grid at lambda = 64..16384 it was at most 4.2e-7 and the order-20
-check at most 1.1e-6.  Both are far below REL_TOL.  Decay keeps the narrow
-panels because its order-2 bump is only C^1 at the disc's edge, where the
-accuracy follows the node spacing: order 24 on 7.5-cycle panels spaces its
-nodes about 1.75 times wider than order 14 on 2.5-cycle panels, and on the
-decay phases that moved gamma_hat by up to 1.2e-7 and put x^2 + y^2 at
-lambda = 512 1.1e-6 off the finer reference.  The scan's default bump of
-order 8 is C^7 there, and the wider spacing costs it nothing.  No asymptotic
-(Filon-type) schemes: lambda stays at desk scale, the point is an
-independent, error-checked test of the predicted power laws, not speed.
+Both take order 24, checked by order 20, on panels of at most 7.5 cycles.
+Decay values (``fit_decay``, ``eval_oscillatory``) keep panels of at most
+2R/6 and scan values (``randol_lq_scan``) take panels of at most 2R/3.  On
+the area of one square 2.5-cycle panel that is 64 + 44 nodes, against the
+196 + 100 of the 14/10 rule decay values took before.  The error is a
+measured difference, not a rigorous bound.  Against the same orders on
+panels of at most 2.5 cycles and 2R/12, the worst relative error of the
+decay values at lambda = 64..4096 (order-2 bump) is
+
+    phase                R    error    (14/10 on 2.5 cycles)
+    x^2 + y^2            0.4  4.4e-7   3.6e-7
+    x^2*y + y^3          0.6  1.1e-7   1.5e-7
+    (y - x^2)^2 + x^5    0.4  2.2e-8   1.2e-7
+    x*y^2 + x^5          0.6  1.6e-8   1.0e-7
+
+with gamma_hat within 1.6e-8 of the reference's, and up to lambda = 16384
+the same 4.4e-7.  Wherever the error is above 1e-7 the reported error is at
+least half of it.  Below that the check can under-report: on
+x*(y - x^2)^2 + x^5 with R = 0.6 at lambda = 1024 the error is 1.5e-8 and
+the reported one 2.2e-9.  For the two scan phases with the default bump on the
+default 32-cell grid at lambda = 64..16384 the error against an order-20
+reference on panels a quarter as wide was at most 4.2e-7 and the order-20
+check at most 1.1e-6.  All of it is far below REL_TOL.  Decay keeps the
+narrower cap because its order-2 bump is only C^1 at the disc's edge, where
+the accuracy follows the node spacing: the scan's cap of 2R/3 put decay
+values up to 1.1e-6 off, six times the reported error, and 2R/4 up to
+1.4e-6, four times it.  A 20/16 pair on 7.5 cycles is no option either: order
+16 integrates a tone at the cap only to 1.4e-3, above REL_TOL.  The scan's
+default bump of order 8 is C^7 there, and the wider panels cost it nothing.
+No asymptotic (Filon-type) schemes: lambda stays at desk scale, the point is
+an independent, error-checked test of the predicted power laws, not speed.
 
 Offset grids for the maximal-function scans are cell-centered.  The caustic
 of the probed phases is an axis line through s = 0 where the maximal
@@ -123,28 +137,27 @@ class _Rule:
     min_panels: int
 
 
-# Decay values.  On one panel a pure tone of 2.5 cycles is integrated by
-# order 14 to about 1.3e-13 of the panel width and by order 10 to 2.4e-7.
-_DECAY_RULE = _Rule(order=14, check=10, cycles=2.5, min_panels=6)
-# Scan values.  A tone of 7.5 cycles: order 24 to about 1.9e-11, order 20 to
-# 4e-7, so the check trips near the error order 10 has on 2.5-cycle panels.
+# Decay and scan values share their orders and cycle cap.  On one panel a
+# pure tone of 7.5 cycles is integrated by order 24 to about 1.9e-11 of the
+# panel width and by order 20 to 4.3e-7, so the check trips near the error
+# order 10 had on 2.5-cycle panels.  Decay keeps panels of at most 2R/6: its
+# order-2 bump is only C^1 at the disc's edge (see the module docstring).
+_DECAY_RULE = _Rule(order=24, check=20, cycles=7.5, min_panels=6)
 # Three panels give 72 nodes per axis at low lambda.
 _SCAN_RULE = _Rule(order=24, check=20, cycles=7.5, min_panels=3)
 # x rows per sweep block, for every rule and order, times the ratio of the
 # longer axis's nodes to the swept y nodes.  The disc clips a block at its row
-# nearest x = 0, so a taller block keeps more zero nodes (whole 24-row scan
-# panels keep up to 0.92 of the square on the sweep tests' grids, 14 rows up
-# to 0.88); a shorter one pays the block's fixed cost of about 30 numpy calls
-# more often.  14 is the decay rule's order, so decay value sweeps take whole
-# panels.
+# nearest x = 0, so a taller block keeps more zero nodes (whole 24-row panels
+# keep up to 0.92 of the square on the sweep tests' grids, 14 rows up to
+# 0.88); a shorter one pays the block's fixed cost of about 30 numpy calls
+# more often.
 _BLOCK_ROWS = 14
 REL_TOL = 1e-3
 MAX_FEASIBLE_LAMBDA = float(1 << 15)
-# Nodes of a rule's lower (check) order one lambda may use, the count the
-# decay rule's order 10 has always been held to.  At MAX_FEASIBLE_LAMBDA the
-# decay phases need at most 9.3e7 of them (x^2*y + y^3 with R = 0.6; 1.8e8 at
-# order 14) and the scan phases about 1.0e7 order-20 nodes; a grid far beyond
-# that is a run of hours, not a desk-scale check.
+# Nodes of a rule's lower (check) order one lambda may use.  At
+# MAX_FEASIBLE_LAMBDA the decay phases need at most 4.3e7 order-20 nodes
+# (x^2*y + y^3 with R = 0.6; 6.1e7 at order 24) and the scan phases about
+# 1.0e7; a grid far beyond that is a run of hours, not a desk-scale check.
 MAX_COARSE_NODES = 10**8
 # Offset points one maximal-function scan may hold on its finer grid.  The
 # largest scan criterion 6 or a test runs has 64^2 (32 cells refined twice);
@@ -331,10 +344,10 @@ def _panels_for(
     return _axis_edges(u, cums[0]), _axis_edges(u, cums[1])
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=2)
 def _gauss_rule(order: int) -> Tuple[np.ndarray, np.ndarray]:
     """The order-``order`` Gauss-Legendre rule on [-1, 1], computed once per
-    order; the cache holds the four orders of the two rules.
+    order; the cache holds orders 24 and 20, which both rules share.
 
     leggauss returns exactly antisymmetric nodes and symmetric weights, so
     mirrored edges give exactly mirrored nodes and equal weights.  It runs on
@@ -358,11 +371,21 @@ def _gauss_axis(edges: np.ndarray, order: int) -> Tuple[np.ndarray, np.ndarray]:
 _PARITY = ("even", "odd")
 
 
-def _split_phase(
-    phi: BivariatePolynomial,
-) -> Tuple[Tuple[Optional[str], Optional[str]], List[Tuple[int, int, float]], Tuple[List[Tuple[int, float]], ...]]:
-    """The fold parities of ``phi``, the terms of theta and the pure terms
-    each axis's 1-D factor takes.
+@dataclass(frozen=True)
+class _Phase:
+    """A phase as the sweep takes it (``_split_phase``): the fold parities,
+    the terms of theta, each axis's pure terms and the constant term."""
+
+    parities: Tuple[Optional[str], Optional[str]]
+    theta: List[Tuple[int, int, float]]
+    pure: Tuple[List[Tuple[int, float]], List[Tuple[int, float]]]
+    constant: Fraction
+
+
+def _split_phase(phi: BivariatePolynomial) -> _Phase:
+    """The fold parities of ``phi``, the terms of theta, the pure terms each
+    axis's 1-D factor takes and the constant term, once per call of a public
+    entry point.
 
     The parity of an axis is "even" or "odd" when every mixed term (one in
     both variables) has an even or an odd exponent of it, else None; with no
@@ -372,7 +395,8 @@ def _split_phase(
     pure term moves to its axis as an (exponent, coefficient) pair.  The
     constant term is in neither (``_global_phase``).
     """
-    terms = _float_terms(phi - BivariatePolynomial.constant(phi.terms.get((0, 0), 0)))
+    constant = phi.terms.get((0, 0), Fraction(0))
+    terms = _float_terms(phi - BivariatePolynomial.constant(constant))
     mixed = [(a, b) for a, b, _ in terms if a and b]
     found = [{key[axis] % 2 for key in mixed} or {0} for axis in (0, 1)]
     parities = tuple(_PARITY[f.pop()] if len(f) == 1 else None for f in found)
@@ -383,7 +407,7 @@ def _split_phase(
             theta.append((a, b, c))
         else:
             pure[axis].append((e, c))
-    return parities, theta, pure
+    return _Phase(parities, theta, pure, constant)
 
 
 def _fold(nodes: np.ndarray, weights: np.ndarray, parity: Optional[str]) -> Tuple[np.ndarray, np.ndarray]:
@@ -406,7 +430,7 @@ def _mirror_half(s: np.ndarray) -> int:
     """h when the offsets s[:h] are exactly -s[::-1][:h], the mirror of the
     upper part s[h:]; else 0."""
     h = s.size // 2
-    return h if np.array_equal(s[:h], -s[::-1][:h]) else 0
+    return h if (s[:h] == -s[: -h - 1 : -1]).all() else 0
 
 
 def _power(t: np.ndarray, n: int, scratch: np.ndarray) -> np.ndarray:
@@ -471,6 +495,12 @@ _STEPS_PER_RADIAN = float(_TRIG_STEPS / (2 * _PI))
 SINCOS_RANGE = 2.0**28 * _STEP1
 # Entries of the offset matrices one _sincos call takes.
 _OFFSET_CHUNK = 1 << 16
+# Entries below which _sincos runs np.cos and np.sin: the table kernel costs
+# about 30 numpy calls whatever the size (30 us on a 2-core x86 host, against
+# 4 us for the two libm calls on 64 entries), and the two cross near 1500
+# entries there.  The 1-D offset factors of a single-offset sweep and the
+# blocks of a small grid fall below it.
+_TABLE_MIN_SIZE = 1024
 
 
 @functools.lru_cache(maxsize=1)
@@ -497,16 +527,25 @@ def _trig_table() -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _sincos(
-    theta: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray, scratch: Sequence[np.ndarray], bound: float
+    theta: np.ndarray,
+    cos_out: np.ndarray,
+    sin_out: np.ndarray,
+    scratch: Sequence[np.ndarray],
+    bound: Optional[float],
 ) -> None:
     """cos(theta) into ``cos_out`` and sin(theta) into ``sin_out``.
 
-    ``bound`` bounds |theta|.  Up to SINCOS_RANGE the table kernel runs, and
-    each value is within about 2e-16 of the exact one for the double theta;
-    beyond it (or for a bound that is not finite) np.cos and np.sin do.
-    ``theta`` and the three ``scratch`` arrays of its shape are overwritten.
+    ``bound`` bounds |theta|; None takes the bound from theta itself, and
+    only when the table would run.  Up to SINCOS_RANGE the table kernel
+    runs, and each value is within about 2e-16 of the exact one for the
+    double theta; beyond it (or for a bound that is not finite), and on
+    fewer than _TABLE_MIN_SIZE entries, np.cos and np.sin do.  ``theta`` and
+    the three ``scratch`` arrays of its shape are overwritten.
     """
-    if not bound <= SINCOS_RANGE:
+    small = theta.size < _TABLE_MIN_SIZE
+    if bound is None and not small:
+        bound = float(np.abs(theta).max())
+    if small or not bound <= SINCOS_RANGE:
         np.cos(theta, out=cos_out)
         np.sin(theta, out=sin_out)
         return
@@ -550,13 +589,12 @@ def _offsets(
     lam: float,
     s: np.ndarray,
     u: np.ndarray,
-    w: np.ndarray,
     cos_out: np.ndarray,
     sin_out: np.ndarray,
     shift: Optional[np.ndarray] = None,
 ) -> None:
-    """cos and sin of lam*s[i]*u[j] + shift[j], times w[j], into cos_out[i, j]
-    and sin_out[i, j]; no ``shift`` is a shift of 0.
+    """cos and sin of lam*s[i]*u[j] + shift[j] into cos_out[i, j] and
+    sin_out[i, j]; no ``shift`` is a shift of 0.
 
     For exactly mirrored offsets and no shift only the rows s[h:] of
     ``_mirror_half`` are evaluated: the row of -s is the conjugate of the row
@@ -565,23 +603,26 @@ def _offsets(
     are.
     """
     h = _mirror_half(s) if shift is None else 0
-    bound = lam * float(np.abs(s).max(initial=0.0)) * float(np.abs(u).max(initial=0.0))
-    if shift is not None:
-        bound += float(np.abs(shift).max(initial=0.0))
     rows = max(1, _OFFSET_CHUNK // u.size)
     work = np.empty((4, min(rows, s.size - h), u.size))
     for i in range(h, s.size, rows):
         part = s[i : i + rows]
-        theta, *scratch = work[:, : part.size]
+        theta = work[0, : part.size]
         np.multiply.outer(part, u, out=theta)
         theta *= lam
         if shift is not None:
             theta += shift
-        _sincos(theta, cos_out[i : i + rows], sin_out[i : i + rows], scratch, bound)
-    cos_out[:h] = cos_out[::-1][:h]
-    np.negative(sin_out[::-1][:h], out=sin_out[:h])
-    cos_out *= w
-    sin_out *= w
+        _sincos(theta, cos_out[i : i + rows], sin_out[i : i + rows], work[1:, : part.size], None)
+    if h:
+        cos_out[:h] = cos_out[::-1][:h]
+        np.negative(sin_out[::-1][:h], out=sin_out[:h])
+
+
+def _pure_angle(lam: float, u: np.ndarray, terms: Sequence[Tuple[int, float]]) -> Optional[np.ndarray]:
+    """lam * sum of c u^e over the (exponent, coefficient) ``terms``, or None
+    when there are none."""
+    parts = [(lam * c) * u**e for e, c in terms]
+    return sum(parts[1:], parts[0]) if parts else None
 
 
 def _axis_factors(
@@ -597,18 +638,23 @@ def _axis_factors(
     theta) is Fc g cos(theta) + i Fs g sin(theta).  With P = Pe + Po split
     into its even and odd exponents, F(+-u) = e^(i lambda Pe) w e^(+-i
     lambda (s u + Po)), so Fc = e^(i lambda Pe) w cos(lambda (s u + Po)) and
-    the odd Fs = i e^(i lambda Pe) w sin(lambda (s u + Po)).
+    the odd Fs = i e^(i lambda Pe) w sin(lambda (s u + Po)).  The weights
+    and the tone e^(i lambda Pe) are one factor per node, and a fold with no
+    even pure term has no tone, so its Fc is real.
     """
     in_angle = [(e, c) for e, c in pure if fold is None or e % 2]
     in_tone = [(e, c) for e, c in pure if fold is not None and e % 2 == 0]
-    f = np.empty((s.size, u.size), dtype=np.complex128)
-    shift = sum((lam * c) * u**e for e, c in in_angle) if in_angle else None
-    _offsets(lam, s, u, w, f.real, f.imag, shift)
+    shift = _pure_angle(lam, u, in_angle)
     if fold is None:
+        f = np.empty((s.size, u.size), dtype=np.complex128)
+        _offsets(lam, s, u, f.real, f.imag, shift)
+        f *= w
         return f, f
-    tone = np.exp(1j * sum((lam * c) * u**e for e, c in in_tone)) if in_tone else 1.0 + 0.0j
-    f_c = f.real * tone
-    return f_c, f_c if fold == "even" else f.imag * (1j * tone)
+    cos_sin = np.empty((2, s.size, u.size))
+    _offsets(lam, s, u, cos_sin[0], cos_sin[1], shift)
+    weight = w * np.exp(1j * _pure_angle(lam, u, in_tone)) if in_tone else w
+    f_c = cos_sin[0] * weight
+    return f_c, f_c if fold == "even" else cos_sin[1] * (1j * weight)
 
 
 def _phase_rows(exps: np.ndarray, xc: np.ndarray, table: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -627,7 +673,7 @@ def _disc_columns(amp: AmplitudeSpec, xc: np.ndarray, y: np.ndarray) -> Tuple[in
     r = amp.radius
     x_min = float(np.abs(xc).min())
     w = math.sqrt(r * r - x_min * x_min)
-    return int(np.searchsorted(y, -w)), int(np.searchsorted(y, w, "right"))
+    return int(y.searchsorted(-w)), int(y.searchsorted(w, "right"))
 
 
 def _pi_within(bits: int) -> Fraction:
@@ -649,46 +695,48 @@ def _pi_within(bits: int) -> Fraction:
     return Fraction(48 * atan_inv(18) + 32 * atan_inv(57) - 20 * atan_inv(239), one)
 
 
-def _global_phase(phi: BivariatePolynomial, lam: float) -> complex:
-    """exp(i*lam*c) for the constant term c of the phase, reduced exactly mod 2*pi.
+def _global_phase(constant: Fraction, lam: float) -> complex:
+    """exp(i*lam*c) for the constant term c of the phase, reduced exactly mod
+    2*pi; a sweep's callers take it once per lambda.
 
     The reduction takes about |lam*c| / pi multiples of pi, so pi is taken
     to 64 bits beyond |lam*c|: the reduced angle is then within 2^-63 at
     any size of c.
     """
-    turn = Fraction(lam) * phi.terms.get((0, 0), 0)
+    turn = Fraction(lam) * constant
     bits = max(abs(turn.numerator).bit_length() - turn.denominator.bit_length(), 0) + 64
     return cmath.exp(1j * float(turn % (2 * _pi_within(bits))))
 
 
 def _osc_grids(
-    phi: BivariatePolynomial,
+    phase: _Phase,
     amp: AmplitudeSpec,
     lam: float,
     grids: Sequence[Tuple[np.ndarray, np.ndarray]],
     edges: Tuple[np.ndarray, np.ndarray],
     order: int,
+    turn: complex,
 ) -> List[np.ndarray]:
     """I(lambda, s) over several separable s-grids, sharing one integrand sweep.
 
     Each grid is (s1_values, s2_values) and yields the full matrix
     I[i, j] = I(lambda, (s1[i], s2[j])) under the order-``order`` rule on
-    every panel.  The phase splits into theta and the pure terms of each
-    axis's 1-D factors (``_split_phase``), and every axis with a parity
+    every panel.  ``phase`` is the split phase (``_split_phase``): theta and
+    the pure terms of each axis's 1-D factors, and every axis with a parity
     folds onto its nodes >= 0 (``_fold``).  Each block of rows
     (``_BLOCK_ROWS``) is evaluated only on the y nodes ``_disc_columns``
     gives it, in buffers allocated once per sweep, and summed over y against
     the y factors (``_axis_factors``): P = g cos(theta) Bc^T and
     Q = g sin(theta) Bs^T.
     With no theta the block is the bump alone and Q is 0.  Once per sweep
-    I = Ac P + i As Q with the x factors.  Of an exactly mirrored s2-grid
-    only the offsets s2 >= 0 are contracted when the columns of -s2 follow
-    from theirs: when y folds and its pure terms are even (P is even in s2,
-    and Q even or odd as the fold), and when y is swept whole with no pure
-    term (P and Q conjugate).  The constant term of the phase is the factor
-    ``_global_phase`` outside the sum.
+    I = Ac P + i As Q with the x factors (``_contract``).  Of an exactly
+    mirrored s2-grid only the offsets s2 >= 0 are contracted when the
+    columns of -s2 follow from theirs: when y folds and its pure terms are
+    even (P is even in s2, and Q even or odd as the fold), and when y is
+    swept whole with no pure term (P and Q conjugate).  ``turn`` is the
+    factor ``_global_phase`` of the constant term, outside the sum.
     """
-    (px, py), terms, (pure_x, pure_y) = _split_phase(phi)
+    (px, py), terms, (pure_x, pure_y) = phase.parities, phase.theta, phase.pure
     x, wx = _gauss_axis(edges[0], order)
     y, wy = _gauss_axis(edges[1], order)
     longest, x_nodes, y_nodes = max(x.size, y.size), x.size, y.size
@@ -704,17 +752,18 @@ def _osc_grids(
     nb = [s2.size for s2 in rows_b]
     starts = np.cumsum([0] + nb[:-1])
     # Bc^T and, on an odd fold with a theta, Bs^T (else Fs = Fc), as real
-    # matrices whose column pairs are a factor's real and imaginary parts: a
-    # block's product holds its rows' P and Q with their complex entries as
-    # pairs of floats
-    mats = np.empty((1 + (bool(terms) and fy == "odd"), y.size, sum(nb)), dtype=np.complex128)
+    # matrices that hold each grid's factors as [real parts | imaginary
+    # parts]: a block's product holds its rows' P and Q in the same layout,
+    # which _contract takes as it is
+    mats = np.empty((1 + (bool(terms) and fy == "odd"), y.size, 2 * sum(nb)))
     for s2, start, count in zip(rows_b, starts, nb):
         for mat, f in zip(mats, _axis_factors(lam, s2, y, wy, pure_y, fy)):
-            mat[:, start : start + count] = f.T
+            mat[:, 2 * start : 2 * start + count] = f.real.T
+            mat[:, 2 * start + count : 2 * (start + count)] = f.imag.T
     # Q unless g sin(theta) or Fs is 0; with Fs = Fc the block product
     # broadcasts the one matrix over g cos(theta) and g sin(theta)
     with_q = bool(terms) and bool(mats[-1].any())
-    mats = mats[: 1 + with_q].view(np.float64)
+    mats = mats[: 1 + with_q]
 
     exps = sorted({a for a, _, _ in terms})
     table = np.zeros((len(exps), y.size))
@@ -741,7 +790,7 @@ def _osc_grids(
         lo, hi = _disc_columns(amp, xc, y)
         n, size = xc.size, xc.size * (hi - lo)
         e = pair[: 2 * size].reshape(2, n, hi - lo)
-        theta, *scratch = (w[:size].reshape(n, hi - lo) for w in work)
+        theta, *scratch = work[:, :size].reshape(4, n, hi - lo)
         if terms:
             _phase_rows(exps, xc, table[:, lo:hi], theta)
             _sincos(theta, e[0], e[1], scratch, theta_max)
@@ -749,29 +798,51 @@ def _osc_grids(
         else:
             e = _radial_bump(ux[block], vy[lo:hi], amp.order, theta, scratch[0])[None]
         np.matmul(e[: 1 + with_q], mats[:, lo:hi], out=sums[:, block])
-    pq = sums.view(np.complex128)
-    turn = _global_phase(phi, lam)
     totals = []
     for (s1, _), start, count, h in zip(grids, starts, nb, halves):
         a_c, a_s = _axis_factors(lam, s1, x, wx, pure_x, fx)
-        p, q = pq[0, :, start : start + count], pq[1, :, start : start + count] if with_q else None
-        total = mirrored = _contract(turn, a_c, a_s, p, q)
+        pq = sums[:, :, 2 * start : 2 * (start + count)]
         # the columns of -s2: P and Q conjugate on an unfolded y; on a folded
         # one P is the same, and Q the same or negated as the fold
-        if h and fy is None:
-            mirrored = _contract(turn, a_c, a_s, p.conj(), None if q is None else q.conj())
-        elif h and fy == "odd" and q is not None:
-            mirrored = _contract(turn, a_c, a_s, p, -q)
+        flip = None if not h else "conj" if fy is None else fy
+        total, mirrored = _contract(turn, a_c, a_s, pq[0], pq[1] if with_q else None, flip)
         totals.append(np.concatenate((mirrored[:, ::-1][:, :h], total), axis=1))
     return totals
 
 
-def _contract(turn: complex, a_c: np.ndarray, a_s: np.ndarray, p: np.ndarray, q: Optional[np.ndarray]) -> np.ndarray:
-    """turn (Ac P + i As Q), where no ``q`` stands for Q = 0."""
-    total = a_c @ p
-    if q is not None:
-        total += 1j * (a_s @ q)
-    return turn * total
+def _times(a: np.ndarray, p: np.ndarray, conj: bool) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """a @ P and, with ``conj``, a @ conj(P), for P given as [Re P | Im P]:
+    two real matrix products, shared by both."""
+    count = p.shape[1] // 2
+    re, im = a.real @ p, a.imag @ p
+    rr, ri, ir, ii = re[:, :count], re[:, count:], im[:, :count], im[:, count:]
+    return (rr - ii) + 1j * (ri + ir), ((rr + ii) + 1j * (ir - ri)) if conj else None
+
+
+def _contract(
+    turn: complex,
+    a_c: np.ndarray,
+    a_s: np.ndarray,
+    p: np.ndarray,
+    q: Optional[np.ndarray],
+    flip: Optional[str],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """turn (Ac P + i As Q), where no ``q`` stands for Q = 0, and the same
+    with P and Q conjugated (``flip`` "conj") or Q negated ("odd"); else the
+    second is the first.
+
+    P and Q come as [real parts | imaginary parts], and every product is a
+    real one (``_times``): a small complex product can stall for
+    milliseconds in some processes, where real ones of the same size do not.
+    Ac P and As Q are taken once for both results.
+    """
+    conj = flip == "conj"
+    c_p, c_p_bar = _times(a_c, p, conj)
+    s_q, s_q_bar = (0.0, 0.0) if q is None else _times(a_s, q, conj)
+    total = turn * (c_p + 1j * s_q)
+    if conj:
+        return total, turn * (c_p_bar + 1j * s_q_bar)
+    return total, turn * (c_p - 1j * s_q) if flip == "odd" else total
 
 
 def amplitude_mass(amp: AmplitudeSpec) -> float:
@@ -882,18 +953,20 @@ def _order_check(check: np.ndarray, value: np.ndarray, amp: AmplitudeSpec, what:
 
 
 def _eval_on_edges(
-    phi: BivariatePolynomial,
+    phase: _Phase,
     amp: AmplitudeSpec,
     lam: float,
     s: Tuple[float, float],
     edges: Tuple[np.ndarray, np.ndarray],
 ) -> Tuple[complex, float]:
     """The value of I(lambda, s) on ``edges`` under the decay rule and its
-    relative difference from the rule's check order."""
+    relative difference from the rule's check order; both sweeps take the
+    split ``phase`` and one global phase."""
     grid = [(np.array([s[0]]), np.array([s[1]]))]
     rule = _DECAY_RULE
-    check = _osc_grids(phi, amp, lam, grid, edges, rule.check)[0]
-    value = _osc_grids(phi, amp, lam, grid, edges, rule.order)[0]
+    turn = _global_phase(phase.constant, lam)
+    check = _osc_grids(phase, amp, lam, grid, edges, rule.check, turn)[0]
+    value = _osc_grids(phase, amp, lam, grid, edges, rule.order, turn)[0]
     return value[0, 0], _order_check(check, value, amp, f"I(lambda={lam}, s={s})", rule)
 
 
@@ -903,14 +976,15 @@ def eval_oscillatory(
     lam: float,
     s: Tuple[float, float] = (0.0, 0.0),
 ) -> complex:
-    """Quadrature value of I(lambda, s) under the decay rule's order 14,
-    checked against its order 10 on the same panels.
+    """Quadrature value of I(lambda, s) under the decay rule's order 24,
+    checked against its order 20 on the same panels.
 
-    It runs no support check (``check_amplitude_support``): a critical point
-    away from the origin is integrated like any other.
+    Its value is the one ``fit_decay`` gives at the same lambda and offset,
+    bit for bit.  It runs no support check (``check_amplitude_support``): a
+    critical point away from the origin is integrated like any other.
     """
     edges = _panels_for(_strip_bounds(phi, amp, s), amp, lam, _DECAY_RULE)
-    value, _ = _eval_on_edges(phi, amp, lam, s, edges)
+    value, _ = _eval_on_edges(_split_phase(phi), amp, lam, s, edges)
     return value
 
 
@@ -1000,10 +1074,11 @@ def fit_decay(
     plan = _sweep_edges(phi, amp, lams, s, _DECAY_RULE)
     if len(lams) < 3:
         raise ValueError(f"a decay fit needs at least three lambda points, got {len(lams)} distinct")
+    phase = _split_phase(phi)
     samples, skipped = [], []
     for lam, edges in zip(lams, plan):
         try:
-            samples.append((lam, *_eval_on_edges(phi, amp, lam, s, edges)))
+            samples.append((lam, *_eval_on_edges(phase, amp, lam, s, edges)))
         except QuadratureNotConverged as exc:
             skipped.append((lam, str(exc)))
     if len(samples) < 3:
@@ -1059,9 +1134,9 @@ def randol_lq_scan(
     reported values.  With ``validate`` each lambda's coarse-grid matrix is
     also swept with the rule's order 20 on the same panels, and its largest
     relative difference from the reported matrix must stay within REL_TOL;
-    the check does not change any reported value.  This is the convention
-    of the decay values, on panels three times as wide (see the module
-    docstring).  A repeated lambda is swept once.
+    the check does not change any reported value.  These are the orders
+    and the convention of the decay values, on panels up to twice as wide
+    (see the module docstring).  A repeated lambda is swept once.
 
     ``M`` at an offset s is the largest lambda^w |I(lambda, s)|, with
     w = ``randol_weight(m)``, over the lambda swept, in ascending order.  The
@@ -1107,10 +1182,12 @@ def randol_lq_scan(
     m_fine = np.zeros((fine.size, fine.size))
     swept: List[float] = []
     last_raise = lams[0]
+    phase = _split_phase(phi)
     for lam, edges in zip(lams, plan):
-        mats = _osc_grids(phi, amp, lam, grids, edges, rule.order)
+        turn = _global_phase(phase.constant, lam)
+        mats = _osc_grids(phase, amp, lam, grids, edges, rule.order, turn)
         if validate:
-            check = _osc_grids(phi, amp, lam, grids[:1], edges, rule.check)[0]
+            check = _osc_grids(phase, amp, lam, grids[:1], edges, rule.check, turn)[0]
             _order_check(check, mats[0], amp, f"the scan at lambda={lam}", rule)
         swept.append(lam)
         for peak, mat in zip((m_coarse, m_fine), mats):

@@ -628,10 +628,13 @@ _TOKEN = re.compile(r"\s*(?:(\d+)(\.)?|([-+*^()/xy])|(.))?")
 # recursion limit, a power or product of total degree above 128 is refused
 # before it is expanded, and so is a power of a constant whose numerator or
 # denominator would pass 4096 bits (10^400 has 1329; 10^999999999 would take
-# about 400 MB).
+# about 400 MB).  An integer literal is refused before it is converted when it
+# has more digits than any value below 2^MAX_CONSTANT_BITS can have (2^4096
+# has 1234), well inside Python's own limit of 4300 digits on int().
 MAX_NESTING = 100
 MAX_DEGREE = 128
 MAX_CONSTANT_BITS = 4096
+MAX_LITERAL_DIGITS = 1234
 
 
 class _Parser:
@@ -655,6 +658,8 @@ class _Parser:
                 raise ParseError("non-rational coefficient (decimal point)", m.start(2))
             if bad:
                 raise ParseError(f"unexpected character {bad!r}", m.start(4))
+            if digits and len(digits) > MAX_LITERAL_DIGITS:
+                raise ParseError(f"an integer literal exceeds MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits", m.start(1))
             self.pos = m.end()
             tok = int(digits) if digits else symbol
             self.ahead = tok, (m.start(m.lastindex) if m.lastindex else self.pos)
@@ -779,6 +784,8 @@ def parse_polynomial(text: str) -> BivariatePolynomial:
     parentheses, a power or product of total degree above ``MAX_DEGREE``, and
     a power of a constant whose numerator or denominator would have more
     than ``MAX_CONSTANT_BITS`` bits raise ParseError at the offending '(' or
-    operator, before expanding it.
+    operator, before expanding it; an integer literal of more than
+    ``MAX_LITERAL_DIGITS`` digits raises it at the literal's first digit,
+    before converting it.
     """
     return _Parser(text).parse()

@@ -87,6 +87,7 @@ class TestAnalyze:
             ("y^2 + x^1000000000", "MAX_DEGREE = 128"),
             ("10^999999999 + x^2 + y^2", "MAX_CONSTANT_BITS = 4096"),
             ("(1/3)^5000*x^2 + y^2", "MAX_CONSTANT_BITS = 4096"),
+            ("1" * 4301 + "*x^2 + y^2", "MAX_LITERAL_DIGITS = 1234"),
         ],
     )
     def test_input_beyond_a_bound_is_a_parse_error(self, capsys, phi, bound):

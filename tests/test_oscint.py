@@ -38,12 +38,14 @@ from nphk.oscint import (
     _disc_columns,
     _eval_on_edges,
     _gauss_axis,
+    _global_phase,
     _order_check,
     _osc_grids,
     _panels_for,
     _power,
     _radial_bump,
     _sincos,
+    _split_phase,
     _strip_bounds,
 )
 from nphk.polyring import BivariatePolynomial, parse_polynomial
@@ -55,6 +57,13 @@ ORDERS = sorted({order for rule in RULES for order in (rule.order, rule.check)})
 
 def _edges(phi, amp, lam, s_max, rule=_DECAY_RULE):
     return _panels_for(_strip_bounds(phi, amp, s_max), amp, lam, rule)
+
+
+def _sweep(phi, amp, lam, grids, edges, order):
+    """One order's sweep of ``phi``, split and with its global phase as the
+    public entry points give them."""
+    phase = _split_phase(phi)
+    return _osc_grids(phase, amp, lam, grids, edges, order, _global_phase(phase.constant, lam))
 
 
 class TestAmplitude:
@@ -159,7 +168,7 @@ class TestEval:
     def test_reported_error_within_tolerance(self):
         amp = AmplitudeSpec()
         phi, s = parse_polynomial("x^2 + y^2"), (0.0, 0.0)
-        _, err = _eval_on_edges(phi, amp, 1024.0, s, _edges(phi, amp, 1024.0, s))
+        _, err = _eval_on_edges(_split_phase(phi), amp, 1024.0, s, _edges(phi, amp, 1024.0, s))
         assert err < 1e-3
 
     def test_feasibility_guard(self):
@@ -395,7 +404,7 @@ class TestBlockedSweep:
             edges = _case_edges(case, rule)
             if edges[0].size % 2 == 0:
                 assert np.any((edges[0][:-1] < 0) & (edges[0][1:] > 0))
-            got = _osc_grids(phi, amp, lam, grids, edges, rule.order)
+            got = _sweep(phi, amp, lam, grids, edges, rule.order)
             want = _dense_reference(phi, amp, lam, grids, edges, rule.order)
             for g, w in zip(got, want):
                 assert g.shape == w.shape
@@ -420,7 +429,7 @@ class TestBlockedSweep:
             edges = _case_edges(case, rule)
             for order in (rule.order, rule.check):
                 blocks.clear()
-                _osc_grids(parse_polynomial(text), amp, lam, grids, edges, order)
+                _sweep(parse_polynomial(text), amp, lam, grids, edges, order)
                 assert blocks
                 for xc, skipped in blocks:
                     assert np.all(xc[:, None] ** 2 + skipped[None, :] ** 2 >= amp.radius**2)
@@ -443,7 +452,7 @@ class TestBlockedSweep:
         phi = parse_polynomial("x^2 + y^2")
         amp = AmplitudeSpec(radius=0.4, order=2)
         edges = (np.array([-0.4, 0.1, 0.4]), np.array([-0.4, 0.1, 0.4]))
-        got = _osc_grids(phi, amp, 64.0, _one(0.01, 0.0), edges, 10)[0]
+        got = _sweep(phi, amp, 64.0, _one(0.01, 0.0), edges, 10)[0]
         want = _dense_reference(phi, amp, 64.0, _one(0.01, 0.0), edges, 10)[0]
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -495,7 +504,7 @@ class TestBlockedSweep:
         for order in ORDERS:
             evaluated.clear()
             phases.clear()
-            _osc_grids(phi, amp, 256.0, _one(0.0, 0.0), edges, order)
+            _sweep(phi, amp, 256.0, _one(0.0, 0.0), edges, order)
             assert factor * sum(evaluated) == order**2 * (edges[0].size - 1) * (edges[1].size - 1)
             assert phases == (evaluated if mixed else [])
 
@@ -526,28 +535,28 @@ class TestBlockedSweep:
     def test_offsets_evaluate_half_a_mirrored_grid(self, monkeypatch):
         # the row of -s is the conjugate of the row of s, bit for bit
         s = cell_centered_grid(0.3, 16)
-        u, w = _gauss_axis(_mirrored(np.linspace(-0.25, 0.25, 5)), 10)
+        u, _ = _gauss_axis(_mirrored(np.linspace(-0.25, 0.25, 5)), 10)
         rows = []
         sincos = oscint._sincos
         monkeypatch.setattr(oscint, "_sincos", lambda theta, *rest: rows.append(theta.shape[0]) or sincos(theta, *rest))
         cos_out, sin_out = np.empty((16, u.size)), np.empty((16, u.size))
-        oscint._offsets(256.0, s, u, w, cos_out, sin_out)
+        oscint._offsets(256.0, s, u, cos_out, sin_out)
         assert rows == [8]
         for i in range(16):
             row_cos, row_sin = np.empty((1, u.size)), np.empty((1, u.size))
-            oscint._offsets(256.0, s[i : i + 1], u, w, row_cos, row_sin)
+            oscint._offsets(256.0, s[i : i + 1], u, row_cos, row_sin)
             np.testing.assert_array_equal(cos_out[i], row_cos[0])
             np.testing.assert_array_equal(sin_out[i], row_sin[0])
 
     def test_decay_fit_exponents_unchanged(self):
-        # gamma_hat of the four decay_fit phases from the order-14 values, and
-        # from the order-10 values on bisected panels that the order-14 check
-        # replaced
+        # gamma_hat of the four decay_fit phases from the order-24 values on
+        # 7.5-cycle panels, and from order-10 values on bisected 2.5-cycle
+        # panels, a rule the decay values once checked against
         pinned = {
-            "x^2 + y^2": (0.4, 0.9983377593785373, 0.998337835540191),
-            "x^2*y + y^3": (0.6, 0.6346265381761979, 0.6346265381778426),
-            "(y - x^2)^2 + x^5": (0.4, 0.5751759934124229, 0.5751759804072993),
-            "x*y^2 + x^5": (0.6, 0.5629578198653379, 0.5629578493447316),
+            "x^2 + y^2": (0.4, 0.9983378146824767, 0.998337835540191),
+            "x^2*y + y^3": (0.6, 0.6346265576456462, 0.6346265381778426),
+            "(y - x^2)^2 + x^5": (0.4, 0.5751759727794229, 0.5751759804072993),
+            "x*y^2 + x^5": (0.6, 0.5629578487062803, 0.5629578493447316),
         }
         for text, (radius, gamma, bisected_gamma) in pinned.items():
             fit = fit_decay(parse_polynomial(text), AmplitudeSpec(radius=radius, order=2), dyadic_grid(64, 4096))
@@ -590,9 +599,9 @@ def test_folded_sweep_equals_unfolded(phi, lam, s):
     amp = AmplitudeSpec(radius=0.25, order=2)
     edges = (_mirrored(np.linspace(-0.25, 0.25, 6)), _mirrored(np.linspace(-0.25, 0.25, 5)))
     grids = _one(*s) + _SCAN_GRIDS[:1]
-    folded = _osc_grids(phi, amp, lam, grids, edges, 10)
+    folded = _sweep(phi, amp, lam, grids, edges, 10)
     with mock.patch.object(oscint, "_fold", lambda nodes, weights, parity: (nodes, weights)):
-        unfolded = _osc_grids(phi, amp, lam, grids, edges, 10)
+        unfolded = _sweep(phi, amp, lam, grids, edges, 10)
     # Folding reorders the sum, which moves it by rounding on the scale of the
     # sum of |terms|, the bump's mass, not of the value: some draws cancel to
     # 1e-7 of the mass.
@@ -628,9 +637,11 @@ _THETAS = st.one_of(
 
 
 def _run_sincos(theta, bound=None):
+    # the table kernel at any size: below _TABLE_MIN_SIZE _sincos runs libm
     cos_out, sin_out = np.empty_like(theta), np.empty_like(theta)
     bound = float(np.abs(theta).max()) if bound is None else bound
-    _sincos(theta.copy(), cos_out, sin_out, [np.empty_like(theta) for _ in range(3)], bound)
+    with mock.patch.object(oscint, "_TABLE_MIN_SIZE", 0):
+        _sincos(theta.copy(), cos_out, sin_out, [np.empty_like(theta) for _ in range(3)], bound)
     return cos_out, sin_out
 
 
@@ -690,11 +701,25 @@ class TestTrigKernel:
             cos_t, sin_t = _run_sincos(small, bound)
             assert np.array_equal(cos_t, np.cos(small)) and np.array_equal(sin_t, np.sin(small))
 
+    def test_below_the_table_size_is_libm_exactly(self, monkeypatch):
+        # the table kernel runs from _TABLE_MIN_SIZE entries on, libm below
+        tables = []
+        trig_table = oscint._trig_table
+        monkeypatch.setattr(oscint, "_trig_table", lambda: tables.append(1) or trig_table())
+        for size, table in ((oscint._TABLE_MIN_SIZE - 1, False), (oscint._TABLE_MIN_SIZE, True)):
+            theta = np.linspace(-40.0, 40.0, size)
+            cos_out, sin_out = np.empty_like(theta), np.empty_like(theta)
+            tables.clear()
+            _sincos(theta.copy(), cos_out, sin_out, [np.empty_like(theta) for _ in range(3)], None)
+            assert bool(tables) == table
+            if not table:
+                assert np.array_equal(cos_out, np.cos(theta)) and np.array_equal(sin_out, np.sin(theta))
+
     def test_sweep_through_the_fallback_matches_dense_reference(self, monkeypatch):
         monkeypatch.setattr(oscint, "SINCOS_RANGE", 0.0)
         case = SWEEP_CASES[SWEEP_IDS.index("scan-grids")]
         text, amp, lam, grids, _ = case
-        got = _osc_grids(parse_polynomial(text), amp, lam, grids, _case_edges(case), 10)
+        got = _sweep(parse_polynomial(text), amp, lam, grids, _case_edges(case), 10)
         want = _dense_reference(parse_polynomial(text), amp, lam, grids, _case_edges(case), 10)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
@@ -794,7 +819,7 @@ class TestOrderCheck:
         # order 20 on twice-bisected panels, summed densely a few x panels at a time
         phi = parse_polynomial(text)
         edges = _edges(phi, amp, lam, s_max)
-        value, err = _eval_on_edges(phi, amp, lam, s_max, edges)
+        value, err = _eval_on_edges(_split_phase(phi), amp, lam, s_max, edges)
         want = _finer_reference(phi, amp, lam, _one(*s_max), edges)[0, 0]
         assert abs(value - want) <= 1e-6 * abs(want)
         assert err < 1e-3
@@ -808,14 +833,14 @@ class TestOrderCheck:
         half = DEFAULT_SCAN_HALF_WIDTH
         grids = [(cell_centered_grid(half, 8),) * 2]
         edges = _edges(phi, amp, lam, (half, half), _SCAN_RULE)
-        got = _osc_grids(phi, amp, lam, grids, edges, _SCAN_RULE.order)[0]
+        got = _sweep(phi, amp, lam, grids, edges, _SCAN_RULE.order)[0]
         want = _finer_reference(phi, amp, lam, grids, edges)
         big = np.abs(want) > 1e-9 * amplitude_mass(amp)
         assert big.sum() >= 8
         assert np.max(np.abs(got - want)[big] / np.abs(want)[big]) <= 1e-6
 
     def test_both_rules_stay_cached(self):
-        # the decay rule's orders 14 and 10 and the scan rule's 24 and 20
+        # orders 24 and 20, which the decay and scan rules share
         def sweep_both():
             eval_oscillatory(parse_polynomial("x^2 + y^2"), AmplitudeSpec(radius=0.4, order=2), 64.0)
             randol_lq_scan(parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, q_list=(2.0,), cells=8, lambda_grid=[64.0])
@@ -824,13 +849,33 @@ class TestOrderCheck:
         misses = oscint._gauss_rule.cache_info().misses
         sweep_both()
         assert oscint._gauss_rule.cache_info().misses == misses
-        assert oscint._gauss_rule.cache_info().currsize == len(ORDERS) == 4
+        assert oscint._gauss_rule.cache_info().currsize == len(ORDERS) == 2
+
+    @pytest.mark.parametrize(
+        "text,radius",
+        [("x^2 + y^2", 0.4), ("x^2*y + y^3", 0.6), ("(y - x^2)^2 + x^5", 0.4), ("x*y^2 + x^5", 0.6), ("x*(y - x^2)^2 + x^5", 0.6)],
+    )
+    def test_decay_values_match_a_finer_reference(self, text, radius):
+        # the decay_fit rows and the rank-zero twin against the same orders on
+        # panels of at most 2.5 cycles and 2R/12.  The wide rule under-reports
+        # only at the 1e-8 level (the twin at 1024: 1.5e-8 off, 2.2e-9 reported)
+        phi, amp = parse_polynomial(text), AmplitudeSpec(radius=radius, order=2)
+        lams = dyadic_grid(64, 4096)
+        fit = fit_decay(phi, amp, lams)
+        assert fit.skipped == ()
+        strips, phase = _strip_bounds(phi, amp, (0.0, 0.0)), _split_phase(phi)
+        finer = replace(_DECAY_RULE, cycles=2.5, min_panels=12)
+        for lam, value, reported in zip(lams, fit.values, fit.quadrature_error_bound):
+            want, _ = _eval_on_edges(phase, amp, lam, (0.0, 0.0), _panels_for(strips, amp, lam, finer))
+            err = abs(value - want) / abs(want)
+            assert err <= 5e-7
+            assert err <= 1e-7 or reported >= err / 2
 
     def test_check_trips_on_underresolved_panels(self, monkeypatch):
-        # one node per cycle: 10 cycles on a decay panel, 24 on a scan panel
-        monkeypatch.setattr(oscint, "_DECAY_RULE", replace(_DECAY_RULE, cycles=10.0))
+        # one node per cycle: 20 cycles on a decay panel, 24 on a scan panel
+        monkeypatch.setattr(oscint, "_DECAY_RULE", replace(_DECAY_RULE, cycles=20.0))
         monkeypatch.setattr(oscint, "_SCAN_RULE", replace(_SCAN_RULE, cycles=24.0))
-        with pytest.raises(QuadratureNotConverged, match=r"order 10 is off order 14 on I\(lambda=4096\.0"):
+        with pytest.raises(QuadratureNotConverged, match=r"order 20 is off order 24 on I\(lambda=4096\.0"):
             eval_oscillatory(parse_polynomial("x^2*y + y^3"), AmplitudeSpec(radius=0.6, order=2), 4096.0)
         with pytest.raises(QuadratureNotConverged, match="order 20 is off order 24 on the scan at lambda=1024.0"):
             randol_lq_scan(
@@ -865,6 +910,62 @@ class TestOrderCheck:
         randol_lq_scan(phi, amp, 2, q_list=(2.0,), cells=8, lambda_grid=[256.0])
         ex, ey = _edges(phi, amp, 256.0, (DEFAULT_SCAN_HALF_WIDTH, DEFAULT_SCAN_HALF_WIDTH), _SCAN_RULE)
         assert 4 * sum(evaluated) == (_SCAN_RULE.order**2 + _SCAN_RULE.check**2) * (ex.size - 1) * (ey.size - 1)
+
+
+class TestFixedCosts:
+    """Set-up that does not depend on the order is paid once, not per sweep."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = {"split": 0, "turn": [], "sincos": 0, "blocks": 0, "sweeps": 0}
+        split_phase, global_phase, sincos = oscint._split_phase, oscint._global_phase, oscint._sincos
+        phase_rows, osc_grids = oscint._phase_rows, oscint._osc_grids
+
+        def count(key, fn, record=lambda args: 1):
+            def spy(*args):
+                calls[key] = calls[key] + record(args)
+                return fn(*args)
+
+            return spy
+
+        monkeypatch.setattr(oscint, "_split_phase", count("split", split_phase))
+        monkeypatch.setattr(oscint, "_global_phase", count("turn", global_phase, lambda args: [args[1]]))
+        monkeypatch.setattr(oscint, "_sincos", count("sincos", sincos))
+        monkeypatch.setattr(oscint, "_phase_rows", count("blocks", phase_rows))
+        monkeypatch.setattr(oscint, "_osc_grids", count("sweeps", osc_grids))
+        return calls
+
+    def test_decay_fit_splits_once_and_turns_once_per_lambda(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        lams = dyadic_grid(64, 1024)
+        fit_decay(parse_polynomial("2/3 + x^2*y + y^3"), AmplitudeSpec(radius=0.6, order=2), lams)
+        assert calls["split"] == 1
+        assert calls["turn"] == list(lams)
+        assert calls["sweeps"] == 2 * len(lams)
+
+    def test_scan_splits_once_and_turns_once_per_lambda(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        scan = randol_lq_scan(
+            parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, q_list=(2.0,), cells=8, lambda_grid=dyadic_grid(64, 512)
+        )
+        assert calls["split"] == 1
+        assert calls["turn"] == list(scan.lambdas)
+        # the value sweep and the check sweep per lambda
+        assert calls["sweeps"] == 2 * len(scan.lambdas)
+
+    @pytest.mark.parametrize("text,radius", [("x^2 + y^2", 0.4), ("x^2*y + y^3", 0.6), ("(y - x^2)^2 + x^5", 0.4)])
+    def test_a_single_offset_sweep_takes_one_sincos_per_axis(self, monkeypatch, text, radius):
+        # every block with a theta takes one _sincos call; outside the blocks
+        # a single-offset sweep takes one per axis for its 1-D factors, with
+        # or without pure terms moved out (x^2 + y^2 has no theta and no blocks
+        # with trig)
+        calls = self._count(monkeypatch)
+        for lam in (64.0, 1024.0):
+            for key in ("sincos", "blocks", "sweeps"):
+                calls[key] = 0
+            eval_oscillatory(parse_polynomial(text), AmplitudeSpec(radius=radius, order=2), lam, (0.01, -0.02))
+            assert calls["sweeps"] == 2
+            assert calls["sincos"] - calls["blocks"] == 2 * 2
 
 
 class TestFitDecay:

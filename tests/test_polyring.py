@@ -10,6 +10,7 @@ from nphk.polyring import (
     INFINITE_ORDER,
     MAX_CONSTANT_BITS,
     MAX_DEGREE,
+    MAX_LITERAL_DIGITS,
     MAX_NESTING,
     BivariatePolynomial,
     LinearMap2,
@@ -80,6 +81,9 @@ class TestParse:
             (")", "unexpected token ')'", 0),
             # a digit that is not a decimal digit
             ("x\u00b2 + y^2", "unexpected character '\u00b2'", 1),
+            # a literal past MAX_LITERAL_DIGITS, and one past Python's int() limit
+            ("x^2 + " + "1" * 1235 + "*y^2", "an integer literal exceeds MAX_LITERAL_DIGITS = 1234 digits", 6),
+            ("1" * 4301 + "*x^2 + y^2", "an integer literal exceeds MAX_LITERAL_DIGITS = 1234 digits", 0),
         ],
     )
     def test_error_message_and_position(self, text, message, position):
@@ -99,6 +103,16 @@ _DEGREE_128 = "x*(y - x^3)^2 + x^9 + y^4*(y^3 + y*x^3)*(-1/3 + y^10 - y)^12"
 
 
 class TestInputBounds:
+    def test_literal_digits_bound(self):
+        # every value below 2^MAX_CONSTANT_BITS fits the bound, and the
+        # longest literal it allows parses to its value
+        assert len(str(2**MAX_CONSTANT_BITS - 1)) == MAX_LITERAL_DIGITS
+        nines = "9" * MAX_LITERAL_DIGITS
+        assert parse_polynomial(nines + "*x^2 + y^2").coefficient(2, 0) == int(nines)
+        with pytest.raises(ParseError, match="MAX_LITERAL_DIGITS") as err:
+            parse_polynomial("x^2 + 1/" + "9" * (MAX_LITERAL_DIGITS + 1) + "*y^2")
+        assert err.value.position == 8
+
     def test_nesting_is_refused_at_the_parenthesis_past_the_bound(self):
         deep = "(" * MAX_NESTING + "x^2*y + y^3" + ")" * MAX_NESTING
         assert parse_polynomial(deep) == parse_polynomial("x^2*y + y^3")
