@@ -8,12 +8,12 @@ weighted maximal function sup_lambda lambda^(1/2 + 1/(m+1)) |I(lambda, s)|.
 Quadrature is a tensor-product composite Gauss rule whose panels are sized
 locally: along each axis, a monomialwise bound of |d phi / d axis| + |s| on
 each strip of the amplitude's support gives the local oscillation count, and
-the panel edges follow it so that no panel holds more cycles than its rule
-allows or is wider than a fixed share of the support.  The bound does not
+the panel edges follow it so that no panel holds more cycles than the rule
+allows or is wider than a share of the support set by the bump's order.  The bound does not
 depend on lambda, so a sweep takes it once and scales it per lambda.
 A grid beyond a fixed node budget, or an offset scan beyond a fixed point
 budget, is refused before any of it is built (BudgetExceeded).  The
-integrand is evaluated in blocks of x rows of one height for every rule
+integrand is evaluated in blocks of x rows of one height for both orders
 (``_BLOCK_ROWS``); each block covers only the y nodes inside the disc at its
 row nearest x = 0, since the amplitude is exactly zero on every other node,
 so each value is the full tensor-product sum without its zero terms.
@@ -62,40 +62,42 @@ which sums every node at once with np.exp and the bump written out and
 shares only the Gauss nodes with them; it stays the independent check of
 the whole fused pass.
 
-Two rules (``_Rule``) set the orders and panels, and both follow one
-convention: the value is the rule's higher order, checked by its lower order
-on the same panels, and the reported error is their relative difference.
-Both take order 24, checked by order 20, on panels of at most 7.5 cycles.
-Decay values (``fit_decay``, ``eval_oscillatory``) keep panels of at most
-2R/6 and scan values (``randol_lq_scan``) take panels of at most 2R/3.  On
-the area of one square 2.5-cycle panel that is 64 + 44 nodes, against the
-196 + 100 of the 14/10 rule decay values took before.  The error is a
-measured difference, not a rigorous bound.  Against the same orders on
-panels of at most 2.5 cycles and 2R/12, the worst relative error of the
-decay values at lambda = 64..4096 (order-2 bump) is
+One rule (``_RULE``) sets the orders of every sweep: the value is order 24,
+checked by order 20 on the same panels, and the reported error is their
+relative difference.  No panel holds more than 7.5 cycles or is wider than
+2R/n (``_min_panels``): n = 3 for a bump of order 4 or more over a scan's
+offset grid, else 6.  The order-2 bump is only C^1 at the disc's edge, where
+the accuracy follows the node spacing.  A panel's cycles are counted from
+the phase's advance, but the Gauss error follows its top frequency, up to
+twice the count on a panel at a stationary point: at one offset the narrow
+cap keeps such panels short, on a scan's grid the offsets' share of the
+gradient bound (|s_i| <= 1/4) does.  The error is a measured
+difference, not a rigorous bound.  Against the same orders on 2.5-cycle,
+2R/12 panels, the worst relative error at s = 0 and lambda = 64..4096 on the
+four decay_fit rows, the twin x*(y - x^2)^2 + x^5 with R = 0.6, and
+x^2*y + y^3 and y^3 + x^5 with R = 0.25 is
 
-    phase                R    error    (14/10 on 2.5 cycles)
-    x^2 + y^2            0.4  4.4e-7   3.6e-7
-    x^2*y + y^3          0.6  1.1e-7   1.5e-7
-    (y - x^2)^2 + x^5    0.4  2.2e-8   1.2e-7
-    x*y^2 + x^5          0.6  1.6e-8   1.0e-7
+    order      2R/6      2R/3
+    2          4.4e-7    1.1e-6, 6.1 times the reported error
+    4          2.9e-11   5.2e-10
+    6, 8       2.6e-14   3.3e-11
+    16..200    2.1e-14   3.0e-11
+    400        3.8e-14   9.0e-8
+    1000       9.6e-9    the check trips at lambda = 256 (1.39e-2)
 
-with gamma_hat within 1.6e-8 of the reference's, and up to lambda = 16384
-the same 4.4e-7.  Wherever the error is above 1e-7 the reported error is at
-least half of it.  Below that the check can under-report: on
-x*(y - x^2)^2 + x^5 with R = 0.6 at lambda = 1024 the error is 1.5e-8 and
-the reported one 2.2e-9.  For the two scan phases with the default bump on the
-default 32-cell grid at lambda = 64..16384 the error against an order-20
-reference on panels a quarter as wide was at most 4.2e-7 and the order-20
-check at most 1.1e-6.  All of it is far below REL_TOL.  Decay keeps the
-narrower cap because its order-2 bump is only C^1 at the disc's edge, where
-the accuracy follows the node spacing: the scan's cap of 2R/3 put decay
-values up to 1.1e-6 off, six times the reported error, and 2R/4 up to
-1.4e-6, four times it.  A 20/16 pair on 7.5 cycles is no option either: order
-16 integrates a tone at the cap only to 1.4e-3, above REL_TOL.  The scan's
-default bump of order 8 is C^7 there, and the wider panels cost it nothing.
-No asymptotic (Filon-type) schemes: lambda stays at desk scale, the point is
-an independent, error-checked test of the predicted power laws, not speed.
+and orders above 400 are refused (``AmplitudeSpec``).  On 2R/3 the error
+grows with lambda R^2: x^2 + y^2 with order 8 is 8.4e-8 off at R = 0.6 and
+lambda = 4096 (3.4e-13 on 2R/6) and reports 2.2e-3 at R = 0.8 and 16384
+(4.7e-6).  On the order-2 decay_fit rows gamma_hat is within 1.6e-8 of the
+reference's; where the error is above 1e-7 the reported error is at least
+half of it, and below that it can under-report (the twin at lambda = 1024:
+1.5e-8 off, 2.2e-9 reported).  On the two scan phases with the default bump
+and 32-cell grid at lambda = 64..16384 the error against order 20 on panels
+a quarter as wide was at most 4.2e-7 and the check at most 1.1e-6.  A 20/16
+pair on 7.5 cycles is no option: order 16 integrates a tone at the cap only
+to 1.4e-3.  No asymptotic (Filon-type) schemes: lambda stays at desk scale,
+the point is an independent, error-checked test of the predicted power
+laws, not speed.
 
 Offset grids for the maximal-function scans are cell-centered.  The caustic
 of the probed phases is an axis line through s = 0 where the maximal
@@ -122,30 +124,19 @@ from .polyring import INFINITE_ORDER, BivariatePolynomial
 
 @dataclass(frozen=True)
 class _Rule:
-    """A pair of Gauss-Legendre orders on one set of panels.
-
-    Values come from the order ``order``; the order ``check`` runs on the same
-    panels, and their relative difference is the reported error.  No panel
-    holds more than ``cycles`` oscillation cycles or is wider than
-    2R / ``min_panels``.  Both orders are even, so their nodes mirror on
-    mirrored panels and every sweep folds alike.
-    """
+    """Gauss-Legendre values of order ``order``, checked by order ``check``, on panels of at most ``cycles`` cycles."""
 
     order: int
     check: int
     cycles: float
-    min_panels: int
 
 
-# Decay and scan values share their orders and cycle cap.  On one panel a
-# pure tone of 7.5 cycles is integrated by order 24 to about 1.9e-11 of the
-# panel width and by order 20 to 4.3e-7, so the check trips near the error
-# order 10 had on 2.5-cycle panels.  Decay keeps panels of at most 2R/6: its
-# order-2 bump is only C^1 at the disc's edge (see the module docstring).
-_DECAY_RULE = _Rule(order=24, check=20, cycles=7.5, min_panels=6)
-# Three panels give 72 nodes per axis at low lambda.
-_SCAN_RULE = _Rule(order=24, check=20, cycles=7.5, min_panels=3)
-# x rows per sweep block, for every rule and order, times the ratio of the
+# On one panel a pure tone of 7.5 cycles is integrated by order 24 to about
+# 1.9e-11 of the panel width and by order 20 to 4.3e-7, so the check trips
+# near the error order 10 had on 2.5-cycle panels.  Both orders are even, so
+# their nodes mirror on mirrored panels and every sweep folds alike.
+_RULE = _Rule(order=24, check=20, cycles=7.5)
+# x rows per sweep block, for both orders and every bump, times the ratio of the
 # longer axis's nodes to the swept y nodes.  The disc clips a block at its row
 # nearest x = 0, so a taller block keeps more zero nodes (whole 24-row panels
 # keep up to 0.92 of the square on the sweep tests' grids, 14 rows up to
@@ -154,21 +145,23 @@ _SCAN_RULE = _Rule(order=24, check=20, cycles=7.5, min_panels=3)
 _BLOCK_ROWS = 14
 REL_TOL = 1e-3
 MAX_FEASIBLE_LAMBDA = float(1 << 15)
-# Nodes of a rule's lower (check) order one lambda may use.  At
-# MAX_FEASIBLE_LAMBDA the decay phases need at most 4.3e7 order-20 nodes
-# (x^2*y + y^3 with R = 0.6; 6.1e7 at order 24) and the scan phases about
-# 1.0e7; a grid far beyond that is a run of hours, not a desk-scale check.
+# Nodes of the rule's check order one lambda may use.  At MAX_FEASIBLE_LAMBDA
+# the decay_fit phases need at most 4.3e7 order-20 nodes (x^2*y + y^3 with
+# R = 0.6; 6.1e7 at order 24) and the default bump's scans about 1.0e7; a
+# grid far beyond that is a run of hours, not a desk-scale check.
 MAX_COARSE_NODES = 10**8
 # Offset points one maximal-function scan may hold on its finer grid.  The
 # largest scan criterion 6 or a test runs has 64^2 (32 cells refined twice);
 # 256^2 leaves a sixteenfold margin and keeps the fine totals and maxima near
 # 1.5 MB, where --grid 20000 would ask for 38 GB.  A sweep's offset factors
-# hold offsets times nodes per axis; the scan rule's wide panels have fewer
-# nodes per axis than the narrow ones scans used before (2520 against 3110 on
-# the longer axis of (y - x^2)^2 at lambda = 16384).
+# hold offsets times nodes per axis (2520 on the longer axis of (y - x^2)^2
+# at lambda = 16384).
 MAX_SCAN_POINTS = 256**2
 # Nodes per axis of the support check's gradient grid on [-R, R].
 SUPPORT_GRID = 49
+# The largest bump order of the module docstring's table accepted: at 1000 the
+# order check trips on 2R/3.
+_MAX_BUMP_ORDER = 400
 # Equal strips per axis on which the gradient bound is taken.  This sets how
 # closely the panel sizes follow the local frequency, not the accuracy budget.
 _STRIPS = 512
@@ -199,7 +192,12 @@ class BudgetExceeded(ValueError):
 
 @dataclass(frozen=True)
 class AmplitudeSpec:
-    """The radial bump amplitude (1 - (r/R)^2)^order on the disc of radius R."""
+    """The radial bump amplitude (1 - (r/R)^2)^order on the disc of radius R.
+
+    The order is an even integer from 2 to 400 (``_MAX_BUMP_ORDER``), the
+    range the module docstring's table measures: at order 10^6 every value
+    falls below the order check's floor and passes it unseen.
+    """
 
     radius: float = DEFAULT_RADIUS
     order: int = 8
@@ -207,8 +205,8 @@ class AmplitudeSpec:
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"amplitude radius must be positive and finite, got {self.radius}")
-        if type(self.order) is not int or self.order < 2 or self.order % 2:
-            raise ValueError("bump order must be an even integer >= 2")
+        if type(self.order) is not int or not 2 <= self.order <= _MAX_BUMP_ORDER or self.order % 2:
+            raise ValueError(f"bump order must be an even integer from 2 to {_MAX_BUMP_ORDER}")
 
 
 @dataclass(frozen=True)
@@ -289,19 +287,25 @@ def _strip_bounds(
     return u, bounds
 
 
-def _axis_cost(u: np.ndarray, bound: np.ndarray, amp: AmplitudeSpec, lam: float, rule: _Rule) -> np.ndarray:
+def _min_panels(amp: AmplitudeSpec, grids: Sequence[Tuple[np.ndarray, np.ndarray]]) -> int:
+    """n of the width cap 2R/n for sweeping ``amp`` over the offset ``grids``
+    (``_osc_grids``): 3 for a bump of order 4 or more over a scan's grid,
+    else 6 (see the module docstring)."""
+    return 3 if amp.order > 2 and grids[0][0].size > 1 else 6
+
+
+def _axis_cost(u: np.ndarray, bound: np.ndarray, amp: AmplitudeSpec, lam: float, n: int) -> np.ndarray:
     """The cumulative panel-sizing cost at each strip edge ``u`` along an axis
     whose strips have the bound ``bound`` of ``_strip_bounds``.
 
-    A strip holds at most lam * bound * width / (2 pi) cycles.  A panel's
-    cost is its cycles / rule.cycles plus width * rule.min_panels / (2R): a
-    panel of cost at most 1 holds no more than rule.cycles cycles and is no
-    wider than 2R / rule.min_panels.
+    A strip holds at most lam * bound * width / (2 pi) cycles.  A panel's cost
+    is its cycles / _RULE.cycles plus width * n / (2R): a panel of cost at most
+    1 holds no more than _RULE.cycles cycles and is no wider than 2R / n.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         width = np.diff(u)
         cycles = lam * bound * width / (2.0 * math.pi)
-        cost = cycles / rule.cycles + width * rule.min_panels / (2.0 * amp.radius)
+        cost = cycles / _RULE.cycles + width * n / (2.0 * amp.radius)
     return np.concatenate(([0.0], np.cumsum(cost)))
 
 
@@ -317,20 +321,20 @@ def _axis_edges(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
 
 
 def _panels_for(
-    strips: Tuple[np.ndarray, List[np.ndarray]], amp: AmplitudeSpec, lam: float, rule: _Rule
+    strips: Tuple[np.ndarray, List[np.ndarray]], amp: AmplitudeSpec, lam: float, n: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Panel edges per axis under ``rule`` from the ``_strip_bounds`` of a phase.
+    """Panel edges per axis under the width cap 2R/n from a phase's ``_strip_bounds``.
 
     Raises ValueError for a lambda outside the feasible range,
     BudgetExceeded before any edge is placed when the grid would need more
-    than MAX_COARSE_NODES nodes of the order rule.check or its size is not
+    than MAX_COARSE_NODES nodes of the order _RULE.check or its size is not
     finite, and ValueError when the bump's mass is not a normal positive
     float (a radius whose square overflows or underflows).
     """
     _check_lambda(lam)
     u, bounds = strips
-    cums = [_axis_cost(u, bound, amp, lam, rule) for bound in bounds]
-    nodes = float(rule.check**2)
+    cums = [_axis_cost(u, bound, amp, lam, n) for bound in bounds]
+    nodes = float(_RULE.check**2)
     for cum in cums:
         nodes *= float(np.ceil(cum[-1]))
     if not nodes <= MAX_COARSE_NODES:
@@ -347,7 +351,7 @@ def _panels_for(
 @functools.lru_cache(maxsize=2)
 def _gauss_rule(order: int) -> Tuple[np.ndarray, np.ndarray]:
     """The order-``order`` Gauss-Legendre rule on [-1, 1], computed once per
-    order; the cache holds orders 24 and 20, which both rules share.
+    order; the cache holds the rule's orders 24 and 20.
 
     leggauss returns exactly antisymmetric nodes and symmetric weights, so
     mirrored edges give exactly mirrored nodes and equal weights.  It runs on
@@ -918,26 +922,25 @@ def _check_lambda(lam: float) -> None:
 
 
 def _sweep_edges(
-    phi: BivariatePolynomial, amp: AmplitudeSpec, lams: Sequence[float], s_max: Tuple[float, float], rule: _Rule
+    phi: BivariatePolynomial, amp: AmplitudeSpec, lams: Sequence[float], s_max: Tuple[float, float], n: int
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Edges under ``rule`` for every lambda of a sweep, then the support check.
+    """Edges under the width cap 2R/n for every lambda, then the support check.
 
     The strip bounds are taken once and scaled per lambda.  Every lambda is
     checked against the feasible range and the node budget before any node
     grid is built, so an infeasible sweep fails at once.
     """
     strips = _strip_bounds(phi, amp, s_max)
-    edges = [_panels_for(strips, amp, lam, rule) for lam in lams]
+    edges = [_panels_for(strips, amp, lam, n) for lam in lams]
     if not check_amplitude_support(phi, amp):
         raise ValueError("phase has critical points separated from the origin inside the support")
     return edges
 
 
-def _order_check(check: np.ndarray, value: np.ndarray, amp: AmplitudeSpec, what: str, rule: _Rule) -> float:
+def _order_check(check: np.ndarray, value: np.ndarray, amp: AmplitudeSpec, what: str) -> float:
     """The largest |value - check| / |value| over the values with |value|
     above 1e-9 of the amplitude's mass (0 when there are none), where
-    ``value`` is the order-rule.order value and ``check`` the order-rule.check
-    one on the same panels.
+    ``value`` and ``check`` are the rule's two orders on the same panels.
 
     Raises QuadratureNotConverged when it exceeds REL_TOL.
     """
@@ -947,27 +950,30 @@ def _order_check(check: np.ndarray, value: np.ndarray, amp: AmplitudeSpec, what:
     rel = float((np.abs(value - check)[big] / np.abs(value)[big]).max())
     if rel > REL_TOL:
         raise QuadratureNotConverged(
-            f"order {rule.check} is off order {rule.order} on {what} by {rel:.2e} (> {REL_TOL})"
+            f"order {_RULE.check} is off order {_RULE.order} on {what} by {rel:.2e} (> {REL_TOL})"
         )
     return rel
 
 
-def _eval_on_edges(
+def _lambda_step(
     phase: _Phase,
     amp: AmplitudeSpec,
     lam: float,
-    s: Tuple[float, float],
+    grids: Sequence[Tuple[np.ndarray, np.ndarray]],
     edges: Tuple[np.ndarray, np.ndarray],
-) -> Tuple[complex, float]:
-    """The value of I(lambda, s) on ``edges`` under the decay rule and its
-    relative difference from the rule's check order; both sweeps take the
-    split ``phase`` and one global phase."""
-    grid = [(np.array([s[0]]), np.array([s[1]]))]
-    rule = _DECAY_RULE
+    what: str,
+    validate: bool = True,
+) -> Tuple[List[np.ndarray], Optional[float]]:
+    """I(lambda, s) on every offset grid (``_osc_grids``) at the rule's
+    order on ``edges`` and, with ``validate``, the first grid's
+    ``_order_check`` on ``what`` (else None).  Both sweeps take the split
+    ``phase`` and one global phase."""
     turn = _global_phase(phase.constant, lam)
-    check = _osc_grids(phase, amp, lam, grid, edges, rule.check, turn)[0]
-    value = _osc_grids(phase, amp, lam, grid, edges, rule.order, turn)[0]
-    return value[0, 0], _order_check(check, value, amp, f"I(lambda={lam}, s={s})", rule)
+    mats = _osc_grids(phase, amp, lam, grids, edges, _RULE.order, turn)
+    if not validate:
+        return mats, None
+    check = _osc_grids(phase, amp, lam, grids[:1], edges, _RULE.check, turn)[0]
+    return mats, _order_check(check, mats[0], amp, what)
 
 
 def eval_oscillatory(
@@ -976,16 +982,17 @@ def eval_oscillatory(
     lam: float,
     s: Tuple[float, float] = (0.0, 0.0),
 ) -> complex:
-    """Quadrature value of I(lambda, s) under the decay rule's order 24,
-    checked against its order 20 on the same panels.
+    """Quadrature value of I(lambda, s) under the rule's order 24, checked
+    against its order 20 on the same panels.
 
     Its value is the one ``fit_decay`` gives at the same lambda and offset,
     bit for bit.  It runs no support check (``check_amplitude_support``): a
     critical point away from the origin is integrated like any other.
     """
-    edges = _panels_for(_strip_bounds(phi, amp, s), amp, lam, _DECAY_RULE)
-    value, _ = _eval_on_edges(_split_phase(phi), amp, lam, s, edges)
-    return value
+    point = [(np.array([s[0]]), np.array([s[1]]))]
+    edges = _panels_for(_strip_bounds(phi, amp, s), amp, lam, _min_panels(amp, point))
+    (value,), _ = _lambda_step(_split_phase(phi), amp, lam, point, edges, f"I(lambda={lam}, s={s})")
+    return value[0, 0]
 
 
 def dyadic_grid(lmin: float, lmax: float) -> Tuple[float, ...]:
@@ -1071,14 +1078,16 @@ def fit_decay(
     QuadratureNotConverged.
     """
     lams = sorted({float(v) for v in lambda_grid})
-    plan = _sweep_edges(phi, amp, lams, s, _DECAY_RULE)
+    point = [(np.array([s[0]]), np.array([s[1]]))]
+    plan = _sweep_edges(phi, amp, lams, s, _min_panels(amp, point))
     if len(lams) < 3:
         raise ValueError(f"a decay fit needs at least three lambda points, got {len(lams)} distinct")
     phase = _split_phase(phi)
     samples, skipped = [], []
     for lam, edges in zip(lams, plan):
         try:
-            samples.append((lam, *_eval_on_edges(phase, amp, lam, s, edges)))
+            (value,), err = _lambda_step(phase, amp, lam, point, edges, f"I(lambda={lam}, s={s})")
+            samples.append((lam, value[0, 0], err))
         except QuadratureNotConverged as exc:
             skipped.append((lam, str(exc)))
     if len(samples) < 3:
@@ -1130,13 +1139,13 @@ def randol_lq_scan(
     sample point lies on the axis caustic (``cells=7`` samples 8 x 8 coarse
     points).  A bounded coarse-to-fine ratio is the integrability signal; a
     growing one flags divergence.  The two cell-centered offset grids share
-    every integrand sweep under the scan rule's order 24, which gives the
-    reported values.  With ``validate`` each lambda's coarse-grid matrix is
-    also swept with the rule's order 20 on the same panels, and its largest
-    relative difference from the reported matrix must stay within REL_TOL;
-    the check does not change any reported value.  These are the orders
-    and the convention of the decay values, on panels up to twice as wide
-    (see the module docstring).  A repeated lambda is swept once.
+    every integrand sweep at the rule's order 24, which gives the reported
+    values; with ``validate`` the coarse grid is also swept at order 20 on
+    the same panels, and its largest relative difference from the reported
+    matrix must stay within REL_TOL (it changes no reported value).  These
+    are the decay values' orders and convention, on panels up to twice as
+    wide for a bump of order 4 or more (``_min_panels``).  A repeated lambda
+    is swept once.
 
     ``M`` at an offset s is the largest lambda^w |I(lambda, s)|, with
     w = ``randol_weight(m)``, over the lambda swept, in ascending order.  The
@@ -1148,11 +1157,10 @@ def randol_lq_scan(
     feasible range and the node budget, before any node is built: a grid that
     is refused is refused whole, even past where the sweep would stop.
 
-    A ``cells`` that is not
-    an ``int`` (or is a ``bool``), a ``q`` that is not positive and finite,
-    an empty ``q_list`` or an empty ``lambda_grid`` raises ValueError, and a
-    fine grid of more than MAX_SCAN_POINTS offsets BudgetExceeded, before
-    anything is built.
+    A ``cells`` that is not an ``int`` (or is a ``bool``), a ``q`` that is
+    not positive and finite, an empty ``q_list`` or an empty ``lambda_grid``
+    raises ValueError, and a fine grid of more than MAX_SCAN_POINTS offsets
+    BudgetExceeded, before anything is built.
     """
     if type(cells) is not int or cells < 1:
         raise ValueError(f"scans need integer cells >= 1, got cells={cells!r}")
@@ -1172,25 +1180,18 @@ def randol_lq_scan(
         )
     _require_d_type(phi, m)
     half_width = DEFAULT_SCAN_HALF_WIDTH
-    rule = _SCAN_RULE
-    plan = _sweep_edges(phi, amp, lams, (half_width, half_width), rule)
+    offsets = [cell_centered_grid(half_width, n) for n in (cells, 2 * cells)]
+    grids = [(g, g) for g in offsets]
+    plan = _sweep_edges(phi, amp, lams, (half_width, half_width), _min_panels(amp, grids))
     w = randol_weight(m)
-    coarse = cell_centered_grid(half_width, cells)
-    fine = cell_centered_grid(half_width, 2 * cells)
-    grids = [(coarse, coarse), (fine, fine)]
-    m_coarse = np.zeros((coarse.size, coarse.size))
-    m_fine = np.zeros((fine.size, fine.size))
+    peaks = [np.zeros((g.size, g.size)) for g in offsets]
     swept: List[float] = []
     last_raise = lams[0]
     phase = _split_phase(phi)
     for lam, edges in zip(lams, plan):
-        turn = _global_phase(phase.constant, lam)
-        mats = _osc_grids(phase, amp, lam, grids, edges, rule.order, turn)
-        if validate:
-            check = _osc_grids(phase, amp, lam, grids[:1], edges, rule.check, turn)[0]
-            _order_check(check, mats[0], amp, f"the scan at lambda={lam}", rule)
+        mats, _ = _lambda_step(phase, amp, lam, grids, edges, f"the scan at lambda={lam}", validate)
         swept.append(lam)
-        for peak, mat in zip((m_coarse, m_fine), mats):
+        for peak, mat in zip(peaks, mats):
             value = lam**w * np.abs(mat)
             if (value > peak).any():
                 last_raise = lam
@@ -1198,20 +1199,18 @@ def randol_lq_scan(
         if lam >= 2.0**_QUIET_OCTAVES * last_raise:
             break
 
-    area_c = (2.0 * half_width / coarse.size) ** 2
-    area_f = (2.0 * half_width / fine.size) ** 2
     report: Dict[float, Tuple[float, float, float]] = {}
     for q in q_list:
-        s_c = float(np.sum(m_coarse**q) * area_c)
-        s_f = float(np.sum(m_fine**q) * area_f)
+        s_c = float(np.sum(peaks[0] ** q) * (2.0 * half_width / cells) ** 2)
+        s_f = float(np.sum(peaks[1] ** q) * (half_width / cells) ** 2)
         report[float(q)] = (s_c, s_f, s_f / s_c if s_c > 0 else math.inf)
 
-    points = tuple((float(a), float(b)) for a in coarse for b in coarse)
+    points = tuple((float(a), float(b)) for a in offsets[0] for b in offsets[0])
     return RandolScan(
         m=m,
         lambdas=tuple(swept),
         s_grid=points,
-        M_values=tuple(float(v) for v in m_coarse.ravel()),
+        M_values=tuple(float(v) for v in peaks[0].ravel()),
         q_report=report,
     )
 

@@ -208,14 +208,14 @@ class TestDecayCommand:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_unconverged_lambda_is_a_warning(self, capsys, monkeypatch):
-        eval_on_edges = oscint._eval_on_edges
+        lambda_step = oscint._lambda_step
 
-        def flaky(phi, amp, lam, s, edges):
+        def flaky(phase, amp, lam, grids, edges, what, validate=True):
             if lam == 128.0:
-                raise oscint.QuadratureNotConverged(f"order 10 is off order 14 on I(lambda={lam}, s={s}) by 1.00e+00 (> 0.001)")
-            return eval_on_edges(phi, amp, lam, s, edges)
+                raise oscint.QuadratureNotConverged(f"order 10 is off order 14 on {what} by 1.00e+00 (> 0.001)")
+            return lambda_step(phase, amp, lam, grids, edges, what, validate)
 
-        monkeypatch.setattr(oscint, "_eval_on_edges", flaky)
+        monkeypatch.setattr(oscint, "_lambda_step", flaky)
         code = cli.main(["decay", "--phi", "x^2 + y^2", "--lmin", "64", "--lmax", "512"])
         assert code == cli.EXIT_OK
         out = capsys.readouterr().out
@@ -226,7 +226,7 @@ class TestDecayCommand:
         def quadrature(*args):
             raise AssertionError("quadrature ran")
 
-        monkeypatch.setattr(oscint, "_eval_on_edges", quadrature)
+        monkeypatch.setattr(oscint, "_lambda_step", quadrature)
         code = cli.main(["decay", "--phi", "x^2 + y^2", "--lmin", "64", "--lmax", "128"])
         assert code == cli.EXIT_NUMERIC
         assert "at least three lambda points, got 2" in json.loads(capsys.readouterr().out)["error"]

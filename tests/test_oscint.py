@@ -33,12 +33,12 @@ from nphk.oscint import (
     fit_decay,
     randol_lq_scan,
     _BLOCK_ROWS,
-    _DECAY_RULE,
-    _SCAN_RULE,
+    _RULE,
     _disc_columns,
-    _eval_on_edges,
     _gauss_axis,
     _global_phase,
+    _lambda_step,
+    _min_panels,
     _order_check,
     _osc_grids,
     _panels_for,
@@ -50,13 +50,27 @@ from nphk.oscint import (
 )
 from nphk.polyring import BivariatePolynomial, parse_polynomial
 
-RULES = [_DECAY_RULE, _SCAN_RULE]
-# the orders of both rules
-ORDERS = sorted({order for rule in RULES for order in (rule.order, rule.check)})
+# the rule's two orders
+ORDERS = sorted({_RULE.order, _RULE.check})
 
 
-def _edges(phi, amp, lam, s_max, rule=_DECAY_RULE):
-    return _panels_for(_strip_bounds(phi, amp, s_max), amp, lam, rule)
+def _grids(s_max):
+    """A scan's offset grids when s_max is the scan's square, else the one offset s_max."""
+    return _SCAN_GRIDS if s_max == (DEFAULT_SCAN_HALF_WIDTH,) * 2 else _one(*s_max)
+
+
+def _edges(phi, amp, lam, s_max, grids=None):
+    """The panels an entry point builds for the offset ``grids`` (``_grids``
+    of s_max by default) within ``s_max``."""
+    grids = _grids(s_max) if grids is None else grids
+    return _panels_for(_strip_bounds(phi, amp, s_max), amp, lam, _min_panels(amp, grids))
+
+
+def _value(phi, amp, lam, s, edges):
+    """I(lambda, s) on ``edges`` and its reported error, as the decay entry
+    points take them."""
+    (value,), err = _lambda_step(_split_phase(phi), amp, lam, [(np.array([s[0]]), np.array([s[1]]))], edges, "I")
+    return value[0, 0], err
 
 
 def _sweep(phi, amp, lam, grids, edges, order):
@@ -91,6 +105,22 @@ class TestAmplitude:
         # the radial bump is the only amplitude
         with pytest.raises(TypeError, match="profile"):
             AmplitudeSpec(profile="radial")
+
+    @pytest.mark.parametrize("order", [10**6, 10**8, 10**400], ids=["1e6", "1e8", "1e400"])
+    def test_bump_order_beyond_the_measured_range_refused(self, order):
+        # with x^2 + y^2 at R = 0.4 and lambda = 64, order 10^6 gave |I| =
+        # 3.4e-86 against a mass of 5.0e-7 and passed the order check, whose
+        # floor every value fell below; 10^8 gave 0, and 10^400 overflowed in
+        # amplitude_mass
+        with pytest.raises(ValueError, match="even integer from 2 to 400"):
+            AmplitudeSpec(radius=0.4, order=order)
+
+    def test_bump_orders_up_to_the_bound_accepted(self):
+        # 40 is the largest order of the closed-form mass test above
+        for order in (40, 400):
+            assert AmplitudeSpec(radius=0.4, order=order).order == order
+        with pytest.raises(ValueError, match="from 2 to 400"):
+            AmplitudeSpec(order=402)
 
     @pytest.mark.parametrize("order", [6.0, 2.0])
     def test_float_order_refused(self, order):
@@ -168,7 +198,7 @@ class TestEval:
     def test_reported_error_within_tolerance(self):
         amp = AmplitudeSpec()
         phi, s = parse_polynomial("x^2 + y^2"), (0.0, 0.0)
-        _, err = _eval_on_edges(_split_phase(phi), amp, 1024.0, s, _edges(phi, amp, 1024.0, s))
+        _, err = _value(phi, amp, 1024.0, s, _edges(phi, amp, 1024.0, s))
         assert err < 1e-3
 
     def test_feasibility_guard(self):
@@ -231,15 +261,14 @@ class TestPanelSizing:
         phi = parse_polynomial(text)
         r = amp.radius
         u, bounds = _strip_bounds(phi, amp, s_max)
-        for rule in RULES:
-            for axis, edges in enumerate(_edges(phi, amp, lam, s_max, rule)):
-                assert edges[0] == -r and edges[-1] == r
-                assert np.all(np.diff(edges) > 0)
-                cycles = lam * bounds[axis] * np.diff(u) / (2 * math.pi)
-                cum = np.concatenate(([0.0], np.cumsum(cycles)))
-                panel_cycles = np.diff(np.interp(edges, u, cum))
-                assert panel_cycles.max() <= rule.cycles * (1 + 1e-9)
-                assert np.diff(edges).max() <= 2 * r / rule.min_panels * (1 + 1e-9)
+        for axis, edges in enumerate(_edges(phi, amp, lam, s_max)):
+            assert edges[0] == -r and edges[-1] == r
+            assert np.all(np.diff(edges) > 0)
+            cycles = lam * bounds[axis] * np.diff(u) / (2 * math.pi)
+            cum = np.concatenate(([0.0], np.cumsum(cycles)))
+            panel_cycles = np.diff(np.interp(edges, u, cum))
+            assert panel_cycles.max() <= _RULE.cycles * (1 + 1e-9)
+            assert np.diff(edges).max() <= 2 * r / _min_panels(amp, _grids(s_max)) * (1 + 1e-9)
 
     @pytest.mark.parametrize("text,amp,s_max", SIZING_CASES, ids=SIZING_IDS)
     def test_strip_bound_dominates_sampled_gradient(self, text, amp, s_max):
@@ -265,10 +294,9 @@ class TestPanelSizing:
     def test_edges_mirror_exactly(self, text, amp, s_max, lam):
         # _fold pairs u with -u only where the nodes mirror exactly
         phi = parse_polynomial(text)
-        for rule in RULES:
-            for offsets in ((0.0, 0.0), (DEFAULT_SCAN_HALF_WIDTH, DEFAULT_SCAN_HALF_WIDTH)):
-                for edges in _edges(phi, amp, lam, offsets, rule):
-                    assert np.array_equal(edges, -edges[::-1])
+        for offsets in ((0.0, 0.0), (DEFAULT_SCAN_HALF_WIDTH, DEFAULT_SCAN_HALF_WIDTH)):
+            for edges in _edges(phi, amp, lam, offsets):
+                assert np.array_equal(edges, -edges[::-1])
 
     def test_mirrored_edges_give_mirrored_nodes_and_equal_weights(self):
         coarse = _edges(parse_polynomial("x^2*y + y^3"), AmplitudeSpec(radius=0.6, order=2), 4096.0, (0.0, 0.0))[1]
@@ -285,14 +313,27 @@ class TestPanelSizing:
         total = 0
         for text, amp, s_max in SIZING_CASES[:4]:
             ex, ey = _edges(parse_polynomial(text), amp, 4096.0, s_max)
-            total += _DECAY_RULE.check * (ex.size - 1) * _DECAY_RULE.check * (ey.size - 1)
+            total += _RULE.check * (ex.size - 1) * _RULE.check * (ey.size - 1)
         assert total <= 25_532_500 // 4
+
+    def test_width_cap_follows_the_bump_and_the_offsets(self, monkeypatch):
+        # the cap is 2R/6 for a decay value at any order and for an order-2
+        # scan, and 2R/3 for an order-8 scan.  An axis costs n plus its
+        # cycles / 7.5 (_axis_cost), so at lambda = 64 it takes n + 1 panels
+        built, panels_for = [], oscint._panels_for
+        monkeypatch.setattr(oscint, "_panels_for", lambda *args: built.append(panels_for(*args)) or built[-1])
+        eval_oscillatory(parse_polynomial("x^2*y + y^3"), AmplitudeSpec(), 64.0)
+        for order in (2, 8):
+            randol_lq_scan(
+                parse_polynomial("(y - x^2)^2"), AmplitudeSpec(order=order), 2, q_list=(2.0,), cells=2,
+                lambda_grid=[64.0],
+            )
+        assert [[e.size - 1 for e in edges] for edges in built] == [[7, 7], [7, 7], [4, 4]]
 
     @pytest.mark.parametrize("text,amp,s_max", SIZING_CASES, ids=SIZING_IDS)
     def test_acceptance_phases_fit_the_node_budget(self, text, amp, s_max):
-        for rule in RULES:
-            ex, ey = _edges(parse_polynomial(text), amp, MAX_FEASIBLE_LAMBDA, s_max, rule)
-            assert rule.check**2 * (ex.size - 1) * (ey.size - 1) <= MAX_COARSE_NODES
+        ex, ey = _edges(parse_polynomial(text), amp, MAX_FEASIBLE_LAMBDA, s_max)
+        assert _RULE.check**2 * (ex.size - 1) * (ey.size - 1) <= MAX_COARSE_NODES
 
 
 def _dense_reference(phi, amp, lam, grids, edges, order):
@@ -386,33 +427,32 @@ SWEEP_IDS = [
 ]
 
 
-def _case_edges(case, rule=_DECAY_RULE):
+def _case_edges(case):
     text, amp, lam, grids, edges = case
     if edges is None:
         s_max = (max(abs(g[0]).max() for g in grids), max(abs(g[1]).max() for g in grids))
-        edges = _edges(parse_polynomial(text), amp, lam, s_max, rule)
+        edges = _edges(parse_polynomial(text), amp, lam, s_max, grids)
     return edges
 
 
 class TestBlockedSweep:
     @pytest.mark.parametrize("case", SWEEP_CASES, ids=SWEEP_IDS)
     def test_matches_dense_reference(self, case):
-        # each rule's value order on its own panels, in its own blocks
+        # the value order on the panels an entry point builds for these offsets
         text, amp, lam, grids, _ = case
         phi = parse_polynomial(text)
-        for rule in RULES:
-            edges = _case_edges(case, rule)
-            if edges[0].size % 2 == 0:
-                assert np.any((edges[0][:-1] < 0) & (edges[0][1:] > 0))
-            got = _sweep(phi, amp, lam, grids, edges, rule.order)
-            want = _dense_reference(phi, amp, lam, grids, edges, rule.order)
-            for g, w in zip(got, want):
-                assert g.shape == w.shape
-                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+        edges = _case_edges(case)
+        if edges[0].size % 2 == 0:
+            assert np.any((edges[0][:-1] < 0) & (edges[0][1:] > 0))
+        got = _sweep(phi, amp, lam, grids, edges, _RULE.order)
+        want = _dense_reference(phi, amp, lam, grids, edges, _RULE.order)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
 
     @pytest.mark.parametrize("case", SWEEP_CASES, ids=SWEEP_IDS)
     def test_skipped_nodes_lie_outside_the_disc(self, monkeypatch, case):
-        # the blocks the sweeps of both orders of each rule really build,
+        # the blocks the sweeps of both orders really build,
         # folded and sized as _osc_grids sizes them
         text, amp, lam, grids, _ = case
         blocks = []
@@ -425,28 +465,27 @@ class TestBlockedSweep:
 
         monkeypatch.setattr(oscint, "_disc_columns", spy)
         r2 = amp.radius * amp.radius
-        for rule in RULES:
-            edges = _case_edges(case, rule)
-            for order in (rule.order, rule.check):
-                blocks.clear()
-                _sweep(parse_polynomial(text), amp, lam, grids, edges, order)
-                assert blocks
-                for xc, skipped in blocks:
-                    assert np.all(xc[:, None] ** 2 + skipped[None, :] ** 2 >= amp.radius**2)
-                    # the sweep's own bump, from its tables, is exactly zero there too
-                    shape = (xc.size, skipped.size)
-                    bump = _radial_bump(1.0 - xc * xc / r2, skipped * skipped / r2, amp.order, np.empty(shape), np.empty(shape))
-                    assert np.all(bump == 0.0)
-            # blocks of _BLOCK_ROWS rows of the unfolded value grid: the disc
-            # is pi/4 of the square, and the clipped blocks keep little more
-            x, _ = _gauss_axis(edges[0], rule.order)
-            y, _ = _gauss_axis(edges[1], rule.order)
-            kept = 0
-            for row in range(0, x.size, _BLOCK_ROWS):
-                xc = x[row : row + _BLOCK_ROWS]
-                lo, hi = _disc_columns(amp, xc, y)
-                kept += xc.size * (hi - lo)
-            assert kept < 0.9 * x.size * y.size
+        edges = _case_edges(case)
+        for order in ORDERS:
+            blocks.clear()
+            _sweep(parse_polynomial(text), amp, lam, grids, edges, order)
+            assert blocks
+            for xc, skipped in blocks:
+                assert np.all(xc[:, None] ** 2 + skipped[None, :] ** 2 >= amp.radius**2)
+                # the sweep's own bump, from its tables, is exactly zero there too
+                shape = (xc.size, skipped.size)
+                bump = _radial_bump(1.0 - xc * xc / r2, skipped * skipped / r2, amp.order, np.empty(shape), np.empty(shape))
+                assert np.all(bump == 0.0)
+        # blocks of _BLOCK_ROWS rows of the unfolded value grid: the disc
+        # is pi/4 of the square, and the clipped blocks keep little more
+        x, _ = _gauss_axis(edges[0], _RULE.order)
+        y, _ = _gauss_axis(edges[1], _RULE.order)
+        kept = 0
+        for row in range(0, x.size, _BLOCK_ROWS):
+            xc = x[row : row + _BLOCK_ROWS]
+            lo, hi = _disc_columns(amp, xc, y)
+            kept += xc.size * (hi - lo)
+        assert kept < 0.9 * x.size * y.size
 
     def test_unmirrored_edges_sweep_the_full_axis(self):
         phi = parse_polynomial("x^2 + y^2")
@@ -796,10 +835,10 @@ class TestSweepHelpers:
         floor = 1e-9 * amplitude_mass(amp)
         value = np.array([[1.0, 0.5 * floor]])
         # the value below the floor does not count
-        assert _order_check(np.array([[1.0 + 5e-4, 0.0]]), value, amp, "I", _DECAY_RULE) == pytest.approx(5e-4)
-        assert _order_check(np.zeros((1, 2)), np.full((1, 2), 0.5 * floor), amp, "I", _DECAY_RULE) == 0.0
+        assert _order_check(np.array([[1.0 + 5e-4, 0.0]]), value, amp, "I") == pytest.approx(5e-4)
+        assert _order_check(np.zeros((1, 2)), np.full((1, 2), 0.5 * floor), amp, "I") == 0.0
         with pytest.raises(QuadratureNotConverged, match=r"order 20 is off order 24 on the scan by 2\.00e-03"):
-            _order_check(np.array([[1.0 - 2e-3, 0.0]]), value, amp, "the scan", _SCAN_RULE)
+            _order_check(np.array([[1.0 - 2e-3, 0.0]]), value, amp, "the scan")
 
     def test_sweep_leaves_no_reference_cycles(self):
         # the cached node powers are freed with the sweep, not by the cyclic collector
@@ -819,7 +858,7 @@ class TestOrderCheck:
         # order 20 on twice-bisected panels, summed densely a few x panels at a time
         phi = parse_polynomial(text)
         edges = _edges(phi, amp, lam, s_max)
-        value, err = _eval_on_edges(_split_phase(phi), amp, lam, s_max, edges)
+        value, err = _value(phi, amp, lam, s_max, edges)
         want = _finer_reference(phi, amp, lam, _one(*s_max), edges)[0, 0]
         assert abs(value - want) <= 1e-6 * abs(want)
         assert err < 1e-3
@@ -832,15 +871,15 @@ class TestOrderCheck:
         phi, amp = parse_polynomial(text), AmplitudeSpec()
         half = DEFAULT_SCAN_HALF_WIDTH
         grids = [(cell_centered_grid(half, 8),) * 2]
-        edges = _edges(phi, amp, lam, (half, half), _SCAN_RULE)
-        got = _sweep(phi, amp, lam, grids, edges, _SCAN_RULE.order)[0]
+        edges = _edges(phi, amp, lam, (half, half))
+        got = _sweep(phi, amp, lam, grids, edges, _RULE.order)[0]
         want = _finer_reference(phi, amp, lam, grids, edges)
         big = np.abs(want) > 1e-9 * amplitude_mass(amp)
         assert big.sum() >= 8
         assert np.max(np.abs(got - want)[big] / np.abs(want)[big]) <= 1e-6
 
     def test_both_rules_stay_cached(self):
-        # orders 24 and 20, which the decay and scan rules share
+        # the rule's orders 24 and 20, which decay values and scans share
         def sweep_both():
             eval_oscillatory(parse_polynomial("x^2 + y^2"), AmplitudeSpec(radius=0.4, order=2), 64.0)
             randol_lq_scan(parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, q_list=(2.0,), cells=8, lambda_grid=[64.0])
@@ -851,32 +890,53 @@ class TestOrderCheck:
         assert oscint._gauss_rule.cache_info().misses == misses
         assert oscint._gauss_rule.cache_info().currsize == len(ORDERS) == 2
 
+    # the bounds are the 2R/6 column of the module docstring's table, rounded
+    # up: 4.4e-7 for order 2 and 2.9e-11 for order 4; order 8 is at the
+    # rounding level there (2.6e-14), so 1e-13, and x^2 + y^2 at R = 0.6 is
+    # 3.4e-13 off at lambda = 4096 (8.4e-8 on 2R/3)
     @pytest.mark.parametrize(
-        "text,radius",
-        [("x^2 + y^2", 0.4), ("x^2*y + y^3", 0.6), ("(y - x^2)^2 + x^5", 0.4), ("x*y^2 + x^5", 0.6), ("x*(y - x^2)^2 + x^5", 0.6)],
+        "text,radius,order,bound",
+        [
+            ("x^2 + y^2", 0.4, 2, 5e-7),
+            ("x^2*y + y^3", 0.6, 2, 5e-7),
+            ("(y - x^2)^2 + x^5", 0.4, 2, 5e-7),
+            ("x*y^2 + x^5", 0.6, 2, 5e-7),
+            ("x*(y - x^2)^2 + x^5", 0.6, 2, 5e-7),
+            ("x^2 + y^2", 0.4, 4, 3e-11),
+            ("x*y^2 + x^5", 0.6, 4, 3e-11),
+            ("x^2 + y^2", 0.4, 8, 1e-13),
+            ("x^2*y + y^3", 0.25, 8, 1e-13),
+            ("x^2 + y^2", 0.6, 8, 4e-13),
+        ],
+        ids=[
+            "x^2 + y^2-0.4", "x^2*y + y^3-0.6", "(y - x^2)^2 + x^5-0.4", "x*y^2 + x^5-0.6", "x*(y - x^2)^2 + x^5-0.6",
+            "x^2 + y^2-0.4-order-4", "x*y^2 + x^5-0.6-order-4", "x^2 + y^2-0.4-order-8", "x^2*y + y^3-0.25-order-8",
+            "x^2 + y^2-0.6-order-8",
+        ],
     )
-    def test_decay_values_match_a_finer_reference(self, text, radius):
-        # the decay_fit rows and the rank-zero twin against the same orders on
-        # panels of at most 2.5 cycles and 2R/12.  The wide rule under-reports
-        # only at the 1e-8 level (the twin at 1024: 1.5e-8 off, 2.2e-9 reported)
-        phi, amp = parse_polynomial(text), AmplitudeSpec(radius=radius, order=2)
+    def test_decay_values_match_a_finer_reference(self, monkeypatch, text, radius, order, bound):
+        # the decay_fit rows, the rank-zero twin and smoother bumps (one is
+        # the CLI's amplitude) against the same orders on panels of at most
+        # 2.5 cycles and 2R/12.  The order-2 bump under-reports only at the
+        # 1e-8 level (the twin at 1024: 1.5e-8 off, 2.2e-9 reported)
+        phi, amp = parse_polynomial(text), AmplitudeSpec(radius=radius, order=order)
         lams = dyadic_grid(64, 4096)
         fit = fit_decay(phi, amp, lams)
         assert fit.skipped == ()
-        strips, phase = _strip_bounds(phi, amp, (0.0, 0.0)), _split_phase(phi)
-        finer = replace(_DECAY_RULE, cycles=2.5, min_panels=12)
+        strips = _strip_bounds(phi, amp, (0.0, 0.0))
+        monkeypatch.setattr(oscint, "_RULE", replace(_RULE, cycles=2.5))
         for lam, value, reported in zip(lams, fit.values, fit.quadrature_error_bound):
-            want, _ = _eval_on_edges(phase, amp, lam, (0.0, 0.0), _panels_for(strips, amp, lam, finer))
+            want, _ = _value(phi, amp, lam, (0.0, 0.0), _panels_for(strips, amp, lam, 12))
             err = abs(value - want) / abs(want)
-            assert err <= 5e-7
+            assert err <= bound
             assert err <= 1e-7 or reported >= err / 2
 
     def test_check_trips_on_underresolved_panels(self, monkeypatch):
         # one node per cycle: 20 cycles on a decay panel, 24 on a scan panel
-        monkeypatch.setattr(oscint, "_DECAY_RULE", replace(_DECAY_RULE, cycles=20.0))
-        monkeypatch.setattr(oscint, "_SCAN_RULE", replace(_SCAN_RULE, cycles=24.0))
+        monkeypatch.setattr(oscint, "_RULE", replace(_RULE, cycles=20.0))
         with pytest.raises(QuadratureNotConverged, match=r"order 20 is off order 24 on I\(lambda=4096\.0"):
             eval_oscillatory(parse_polynomial("x^2*y + y^3"), AmplitudeSpec(radius=0.6, order=2), 4096.0)
+        monkeypatch.setattr(oscint, "_RULE", replace(_RULE, cycles=24.0))
         with pytest.raises(QuadratureNotConverged, match="order 20 is off order 24 on the scan at lambda=1024.0"):
             randol_lq_scan(
                 parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, q_list=(2.0,), cells=8,
@@ -908,8 +968,8 @@ class TestOrderCheck:
         monkeypatch.setattr(oscint, "_phase_rows", spy)
         monkeypatch.setattr(oscint, "_disc_columns", lambda amp, xc, y: (0, y.size))
         randol_lq_scan(phi, amp, 2, q_list=(2.0,), cells=8, lambda_grid=[256.0])
-        ex, ey = _edges(phi, amp, 256.0, (DEFAULT_SCAN_HALF_WIDTH, DEFAULT_SCAN_HALF_WIDTH), _SCAN_RULE)
-        assert 4 * sum(evaluated) == (_SCAN_RULE.order**2 + _SCAN_RULE.check**2) * (ex.size - 1) * (ey.size - 1)
+        ex, ey = _edges(phi, amp, 256.0, (DEFAULT_SCAN_HALF_WIDTH, DEFAULT_SCAN_HALF_WIDTH))
+        assert 4 * sum(evaluated) == (_RULE.order**2 + _RULE.check**2) * (ex.size - 1) * (ey.size - 1)
 
 
 class TestFixedCosts:
@@ -998,14 +1058,14 @@ class TestFitDecay:
 
     @staticmethod
     def _fail_at(monkeypatch, failing):
-        eval_on_edges = oscint._eval_on_edges
+        lambda_step = oscint._lambda_step
 
-        def flaky(phi, amp, lam, s, edges):
+        def flaky(phase, amp, lam, grids, edges, what, validate=True):
             if lam in failing:
-                raise QuadratureNotConverged(f"order 10 is off order 14 on I(lambda={lam}, s={s}) by 1.00e+00 (> 0.001)")
-            return eval_on_edges(phi, amp, lam, s, edges)
+                raise QuadratureNotConverged(f"order 10 is off order 14 on {what} by 1.00e+00 (> 0.001)")
+            return lambda_step(phase, amp, lam, grids, edges, what, validate)
 
-        monkeypatch.setattr(oscint, "_eval_on_edges", flaky)
+        monkeypatch.setattr(oscint, "_lambda_step", flaky)
 
     def test_failed_lambda_is_skipped(self, monkeypatch):
         p, amp, lams = parse_polynomial("x^2 + y^2"), AmplitudeSpec(radius=0.4, order=2), dyadic_grid(64, 512)
