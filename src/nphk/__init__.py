@@ -53,17 +53,32 @@ from .exponent import (
     sugimoto_q_threshold,
     verify_nla_identity,
 )
-from .oscint import (
-    AmplitudeSpec,
-    BudgetExceeded,
-    DecayFit,
-    QuadratureNotConverged,
-    RandolScan,
-    dyadic_grid,
-    eval_oscillatory,
-    fit_decay,
-    fit_decay_from_samples,
-    randol_lq_scan,
-)
 
 __version__ = "0.1.0"
+
+# The numerical layer needs numpy, which the exact commands never load: its
+# names resolve on first use (PEP 562).
+_OSCINT_NAMES = (
+    "AmplitudeSpec",
+    "BudgetExceeded",
+    "DecayFit",
+    "QuadratureNotConverged",
+    "RandolScan",
+    "dyadic_grid",
+    "eval_oscillatory",
+    "fit_decay",
+    "fit_decay_from_samples",
+    "randol_lq_scan",
+)
+
+
+def __getattr__(name):
+    if name in _OSCINT_NAMES:
+        from . import oscint
+
+        return getattr(oscint, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_OSCINT_NAMES})

@@ -264,8 +264,8 @@ def _branch_solve(f: BivariatePolynomial, trunc: int) -> Tuple[UnivariatePolynom
             raise NormalizationFailed(
                 "no power-series branch through the origin with zero slope"
             )
-        correction = series_divide(UnivariatePolynomial(residual.coeffs), UnivariatePolynomial(pivot.coeffs), w)
-        psi = psi - UnivariatePolynomial(correction.coeffs, trunc)
+        correction = series_divide(residual._untruncated(), pivot._untruncated(), w)
+        psi = psi - correction._untruncated()
         known = min(trunc, 2 * known + 1 - s)
     else:
         raise TruncationTooSmall("branch solve did not stabilize inside the truncation")

@@ -32,7 +32,6 @@ from . import classify as cls
 from . import corpus as corpus_mod
 from . import exponent as expo
 from . import newton
-from . import oscint
 from .polyring import INFINITE_ORDER, BivariatePolynomial, parse_polynomial
 
 EXIT_OK = 0
@@ -49,7 +48,7 @@ WARN_HEIGHT = "h > 2: unsupported"
 
 def rational_str(value) -> str:
     """Exact num/den rendering; integers drop the denominator."""
-    f = Fraction(value)
+    f = value if isinstance(value, (int, Fraction)) else Fraction(value)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
@@ -249,13 +248,17 @@ def _reference_decay(phi: BivariatePolynomial) -> Optional[Fraction]:
 
 
 def run_decay(args: argparse.Namespace, out=None) -> int:
+    from . import oscint  # numpy loads for the numerics only
+
     out = out if out is not None else sys.stdout
+    radius = oscint.DEFAULT_RADIUS if args.radius is None else args.radius
+    cells = oscint.DEFAULT_SCAN_CELLS if args.grid is None else args.grid
     try:  # ParseError is a ValueError too
         phi = parse_polynomial(args.phi)
-        amp = oscint.AmplitudeSpec(radius=args.radius)
+        amp = oscint.AmplitudeSpec(radius=radius)
         grid = oscint.dyadic_grid(args.lmin, args.lmax)
-        if args.grid < 1:
-            raise ValueError(f"--grid must be at least 1, got {args.grid}")
+        if cells < 1:
+            raise ValueError(f"--grid must be at least 1, got {cells}")
         for q in args.q:
             if not (math.isfinite(q) and q > 0):
                 raise ValueError(f"--q exponents must be positive and finite, got {q:g}")
@@ -267,7 +270,7 @@ def run_decay(args: argparse.Namespace, out=None) -> int:
 
     try:  # every lambda is planned (range, node budget, support) before any quadrature
         if args.randol:
-            scan = oscint.randol_lq_scan(phi, amp, args.m, q_list=args.q or (2.0,), cells=args.grid, lambda_grid=grid)
+            scan = oscint.randol_lq_scan(phi, amp, args.m, q_list=args.q or (2.0,), cells=cells, lambda_grid=grid)
         else:
             fit = oscint.fit_decay(phi, amp, grid)
     except cls.UnsupportedKindError as exc:
@@ -340,8 +343,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--phi", required=True)
     pd.add_argument("--lmin", type=float, default=64.0)
     pd.add_argument("--lmax", type=float, default=16384.0)
-    pd.add_argument("--grid", type=int, default=oscint.DEFAULT_SCAN_CELLS, help="offset cells per axis for --randol")
-    pd.add_argument("--radius", type=float, default=oscint.DEFAULT_RADIUS)
+    # None stands for oscint.DEFAULT_SCAN_CELLS and oscint.DEFAULT_RADIUS,
+    # read in run_decay so that building the parser needs no numpy
+    pd.add_argument("--grid", type=int, default=None, help="offset cells per axis for --randol")
+    pd.add_argument("--radius", type=float, default=None)
     pd.add_argument("--randol", action="store_true", help="run the maximal-function L^q scan")
     pd.add_argument("--m", type=int, default=None, help="branch order for --randol")
     pd.add_argument("--q", default="", help="comma-separated q exponents for --randol")

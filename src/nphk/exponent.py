@@ -21,7 +21,7 @@ envelope through the three boundedness anchors changes segment:
     gamma = 5/2 - h_lin,   and the endpoint (1, 3 - 1/h)
 
 in 1/p.  ``verify_nla_identity`` checks that the envelope and the profile
-agree at every joint of either, which for piecewise-linear functions is
+have the same canonical joints, which for piecewise-linear functions is
 equality.
 
 Remark: a D(m, n) class has h = 2n/(n+1) (2 for infinite n) and
@@ -42,11 +42,16 @@ from .newton import lower_hull
 RationalLike = Union[int, Fraction]
 
 
+def _rational(value) -> Fraction:
+    """value as a Fraction, without re-wrapping one that already is."""
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 def _u_of_p(p: RationalLike) -> Fraction:
-    p = Fraction(p)
+    p = _rational(p)
     if not (1 <= p <= 2):
         raise ValueError(f"p={p} outside [1, 2]")
-    return Fraction(1) / p - Fraction(1, 2)
+    return Fraction(2 * p.denominator - p.numerator, 2 * p.numerator)  # 1/p - 1/2
 
 
 def _distances(h, h_lin, nla: bool = False) -> Tuple[Fraction, Fraction]:
@@ -57,7 +62,7 @@ def _distances(h, h_lin, nla: bool = False) -> Tuple[Fraction, Fraction]:
     for name, value in (("h", h), ("h_lin", h_lin)):
         if not isinstance(value, (int, Fraction)):
             raise ValueError(f"{name}={value!r} must be an int or a Fraction")
-    h, h_lin = Fraction(h), Fraction(h_lin)
+    h, h_lin = _rational(h), _rational(h_lin)
     if not (1 <= h_lin <= h <= 2):
         raise ValueError(f"(h, h_lin) = ({h}, {h_lin}) outside 1 <= h_lin <= h <= 2")
     if nla and h_lin == h:
@@ -94,7 +99,7 @@ class PiecewiseLinear:
     segments: Tuple[Segment, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = [(Fraction(x), Fraction(y)) for x, y in self.points]
+        pts = [(_rational(x), _rational(y)) for x, y in self.points]
         if len(pts) < 2:
             raise ValueError(f"need at least two joints, got {len(pts)}")
         joints = pts[:1]
@@ -113,7 +118,7 @@ class PiecewiseLinear:
         object.__setattr__(self, "segments", tuple(segs))
 
     def value(self, x: RationalLike) -> Fraction:
-        x = Fraction(x)
+        x = _rational(x)
         segs = self.segments
         if not (segs[0].x_lo <= x <= segs[-1].x_hi):
             raise ValueError(f"x={x} outside [{segs[0].x_lo}, {segs[-1].x_hi}]")
@@ -203,9 +208,10 @@ def verify_nla_identity(h: RationalLike, h_lin: RationalLike) -> bool:
     """Exact check that the two-line k_p formula is the anchor interpolation envelope.
 
     For h_lin < h, the envelope through (1/2, 0), the q = 2/(2 - h_lin)
-    anchor and (1, 3 - 1/h), shifted to u = 1/p - 1/2, must agree with the
-    k_p profile at every joint of either curve, and its one breakpoint must
-    sit at the line crossover u = h_lin/4.
+    anchor and (1, 3 - 1/h), shifted to u = 1/p - 1/2, must equal the k_p
+    profile, and its one breakpoint must sit at the line crossover
+    u = h_lin/4.  Both curves are canonical on [0, 1/2], so they are equal
+    exactly when their joints are.
     """
     h, h_lin = _distances(h, h_lin, nla=True)
     profile = kp_profile(h, h_lin)
@@ -214,8 +220,7 @@ def verify_nla_identity(h: RationalLike, h_lin: RationalLike) -> bool:
     env = PiecewiseLinear(tuple((x - half, y) for x, y in env_in_inv_p.points))
     if [x for x, _ in env.points] != [0, h_lin / 4, half]:
         return False
-    joints = {x for x, _ in env.points} | {x for x, _ in profile.points}
-    return all(env.value(u) == profile.value(u) for u in joints)
+    return env.points == profile.points
 
 
 def knapp_exponent(kappa: Tuple[RationalLike, RationalLike], p: RationalLike, k: RationalLike) -> Fraction:

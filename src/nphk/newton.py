@@ -82,7 +82,7 @@ class NewtonPolygon:
 
 def taylor_support(p: BivariatePolynomial) -> LatticeSet:
     """Exponent pairs with nonzero coefficient; rejects non-critical phases."""
-    points = set(p.terms)
+    points = set(p._nums)
     bad = [ab for ab in points if ab[0] + ab[1] <= 1]
     if bad:
         raise NotCriticalAtOrigin(

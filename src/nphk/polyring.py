@@ -1,13 +1,12 @@
 """Exact sparse polynomial arithmetic over the rationals, in one and two variables.
 
-Bivariate polynomials are dictionaries mapping exponent pairs (a, b) to
-``fractions.Fraction`` coefficients; univariate ones map a degree to a
-coefficient.  Both carry an optional truncation degree, turning the same
-representation into jets: a value with ``trunc=N`` is only trusted through
-total degree N, and every operation drops terms beyond the tightest
-truncation of its inputs.  All symbolic work in this package (coordinate
-changes, branch solves, Newton-polygon geometry) happens here, exactly;
-floating point never enters.
+Bivariate polynomials map exponent pairs (a, b) to rational coefficients;
+univariate ones map a degree to a coefficient.  Both carry an optional
+truncation degree, turning the same representation into jets: a value with
+``trunc=N`` is only trusted through total degree N, and every operation drops
+terms beyond the tightest truncation of its inputs.  All symbolic work in
+this package (coordinate changes, branch solves, Newton-polygon geometry)
+happens here, exactly; floating point never enters.
 
 One private core, ``_SparseJet``, holds the arithmetic both types share; each
 type names only its key check, degree function and integer product kernel.
@@ -19,13 +18,21 @@ classifier needs for real linear factors: derivative, division with
 remainder, monic gcd, Yun's square-free decomposition and the Sturm count of
 distinct real roots.
 
-Products, powers, compositions (``compose``, behind linear maps and
+A value is stored as integer numerators over one common denominator, the
+form FLINT uses for ``fmpq_poly``: no numerator is zero or of degree above
+the truncation, the denominator is positive, and the content is reduced
+(``gcd(den, *nums) == 1``), so the form is canonical and ``==`` and ``hash``
+compare integers.  Sums, products, powers, scaling, truncation, the
+structure maps (``partial``, ``homogeneous_part``, ``y_slice``,
+``derivative``, ``monic``), compositions (``compose``, behind linear maps and
 shears), substitutions (``substitute_y``) and series division
-(``series_divide``) run on Python integers: each operand is rewritten as
-integer numerators over the lcm of its denominators, the numerators go
-through one integer pass (a convolution, a chain of them, or a linear
-recurrence), and each output coefficient is built once as a reduced
-``Fraction``.  ``Fraction`` is still what every API takes and returns.
+(``series_divide``) read and write that form: each runs one integer pass (a
+merge, a convolution, a chain of them, or a linear recurrence) and divides
+the content out once.  ``Fraction`` is still what every API takes and
+returns: the public constructor converts its coefficients once, and
+``terms``, ``coeffs``, ``coefficient`` and ``to_string`` build reduced
+``Fraction``s on the first read and keep them.  The univariate Euclidean
+algebra (``divmod``, ``gcd``, Yun, Sturm) runs on those ``Fraction``s.
 
 ``parse_polynomial`` reads phase text by recursive descent with one token of
 lookahead; one compiled regular expression scans each character once.
@@ -37,7 +44,6 @@ as a sentinel, never in arithmetic).
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,26 +97,25 @@ def _convolve_xy(nums1: Mapping, nums2: Mapping, trunc: Optional[int]) -> dict:
 def _convolve_x(nums1: Mapping, nums2: Mapping, trunc: Optional[int]) -> dict:
     """Integer product of two univariate numerator maps, without the degrees above trunc.
 
+    The second factor runs in ascending degree, so each row stops at trunc.
     Sums that cancel stay in the result as 0.
     """
     out: dict = {}
+    items2 = sorted(nums2.items())
     for d1, c1 in nums1.items():
-        for d2, c2 in nums2.items():
+        for d2, c2 in items2:
             d = d1 + d2
             if trunc is not None and d > trunc:
-                continue
+                break
             out[d] = out.get(d, 0) + c1 * c2
     return out
 
 
-def _fractions(nums: Mapping, den: int) -> dict:
-    """The nonzero integer numerators over den, each reduced once."""
-    return {k: Fraction(c, den) for k, c in nums.items() if c}
-
-
 def _kept(terms: Mapping, trunc: Optional[int], degree) -> dict:
     """The nonzero terms of degree at most trunc."""
-    return {k: c for k, c in terms.items() if c and (trunc is None or degree(k) <= trunc)}
+    if trunc is None:
+        return {k: c for k, c in terms.items() if c}
+    return {k: c for k, c in terms.items() if c and degree(k) <= trunc}
 
 
 def _min_trunc(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -126,15 +131,19 @@ def _sign_changes(positive: List[bool]) -> int:
 
 
 class _SparseJet:
-    """Immutable sparse polynomial (or jet) with Fraction coefficients.
+    """Immutable sparse polynomial (or jet) with rational coefficients.
 
-    ``_terms`` maps keys to nonzero Fractions and ``_trunc`` is None for an
-    exact polynomial, otherwise the degree through which the jet is valid.  A
+    The stored form is canonical: ``_nums`` maps keys to nonzero integer
+    numerators, none of degree above ``_trunc``, over one denominator
+    ``_den > 0`` with ``gcd(_den, *_nums.values()) == 1``; so ``==`` and
+    ``hash`` compare integers.  ``_trunc`` is None for an exact polynomial,
+    otherwise the degree through which the jet is valid.  ``_fracs`` holds
+    the coefficients as reduced Fractions once a caller has read them.  A
     subclass names its key check ``_key``, its degree function ``_degree`` and
     its integer product kernel ``_convolve``.
     """
 
-    __slots__ = ("_terms", "_trunc", "_hash")
+    __slots__ = ("_nums", "_den", "_trunc", "_fracs", "_hash")
 
     def __init__(self, terms: Mapping, trunc: Optional[int] = None):
         cleaned = {}
@@ -145,84 +154,119 @@ class _SparseJet:
             cf = _frac(c)
             if cf != 0:
                 cleaned[key] = cf
-        self._terms = cleaned
+        # numerators over the lcm of reduced denominators have content 1
+        self._nums, self._den = _integer_form(cleaned)
         self._trunc = trunc
+        self._fracs = cleaned
         self._hash = None
 
     @classmethod
-    def _clean(cls, terms: dict, trunc: Optional[int]):
-        """Wrap terms that already hold int keys, nonzero Fractions and nothing above trunc."""
+    def _wrap(cls, nums: dict, den: int, trunc: Optional[int]):
+        """Wrap numerators and a denominator that are already in the stored form."""
         poly = object.__new__(cls)
-        poly._terms = terms
+        poly._nums = nums
+        poly._den = den
         poly._trunc = trunc
+        poly._fracs = None
         poly._hash = None
         return poly
 
     @classmethod
+    def _reduce(cls, nums: Mapping, den: int, trunc: Optional[int]):
+        """The jet sum(nums[k] x^k) / den for den > 0, put in the stored form:
+        zero numerators and terms above trunc dropped, the content divided out."""
+        nums = _kept(nums, trunc, cls._degree)
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            nums = {k: c // g for k, c in nums.items()}
+            den //= g
+        return cls._wrap(nums, den, trunc)
+
+    @classmethod
+    def _clean(cls, terms: dict, trunc: Optional[int]):
+        """Wrap terms that already hold int keys, nonzero Fractions and nothing above trunc."""
+        poly = cls._wrap(*_integer_form(terms), trunc)
+        poly._fracs = terms
+        return poly
+
+    @classmethod
     def zero(cls, trunc: Optional[int] = None):
-        return cls._clean({}, trunc)
+        return cls._wrap({}, 1, trunc)
+
+    def _fraction_terms(self) -> dict:
+        """The coefficients as reduced Fractions, built on the first read and kept."""
+        if self._fracs is None:
+            den = self._den
+            self._fracs = {k: Fraction(c, den) for k, c in self._nums.items()}
+        return self._fracs
+
+    def _untruncated(self):
+        """The same terms as an exact polynomial (the truncation label dropped)."""
+        return self._wrap(self._nums, self._den, None)
 
     @property
     def trunc(self) -> Optional[int]:
         return self._trunc
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def order(self) -> Union[int, float]:
         """Smallest degree with a nonzero term; INFINITE_ORDER if zero."""
-        return min(map(self._degree, self._terms)) if self._terms else INFINITE_ORDER
+        return min(map(self._degree, self._nums)) if self._nums else INFINITE_ORDER
 
     def _top_degree(self) -> Union[int, float]:
         """Largest degree with a nonzero term; -inf for the zero polynomial."""
-        return max(map(self._degree, self._terms)) if self._terms else -math.inf
+        return max(map(self._degree, self._nums)) if self._nums else -math.inf
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._terms == other._terms and self._trunc == other._trunc
+        return self._den == other._den and self._trunc == other._trunc and self._nums == other._nums
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((frozenset(self._terms.items()), self._trunc))
+            self._hash = hash((frozenset(self._nums.items()), self._den, self._trunc))
         return self._hash
 
-    def _combine(self, other, op):
-        """self op other for op in (add, sub); another type gives NotImplemented."""
+    def _combine(self, other, sign: int):
+        """self + sign*other for sign in (1, -1); another type gives NotImplemented."""
         if not isinstance(other, type(self)):
             return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = op(out.get(k, 0), c)
-        trunc = _min_trunc(self._trunc, other._trunc)
-        return self._clean(_kept(out, trunc, self._degree), trunc)
+        g = math.gcd(self._den, other._den)
+        f1, f2 = other._den // g, sign * (self._den // g)
+        out = {k: c * f1 for k, c in self._nums.items()}
+        for k, c in other._nums.items():
+            out[k] = out.get(k, 0) + c * f2
+        return self._reduce(out, self._den * f1, _min_trunc(self._trunc, other._trunc))
 
     def __add__(self, other):
-        return self._combine(other, operator.add)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self._combine(other, operator.sub)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return self._clean({k: -c for k, c in self._terms.items()}, self._trunc)
+        return self._wrap({k: -c for k, c in self._nums.items()}, self._den, self._trunc)
 
     def __mul__(self, other):
         if not isinstance(other, type(self)):
             return self.scale(other)
         trunc = _min_trunc(self._trunc, other._trunc)
-        nums1, den1 = _integer_form(self._terms)
-        nums2, den2 = _integer_form(other._terms)
-        return self._clean(_fractions(self._convolve(nums1, nums2, trunc), den1 * den2), trunc)
+        return self._reduce(self._convolve(self._nums, other._nums, trunc), self._den * other._den, trunc)
 
     __rmul__ = __mul__
 
     def scale(self, c: Coeff):
         cf = _frac(c)
-        return self._clean({k: cf * v for k, v in self._terms.items()} if cf else {}, self._trunc)
+        if not cf:
+            return self.zero(self._trunc)
+        n = cf.numerator
+        return self._reduce({k: v * n for k, v in self._nums.items()}, self._den * cf.denominator, self._trunc)
 
     def truncate(self, n: int):
         trunc = n if self._trunc is None else min(self._trunc, n)
-        return self._clean(_kept(self._terms, trunc, self._degree), trunc)
+        return self._reduce(self._nums, self._den, trunc)
 
     def __repr__(self):
         tag = "" if self._trunc is None else f", trunc={self._trunc}"
@@ -253,7 +297,8 @@ class BivariatePolynomial(_SparseJet):
 
     @staticmethod
     def constant(c: Coeff, trunc: Optional[int] = None) -> "BivariatePolynomial":
-        return BivariatePolynomial({(0, 0): _frac(c)}, trunc)
+        cf = _frac(c)
+        return BivariatePolynomial._reduce({(0, 0): cf.numerator}, cf.denominator, trunc)
 
     @staticmethod
     def monomial(a: int, b: int, c: Coeff = 1) -> "BivariatePolynomial":
@@ -261,32 +306,32 @@ class BivariatePolynomial(_SparseJet):
 
     @staticmethod
     def var_x() -> "BivariatePolynomial":
-        return BivariatePolynomial({(1, 0): Fraction(1)})
+        return BivariatePolynomial._wrap({(1, 0): 1}, 1, None)
 
     @staticmethod
     def var_y() -> "BivariatePolynomial":
-        return BivariatePolynomial({(0, 1): Fraction(1)})
+        return BivariatePolynomial._wrap({(0, 1): 1}, 1, None)
 
     # -- basic queries ---------------------------------------------------------
 
     @property
     def terms(self) -> dict:
-        return dict(self._terms)
+        return dict(self._fraction_terms())
 
     @property
     def is_exact(self) -> bool:
         return self._trunc is None
 
     def coefficient(self, a: int, b: int) -> Fraction:
-        return self._terms.get((a, b), Fraction(0))
+        return self._fraction_terms().get((a, b), Fraction(0))
 
     total_degree = _SparseJet._top_degree
 
     def __pow__(self, k: int) -> "BivariatePolynomial":
-        """self**k by binary powering on integer numerators, each output coefficient reduced once."""
+        """self**k by binary powering on the integer numerators, reduced once at the end."""
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        base, base_den = _integer_form(self._terms)
+        base, base_den = self._nums, self._den
         nums, den = _kept({(0, 0): 1}, self._trunc, sum), 1
         while k:
             if k & 1:
@@ -294,7 +339,7 @@ class BivariatePolynomial(_SparseJet):
             k >>= 1
             if k:
                 base, base_den = _convolve_xy(base, base, self._trunc), base_den * base_den
-        return BivariatePolynomial._clean(_fractions(nums, den), self._trunc)
+        return BivariatePolynomial._reduce(nums, den, self._trunc)
 
     # -- calculus / structure ----------------------------------------------------
 
@@ -304,34 +349,35 @@ class BivariatePolynomial(_SparseJet):
         A jet valid through degree N differentiates to one valid through N-1.
         """
         out = {}
-        for (a, b), c in self._terms.items():
+        for (a, b), c in self._nums.items():
             if axis == 0 and a > 0:
                 out[(a - 1, b)] = c * a
             elif axis == 1 and b > 0:
                 out[(a, b - 1)] = c * b
         trunc = None if self._trunc is None else self._trunc - 1
-        return BivariatePolynomial(out, trunc)
+        return BivariatePolynomial._reduce(out, self._den, trunc)
 
     def homogeneous_part(self, k: int) -> "BivariatePolynomial":
-        out = {ab: c for ab, c in self._terms.items() if ab[0] + ab[1] == k}
-        return BivariatePolynomial(out, self._trunc)
+        out = {ab: c for ab, c in self._nums.items() if ab[0] + ab[1] == k}
+        return BivariatePolynomial._reduce(out, self._den, self._trunc)
 
     def y_slice(self, b: int) -> "UnivariatePolynomial":
         """Coefficient of y^b as a univariate polynomial in x."""
-        out = {a: c for (a, bb), c in self._terms.items() if bb == b}
+        out = {a: c for (a, bb), c in self._nums.items() if bb == b}
         trunc = None if self._trunc is None else max(self._trunc - b, 0)
-        return UnivariatePolynomial(out, trunc)
+        return UnivariatePolynomial._reduce(out, self._den, trunc)
 
     # -- printing ------------------------------------------------------------------
 
     def to_string(self) -> str:
         """Deterministic rendering: graded order, x-major inside each degree."""
-        if not self._terms:
+        terms = self._fraction_terms()
+        if not terms:
             return "0"
-        keys = sorted(self._terms, key=lambda ab: (ab[0] + ab[1], -ab[0]))
+        keys = sorted(terms, key=lambda ab: (ab[0] + ab[1], -ab[0]))
         pieces = []
         for idx, (a, b) in enumerate(keys):
-            c = self._terms[(a, b)]
+            c = terms[(a, b)]
             mono = []
             if a == 1:
                 mono.append("x")
@@ -371,10 +417,10 @@ class UnivariatePolynomial(_SparseJet):
 
     @property
     def coeffs(self) -> dict:
-        return dict(self._terms)
+        return dict(self._fraction_terms())
 
     def coefficient(self, d: int) -> Fraction:
-        return self._terms.get(d, Fraction(0))
+        return self._fraction_terms().get(d, Fraction(0))
 
     degree = _SparseJet._top_degree
 
@@ -383,30 +429,33 @@ class UnivariatePolynomial(_SparseJet):
     def derivative(self) -> "UnivariatePolynomial":
         """d/dx; a jet valid through degree N differentiates to one valid through N-1."""
         trunc = None if self._trunc is None else self._trunc - 1
-        return UnivariatePolynomial._clean({d - 1: c * d for d, c in self._terms.items() if d}, trunc)
+        return UnivariatePolynomial._reduce({d - 1: c * d for d, c in self._nums.items() if d}, self._den, trunc)
 
     def monic(self) -> "UnivariatePolynomial":
         """self divided by its leading coefficient; the zero polynomial stays zero."""
-        if not self._terms:
+        if not self._nums:
             return self
-        return self.scale(1 / self._terms[max(self._terms)])
+        lead = self._nums[max(self._nums)]
+        nums = self._nums if lead > 0 else {d: -c for d, c in self._nums.items()}
+        return UnivariatePolynomial._reduce(nums, abs(lead), self._trunc)
 
     def __divmod__(self, other: "UnivariatePolynomial"):
         """Euclidean division: self = q*other + r with deg r < deg other."""
         if self._trunc is not None or other._trunc is not None:
             raise ValueError("polynomial division needs exact polynomials")
-        if not other._terms:
+        if not other._nums:
             raise ZeroDivisionError("polynomial division by zero")
-        deg = max(other._terms)
-        lead = other._terms[deg]
-        rem = dict(self._terms)
+        divisor = other._fraction_terms()
+        deg = max(divisor)
+        lead = divisor[deg]
+        rem = dict(self._fraction_terms())
         quo = {}
         while rem and max(rem) >= deg:
             top = max(rem)
             coef = rem[top] / lead
             shift = top - deg
             quo[shift] = coef
-            for d, c in other._terms.items():
+            for d, c in divisor.items():
                 v = rem.get(d + shift, 0) - coef * c
                 if v:
                     rem[d + shift] = v
@@ -417,7 +466,7 @@ class UnivariatePolynomial(_SparseJet):
     def gcd(self, other: "UnivariatePolynomial") -> "UnivariatePolynomial":
         """Monic greatest common divisor (Euclid); zero when both inputs are zero."""
         a, b = self, other
-        while b._terms:
+        while b._nums:
             a, b = b, divmod(a, b)[1]
         return a.monic()
 
@@ -427,7 +476,7 @@ class UnivariatePolynomial(_SparseJet):
         The f_i are monic, squarefree, pairwise coprime and nonconstant; a
         constant input has the empty decomposition.
         """
-        if not self._terms:
+        if not self._nums:
             raise ValueError("square-free decomposition of the zero polynomial")
         du = self.derivative()
         g = self.gcd(du)
@@ -449,10 +498,10 @@ class UnivariatePolynomial(_SparseJet):
 
     def real_root_count(self) -> int:
         """Number of distinct real roots over the whole line (Sturm's theorem)."""
-        if not self._terms:
+        if not self._nums:
             raise ValueError("the zero polynomial vanishes everywhere")
         seq = [self, self.derivative()]
-        while seq[-1]._terms:
+        while seq[-1]._nums:
             seq.append(-divmod(seq[-2], seq[-1])[1])
         seq.pop()
         at_plus = [p.coefficient(p.degree()) > 0 for p in seq]
@@ -461,7 +510,7 @@ class UnivariatePolynomial(_SparseJet):
 
     def to_bivariate(self) -> BivariatePolynomial:
         """The same jet as a polynomial in x alone."""
-        return BivariatePolynomial({(d, 0): c for d, c in self._terms.items()}, self._trunc)
+        return BivariatePolynomial._wrap({(d, 0): c for d, c in self._nums.items()}, self._den, self._trunc)
 
     def to_string(self) -> str:
         return self.to_bivariate().to_string()
@@ -509,13 +558,13 @@ def compose(p: BivariatePolynomial, sx: BivariatePolynomial, sy: BivariatePolyno
 
         p(sx, sy) = sum_b (sum_a P_ab Dx^(A-a) SX^a) Dy^(B-b) SY^b / (E Dx^A Dy^B),
 
-    so the sum runs on integers, with the powers of SX and SY cached, and each
-    output coefficient is reduced once.
+    so the sum runs on the stored numerators, with the powers of SX and SY
+    cached, and the result is reduced once.
     """
     trunc = _min_trunc(p.trunc, _min_trunc(sx.trunc, sy.trunc))
-    nums, den = _integer_form(p._terms)
-    sxn, dx = _integer_form(sx._terms)
-    syn, dy = _integer_form(sy._terms)
+    nums, den = p._nums, p._den
+    sxn, dx = sx._nums, sx._den
+    syn, dy = sy._nums, sy._den
     big_a = max((a for a, _ in nums), default=0)
     big_b = max((b for _, b in nums), default=0)
     pow_x = [{(0, 0): 1}]
@@ -535,7 +584,7 @@ def compose(p: BivariatePolynomial, sx: BivariatePolynomial, sy: BivariatePolyno
         scale = dy ** (big_b - b)
         for k, v in _convolve_xy(inner, pow_y[b], trunc).items():
             total[k] = total.get(k, 0) + scale * v
-    return BivariatePolynomial._clean(_fractions(total, den * dx**big_a * dy**big_b), trunc)
+    return BivariatePolynomial._reduce(total, den * dx**big_a * dy**big_b, trunc)
 
 
 def apply_linear(p: BivariatePolynomial, m: LinearMap2) -> BivariatePolynomial:
@@ -556,24 +605,27 @@ def substitute_y(p: BivariatePolynomial, u: UnivariatePolynomial) -> UnivariateP
     """p(x, u(x)) as a univariate polynomial, by Horner in y.
 
     With p = P/E and u = U/D over integers and B the y-degree of p, Horner's
-    R <- R*U + P_b D^(B-b) runs on integers, truncated at every step, and
-    p(x, u) = R / (E D^B) reduces each output coefficient once.
+    R <- R*U + P_b D^(B-b) runs on the stored numerators, and p(x, u) =
+    R / (E D^B) is reduced once.  After the step of P_b, R is multiplied by U
+    b more times, each raising its degrees by at least s = order(U), so that
+    step keeps only degrees up to trunc - b*s.
     """
     trunc = _min_trunc(p.trunc, u.trunc)
-    nums, den = _integer_form(p._terms)
-    un, d = _integer_form(u._terms)
+    nums, den = p._nums, p._den
+    un, d = u._nums, u._den
+    s = min(un, default=0)
     big_b = max((b for _, b in nums), default=0)
     slices: dict = {}
     for (a, b), c in nums.items():
-        if trunc is None or a <= trunc:
+        if trunc is None or a + b * s <= trunc:
             slices.setdefault(b, {})[a] = c
     acc: dict = {}
     for b in range(big_b, -1, -1):
-        acc = _convolve_x(acc, un, trunc)
+        acc = _convolve_x(acc, un, None if trunc is None else trunc - b * s)
         scale = d ** (big_b - b)
         for a, c in slices.get(b, {}).items():
             acc[a] = acc.get(a, 0) + scale * c
-    return UnivariatePolynomial._clean(_fractions(acc, den * d**big_b), trunc)
+    return UnivariatePolynomial._reduce(acc, den * d**big_b, trunc)
 
 
 def series_divide(num: UnivariatePolynomial, den: UnivariatePolynomial, trunc: int) -> UnivariatePolynomial:
@@ -581,8 +633,8 @@ def series_divide(num: UnivariatePolynomial, den: UnivariatePolynomial, trunc: i
 
     With s = order(den), num = x^s N/dn and den = x^s U/du over integers and
     U0 = U[0] != 0, the scaled quotient coefficients w_d = U0^(d+1) dn q_d / du
-    are integers: w_d = U0^d N_d - sum_(j>=1) U_j U0^(j-1) w_(d-j), and each
-    q_d = du w_d / (dn U0^(d+1)) is reduced once.
+    are integers: w_d = U0^d N_d - sum_(j>=1) U_j U0^(j-1) w_(d-j), and the
+    quotient q_d = du w_d U0^(trunc-d) / (dn U0^(trunc+1)) is reduced once.
 
     q_d reads N through degree d and U through degree d - order(N), so the
     quotient is valid only through min(trunc, num.trunc - s,
@@ -599,20 +651,21 @@ def series_divide(num: UnivariatePolynomial, den: UnivariatePolynomial, trunc: i
         raise ValueError("quotient is not a power series")
     if den.trunc is not None:
         trunc = min(trunc, den.trunc - 2 * s + num.order())
-    nums, dn = _integer_form(num._terms)
-    dens, du = _integer_form(den._terms)
+    nums, dn = num._nums, num._den
+    dens, du = den._nums, den._den
     u0 = dens[s]
     steps = [(d - s, c * u0 ** (d - s - 1)) for d, c in dens.items() if 0 < d - s <= trunc]
     w: list = []
-    quo = {}
     u0_pow = 1
     for d in range(trunc + 1):
-        wd = u0_pow * nums.get(d + s, 0) - sum(step * w[d - j] for j, step in steps if j <= d)
-        w.append(wd)
+        w.append(u0_pow * nums.get(d + s, 0) - sum(step * w[d - j] for j, step in steps if j <= d))
         u0_pow *= u0
-        if wd:
-            quo[d] = Fraction(du * wd, dn * u0_pow)
-    return UnivariatePolynomial._clean(quo, trunc)
+    scale = du if u0_pow > 0 else -du  # keeps the denominator positive
+    quo = {}
+    for d in range(trunc, -1, -1):
+        quo[d] = scale * w[d]
+        scale *= u0
+    return UnivariatePolynomial._reduce(quo, dn * abs(u0_pow), trunc)
 
 
 # -- parsing ---------------------------------------------------------------------

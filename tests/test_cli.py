@@ -2,14 +2,19 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import nphk
 from nphk import cli, oscint
 from nphk.corpus import CORPUS, CorpusRow, check_affine_invariance, check_row
 from conftest import PHASE_TEXTS, join_terms
@@ -134,6 +139,36 @@ class TestAnalyze:
         assert cli.main(["analyze", "--phi", phi, "--json", str(path)]) == 0
         report = json.loads(path.read_text())
         assert report["kind"] == "CaseC" and report["multiplicity"] == 1
+
+
+class TestExactCommandsNeedNoNumpy:
+    def _run(self, code):
+        env = {**os.environ, "PYTHONPATH": str(Path(nphk.__file__).resolve().parents[1])}
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+
+    def test_import_and_analyze_leave_numpy_unloaded(self):
+        proc = self._run(
+            "import sys, nphk.cli\n"
+            "assert 'numpy' not in sys.modules, 'import nphk.cli loaded numpy'\n"
+            "code = nphk.cli.main(['analyze', '--phi', 'x^2*y + y^3', '--p', '1,2'])\n"
+            "assert 'numpy' not in sys.modules, 'analyze loaded numpy'\n"
+            "sys.exit(code)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["kind_label"] == "D4"
+
+    def test_numerical_names_resolve_on_first_use(self):
+        proc = self._run(
+            "import sys, nphk\n"
+            "assert 'fit_decay' in dir(nphk) and 'numpy' not in sys.modules\n"
+            "from nphk import fit_decay, AmplitudeSpec\n"
+            "import nphk.oscint\n"
+            "assert fit_decay is nphk.oscint.fit_decay and AmplitudeSpec is nphk.oscint.AmplitudeSpec\n"
+            "assert 'numpy' in sys.modules\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        with pytest.raises(AttributeError):
+            nphk.no_such_name
 
 
 class TestCorpusCommand:
@@ -343,7 +378,7 @@ class TestDecayCommand:
     @pytest.mark.parametrize("q", ["0", "-2", "2,0", "8,-1/2"])
     def test_randol_q_not_positive_is_a_parse_error(self, capsys, monkeypatch, q):
         # neither q = 0 (a sum of ones) nor q < 0 (a sum of M^-q) is an L^q signal
-        monkeypatch.setattr(cli.oscint, "randol_lq_scan", lambda *args, **kwargs: pytest.fail("scan ran"))
+        monkeypatch.setattr(oscint, "randol_lq_scan", lambda *args, **kwargs: pytest.fail("scan ran"))
         code = cli.main(["decay", "--phi", "(y - x^2)^2", "--randol", "--m", "2", f"--q={q}", "--grid", "8", "--lmax", "128"])
         assert code == 2 == cli.EXIT_PARSE
         payload = json.loads(capsys.readouterr().out)

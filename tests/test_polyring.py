@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 from fractions import Fraction
 
@@ -443,10 +444,20 @@ def _cancelling_pairs(terms):
     )
 
 
+def _assert_stored_form(poly):
+    """Integer numerators, none zero or above trunc, over one denominator > 0 with content 1."""
+    nums, den = poly._nums, poly._den
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c != 0 for c in nums.values())
+    assert math.gcd(den, *nums.values()) == 1
+    assert all(poly.trunc is None or type(poly)._degree(k) <= poly.trunc for k in nums)
+
+
 def _assert_clean(poly, items, trunc, degree):
     assert all(c != 0 and type(c) is Fraction for _, c in items)
     assert all(trunc is None or degree(k) <= trunc for k, _ in items)
     assert poly.trunc == trunc
+    _assert_stored_form(poly)
 
 
 @settings(max_examples=300, deadline=None)
@@ -530,6 +541,70 @@ def test_shared_core_matches_fraction_reference(cls, terms, degree, data):
     assert (p - p).is_zero() and (p - p) == cls.zero(trunc1)
 
 
+def _kept_terms(terms, trunc, degree):
+    return {k: c for k, c in terms.items() if trunc is None or degree(k) <= trunc}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    terms=st.one_of(_bivariate_terms(), _bivariate_terms().map(lambda t: {k: c * 6 for k, c in t.items()})),
+    trunc=_truncations(),
+    axis=st.integers(0, 1),
+    k=st.integers(0, 12),
+    b=st.integers(0, 7),
+)
+@example(terms={(2, 0): F(1, 2), (0, 1): F(1, 3)}, trunc=None, axis=0, k=1, b=1)
+@example(terms={(2, 0): F(1, 2), (1, 1): F(1, 3)}, trunc=1, axis=1, k=2, b=1)
+def test_bivariate_maps_match_term_by_term_fractions(terms, trunc, axis, k, b):
+    # partial, homogeneous_part and y_slice each keep a part of the terms, which
+    # can share a factor with the denominator that the whole did not
+    p = BivariatePolynomial(terms, trunc)
+    kept = _kept_terms(terms, trunc, sum)
+    partial = {}
+    for (a, bb), c in kept.items():
+        e = (a, bb)[axis]
+        if e:
+            partial[(a - 1, bb) if axis == 0 else (a, bb - 1)] = c * e
+    cases = [
+        (p.partial(axis), partial, None if trunc is None else trunc - 1),
+        (p.homogeneous_part(k), {ab: c for ab, c in kept.items() if sum(ab) == k}, trunc),
+    ]
+    for result, expected, result_trunc in cases:
+        assert result.terms == expected
+        _assert_clean(result, result.terms.items(), result_trunc, sum)
+        _assert_public_equal(result, BivariatePolynomial, result.terms)
+    sliced = p.y_slice(b)
+    assert sliced.coeffs == {a: c for (a, bb), c in kept.items() if bb == b}
+    _assert_clean(sliced, sliced.coeffs.items(), None if trunc is None else max(trunc - b, 0), int)
+    _assert_public_equal(sliced, UnivariatePolynomial, sliced.coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=st.one_of(_univariate_coeffs(), _univariate_coeffs().map(lambda t: {k: c * 6 for k, c in t.items()})),
+    trunc=_truncations(),
+)
+@example(coeffs={0: F(1, 2), 1: F(1, 3)}, trunc=None)
+@example(coeffs={0: F(3), 2: F(-6)}, trunc=2)
+def test_univariate_maps_match_term_by_term_fractions(coeffs, trunc):
+    u = UnivariatePolynomial(coeffs, trunc)
+    kept = _kept_terms(coeffs, trunc, int)
+    lead = kept[max(kept)] if kept else None
+    cases = [
+        (u.derivative(), {d - 1: c * d for d, c in kept.items() if d}, None if trunc is None else trunc - 1),
+        (u.monic(), {d: c / lead for d, c in kept.items()}, trunc),
+        (-u, {d: -c for d, c in kept.items()}, trunc),
+    ]
+    for result, expected, result_trunc in cases:
+        assert result.coeffs == expected
+        _assert_clean(result, result.coeffs.items(), result_trunc, int)
+        _assert_public_equal(result, UnivariatePolynomial, result.coeffs)
+    lifted = u.to_bivariate()
+    assert lifted.terms == {(d, 0): c for d, c in kept.items()}
+    _assert_clean(lifted, lifted.terms.items(), trunc, sum)
+    _assert_public_equal(lifted, BivariatePolynomial, lifted.terms)
+
+
 def _reference_compose(p, sx, sy):
     """p(sx, sy) term by term: each power a repeated Fraction product, each term added in Fractions."""
     trunc = _min_trunc(p.trunc, _min_trunc(sx.trunc, sy.trunc))
@@ -581,6 +656,8 @@ def _branch_case(draw):
 def _assert_public_equal(result, cls, items):
     public = cls(items, result.trunc)
     assert public == result and hash(public) == hash(result)
+    _assert_stored_form(result)
+    _assert_stored_form(public)
 
 
 @settings(max_examples=200, deadline=None)
