@@ -21,7 +21,6 @@ from .newton import (
     NewtonPolygon,
     NotCriticalAtOrigin,
     build_polygon,
-    distance_under_linear,
     face_part,
     taylor_support,
 )

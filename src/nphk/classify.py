@@ -196,7 +196,7 @@ def circle_vanishing_order(hom: BivariatePolynomial) -> int:
     """
     if hom.is_zero():
         raise ValueError("vanishing order of the zero polynomial is undefined")
-    degrees = {a + b for (a, b) in hom.terms}
+    degrees = {a + b for (a, b) in hom._nums}
     if len(degrees) != 1:
         raise ValueError("input is not homogeneous")
     return max(_line_factors(hom), default=0)
@@ -284,10 +284,11 @@ def default_truncation(p: BivariatePolynomial) -> int:
 
 def rank_at_origin(p: BivariatePolynomial) -> int:
     """Rank of the Hessian at the origin, read off the quadratic part."""
-    q = p.homogeneous_part(2)
-    a = q.coefficient(2, 0)
-    b = q.coefficient(1, 1)
-    c = q.coefficient(0, 2)
+    # numerators over one positive denominator: 4ac - b^2 keeps its sign
+    nums = p._nums
+    a = nums.get((2, 0), 0)
+    b = nums.get((1, 1), 0)
+    c = nums.get((0, 2), 0)
     if a == 0 and b == 0 and c == 0:
         return 0
     if 4 * a * c - b * b != 0:
@@ -338,7 +339,7 @@ def _cubic_frame(
         nmap = nmap @ LinearMap2(1, -beta / alpha, 0, 1)
         pn = apply_linear(p, nmap)
         p3n = pn.homogeneous_part(3)
-    if set(p3n.terms) != {(3 - mult, mult)}:
+    if set(p3n._nums) != {(3 - mult, mult)}:
         shape = BivariatePolynomial.monomial(3 - mult, mult).to_string()
         raise NormalizationFailed(f"cubic part did not normalize to a multiple of {shape}")
     return nmap, pn
@@ -427,7 +428,7 @@ class _Orders:
             return False
         d = max(solve.psi.degree(), 0)
         return all(
-            a + d * (b - i) <= solve.pinned for i in {solve.k, j} - {None} for a, b in solve.image.terms if b >= i
+            a + d * (b - i) <= solve.pinned for i in {solve.k, j} - {None} for a, b in solve.image._nums if b >= i
         )
 
 
@@ -486,13 +487,12 @@ def d_normal_form(p: BivariatePolynomial) -> DNormalForm:
 
 
 def _d_normal_form(
-    p: BivariatePolynomial, trunc: int, orders: _Orders, line: Optional[Tuple[Fraction, Fraction]]
+    p: BivariatePolynomial, rank: int, trunc: int, orders: _Orders, line: Optional[Tuple[Fraction, Fraction]]
 ) -> Tuple[OrderValue, OrderValue, _Solve]:
-    """The orders (m, n) of a squared-branch phase of Hessian rank zero or
-    one, with the branch solve in the adopted frame (see ``d_normal_form``).
-    ``line`` is the cubic part's double line (``_cubic_frame``); rank one
-    does not read it."""
-    rank = rank_at_origin(p)
+    """The orders (m, n) of a squared-branch phase of Hessian ``rank`` zero
+    or one, with the branch solve in the adopted frame (see
+    ``d_normal_form``).  ``line`` is the cubic part's double line
+    (``_cubic_frame``); rank one does not read it."""
     if rank == 0:
         nmap, pn = _cubic_frame(p, 2, line)
     else:
@@ -595,7 +595,7 @@ def _classify(
     if rank == 2:
         return SingularityKind.marker(NONDEGENERATE_OR_RANK_POSITIVE), None
     if rank == 1:
-        m, n, solve = _d_normal_form(p, trunc, orders, None)
+        m, n, solve = _d_normal_form(p, rank, trunc, orders, None)
         if m == INFINITE_ORDER:
             return SingularityKind.marker(NONDEGENERATE_OR_RANK_POSITIVE), solve
         return SingularityKind.d_type(m, n), solve
@@ -605,7 +605,7 @@ def _classify(
         if vanishing == 1:
             return SingularityKind.d4(), None
         if vanishing == 2:
-            m, n, solve = _d_normal_form(p, trunc, orders, lines[2])
+            m, n, solve = _d_normal_form(p, rank, trunc, orders, lines[2])
             return SingularityKind.d_type(m, n), solve
         k0, k1, solve = _cubic_branch_orders(p, trunc, orders, lines[3])
         if k0 == 4:

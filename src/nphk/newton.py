@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Optional, Tuple
 
-from .polyring import BivariatePolynomial, LinearMap2, apply_linear
+from .polyring import BivariatePolynomial
 
 LatticeSet = FrozenSet[Tuple[int, int]]
 
@@ -183,8 +183,3 @@ def face_part(p: BivariatePolynomial, face: Face) -> BivariatePolynomial:
         if face.contains(Fraction(a), Fraction(b))
     }
     return BivariatePolynomial(out, p.trunc)
-
-
-def distance_under_linear(p: BivariatePolynomial, m: LinearMap2) -> Fraction:
-    """Newton distance of the pulled-back phase p(m(x))."""
-    return build_polygon(taylor_support(apply_linear(p, m))).distance

@@ -16,23 +16,19 @@ or the other polynomial type); ``*`` also takes an exact scalar.
 Exact univariate polynomials also carry the Euclidean algebra the
 classifier needs for real linear factors: derivative, division with
 remainder, monic gcd, Yun's square-free decomposition and the Sturm count of
-distinct real roots.
+distinct real roots.  The gcd and the Sturm count read one remainder
+sequence.
 
 A value is stored as integer numerators over one common denominator, the
 form FLINT uses for ``fmpq_poly``: no numerator is zero or of degree above
 the truncation, the denominator is positive, and the content is reduced
 (``gcd(den, *nums) == 1``), so the form is canonical and ``==`` and ``hash``
-compare integers.  Sums, products, powers, scaling, truncation, the
-structure maps (``partial``, ``homogeneous_part``, ``y_slice``,
-``derivative``, ``monic``), compositions (``compose``, behind linear maps and
-shears), substitutions (``substitute_y``) and series division
-(``series_divide``) read and write that form: each runs one integer pass (a
-merge, a convolution, a chain of them, or a linear recurrence) and divides
-the content out once.  ``Fraction`` is still what every API takes and
-returns: the public constructor converts its coefficients once, and
-``terms``, ``coeffs``, ``coefficient`` and ``to_string`` build reduced
-``Fraction``s on the first read and keep them.  The univariate Euclidean
-algebra (``divmod``, ``gcd``, Yun, Sturm) runs on those ``Fraction``s.
+compare integers.  Every operation reads and writes that form: each runs one
+integer pass (a merge, a convolution, a chain of them, a linear recurrence
+or a pseudo-division) and divides the content out once.  ``Fraction`` is
+still what every API takes and returns: the public constructor converts its
+coefficients once, and ``terms``, ``coeffs``, ``coefficient`` and
+``to_string`` build reduced ``Fraction``s on the first read and keep them.
 
 ``parse_polynomial`` reads phase text by recursive descent with one token of
 lookahead; one compiled regular expression scans each character once.
@@ -70,12 +66,6 @@ def _frac(value: Coeff) -> Fraction:
     if isinstance(value, (float, bool)):
         raise TypeError(f"coefficient {value!r} is not exact; pass an int, a Fraction or a string")
     return Fraction(value)
-
-
-def _integer_form(coeffs: Mapping) -> Tuple[dict, int]:
-    """Coefficients as integer numerators over the lcm of their denominators."""
-    den = math.lcm(*(c.denominator for c in coeffs.values()))
-    return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den
 
 
 def _convolve_xy(nums1: Mapping, nums2: Mapping, trunc: Optional[int]) -> dict:
@@ -137,8 +127,9 @@ class _SparseJet:
     numerators, none of degree above ``_trunc``, over one denominator
     ``_den > 0`` with ``gcd(_den, *_nums.values()) == 1``; so ``==`` and
     ``hash`` compare integers.  ``_trunc`` is None for an exact polynomial,
-    otherwise the degree through which the jet is valid.  ``_fracs`` holds
-    the coefficients as reduced Fractions once a caller has read them.  A
+    otherwise the degree through which the jet is valid.  Every operation
+    reads and writes this form; ``_fracs`` holds the coefficients as reduced
+    Fractions once the public constructor or a reader has built them.  A
     subclass names its key check ``_key``, its degree function ``_degree`` and
     its integer product kernel ``_convolve``.
     """
@@ -155,7 +146,9 @@ class _SparseJet:
             if cf != 0:
                 cleaned[key] = cf
         # numerators over the lcm of reduced denominators have content 1
-        self._nums, self._den = _integer_form(cleaned)
+        den = math.lcm(*(c.denominator for c in cleaned.values()))
+        self._nums = {k: c.numerator * (den // c.denominator) for k, c in cleaned.items()}
+        self._den = den
         self._trunc = trunc
         self._fracs = cleaned
         self._hash = None
@@ -181,13 +174,6 @@ class _SparseJet:
             nums = {k: c // g for k, c in nums.items()}
             den //= g
         return cls._wrap(nums, den, trunc)
-
-    @classmethod
-    def _clean(cls, terms: dict, trunc: Optional[int]):
-        """Wrap terms that already hold int keys, nonzero Fractions and nothing above trunc."""
-        poly = cls._wrap(*_integer_form(terms), trunc)
-        poly._fracs = terms
-        return poly
 
     @classmethod
     def zero(cls, trunc: Optional[int] = None):
@@ -440,35 +426,36 @@ class UnivariatePolynomial(_SparseJet):
         return UnivariatePolynomial._reduce(nums, abs(lead), self._trunc)
 
     def __divmod__(self, other: "UnivariatePolynomial"):
-        """Euclidean division: self = q*other + r with deg r < deg other."""
+        """Euclidean division: self = q*other + r with deg r < deg other.
+
+        With self = N/dn, other = G/dg over integers, c the leading numerator
+        of G and k = max(deg N - deg G + 1, 0), the pseudo-division
+        |c|^k N = Q G + R runs on integers, each quotient term an exact //,
+        and q = Q dg / (|c|^k dn), r = R / (|c|^k dn).
+        """
         if self._trunc is not None or other._trunc is not None:
             raise ValueError("polynomial division needs exact polynomials")
         if not other._nums:
             raise ZeroDivisionError("polynomial division by zero")
-        divisor = other._fraction_terms()
+        divisor = other._nums
         deg = max(divisor)
         lead = divisor[deg]
-        rem = dict(self._fraction_terms())
+        top = max(self._nums, default=-1)
+        scale = abs(lead) ** max(top - deg + 1, 0)
+        rem = {d: c * scale for d, c in self._nums.items()}
         quo = {}
-        while rem and max(rem) >= deg:
-            top = max(rem)
-            coef = rem[top] / lead
-            shift = top - deg
-            quo[shift] = coef
-            for d, c in divisor.items():
-                v = rem.get(d + shift, 0) - coef * c
-                if v:
-                    rem[d + shift] = v
-                else:
-                    rem.pop(d + shift, None)
-        return UnivariatePolynomial._clean(quo, None), UnivariatePolynomial._clean(rem, None)
+        for shift in range(top - deg, -1, -1):
+            coef = rem.get(shift + deg, 0) // lead
+            if coef:
+                quo[shift] = coef * other._den
+                for d, c in divisor.items():
+                    rem[d + shift] = rem.get(d + shift, 0) - coef * c
+        den = scale * self._den
+        return UnivariatePolynomial._reduce(quo, den, None), UnivariatePolynomial._reduce(rem, den, None)
 
     def gcd(self, other: "UnivariatePolynomial") -> "UnivariatePolynomial":
         """Monic greatest common divisor (Euclid); zero when both inputs are zero."""
-        a, b = self, other
-        while b._nums:
-            a, b = b, divmod(a, b)[1]
-        return a.monic()
+        return _remainders(self, other)[-1].monic()
 
     def squarefree_decomposition(self) -> List[Tuple["UnivariatePolynomial", int]]:
         """Yun's algorithm: self / lc(self) = prod f_i^i over the returned (f_i, i).
@@ -500,11 +487,8 @@ class UnivariatePolynomial(_SparseJet):
         """Number of distinct real roots over the whole line (Sturm's theorem)."""
         if not self._nums:
             raise ValueError("the zero polynomial vanishes everywhere")
-        seq = [self, self.derivative()]
-        while seq[-1]._nums:
-            seq.append(-divmod(seq[-2], seq[-1])[1])
-        seq.pop()
-        at_plus = [p.coefficient(p.degree()) > 0 for p in seq]
+        seq = _remainders(self, self.derivative())
+        at_plus = [p._nums[p.degree()] > 0 for p in seq]
         at_minus = [pos == (p.degree() % 2 == 0) for pos, p in zip(at_plus, seq)]
         return _sign_changes(at_minus) - _sign_changes(at_plus)
 
@@ -514,6 +498,15 @@ class UnivariatePolynomial(_SparseJet):
 
     def to_string(self) -> str:
         return self.to_bivariate().to_string()
+
+
+def _remainders(a: UnivariatePolynomial, b: UnivariatePolynomial) -> List[UnivariatePolynomial]:
+    """a, b, then each -rem(p, q) of the last two entries p, q, up to the last nonzero entry."""
+    seq = [a, b]
+    while seq[-1]._nums:
+        seq.append(-divmod(seq[-2], seq[-1])[1])
+    seq.pop()
+    return seq
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,10 @@ from nphk.newton import (
     NotCriticalAtOrigin,
     _staircase,
     build_polygon,
-    distance_under_linear,
     face_part,
     taylor_support,
 )
-from nphk.polyring import LinearMap2, parse_polynomial
+from nphk.polyring import LinearMap2, apply_linear, parse_polynomial
 from conftest import rand_support
 
 F = Fraction
@@ -130,19 +129,23 @@ class TestFacePart:
 
 
 class TestDistanceUnderLinear:
+    @staticmethod
+    def distance(p, m):
+        return build_polygon(taylor_support(apply_linear(p, m))).distance
+
     def test_identity(self):
         p = parse_polynomial("(y - x^2)^2 + x^7")
-        assert distance_under_linear(p, LinearMap2.identity()) == F(4, 3)
+        assert self.distance(p, LinearMap2.identity()) == F(4, 3)
 
     def test_full_rank_quadratic_stays_one(self):
         p = parse_polynomial("x^2 + y^2")
         m = LinearMap2(1, 1, -1, 1)
-        assert distance_under_linear(p, m) == 1
+        assert self.distance(p, m) == 1
 
     def test_shear_to_principal_axis(self):
         p = parse_polynomial("(x + y)^2")
         m = LinearMap2(1, 0, -1, 1)  # (x, y) -> (x, y - x)
-        assert distance_under_linear(p, m) == 2
+        assert self.distance(p, m) == 2
 
 
 class TestAgainstOracle:

@@ -17,6 +17,7 @@ from nphk.polyring import (
     LinearMap2,
     ParseError,
     UnivariatePolynomial,
+    _remainders,
     apply_linear,
     apply_shear,
     compose,
@@ -878,6 +879,41 @@ class TestUnivariateAlgebra:
         with pytest.raises(ValueError):
             UnivariatePolynomial.zero().real_root_count()
 
+    def test_real_root_count_across_a_degree_gap(self):
+        # the Sturm sequence is u, 4x^3 + 1, 1 - 3/4 x, -: its third entry,
+        # with a negative leading coefficient, divides the second with k = 3
+        u = _power(X, 4) + X - ONE
+        seq = _remainders(u, u.derivative())
+        assert [p.degree() for p in seq] == [4, 3, 1, 0]
+        assert seq[2] == UnivariatePolynomial({1: F(-3, 4), 0: F(1)})
+        assert u.real_root_count() == 2
+        assert (-u).real_root_count() == 2
+
+
+def _reference_divmod(a, b):
+    """Long division with one Fraction operation per term: the quotient and remainder terms."""
+    divisor = b.coeffs
+    deg = max(divisor)
+    lead = divisor[deg]
+    rem = a.coeffs
+    quo = {}
+    while rem and max(rem) >= deg:
+        top = max(rem)
+        coef = rem[top] / lead
+        shift = top - deg
+        quo[shift] = coef
+        for d, c in divisor.items():
+            v = rem.get(d + shift, 0) - coef * c
+            if v:
+                rem[d + shift] = v
+            else:
+                rem.pop(d + shift, None)
+    return quo, rem
+
+
+def _assert_clean_univariate(poly):
+    _assert_clean(poly, poly.coeffs.items(), None, int)
+
 
 def _nonzero_univariate():
     return _univariate_coeffs().filter(bool).map(UnivariatePolynomial)
@@ -907,6 +943,12 @@ def test_divmod_and_gcd_properties(a, b):
     assert r.is_zero() or r.degree() < b.degree()
     g = a.gcd(b)
     assert g.coefficient(g.degree()) == 1
+    seq = _remainders(a, b)
+    assert seq[:2] == [a, b] and g == seq[-1].monic()
+    assert all(nxt == -divmod(p, s)[1] for p, s, nxt in zip(seq, seq[1:], seq[2:]))
+    assert divmod(seq[-2], seq[-1])[1].is_zero()
+    for poly in (q, r, g, *seq):
+        _assert_clean_univariate(poly)
     assert divmod(a, g)[1].is_zero() and divmod(b, g)[1].is_zero()
     common = a * b
     assert (a * common).gcd(b * common) == common.monic() * g
@@ -919,6 +961,7 @@ def test_squarefree_and_root_count_of_known_factors(case):
     parts = u.squarefree_decomposition()
     product = ONE
     for f, i in parts:
+        _assert_clean_univariate(f)
         assert f.degree() > 0 and f.coefficient(f.degree()) == 1
         assert f.gcd(f.derivative()) == ONE
         product = product * _power(f, i)
@@ -929,3 +972,18 @@ def test_squarefree_and_root_count_of_known_factors(case):
     assert u.real_root_count() == len(roots)
     for f, i in parts:
         assert f.real_root_count() == sum(1 for k in roots.values() if k == i)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_univariate_coeffs(), b=_univariate_coeffs().filter(bool))
+@example(a={}, b={1: F(-3, 2)})  # zero dividend
+@example(a={1: F(5, 7), 0: F(1)}, b={3: F(-2), 0: F(1)})  # dividend below the divisor's degree
+@example(a={4: F(1), 0: F(-1, 3)}, b={2: F(-3), 1: F(1, 2)})  # negative, non-unit lead, k = 3
+@example(a={7: F(2, 5), 2: F(1)}, b={3: F(-4, 9), 0: F(7)})  # k = 5, a sparse remainder
+def test_divmod_matches_fraction_long_division(a, b):
+    u, v = UnivariatePolynomial(a), UnivariatePolynomial(b)
+    ref_quo, ref_rem = _reference_divmod(u, v)
+    q, r = divmod(u, v)
+    assert q == UnivariatePolynomial(ref_quo) and r == UnivariatePolynomial(ref_rem)
+    _assert_clean_univariate(q)
+    _assert_clean_univariate(r)
