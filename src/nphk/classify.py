@@ -172,13 +172,13 @@ def _line_factors(form: BivariatePolynomial) -> Dict[int, Optional[Tuple[Fractio
     tie).  Then come Yun's factors of form(1, s): a degree-1 factor s - r is
     the line y - r*x, and a longer one counts when its Sturm count is positive.
     """
-    by_y = {b: c for (_, b), c in form.terms.items()}
+    by_y = {b: c for (_, b), c in form._nums.items()}
     jmin, jmax = min(by_y), max(by_y)
     x_mult = form.total_degree() - jmax
     lines = {x_mult: (Fraction(1), Fraction(0))} if x_mult else {}
     if jmin:
         lines[jmin] = (Fraction(0), Fraction(1))  # y wins a tie
-    u = UnivariatePolynomial({j - jmin: c for j, c in by_y.items()})
+    u = UnivariatePolynomial._reduce({j - jmin: c for j, c in by_y.items()}, form._den, None)
     for factor, mult in u.squarefree_decomposition():
         if mult in lines:
             continue
@@ -269,7 +269,7 @@ def _branch_solve(f: BivariatePolynomial, trunc: int) -> Tuple[UnivariatePolynom
         known = min(trunc, 2 * known + 1 - s)
     else:
         raise TruncationTooSmall("branch solve did not stabilize inside the truncation")
-    if psi.coefficient(0) != 0 or psi.coefficient(1) != 0:
+    if 0 in psi._nums or 1 in psi._nums:
         raise NormalizationFailed("branch is not tangent to the x-axis")
     return psi, early
 
@@ -378,7 +378,7 @@ def _solve(pn: BivariatePolynomial, frame: LinearMap2, k: int, trunc: int) -> _S
     image = pn.truncate(trunc)
     f = _y_derivative(image, k)
     psi, early = _branch_solve(f, trunc)
-    pivot_order = 0 if f.coefficient(0, 1) else 1
+    pivot_order = 0 if (0, 1) in f._nums else 1
     return _Solve(psi, image, frame, k, f.trunc - pivot_order, early)
 
 
@@ -699,8 +699,8 @@ def multiplicity_mfrak(p: BivariatePolynomial, kind: SingularityKind) -> int:
         return int(circle_vanishing_order(p.homogeneous_part(4)) == 2)
     if kind.tag == CASE_BIV and (kind.k0, kind.k1) == (6, 4):
         _, pn = _cubic_frame(p, 3, _cubic_lines(p).get(3))
-        cubic = BivariatePolynomial({(3 - b, b): pn.coefficient(6 - 2 * b, b) for b in range(4)})
-        return int(circle_vanishing_order(cubic) == 2)
+        nums = {(3 - b, b): pn._nums.get((6 - 2 * b, b), 0) for b in range(4)}
+        return int(circle_vanishing_order(BivariatePolynomial._reduce(nums, pn._den, None)) == 2)
     return 0
 
 

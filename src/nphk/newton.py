@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple, Union
 
 from .polyring import BivariatePolynomial
 
@@ -44,12 +44,13 @@ class Face:
 
     ``points`` holds the vertex, or both edge endpoints ordered by t1; rays
     store their base vertex and extend along the positive axis direction.
+    Lattice points are ints; only the principal vertex (d, d) is rational.
     ``weight`` is the supporting (kappa1, kappa2) normalized to kappa . t = 1,
     or None when no such normalization exists (rays lying on an axis).
     """
 
     kind: str
-    points: Tuple[Tuple[Fraction, Fraction], ...]
+    points: Tuple[Tuple[Union[int, Fraction], Union[int, Fraction]], ...]
     weight: Optional[Tuple[Fraction, Fraction]] = None
 
     def contains(self, t1: Fraction, t2: Fraction) -> bool:
@@ -125,10 +126,8 @@ def lower_hull(points: list) -> list:
 
 def _edge_weight(v, w) -> Tuple[Fraction, Fraction]:
     """Solve kappa . v = kappa . w = 1 for the edge through lattice points v, w."""
-    det = Fraction(v[0]) * w[1] - Fraction(v[1]) * w[0]
-    k1 = (Fraction(w[1]) - v[1]) / det
-    k2 = (Fraction(v[0]) - w[0]) / det
-    return (k1, k2)
+    det = v[0] * w[1] - v[1] * w[0]
+    return Fraction(w[1] - v[1], det), Fraction(v[0] - w[0], det)
 
 
 def build_polygon(support) -> NewtonPolygon:
@@ -146,17 +145,10 @@ def build_polygon(support) -> NewtonPolygon:
     bottom = verts[-1]
 
     vweight = (Fraction(1, top[0]), Fraction(0)) if top[0] > 0 else None
-    faces.append(Face(RAY_VERTICAL, ((Fraction(top[0]), Fraction(top[1])),), vweight))
-    for v, w in zip(verts, verts[1:]):
-        faces.append(
-            Face(
-                EDGE,
-                ((Fraction(v[0]), Fraction(v[1])), (Fraction(w[0]), Fraction(w[1]))),
-                _edge_weight(v, w),
-            )
-        )
+    faces.append(Face(RAY_VERTICAL, (top,), vweight))
+    faces.extend(Face(EDGE, (v, w), _edge_weight(v, w)) for v, w in zip(verts, verts[1:]))
     hweight = (Fraction(0), Fraction(1, bottom[1])) if bottom[1] > 0 else None
-    faces.append(Face(RAY_HORIZONTAL, ((Fraction(bottom[0]), Fraction(bottom[1])),), hweight))
+    faces.append(Face(RAY_HORIZONTAL, (bottom,), hweight))
 
     # d is the largest 1/|kappa| over supporting lines: every face's line keeps
     # the polygon in {kappa . t >= 1}, and (d, d) saturates the one through it.
@@ -174,12 +166,8 @@ def face_part(p: BivariatePolynomial, face: Face) -> BivariatePolynomial:
     """Sum of the terms of p whose exponents lie on the given face of its polygon."""
     poly = build_polygon(taylor_support(p))
     known = set(poly.faces)
-    known.update(Face(VERTEX, ((Fraction(v[0]), Fraction(v[1])),)) for v in poly.vertices)
+    known.update(Face(VERTEX, (v,)) for v in poly.vertices)
     if face not in known:
         raise FaceNotIncident(f"face {face} is not a face of the polygon of {p.to_string()}")
-    out = {
-        (a, b): c
-        for (a, b), c in p.terms.items()
-        if face.contains(Fraction(a), Fraction(b))
-    }
-    return BivariatePolynomial(out, p.trunc)
+    out = {ab: c for ab, c in p._nums.items() if face.contains(*ab)}
+    return BivariatePolynomial._reduce(out, p._den, p.trunc)

@@ -399,7 +399,7 @@ def _split_phase(phi: BivariatePolynomial) -> _Phase:
     pure term moves to its axis as an (exponent, coefficient) pair.  The
     constant term is in neither (``_global_phase``).
     """
-    constant = phi.terms.get((0, 0), Fraction(0))
+    constant = phi.coefficient(0, 0)
     terms = _float_terms(phi - BivariatePolynomial.constant(constant))
     mixed = [(a, b) for a, b, _ in terms if a and b]
     found = [{key[axis] % 2 for key in mixed} or {0} for axis in (0, 1)]

@@ -28,7 +28,7 @@ integer pass (a merge, a convolution, a chain of them, a linear recurrence
 or a pseudo-division) and divides the content out once.  ``Fraction`` is
 still what every API takes and returns: the public constructor converts its
 coefficients once, and ``terms``, ``coeffs``, ``coefficient`` and
-``to_string`` build reduced ``Fraction``s on the first read and keep them.
+``to_string`` build reduced ``Fraction``s on each read; nothing keeps them.
 
 ``parse_polynomial`` reads phase text by recursive descent with one token of
 lookahead; one compiled regular expression scans each character once.
@@ -128,13 +128,12 @@ class _SparseJet:
     ``_den > 0`` with ``gcd(_den, *_nums.values()) == 1``; so ``==`` and
     ``hash`` compare integers.  ``_trunc`` is None for an exact polynomial,
     otherwise the degree through which the jet is valid.  Every operation
-    reads and writes this form; ``_fracs`` holds the coefficients as reduced
-    Fractions once the public constructor or a reader has built them.  A
-    subclass names its key check ``_key``, its degree function ``_degree`` and
-    its integer product kernel ``_convolve``.
+    reads and writes this form, and the readers build reduced Fractions from
+    it on each call.  A subclass names its key check ``_key``, its degree
+    function ``_degree`` and its integer product kernel ``_convolve``.
     """
 
-    __slots__ = ("_nums", "_den", "_trunc", "_fracs", "_hash")
+    __slots__ = ("_nums", "_den", "_trunc", "_hash")
 
     def __init__(self, terms: Mapping, trunc: Optional[int] = None):
         cleaned = {}
@@ -150,7 +149,6 @@ class _SparseJet:
         self._nums = {k: c.numerator * (den // c.denominator) for k, c in cleaned.items()}
         self._den = den
         self._trunc = trunc
-        self._fracs = cleaned
         self._hash = None
 
     @classmethod
@@ -160,7 +158,6 @@ class _SparseJet:
         poly._nums = nums
         poly._den = den
         poly._trunc = trunc
-        poly._fracs = None
         poly._hash = None
         return poly
 
@@ -180,11 +177,9 @@ class _SparseJet:
         return cls._wrap({}, 1, trunc)
 
     def _fraction_terms(self) -> dict:
-        """The coefficients as reduced Fractions, built on the first read and kept."""
-        if self._fracs is None:
-            den = self._den
-            self._fracs = {k: Fraction(c, den) for k, c in self._nums.items()}
-        return self._fracs
+        """A new dict of the coefficients as reduced Fractions."""
+        den = self._den
+        return {k: Fraction(c, den) for k, c in self._nums.items()}
 
     def _untruncated(self):
         """The same terms as an exact polynomial (the truncation label dropped)."""
@@ -300,16 +295,14 @@ class BivariatePolynomial(_SparseJet):
 
     # -- basic queries ---------------------------------------------------------
 
-    @property
-    def terms(self) -> dict:
-        return dict(self._fraction_terms())
+    terms = property(_SparseJet._fraction_terms)
 
     @property
     def is_exact(self) -> bool:
         return self._trunc is None
 
     def coefficient(self, a: int, b: int) -> Fraction:
-        return self._fraction_terms().get((a, b), Fraction(0))
+        return Fraction(self._nums.get((a, b), 0), self._den)
 
     total_degree = _SparseJet._top_degree
 
@@ -357,13 +350,13 @@ class BivariatePolynomial(_SparseJet):
 
     def to_string(self) -> str:
         """Deterministic rendering: graded order, x-major inside each degree."""
-        terms = self._fraction_terms()
-        if not terms:
+        nums = self._nums
+        if not nums:
             return "0"
-        keys = sorted(terms, key=lambda ab: (ab[0] + ab[1], -ab[0]))
+        keys = sorted(nums, key=lambda ab: (ab[0] + ab[1], -ab[0]))
         pieces = []
         for idx, (a, b) in enumerate(keys):
-            c = terms[(a, b)]
+            c = nums[(a, b)]
             mono = []
             if a == 1:
                 mono.append("x")
@@ -373,7 +366,7 @@ class BivariatePolynomial(_SparseJet):
                 mono.append("y")
             elif b > 1:
                 mono.append(f"y^{b}")
-            mag = abs(c)
+            mag = Fraction(abs(c), self._den)
             if not mono:
                 body = str(mag)
             elif mag == 1:
@@ -401,12 +394,10 @@ class UnivariatePolynomial(_SparseJet):
     _degree = staticmethod(int)
     _convolve = staticmethod(_convolve_x)
 
-    @property
-    def coeffs(self) -> dict:
-        return dict(self._fraction_terms())
+    coeffs = property(_SparseJet._fraction_terms)
 
     def coefficient(self, d: int) -> Fraction:
-        return self._fraction_terms().get(d, Fraction(0))
+        return Fraction(self._nums.get(d, 0), self._den)
 
     degree = _SparseJet._top_degree
 

@@ -140,6 +140,19 @@ class TestAnalyze:
         report = json.loads(path.read_text())
         assert report["kind"] == "CaseC" and report["multiplicity"] == 1
 
+    def test_records_match_the_golden_file(self):
+        # whole build_report records and exit statuses of 19 rank-zero phases:
+        # the corpus rows, the twins of the D rows and the line-reader phases;
+        # no rank-one phase, whose D reading is known to be wrong
+        golden = json.loads((Path(__file__).parent / "data" / "analyze_records.json").read_text())
+        p_values = [Fraction(p) for p in golden["p"]]
+        changed = [
+            entry["phase"]
+            for entry in golden["reports"]
+            if list(cli.build_report(entry["phase"], p_values)) != [entry["record"], entry["status"]]
+        ]
+        assert len(golden["reports"]) == 19 and changed == []
+
 
 class TestExactCommandsNeedNoNumpy:
     def _run(self, code):

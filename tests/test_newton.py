@@ -121,6 +121,20 @@ class TestFacePart:
         poly = build_polygon(taylor_support(p))
         assert face_part(p, poly.edges[0]) == parse_polynomial("y^2 - 2*x^2*y + x^4")
 
+    def test_int_and_fraction_points_name_the_same_face(self):
+        p = parse_polynomial("x^2*y + y^3 + x^5")
+        poly = build_polygon(taylor_support(p))
+        assert all(type(c) is int for face in poly.faces for point in face.points for c in point)
+        edge = poly.principal_face
+        pairs = [
+            (Face(EDGE, ((0, 3), (2, 1)), edge.weight), Face(EDGE, ((F(0), F(3)), (F(2), F(1))), edge.weight)),
+            (Face(VERTEX, ((2, 1),)), Face(VERTEX, ((F(2), F(1)),))),
+        ]
+        for (ints, fractions), part in zip(pairs, ("x^2*y + y^3", "x^2*y")):
+            assert ints == fractions and hash(ints) == hash(fractions)
+            assert face_part(p, ints) == face_part(p, fractions) == parse_polynomial(part)
+        assert pairs[0][0] == edge
+
     def test_foreign_face_rejected(self):
         p = parse_polynomial("x^2 + y^2")
         stranger = Face(EDGE, ((F(0), F(3)), (F(3), F(0))), (F(1, 3), F(1, 3)))

@@ -264,6 +264,41 @@ class TestExactnessBoundary:
         assert 3 * UnivariatePolynomial({2: 1}) == UnivariatePolynomial({2: 3})
 
 
+_READ_TERMS = {(2, 0): F(1, 2), (1, 1): F(-2, 3), (0, 3): F(1)}
+_READ_COEFFS = {0: F(1, 2), 3: F(-2, 3), 4: F(5)}
+
+
+class TestReaders:
+    @pytest.mark.parametrize(
+        "cls,terms,read",
+        [(BivariatePolynomial, _READ_TERMS, "terms"), (UnivariatePolynomial, _READ_COEFFS, "coeffs")],
+    )
+    def test_mutating_a_read_leaves_the_polynomial(self, cls, terms, read):
+        poly, twin = cls(terms), cls(terms)
+        view = getattr(poly, read)
+        view.update({k: 3 * c for k, c in view.items()})
+        view.popitem()
+        assert poly == twin and hash(poly) == hash(twin)
+        assert getattr(poly, read) == terms
+
+    def test_coefficient_is_a_fraction_for_present_and_absent_keys(self):
+        p = BivariatePolynomial(_READ_TERMS)
+        u = UnivariatePolynomial(_READ_COEFFS)
+        whole = parse_polynomial("3*x^2 - y^3")
+        reads = [
+            (p.coefficient(2, 0), F(1, 2)),
+            (p.coefficient(0, 3), F(1)),
+            (p.coefficient(5, 1), F(0)),
+            (u.coefficient(3), F(-2, 3)),
+            (u.coefficient(4), F(5)),
+            (u.coefficient(1), F(0)),
+            (whole.coefficient(2, 0), F(3)),
+            (whole.coefficient(0, 0), F(0)),
+        ]
+        assert [type(c) for c, _ in reads] == [Fraction] * len(reads)
+        assert [c for c, _ in reads] == [want for _, want in reads]
+
+
 class TestLinearMaps:
     def test_identity(self):
         p = parse_polynomial("x^2")
