@@ -18,12 +18,12 @@ formulas need:
   usable branch, or height above two).
 
 Heights attached to each class are exact rationals: D(m, n) has
-h = 2n/(n+1) and linear height min(h, (2m+1)/(m+1)); E6, E7, E8 carry 12/7,
-9/5, 15/8; D4 carries 3/2; CaseBIV and CaseC carry 2.  The coordinate system
-is linearly adapted exactly when the two heights agree (for D types:
-2m+1 >= n).  The multiplicity of a height-two class, read for the kind its
-caller passes, follows one rule: it is 1 exactly when the principal form has
-a real double line.  That form is the quartic part for CaseC and the
+h = 2n/(n+1) and linear height min(h, (2m+1)/(m+1)); every other supported
+class carries the one height ``_HEIGHT`` lists for it, which is also its
+linear height.  The coordinate system is linearly adapted exactly when the
+two heights agree (for D types: 2m+1 >= n).  The multiplicity of a
+height-two class, read for the kind its caller passes, follows one rule: it
+is 1 exactly when the principal form has a real double line.  That form is the quartic part for CaseC and the
 weighted sextic of the cubic frame for CaseBIV, where only (k0, k1) = (6, 4)
 can score.
 
@@ -92,7 +92,12 @@ CASE_C = "CaseC"
 NONDEGENERATE_OR_RANK_POSITIVE = "NondegenerateOrRankPositive"
 UNSUPPORTED_HEIGHT_ABOVE_2 = "UnsupportedHeightAbove2"
 
-_SUPPORTED = {D4, D_TYPE, E6, E7, E8, CASE_BIV, CASE_C}
+# the height of every supported class but D, whose height reads its order n
+_HEIGHT = {
+    D4: Fraction(3, 2), E6: Fraction(12, 7), E7: Fraction(9, 5), E8: Fraction(15, 8),
+    CASE_BIV: Fraction(2), CASE_C: Fraction(2),
+}
+_SUPPORTED = {D_TYPE, *_HEIGHT}
 
 
 @dataclass(frozen=True)
@@ -640,19 +645,11 @@ def _d_linear_height(m: OrderValue, n: OrderValue) -> Fraction:
 
 def height(kind: SingularityKind) -> Fraction:
     """Exact height of a supported class."""
-    if kind.tag == D4:
-        return Fraction(3, 2)
     if kind.tag == D_TYPE:
         return _d_height(kind.n)
-    if kind.tag == E6:
-        return Fraction(12, 7)
-    if kind.tag == E7:
-        return Fraction(9, 5)
-    if kind.tag == E8:
-        return Fraction(15, 8)
-    if kind.tag in (CASE_BIV, CASE_C):
-        return Fraction(2)
-    raise UnsupportedKindError(f"no height for kind {kind.tag}")
+    if kind.tag not in _HEIGHT:
+        raise UnsupportedKindError(f"no height for kind {kind.tag}")
+    return _HEIGHT[kind.tag]
 
 
 def linear_height(kind: SingularityKind) -> Fraction:

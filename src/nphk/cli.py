@@ -6,6 +6,8 @@ Commands:
   heights and exact k_p values as JSON (optionally an SVG of the polygon).
 * ``decay``: numerically fit the decay exponent of the oscillatory integral
   (or run the maximal-function L^q scan with ``--randol``), emitting CSV.
+  The class of the phase without its constant term gives the fit its
+  reference rate 1/h and the scan its branch order m.
 * ``corpus``: replay the built-in classified corpus and identity suites.
 
 All symbolic values serialize as exact "num/den" strings.  Exit codes:
@@ -230,15 +232,9 @@ def _emit_error(json_path: Optional[str], message: str, code: int, out) -> None:
 # -- decay ----------------------------------------------------------------------
 
 
-def _reference_decay(phi: BivariatePolynomial) -> Optional[Fraction]:
-    """1/h for the fitted phase: classified height, or 1 for a full-rank Hessian.
-
-    The constant term only multiplies I by a unit factor, so it is dropped first.
-    """
-    phi = phi - BivariatePolynomial.constant(phi.coefficient(0, 0))
-    try:
-        kind = cls.classify_singularity(phi)
-    except (ValueError, ArithmeticError):
+def _reference_decay(phi: BivariatePolynomial, kind: Optional[cls.SingularityKind]) -> Optional[Fraction]:
+    """1/h for the fitted phase of class ``kind`` (None: unclassified), or 1 for a full-rank Hessian."""
+    if kind is None:
         return None
     if kind.is_supported:
         return Fraction(1) / cls.height(kind)
@@ -262,15 +258,18 @@ def run_decay(args: argparse.Namespace, out=None) -> int:
         for q in args.q:
             if not (math.isfinite(q) and q > 0):
                 raise ValueError(f"--q exponents must be positive and finite, got {q:g}")
-        if args.randol and args.m is None:
-            raise ValueError("--randol requires --m")
     except ValueError as exc:
         _emit_error(None, str(exc), EXIT_PARSE, out)
         return EXIT_PARSE
 
+    try:  # the constant term only multiplies I by a unit factor, so it is dropped first
+        kind = cls.classify_singularity(phi - BivariatePolynomial.constant(phi.coefficient(0, 0)))
+    except (ValueError, ArithmeticError):
+        kind = None
     try:  # every lambda is planned (range, node budget, support) before any quadrature
-        if args.randol:
-            scan = oscint.randol_lq_scan(phi, amp, args.m, q_list=args.q or (2.0,), cells=cells, lambda_grid=grid)
+        if args.randol:  # the class's m; the scan refuses any other class after its budgets
+            m = kind.m if kind else None
+            scan = oscint.randol_lq_scan(phi, amp, m, q_list=args.q or (2.0,), cells=cells, lambda_grid=grid)
         else:
             fit = oscint.fit_decay(phi, amp, grid)
     except cls.UnsupportedKindError as exc:
@@ -284,6 +283,7 @@ def run_decay(args: argparse.Namespace, out=None) -> int:
         if args.csv_path:
             oscint.write_scan_csv(args.csv_path, scan)
         swept = scan.lambdas
+        print(f"class {kind.label()}, m={scan.m}", file=out)
         print(f"lambda swept {swept[0]:g}..{swept[-1]:g} of {grid[0]:g}..{grid[-1]:g}", file=out)
         for q, (coarse, fine, ratio) in sorted(scan.q_report.items()):
             print(f"q={q:g}: L^q sum coarse={coarse:.6g} fine={fine:.6g} ratio={ratio:.4f}", file=out)
@@ -293,7 +293,7 @@ def run_decay(args: argparse.Namespace, out=None) -> int:
         oscint.write_fit_csv(args.csv_path, fit)
     for lam, message in fit.skipped:
         print(f"warning: lambda={lam:g}: {message}", file=out)
-    ref = _reference_decay(phi)
+    ref = _reference_decay(phi, kind)
     if ref is None:
         print(f"gamma_hat = {fit.gamma_hat:.4f} (no classified reference rate)", file=out)
     else:
@@ -348,7 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--grid", type=int, default=None, help="offset cells per axis for --randol")
     pd.add_argument("--radius", type=float, default=None)
     pd.add_argument("--randol", action="store_true", help="run the maximal-function L^q scan")
-    pd.add_argument("--m", type=int, default=None, help="branch order for --randol")
     pd.add_argument("--q", default="", help="comma-separated q exponents for --randol")
     pd.add_argument("--csv", dest="csv_path", help="write samples CSV here")
 

@@ -38,17 +38,13 @@ from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
 from .newton import lower_hull
+from .polyring import _frac
 
 RationalLike = Union[int, Fraction]
 
 
-def _rational(value) -> Fraction:
-    """value as a Fraction, without re-wrapping one that already is."""
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
 def _u_of_p(p: RationalLike) -> Fraction:
-    p = _rational(p)
+    p = _frac(p)
     if not (1 <= p <= 2):
         raise ValueError(f"p={p} outside [1, 2]")
     return Fraction(2 * p.denominator - p.numerator, 2 * p.numerator)  # 1/p - 1/2
@@ -60,9 +56,9 @@ def _distances(h, h_lin, nla: bool = False) -> Tuple[Fraction, Fraction]:
     ``nla`` also refuses h_lin == h, where there is no second line.
     """
     for name, value in (("h", h), ("h_lin", h_lin)):
-        if not isinstance(value, (int, Fraction)):
+        if type(value) not in (int, Fraction):  # a bool is refused here too
             raise ValueError(f"{name}={value!r} must be an int or a Fraction")
-    h, h_lin = _rational(h), _rational(h_lin)
+    h, h_lin = _frac(h), _frac(h_lin)
     if not (1 <= h_lin <= h <= 2):
         raise ValueError(f"(h, h_lin) = ({h}, {h_lin}) outside 1 <= h_lin <= h <= 2")
     if nla and h_lin == h:
@@ -89,17 +85,18 @@ class Segment(NamedTuple):
 class PiecewiseLinear:
     """Continuous piecewise-linear function through its (x, y) joints.
 
-    Needs at least two joints with x strictly increasing.  Values are coerced
-    to Fraction and joints collinear with their neighbours are dropped, so the
-    stored joints are canonical; ``segments`` holds one affine piece per pair
-    of consecutive joints.
+    Needs at least two joints with x strictly increasing.  Values are read
+    as exact Fractions (a float is refused, not rounded), and joints
+    collinear with their neighbours are dropped, so the stored joints are
+    canonical; ``segments`` holds one affine piece per pair of consecutive
+    joints.
     """
 
     points: Tuple[Tuple[Fraction, Fraction], ...]
     segments: Tuple[Segment, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = [(_rational(x), _rational(y)) for x, y in self.points]
+        pts = [(_frac(x), _frac(y)) for x, y in self.points]
         if len(pts) < 2:
             raise ValueError(f"need at least two joints, got {len(pts)}")
         joints = pts[:1]
@@ -118,7 +115,7 @@ class PiecewiseLinear:
         object.__setattr__(self, "segments", tuple(segs))
 
     def value(self, x: RationalLike) -> Fraction:
-        x = _rational(x)
+        x = _frac(x)
         segs = self.segments
         if not (segs[0].x_lo <= x <= segs[-1].x_hi):
             raise ValueError(f"x={x} outside [{segs[0].x_lo}, {segs[-1].x_hi}]")
@@ -139,7 +136,7 @@ class BoundednessAnchor:
 
     inv_p: Fraction
     k: Fraction
-    source: str  # "Sugi1" | "Sugi2" | "trivial-L2"
+    source: str  # "Sugi1" | "trivial-L2"
 
 
 def kp_profile(h: RationalLike, h_lin: RationalLike) -> ExponentProfile:
@@ -164,20 +161,17 @@ def sugimoto_q_threshold(nu: int, gamma: RationalLike, q: RationalLike) -> Bound
     The operator is L^p -> L^p' bounded at p = 2q/(2q-1) once k exceeds
     nu - gamma - 1/q.
     """
-    q = Fraction(q)
+    q = _frac(q)
     if q < 2:
         raise ValueError(f"q={q} below 2")
-    gamma = Fraction(gamma)
-    inv_p = Fraction(2 * q - 1, 1) / (2 * q)
-    k = Fraction(nu) - gamma - Fraction(1) / q
+    inv_p = (2 * q - 1) / (2 * q)
+    k = _frac(nu) - _frac(gamma) - 1 / q
     return BoundednessAnchor(inv_p=inv_p, k=k, source="Sugi1")
 
 
 def sugimoto_inf_threshold(nu: int, gamma: RationalLike, p: RationalLike) -> Fraction:
     """Boundedness threshold from a uniform-in-s decay rate gamma: (2nu-2gamma)(1/p-1/2)."""
-    gamma = Fraction(gamma)
-    u = _u_of_p(p)
-    return (2 * Fraction(nu) - 2 * gamma) * u
+    return (2 * _frac(nu) - 2 * _frac(gamma)) * _u_of_p(p)
 
 
 def interpolation_envelope(anchors: Sequence[BoundednessAnchor]) -> PiecewiseLinear:
@@ -188,7 +182,7 @@ def interpolation_envelope(anchors: Sequence[BoundednessAnchor]) -> PiecewiseLin
     """
     if len(anchors) < 2:
         raise ValueError("need at least two anchors")
-    pts = sorted((Fraction(a.inv_p), Fraction(a.k)) for a in anchors)
+    pts = sorted((_frac(a.inv_p), _frac(a.k)) for a in anchors)
     for (x0, _), (x1, _) in zip(pts, pts[1:]):
         if x0 == x1:
             raise ValueError(f"duplicate inv_p = {x0}")
@@ -228,11 +222,11 @@ def knapp_exponent(kappa: Tuple[RationalLike, RationalLike], p: RationalLike, k:
 
     Positive values witness unboundedness of the operator at order k.
     """
-    k1, k2 = Fraction(kappa[0]), Fraction(kappa[1])
+    k1, k2 = _frac(kappa[0]), _frac(kappa[1])
     if k1 < 0 or k2 < 0:
         raise ValueError("weights must be nonnegative")
     u = _u_of_p(p)
-    return 2 * (Fraction(3) - k1 - k2) * u - Fraction(k)
+    return 2 * (3 - k1 - k2) * u - _frac(k)
 
 
 def knapp_exponent_nla(h: RationalLike, h_lin: RationalLike, p: RationalLike, k: RationalLike) -> Fraction:
@@ -242,4 +236,4 @@ def knapp_exponent_nla(h: RationalLike, h_lin: RationalLike, p: RationalLike, k:
     """
     h, h_lin = _distances(h, h_lin, nla=True)
     _, (slope, intercept) = _lines(h, h_lin)
-    return slope * _u_of_p(p) + intercept - Fraction(k)
+    return slope * _u_of_p(p) + intercept - _frac(k)

@@ -118,8 +118,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .classify import D_TYPE, UnsupportedKindError, classify_singularity
-from .polyring import INFINITE_ORDER, BivariatePolynomial
+from .classify import D_TYPE, UnsupportedKindError, classify_singularity, height, linear_height
+from .polyring import BivariatePolynomial
 
 
 @dataclass(frozen=True)
@@ -1100,14 +1100,17 @@ def fit_decay(
 
 
 def _require_d_type(phi: BivariatePolynomial, m: int) -> None:
-    kind = classify_singularity(phi)
-    if kind.tag != D_TYPE or kind.m != m:
-        raise UnsupportedKindError(
-            f"phase classifies as {kind.tag} with m={kind.m}, not a D type with m={m}"
-        )
-    n = kind.n
-    if n != INFINITE_ORDER and n <= 2 * m + 1:
-        raise UnsupportedKindError(f"maximal-function scaling needs 2m+1 < n, got n={n}")
+    """Refuse phi unless, without its constant term (a unit factor of I), it
+    classifies as D(m, n) with h_lin < h, that is 2m+1 < n: the scaling of the
+    weight ``randol_weight(m)`` needs a class that is not linearly adapted."""
+    kind = classify_singularity(phi - BivariatePolynomial.constant(phi.coefficient(0, 0)))
+    if kind.tag != D_TYPE:
+        raise UnsupportedKindError(f"phase classifies as {kind.label()}, not a D type")
+    if kind.m != m:
+        raise UnsupportedKindError(f"phase classifies as {kind.label()} with m={kind.m}, not m={m}")
+    h = height(kind)
+    if linear_height(kind) == h:
+        raise UnsupportedKindError(f"maximal-function scaling needs h_lin < h, got h = h_lin = {h} for {kind.label()}")
 
 
 def randol_weight(m: int) -> float:
@@ -1160,7 +1163,10 @@ def randol_lq_scan(
     A ``cells`` that is not an ``int`` (or is a ``bool``), a ``q`` that is
     not positive and finite, an empty ``q_list`` or an empty ``lambda_grid``
     raises ValueError, and a fine grid of more than MAX_SCAN_POINTS offsets
-    BudgetExceeded, before anything is built.
+    BudgetExceeded, before anything is built.  Then UnsupportedKindError
+    refuses a phase that is not, without its constant term, a D type of
+    branch order ``m`` with h_lin < h (``_require_d_type``).  An L^q sum
+    beyond the float range raises ValueError after the sweep.
     """
     if type(cells) is not int or cells < 1:
         raise ValueError(f"scans need integer cells >= 1, got cells={cells!r}")
@@ -1201,8 +1207,11 @@ def randol_lq_scan(
 
     report: Dict[float, Tuple[float, float, float]] = {}
     for q in q_list:
-        s_c = float(np.sum(peaks[0] ** q) * (2.0 * half_width / cells) ** 2)
-        s_f = float(np.sum(peaks[1] ** q) * (half_width / cells) ** 2)
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            s_c = float(np.sum(peaks[0] ** q) * (2.0 * half_width / cells) ** 2)
+            s_f = float(np.sum(peaks[1] ** q) * (half_width / cells) ** 2)
+        if not (math.isfinite(s_c) and math.isfinite(s_f)):
+            raise ValueError(f"the L^q sums for q={q:g} are beyond the float range")
         report[float(q)] = (s_c, s_f, s_f / s_c if s_c > 0 else math.inf)
 
     points = tuple((float(a), float(b)) for a in offsets[0] for b in offsets[0])

@@ -287,8 +287,6 @@ class TestDecayCommand:
                 "--phi",
                 "(y - x^2)^2",
                 "--randol",
-                "--m",
-                "2",
                 "--q",
                 "2",
                 "--grid",
@@ -309,19 +307,37 @@ class TestDecayCommand:
 
     def test_randol_prints_the_swept_lambda(self, capsys):
         # on the 8-cell grid no point rises after lambda = 512, so the scan stops two octaves on
-        code = cli.main(["decay", "--phi", "(y - x^2)^2", "--randol", "--m", "2", "--grid", "8"])
+        code = cli.main(["decay", "--phi", "(y - x^2)^2", "--randol", "--grid", "8"])
         assert code == 0
-        assert "lambda swept 64..2048 of 64..16384\n" in capsys.readouterr().out
+        assert "class Dinf, m=2\nlambda swept 64..2048 of 64..16384\n" in capsys.readouterr().out
 
-    def test_randol_requires_m(self, capsys):
-        code = cli.main(["decay", "--phi", "(y - x^2)^2", "--randol"])
-        assert code == cli.EXIT_PARSE
+    def test_randol_reads_m_from_the_class(self, capsys, monkeypatch):
+        scan, seen = oscint.randol_lq_scan, []
+        monkeypatch.setattr(oscint, "randol_lq_scan", lambda phi, amp, m, **kw: seen.append(m) or scan(phi, amp, m, **kw))
+        for text, m in (("(y - x^2)^2", 2), ("x*(y - x^3)^2", 3)):
+            code = cli.main(["decay", "--phi", text, "--randol", "--grid", "2", "--lmax", "128"])
+            assert code == cli.EXIT_OK and seen[-1] == m
+            assert capsys.readouterr().out.startswith(f"class Dinf, m={m}\nlambda swept ")
+
+    def test_randol_drops_the_constant_term(self, capsys):
+        # the constant only multiplies I by a unit factor, so the scan reads the class of (y - x^2)^2
+        outs = []
+        for text in ("(y - x^2)^2", "1 + (y - x^2)^2"):
+            assert cli.main(["decay", "--phi", text, "--randol", "--q", "2,8", "--grid", "8", "--lmax", "512"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     def test_randol_wrong_class_is_out_of_scope(self, capsys):
-        code = cli.main(
-            ["decay", "--phi", "x^2 + y^2", "--randol", "--m", "2", "--grid", "8", "--lmax", "128"]
-        )
-        assert code == cli.EXIT_OUT_OF_SCOPE
+        # a full-rank Hessian, a class with no branch order, and D6 with h = h_lin
+        for text in ("x^2 + y^2", "x^2*y + y^3", "x*(y - x^2)^2 + x^5"):
+            code = cli.main(["decay", "--phi", text, "--randol", "--grid", "8", "--lmax", "128"])
+            assert code == cli.EXIT_OUT_OF_SCOPE
+            assert json.loads(capsys.readouterr().out)["exit_code"] == cli.EXIT_OUT_OF_SCOPE
+
+    def test_randol_budget_comes_before_the_class(self, capsys):
+        code = cli.main(["decay", "--phi", "x^2 + y^2", "--randol", "--grid", "129"])
+        assert code == cli.EXIT_NUMERIC
+        assert "offset points" in json.loads(capsys.readouterr().out)["error"]
 
     def test_zero_phase_analyze_rejected(self, capsys):
         assert cli.main(["analyze", "--phi", "0"]) == cli.EXIT_PARSE
@@ -335,7 +351,7 @@ class TestDecayCommand:
 
     def test_infeasible_lambda_randol(self, capsys):
         code = cli.main(
-            ["decay", "--phi", "(y - x^2)^2", "--randol", "--m", "2", "--lmin", "65536", "--lmax", "65536"]
+            ["decay", "--phi", "(y - x^2)^2", "--randol", "--lmin", "65536", "--lmax", "65536"]
         )
         assert code == cli.EXIT_NUMERIC
         assert "feasible" in json.loads(capsys.readouterr().out)["error"]
@@ -345,8 +361,8 @@ class TestDecayCommand:
         [
             ["--phi", "x^2 + y^2", "--radius", "1e200", "--lmax", "256"],
             ["--phi", "x^2 + y^2", "--radius", "4"],
-            ["--phi", "(y - x^2)^2", "--randol", "--m", "2", "--radius", "1e200", "--lmax", "256"],
-            ["--phi", "(y - x^2)^2", "--randol", "--m", "2", "--radius", "4"],
+            ["--phi", "(y - x^2)^2", "--randol", "--radius", "1e200", "--lmax", "256"],
+            ["--phi", "(y - x^2)^2", "--randol", "--radius", "4"],
         ],
         ids=["radius-1e200", "radius-4", "randol-radius-1e200", "randol-radius-4"],
     )
@@ -392,7 +408,7 @@ class TestDecayCommand:
     def test_randol_q_not_positive_is_a_parse_error(self, capsys, monkeypatch, q):
         # neither q = 0 (a sum of ones) nor q < 0 (a sum of M^-q) is an L^q signal
         monkeypatch.setattr(oscint, "randol_lq_scan", lambda *args, **kwargs: pytest.fail("scan ran"))
-        code = cli.main(["decay", "--phi", "(y - x^2)^2", "--randol", "--m", "2", f"--q={q}", "--grid", "8", "--lmax", "128"])
+        code = cli.main(["decay", "--phi", "(y - x^2)^2", "--randol", f"--q={q}", "--grid", "8", "--lmax", "128"])
         assert code == 2 == cli.EXIT_PARSE
         payload = json.loads(capsys.readouterr().out)
         assert payload["exit_code"] == 2
@@ -464,7 +480,6 @@ _DECAY_OPTIONS = {
     ),
     "radius": (["0.25", "0.1", "0.4", "0.6", "1"], ["0", "-1", "nan", "inf", "1e-300", "1e-160", "1e-8", "1e200", "r"]),
     "grid": (["2", "8", "31", "32"], ["0", "-2", "129", "20000", "1000000000", "1" + "0" * 30, "g"]),
-    "m": ([None, "1", "2", "3"], ["0", "-1", "-2", "6", "m"]),
     "q": (["", "2", "2,8", "1/2"], ["0", "-2", "1000", "1e3", "1/0", "nan", "q", "1" * 400]),
 }
 
@@ -474,12 +489,12 @@ def _decay_args(draw):
     """A decay argument list: some options spoiled, the others drawn from values that run."""
     spoiled = draw(st.sets(st.sampled_from(sorted(_DECAY_OPTIONS)), max_size=2))
     picked = {name: draw(st.sampled_from(bad if name in spoiled else good)) for name, (good, bad) in _DECAY_OPTIONS.items()}
-    (lmin, lmax), m = picked["window"], picked["m"]
+    lmin, lmax = picked["window"]
     args = ["decay", "--phi", draw(_DECAY_PHASES), f"--lmin={lmin}", f"--lmax={lmax}"]
     args += [f"--radius={picked['radius']}", f"--grid={picked['grid']}", f"--q={picked['q']}"]
     if draw(st.booleans()):
         args.append("--randol")
-    return args + ([] if m is None else [f"--m={m}"])
+    return args
 
 
 @settings(max_examples=150, deadline=None)

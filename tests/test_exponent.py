@@ -51,6 +51,7 @@ BAD_DISTANCES = [
     pytest.param(1.8, F(5, 3), id="float-h"),
     pytest.param(F(9, 5), 5 / 3, id="float-h_lin"),
     pytest.param("9/5", F(5, 3), id="string-h"),
+    pytest.param(True, 1, id="bool-h"),
     pytest.param(INFINITE_ORDER, F(5, 3), id="infinite-h"),
     pytest.param(F(5, 3), F(7, 4), id="h_lin-above-h"),
     pytest.param(F(9, 4), F(5, 3), id="h-above-2"),
@@ -362,6 +363,33 @@ class TestKnapp:
             knapp_exponent_nla(*_d(2, 5), 1, 0)  # linearly adapted: h = h_lin = 5/3
         with pytest.raises(ValueError, match="outside"):
             knapp_exponent_nla(F(5, 2), F(5, 3), 1, 0)
+
+
+# every exact input of the module, given as a float; each is refused, not read
+# as a binary fraction (kp_point(7/4, 5/3, 1.1) was 8106479329266892/4128299658422955)
+FLOAT_INPUTS = [
+    pytest.param(lambda: kp_point(F(7, 4), F(5, 3), 1.1), id="float-p"),
+    pytest.param(lambda: kp_profile(F(7, 4), F(5, 3)).value(0.25), id="float-u"),
+    pytest.param(lambda: PiecewiseLinear(((0.1, 0), (1, 1))), id="float-joint"),
+    pytest.param(lambda: sugimoto_q_threshold(3, 0, 2.5), id="float-q"),
+    pytest.param(lambda: sugimoto_q_threshold(3, 0.5, 4), id="float-gamma"),
+    pytest.param(lambda: sugimoto_inf_threshold(3, 0.5, 1), id="float-inf-gamma"),
+    pytest.param(
+        lambda: interpolation_envelope(
+            [BoundednessAnchor(F(1, 2), F(0), "trivial-L2"), BoundednessAnchor(1.0, F(1), "Sugi1")]
+        ),
+        id="float-anchor",
+    ),
+    pytest.param(lambda: knapp_exponent((0.5, F(1, 3)), 1, 0), id="float-kappa"),
+    pytest.param(lambda: knapp_exponent_nla(*_d(2, 7), 1, 2.4), id="float-k"),
+    pytest.param(lambda: kp_point(F(7, 4), F(5, 3), True), id="bool-p"),
+]
+
+
+@pytest.mark.parametrize("call", FLOAT_INPUTS)
+def test_inexact_input_refused(call):
+    with pytest.raises(TypeError, match="not exact"):
+        call()
 
 
 class TestSandwich:

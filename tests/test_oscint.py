@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nphk import oscint
-from nphk.classify import UnsupportedKindError
+from nphk.classify import UnsupportedKindError, classify_singularity, height, linear_height
 from nphk.oscint import (
     DEFAULT_LAMBDA_GRID,
     DEFAULT_SCAN_HALF_WIDTH,
@@ -1123,6 +1123,22 @@ class TestFitDecay:
         with pytest.raises(ValueError, match=r"I\(lambda, s\) samples must be finite"):
             oscint.fit_decay_from_samples([64.0, 128.0, 256.0], [1.0, value, 0.25], [1e-8] * 3)
 
+    def test_samples_need_three_lambdas(self):
+        with pytest.raises(ValueError, match="need at least three lambda samples"):
+            oscint.fit_decay_from_samples([64.0, 128.0], [1.0, 0.5], [1e-8] * 2)
+
+    def test_zero_sample_is_not_converged(self):
+        # log 0 would make the fit -inf; a zero |I| is a quadrature that lost the value
+        with pytest.raises(QuadratureNotConverged, match="underflowed"):
+            oscint.fit_decay_from_samples([64.0, 128.0, 256.0], [1.0, 0.0, 0.25], [1e-8] * 3)
+
+    def test_lambda_zero_refused(self):
+        p, amp = parse_polynomial("x^2 + y^2"), AmplitudeSpec()
+        with pytest.raises(ValueError, match="lambda must be positive, got 0.0"):
+            eval_oscillatory(p, amp, 0.0)
+        with pytest.raises(ValueError, match="lambda must be positive, got 0.0"):
+            fit_decay(p, amp, [0.0, 64.0, 128.0, 256.0])
+
 
 class TestRandol:
     def test_cell_centered_grid_avoids_axes(self):
@@ -1147,6 +1163,31 @@ class TestRandol:
             randol_lq_scan(parse_polynomial("(y - x^2)^2"), amp, 3, q_list=(2.0,), cells=8, lambda_grid=[64.0])
         with pytest.raises(UnsupportedKindError):
             randol_lq_scan(parse_polynomial("x^2 + y^2"), amp, 2, q_list=(2.0,), cells=8, lambda_grid=[64.0])
+
+    def test_linearly_adapted_d_type_rejected(self):
+        # the rank-zero twin plus x^5 is D6 with m = 2, n = 5: h = h_lin = 5/3, 2m+1 = n
+        phi = parse_polynomial("x*(y - x^2)^2 + x^5")
+        kind = classify_singularity(phi)
+        assert (kind.label(), kind.m, kind.n) == ("D6", 2, 5)
+        assert height(kind) == linear_height(kind) == Fraction(5, 3)
+        with pytest.raises(UnsupportedKindError, match="h_lin < h"):
+            randol_lq_scan(phi, AmplitudeSpec(), 2, q_list=(2.0,), cells=8, lambda_grid=[64.0])
+
+    def test_lq_sum_beyond_the_float_range_refused(self):
+        # M reaches 2.2 at lambda = 16 on the unit disc, and 2.2^1000 is beyond the float range
+        phi, amp = parse_polynomial("(y - x^2)^2"), AmplitudeSpec(radius=1)
+        with pytest.raises(ValueError, match="L\\^q sums for q=1000 are beyond the float range"):
+            randol_lq_scan(phi, amp, 2, q_list=(2.0, 1000.0), cells=2, lambda_grid=[16.0])
+        assert randol_lq_scan(phi, amp, 2, q_list=(2.0, 8.0), cells=2, lambda_grid=[16.0]).q_report[8.0][0] < 1e4
+
+    @pytest.mark.parametrize("c", ["1", "1000000", "10^400", "-7/3"])
+    def test_constant_term_is_dropped_before_classifying(self, c):
+        # the constant only multiplies I by a unit factor: same class, same sweep, same M
+        args = dict(q_list=(2.0,), cells=8, lambda_grid=dyadic_grid(64, 1024))
+        plain = randol_lq_scan(parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, **args)
+        shifted = randol_lq_scan(parse_polynomial(f"{c} + (y - x^2)^2"), AmplitudeSpec(), 2, **args)
+        assert shifted.lambdas == plain.lambdas
+        np.testing.assert_allclose(shifted.M_values, plain.M_values, rtol=1e-15, atol=0)
 
     # a float count such as 2.5 would round to an odd grid (2.5 + 2.5 % 2 is 3.0)
     # whose middle cell centre is the axis caustic s1 = 0
