@@ -240,7 +240,10 @@ def _branch_solve(f: BivariatePolynomial, trunc: int) -> Tuple[UnivariatePolynom
     residual that vanishes at working precision is confirmed once at full
     precision, which stops a polynomial branch at once (the early stop that
     the returned flag reports); the loop stops only on a full residual of
-    order above ``trunc``.
+    order above ``trunc``.  It always stops: ``known`` rises by at least one
+    per pass until it reaches ``trunc``, and after that a residual of order
+    at most ``trunc`` is below known + 1 + s and raises.  Each correction
+    has order at least known + 1 >= 2, so psi stays O(x^2).
 
     So psi satisfies the same final check as under full-precision steps, and
     every coefficient that check pins, those through degree T - s with T the
@@ -252,7 +255,7 @@ def _branch_solve(f: BivariatePolynomial, trunc: int) -> Tuple[UnivariatePolynom
     fy = f.partial(1)
     psi = UnivariatePolynomial.zero(trunc)
     known = 1
-    for _ in range(trunc + 2):
+    while True:
         w = min(trunc, 2 * known + 1)
         residual = substitute_y(f.truncate(w), psi.truncate(w))
         early = residual.is_zero() and w < trunc
@@ -272,10 +275,6 @@ def _branch_solve(f: BivariatePolynomial, trunc: int) -> Tuple[UnivariatePolynom
         correction = series_divide(residual._untruncated(), pivot._untruncated(), w)
         psi = psi - correction._untruncated()
         known = min(trunc, 2 * known + 1 - s)
-    else:
-        raise TruncationTooSmall("branch solve did not stabilize inside the truncation")
-    if 0 in psi._nums or 1 in psi._nums:
-        raise NormalizationFailed("branch is not tangent to the x-axis")
     return psi, early
 
 
@@ -521,9 +520,6 @@ def _d_normal_form(
             cm = orders.read(csolve.psi, "m", csolve)
             if cm != INFINITE_ORDER and cm < m:
                 solve, m, n = csolve, cm, orders.read(cb0, "n", csolve, 0)
-
-    if m != INFINITE_ORDER and m > trunc - 2:
-        raise TruncationTooSmall(f"m={m} too close to trunc={trunc}")
     return m, n, solve
 
 

@@ -13,8 +13,8 @@ Commands:
 All symbolic values serialize as exact "num/den" strings.  Exit codes:
 0 success, 1 corpus mismatch, 2 parse error (or a ``corpus --filter`` that
 matches no row), 3 exponent data requested for an out-of-range class, 4
-numeric non-convergence, a lambda outside the feasible range, or a
-quadrature or offset grid beyond its budget (``oscint.BudgetExceeded``).
+numeric non-convergence, or a quadrature or offset grid beyond its budget
+(``oscint.BudgetExceeded``), which is the only upper limit on lambda.
 ``decay`` runs ``oscint.fit_decay``: a lambda whose order check fails is left
 out of the fit and printed as a warning; a grid of fewer than three lambdas
 (refused before any quadrature) or fewer than three converged ones exits 4.
@@ -46,14 +46,6 @@ _RATIONAL_TEXT = re.compile(r"[+-]?(\d+(/\d+)?|\d*\.\d+)")
 
 WARN_RANK = "rank >= 1: out of scope"
 WARN_HEIGHT = "h > 2: unsupported"
-
-
-def rational_str(value) -> str:
-    """Exact num/den rendering; integers drop the denominator."""
-    f = value if isinstance(value, (int, Fraction)) else Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
 
 
 def order_str(value) -> str:
@@ -90,10 +82,10 @@ def parse_exponent(text: str) -> float:
 def _face_record(face: newton.Face) -> Dict:
     rec: Dict = {
         "kind": face.kind,
-        "points": [[rational_str(a), rational_str(b)] for a, b in face.points],
+        "points": [[str(a), str(b)] for a, b in face.points],
     }
     if face.weight is not None:
-        rec["weight"] = [rational_str(face.weight[0]), rational_str(face.weight[1])]
+        rec["weight"] = [str(face.weight[0]), str(face.weight[1])]
     return rec
 
 
@@ -111,7 +103,7 @@ def build_report(phi_text: str, p_values: Sequence[Fraction]) -> Tuple[Dict, int
         "polygon": {
             "vertices": [list(v) for v in poly.vertices],
             "faces": [_face_record(f) for f in poly.faces],
-            "distance": rational_str(poly.distance),
+            "distance": str(poly.distance),
             "principal_face": _face_record(poly.principal_face),
         },
         "kind": kind.tag,
@@ -129,20 +121,20 @@ def build_report(phi_text: str, p_values: Sequence[Fraction]) -> Tuple[Dict, int
     if kind.is_supported:
         heights = cls.height_report(phi, kind)
         profile = expo.kp_profile(heights.h, heights.h_lin)
-        report["h"] = rational_str(heights.h)
-        report["h_lin"] = rational_str(heights.h_lin)
+        report["h"] = str(heights.h)
+        report["h_lin"] = str(heights.h_lin)
         report["linearly_adapted"] = heights.linearly_adapted
         report["multiplicity"] = heights.multiplicity
         report["kp_table"] = [
-            {"p": rational_str(p), "k": rational_str(profile.value_at_p(p))}
+            {"p": str(p), "k": str(profile.value_at_p(p))}
             for p in p_values
         ]
         report["profile"] = [
             {
-                "slope": rational_str(seg.slope),
-                "intercept": rational_str(seg.intercept),
-                "u_min": rational_str(seg.x_lo),
-                "u_max": rational_str(seg.x_hi),
+                "slope": str(seg.slope),
+                "intercept": str(seg.intercept),
+                "u_min": str(seg.x_lo),
+                "u_max": str(seg.x_hi),
             }
             for seg in profile.segments
         ]
@@ -266,7 +258,7 @@ def run_decay(args: argparse.Namespace, out=None) -> int:
         kind = cls.classify_singularity(phi - BivariatePolynomial.constant(phi.coefficient(0, 0)))
     except (ValueError, ArithmeticError):
         kind = None
-    try:  # every lambda is planned (range, node budget, support) before any quadrature
+    try:  # every lambda is planned (node budget, support) before any quadrature
         if args.randol:  # the class's m; the scan refuses any other class after its budgets
             m = kind.m if kind else None
             scan = oscint.randol_lq_scan(phi, amp, m, q_list=args.q or (2.0,), cells=cells, lambda_grid=grid)
@@ -299,7 +291,7 @@ def run_decay(args: argparse.Namespace, out=None) -> int:
     else:
         gap = abs(fit.gamma_hat - float(ref))
         print(
-            f"gamma_hat = {fit.gamma_hat:.4f} vs 1/h = {rational_str(ref)}"
+            f"gamma_hat = {fit.gamma_hat:.4f} vs 1/h = {ref}"
             f" ({float(ref):.4f}); gap = {gap:.4f}",
             file=out,
         )

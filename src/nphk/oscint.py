@@ -144,11 +144,19 @@ _RULE = _Rule(order=24, check=20, cycles=7.5)
 # more often.
 _BLOCK_ROWS = 14
 REL_TOL = 1e-3
-MAX_FEASIBLE_LAMBDA = float(1 << 15)
-# Nodes of the rule's check order one lambda may use.  At MAX_FEASIBLE_LAMBDA
-# the decay_fit phases need at most 4.3e7 order-20 nodes (x^2*y + y^3 with
-# R = 0.6; 6.1e7 at order 24) and the default bump's scans about 1.0e7; a
-# grid far beyond that is a run of hours, not a desk-scale check.
+# Nodes of the rule's check order one lambda may use, and the one upper limit
+# on lambda: x^2*y + y^3 reaches it at lambda = 5.1e4 with R = 0.6 and order
+# 2, and at 7.0e5 under the default bump.  A grid far beyond it is a run of
+# hours, not a desk-scale check.  The budget also bounds the rounding of
+# theta = lambda * phi, which both orders share and the order check cannot
+# see.  Let A(x, y) = sum |c_ab| |x|^a |y|^b over phi's terms without the
+# constant, plus |s1 x| + |s2 y|.  Each strip bound dominates |dA/du| on its
+# strip, so a path from the origin to a point of the disc, along y and then
+# along x, shows lambda * A <= 2 pi * _RULE.cycles * (panels on x + panels on
+# y).  An axis has at least 3 panels, so at most 10^8 / (20^2 * 3) + 3 panels
+# on the two axes fit the budget, and lambda * A stays below 3.93e6 at every
+# node that carries weight.  Every rounding in theta's terms and sums is then
+# at most 2^-53 of that, about 4.4e-10 rad.
 MAX_COARSE_NODES = 10**8
 # Offset points one maximal-function scan may hold on its finer grid.  The
 # largest scan criterion 6 or a test runs has 64^2 (32 cells refined twice);
@@ -325,13 +333,15 @@ def _panels_for(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Panel edges per axis under the width cap 2R/n from a phase's ``_strip_bounds``.
 
-    Raises ValueError for a lambda outside the feasible range,
-    BudgetExceeded before any edge is placed when the grid would need more
-    than MAX_COARSE_NODES nodes of the order _RULE.check or its size is not
-    finite, and ValueError when the bump's mass is not a normal positive
-    float (a radius whose square overflows or underflows).
+    Raises ValueError for a lambda that is not positive, BudgetExceeded
+    before any edge is placed when the grid would need more than
+    MAX_COARSE_NODES nodes of the order _RULE.check or its size is not
+    finite (an infinite lambda among them), and ValueError when the bump's
+    mass is not a normal positive float (a radius whose square overflows or
+    underflows).  The budget is the only upper limit on lambda.
     """
-    _check_lambda(lam)
+    if not lam > 0:
+        raise ValueError(f"lambda must be positive, got {lam}")
     u, bounds = strips
     cums = [_axis_cost(u, bound, amp, lam, n) for bound in bounds]
     nodes = float(_RULE.check**2)
@@ -914,21 +924,14 @@ def check_amplitude_support(phi: BivariatePolynomial, amp: AmplitudeSpec) -> boo
     return not bool(stray.any())
 
 
-def _check_lambda(lam: float) -> None:
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if lam > MAX_FEASIBLE_LAMBDA:
-        raise ValueError(f"lambda={lam} beyond the feasible range {MAX_FEASIBLE_LAMBDA}")
-
-
 def _sweep_edges(
     phi: BivariatePolynomial, amp: AmplitudeSpec, lams: Sequence[float], s_max: Tuple[float, float], n: int
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Edges under the width cap 2R/n for every lambda, then the support check.
 
     The strip bounds are taken once and scaled per lambda.  Every lambda is
-    checked against the feasible range and the node budget before any node
-    grid is built, so an infeasible sweep fails at once.
+    checked against the node budget (``_panels_for``) before any node grid
+    is built, so a sweep beyond it fails at once.
     """
     strips = _strip_bounds(phi, amp, s_max)
     edges = [_panels_for(strips, amp, lam, n) for lam in lams]
@@ -1157,8 +1160,8 @@ def randol_lq_scan(
     says where.  On the default grid that is two swept lambda in a row that
     raise no point.  The stop reads only the reported values, so ``validate``
     does not move it.  Every lambda of the grid is still planned, against the
-    feasible range and the node budget, before any node is built: a grid that
-    is refused is refused whole, even past where the sweep would stop.
+    node budget, before any node is built: a grid that is refused is refused
+    whole, even past where the sweep would stop.
 
     A ``cells`` that is not an ``int`` (or is a ``bool``), a ``q`` that is
     not positive and finite, an empty ``q_list`` or an empty ``lambda_grid``

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -80,6 +81,10 @@ class TestCircleVanishingOrder:
     def test_rejects_inhomogeneous(self):
         with pytest.raises(ValueError, match="homogeneous"):
             circle_vanishing_order(parse_polynomial("x^2 + y^3"))
+
+    def test_rejects_the_zero_form(self):
+        with pytest.raises(ValueError, match="vanishing order of the zero polynomial is undefined"):
+            circle_vanishing_order(BivariatePolynomial({}))
 
 
 class TestRank:
@@ -327,6 +332,18 @@ class TestMultiplicity:
         assert _multiplicity(parse_polynomial("x^2*y^2 + x^4*y^4")) == 1
         assert _multiplicity(parse_polynomial("x^4 + y^4")) == 0
         assert _multiplicity(parse_polynomial("(y - x^2)^2")) == 0
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("x^4 + y^4", "cubic part has no real factor of multiplicity 3"),
+            ("x^2*y + y^3 + x^6", "no rational linear factor of multiplicity 3 in x^2*y + y^3"),
+        ],
+    )
+    def test_case_biv_frame_needs_a_triple_line(self, text, message):
+        # the kind is given, not read off p, so the cubic frame may find no triple line
+        with pytest.raises(NormalizationFailed, match=f"^{re.escape(message)}$"):
+            multiplicity_mfrak(parse_polynomial(text), SingularityKind(CASE_BIV, k0=6, k1=4))
 
     EXPECTED = {"(y - x^2)^2": 0, "y^3 + x^6": 0, "x^4 + y^4": 0, "x^2*y^2 + x^4*y^4": 1}
 

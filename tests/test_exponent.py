@@ -242,6 +242,10 @@ class TestEnvelope:
         )
         assert env.value(F(3, 4)) == F(1, 2)
 
+    def test_one_anchor_refused(self):
+        with pytest.raises(ValueError, match="^need at least two anchors$"):
+            interpolation_envelope([BoundednessAnchor(F(1, 2), F(0), "trivial-L2")])
+
     def test_collinear_anchors_collapse(self):
         env = interpolation_envelope(
             [

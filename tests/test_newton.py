@@ -63,6 +63,10 @@ class TestBuildPolygon:
         assert poly.vertices == ((0, 2), (2, 0))
         assert poly.edges[0].weight == (F(1, 2), F(1, 2))
 
+    def test_support_outside_the_quadrant_refused(self):
+        with pytest.raises(ValueError, match=r"^support point \(-1, 2\) outside the positive quadrant$"):
+            build_polygon({(-1, 2)})
+
     def test_collinear_and_dominated_points_absorbed(self):
         poly = build_polygon({(0, 2), (2, 1), (4, 0), (7, 0)})
         assert poly.vertices == ((0, 2), (4, 0))

@@ -19,7 +19,6 @@ from nphk.oscint import (
     DEFAULT_LAMBDA_GRID,
     DEFAULT_SCAN_HALF_WIDTH,
     MAX_COARSE_NODES,
-    MAX_FEASIBLE_LAMBDA,
     MAX_SCAN_POINTS,
     SINCOS_RANGE,
     AmplitudeSpec,
@@ -202,13 +201,28 @@ class TestEval:
         assert err < 1e-3
 
     def test_feasibility_guard(self):
-        amp = AmplitudeSpec()
-        with pytest.raises(ValueError, match="feasible"):
-            eval_oscillatory(parse_polynomial("x^2 + y^2"), amp, float(1 << 16))
-        with pytest.raises(ValueError, match="feasible"):
+        # the node budget is the one upper limit on lambda; below it only a
+        # lambda that is not positive is refused
+        amp, phi = AmplitudeSpec(), parse_polynomial("x^2 + y^2")
+        with pytest.raises(BudgetExceeded, match=r"needs 1\.99e\+08 coarse quadrature nodes"):
+            eval_oscillatory(phi, amp, float(1 << 18))
+        with pytest.raises(BudgetExceeded, match="budget"):
             randol_lq_scan(
-                parse_polynomial("(y - x^2)^2"), amp, 2, q_list=(2.0,), lambda_grid=[64.0, float(1 << 16)]
+                parse_polynomial("(y - x^2)^2"), amp, 2, q_list=(2.0,), lambda_grid=[64.0, float(1 << 18)]
             )
+        with pytest.raises(BudgetExceeded, match="needs inf coarse quadrature nodes"):
+            eval_oscillatory(phi, amp, math.inf)
+        with pytest.raises(ValueError, match="lambda must be positive, got nan"):
+            eval_oscillatory(phi, amp, math.nan)
+
+    def test_a_lambda_above_2_15_runs_when_the_budget_affords_it(self):
+        # x = R u gives I(lambda; R) = R^2 I(lambda R^2; 1) for a quadratic phase
+        phi, s, r, lam = parse_polynomial("x^2 + y^2"), (0.0, 0.0), 0.01, float(1 << 20)
+        small, unit = AmplitudeSpec(radius=r), AmplitudeSpec(radius=1.0)
+        value, err = _value(phi, small, lam, s, _edges(phi, small, lam, s))
+        ref, ref_err = _value(phi, unit, lam * r * r, s, _edges(phi, unit, lam * r * r, s))
+        assert value == eval_oscillatory(phi, small, lam)
+        assert abs(value - r * r * ref) <= err * abs(value) + ref_err * abs(r * r * ref)
 
     @staticmethod
     def _simpson(f, a, b, n=200001):
@@ -252,6 +266,33 @@ SIZING_CASES = [
     ("1/8*x + x^2 + y^2", AmplitudeSpec(radius=0.4, order=2), (0.0, 0.0)),
 ]
 SIZING_IDS = [text for text, _, _ in SIZING_CASES]
+# the sizing phases, and phases with a large coefficient, a dense expansion
+# or one high mixed monomial
+ROUNDING_CASES = SIZING_CASES + [
+    ("1000000*x^2 + y^2", AmplitudeSpec(radius=0.4, order=2), (0.0, 0.0)),
+    ("(x + y)^20 + x^2", AmplitudeSpec(radius=1.0, order=2), (0.0, 0.0)),
+    ("x^11*y^12", AmplitudeSpec(radius=0.4, order=2), (0.0, 0.0)),
+]
+
+
+def _largest_admitted_lambda(phi, amp, s_max):
+    """The largest lambda whose grid fits the node budget, bisected in log lambda."""
+
+    def fits(lam):
+        try:
+            _edges(phi, amp, lam, s_max)
+        except BudgetExceeded:
+            return False
+        return True
+
+    lo, hi = 1.0, 2.0
+    assert fits(lo)
+    while fits(hi):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(40):
+        mid = math.sqrt(lo * hi)
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
 
 
 class TestPanelSizing:
@@ -332,8 +373,31 @@ class TestPanelSizing:
 
     @pytest.mark.parametrize("text,amp,s_max", SIZING_CASES, ids=SIZING_IDS)
     def test_acceptance_phases_fit_the_node_budget(self, text, amp, s_max):
-        ex, ey = _edges(parse_polynomial(text), amp, MAX_FEASIBLE_LAMBDA, s_max)
+        # every sizing phase fits the budget through lambda = 2^15, and the
+        # budget, not a lambda cap, refuses each at 2^18
+        ex, ey = _edges(parse_polynomial(text), amp, 2.0**15, s_max)
         assert _RULE.check**2 * (ex.size - 1) * (ey.size - 1) <= MAX_COARSE_NODES
+        with pytest.raises(BudgetExceeded, match="coarse quadrature nodes"):
+            _edges(parse_polynomial(text), amp, 2.0**18, s_max)
+
+    @pytest.mark.parametrize("text,amp,s_max", ROUNDING_CASES, ids=[text for text, _, _ in ROUNDING_CASES])
+    def test_node_budget_bounds_the_phase_rounding(self, text, amp, s_max):
+        # the bound of the MAX_COARSE_NODES comment at the largest lambda the
+        # budget admits: lambda * A <= 2 pi * cycles * (panels on both axes),
+        # with A = sum |c_ab| |x|^a |y|^b + |s1 x| + |s2 y| largest on the circle
+        phi = parse_polynomial(text)
+        lam = _largest_admitted_lambda(phi, amp, s_max)
+        ex, ey = _edges(phi, amp, lam, s_max)
+        t = np.linspace(0.0, 2.0 * np.pi, 4097)
+        x, y = np.abs(amp.radius * np.cos(t)), np.abs(amp.radius * np.sin(t))
+        size = abs(s_max[0]) * x + abs(s_max[1]) * y
+        for (a, b), c in phi.terms.items():
+            if a + b:
+                size = size + abs(float(c)) * x**a * y**b
+        theta_max = lam * float(size.max())
+        assert theta_max <= 2.0 * math.pi * _RULE.cycles * (ex.size - 1 + ey.size - 1)
+        most_panels = MAX_COARSE_NODES / (_RULE.check**2 * 3) + 3
+        assert theta_max <= 2.0 * math.pi * _RULE.cycles * most_panels < 3.93e6
 
 
 def _dense_reference(phi, amp, lam, grids, edges, order):
@@ -1037,6 +1101,10 @@ class TestFitDecay:
         assert not fit.log_correction
         assert max(fit.quadrature_error_bound) < 1e-3
 
+    def test_phase_coefficient_beyond_the_float_range_refused(self):
+        with pytest.raises(ValueError, match="^a phase coefficient is beyond the float range$"):
+            fit_decay(parse_polynomial("10^400*x^2 + y^2"), AmplitudeSpec(), dyadic_grid(64, 256))
+
     def test_stray_critical_point_rejected(self):
         amp = AmplitudeSpec(radius=0.25)
         with pytest.raises(ValueError, match="critical points"):
@@ -1150,10 +1218,10 @@ class TestRandol:
         built = []
         gauss_axis = oscint._gauss_axis
         monkeypatch.setattr(oscint, "_gauss_axis", lambda *args: built.append(args) or gauss_axis(*args))
-        with pytest.raises(ValueError, match="feasible"):
+        with pytest.raises(BudgetExceeded, match="budget"):
             randol_lq_scan(
                 parse_polynomial("(y - x^2)^2"), AmplitudeSpec(), 2, q_list=(2.0,), cells=8,
-                lambda_grid=[64.0, 128.0, float(1 << 16)],
+                lambda_grid=[64.0, 128.0, float(1 << 18)],
             )
         assert built == []
 

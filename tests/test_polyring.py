@@ -168,6 +168,33 @@ class TestInputBounds:
         assert parse_polynomial("10^400 + x^2 + y^2").coefficient(0, 0) == 10**400
 
 
+class TestPublicInputRefusals:
+    def test_negative_exponents_refused(self):
+        with pytest.raises(ValueError, match=r"^negative exponent in term \(-1, 2\)$"):
+            BivariatePolynomial({(-1, 2): 1})
+        with pytest.raises(ValueError, match="^negative degree$"):
+            UnivariatePolynomial({-1: 1})
+        with pytest.raises(ValueError, match="^negative power of a polynomial$"):
+            parse_polynomial("x + y") ** -1
+
+    def test_series_division_by_the_zero_jet_refused(self):
+        with pytest.raises(ZeroDivisionError, match="^division by the zero jet$"):
+            series_divide(UnivariatePolynomial({1: 1}), UnivariatePolynomial.zero(), 4)
+
+    def test_equality_with_another_type_is_false(self):
+        p = parse_polynomial("x^2 + y")
+        assert p != 1 and p != "y + x^2" and p != UnivariatePolynomial({2: 1})
+        assert UnivariatePolynomial({2: 1}) != BivariatePolynomial({(2, 0): 1})
+
+    def test_repr_and_univariate_text(self):
+        p = parse_polynomial("x^2 + y")
+        assert repr(p) == "BivariatePolynomial(y + x^2)"
+        assert repr(p.truncate(3)) == "BivariatePolynomial(y + x^2, trunc=3)"
+        u = UnivariatePolynomial({0: 1, 2: -3}, trunc=4)
+        assert repr(u) == "UnivariatePolynomial(1 - 3*x^2, trunc=4)"
+        assert UnivariatePolynomial({1: F(1, 2), 3: 2}).to_string() == "1/2*x + 2*x^3"
+
+
 class TestArithmetic:
     def test_ring_distributivity(self):
         rng = random.Random(5)
